@@ -148,8 +148,7 @@ def flat_certificate(model: ManifoldModel, alpha0: float, D: float,
     vol_b2 = s_m * shell
     vol_a31 = s_m * omega * r_plus ** (m - 1)
     vol_a32 = s_m * omega * r_eps ** (m - 1)
-    delta_f = float(model.F(r_plus)) - float(model.F(r_eps))
-    vol_a33 = omega * r_plus ** (m - 1) * delta_f
+    vol_a33 = omega * r_plus ** (m - 1) * consts.delta_F
 
     vol_a = vol_a0 + vol_a1 + vol_a2 + vol_a31 + vol_a32 + vol_a33
     vol_b = vol_b1 + vol_b2

@@ -25,9 +25,7 @@ from dataclasses import asdict
 
 from .certificates import delta_budget, flat_certificate
 from .embedding import metric_embedding_check
-from .errors import (CertificateError, DomainError, InvalidProfileError,
-                     MassflatError, ProfileFormatError, QuadratureError,
-                     WindowOverflowError)
+from .errors import DomainError, MassflatError, ProfileFormatError
 from .geometry import ManifoldModel, tubular_window
 from .ghdist import best_gh_bound, gh_bound
 from .profiles import (deep_well, flat, schwarzschild, stripes,
@@ -286,10 +284,6 @@ def main(argv=None) -> int:
     except (ProfileFormatError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidProfileError, WindowOverflowError, CertificateError,
-            QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MassflatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -59,7 +59,7 @@ class EmbeddingConstants:
     C_M_sampled: Optional[float] = None
 
 
-def embedding_constant_bound(model, r_a: float, r_b: float,
+def embedding_constant_bound(model, r_a, r_b: float,
                              diam_W_bound: Optional[float] = None
                              ) -> EmbeddingConstants:
     """Distortion constants for the reconstruction restricted to [r_a, r_b].
@@ -67,24 +67,28 @@ def embedding_constant_bound(model, r_a: float, r_b: float,
     sup|grad F| is scanned on the range; the annulus diameter bound defaults
     to the measured strip length plus pi r_b but can be supplied (e.g. the
     budget value 2 D + pi r0).  S_M = sqrt(C (diam_M + C)) where diam_M is
-    bounded by diam_W sqrt(1 + sup_grad^2) plus the graph height.
+    bounded by diam_W sqrt(1 + sup_grad^2) plus the graph height.  An array
+    of left ends r_a sharing r_b gives constants whose fields are arrays.
     """
+    scalar = np.ndim(r_a) == 0
+    r_a = np.atleast_1d(np.asarray(r_a, dtype=float))
     sup_grad = model.sup_grad(r_a, r_b)
+    ends = np.append(r_a, r_b)
     if diam_W_bound is None:
-        diam_W_bound = (float(model.s(r_b)) - float(model.s(r_a))) \
-            + math.pi * r_b
-    delta_f = float(model.F(r_b)) - float(model.F(r_a))
-    if not math.isfinite(sup_grad):
-        return EmbeddingConstants(
-            C_M_bound=math.inf, S_M=math.inf, diam_W_bound=diam_W_bound,
-            diam_M_bound=math.inf, sup_grad=sup_grad, delta_F=delta_f,
-            mode="measured")
-    diam_M = diam_W_bound * math.sqrt(1.0 + sup_grad**2) + delta_f
+        s_ends = model.s(ends)
+        diam_W_bound = (s_ends[-1] - s_ends[:-1]) + math.pi * r_b
+    f_ends = model.F(ends)
+    delta_f = f_ends[-1] - f_ends[:-1]
+    # sup_grad is infinite only on a boundary sphere, where diam_W > 0, so
+    # the infinity carries through to diam_M, C and S
+    diam_M = diam_W_bound * np.sqrt(1.0 + sup_grad**2) + delta_f
     C = 2.0 * diam_W_bound * sup_grad
-    S = math.sqrt(C * (diam_M + C))
-    return EmbeddingConstants(
-        C_M_bound=C, S_M=S, diam_W_bound=diam_W_bound, diam_M_bound=diam_M,
-        sup_grad=sup_grad, delta_F=delta_f, mode="measured")
+    fields = {"C_M_bound": C, "S_M": np.sqrt(C * (diam_M + C)),
+              "diam_W_bound": np.broadcast_to(diam_W_bound, r_a.shape),
+              "diam_M_bound": diam_M, "sup_grad": sup_grad, "delta_F": delta_f}
+    if scalar:
+        fields = {k: float(v[0]) for k, v in fields.items()}
+    return EmbeddingConstants(mode="measured", **fields)
 
 
 def budget_embedding_constants(dimension: int, D: float, r0: float,
@@ -162,8 +166,8 @@ def metric_embedding_check(model, window, mesh_h: float, seed: int,
                           "pass an explicit S")
     oracle = MeshGeodesicOracle.from_model(
         model, window.s_minus, window.s_plus, mesh_h)
-    r_rows = np.array([float(model.r_of_s(v)) for v in oracle.s_nodes])
-    f_rows = np.array([float(model.F(r)) for r in r_rows])
+    r_rows = model.r_of_s(oracle.s_nodes)
+    f_rows = model.F(r_rows)
 
     rng = np.random.default_rng(seed)
     n_nodes = oracle.n_s * oracle.n_theta
@@ -172,9 +176,7 @@ def metric_embedding_check(model, window, mesh_h: float, seed: int,
     src = rng.choice(n_nodes, size=n_src, replace=False)
     tgt = rng.choice(n_nodes, size=n_tgt, replace=False)
 
-    d_mesh = np.empty((n_src, n_tgt))
-    for k, node in enumerate(src):
-        d_mesh[k] = oracle._row(int(node))[tgt]
+    d_mesh = oracle._node_distances(src, tgt)
     si, sj = np.divmod(src, oracle.n_theta)
     ti, tj = np.divmod(tgt, oracle.n_theta)
     d_flat = annulus_distance(

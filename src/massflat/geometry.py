@@ -7,15 +7,18 @@ as a graph over Euclidean space: the graph function F satisfies
 
 and the radial arclength is s'(r) = sqrt(r^(m-2) / (r^(m-2) - 2 m_H(r))).
 The model tabulates F and s over a knot set aligned with the profile pieces,
-answers pointwise queries by integrating from the nearest knot, and inverts
-s by a safeguarded Newton iteration.  When the profile starts on a minimal
-boundary sphere the integrands carry a (r - r_min)^(-1/2) singularity which
-is removed exactly by the substitution u = sqrt(r - r_min).
+answers queries by integrating from the nearest knot, and inverts s by a
+safeguarded Newton iteration.  Queries take arrays: a batch of radii costs
+one adaptive integration, and each value is the same as that of the query
+made alone.  When the profile starts on a minimal boundary sphere the
+integrands carry a (r - r_min)^(-1/2) singularity which is removed exactly
+by the substitution u = sqrt(r - r_min).
 
-All integrals run on vectorized 16-point Gauss-Legendre panels with an
-embedded 8-point error estimate; panels that miss the tolerance are bisected,
-and scipy's adaptive quadrature is the escalation path of last resort.  A
-panel whose value is not finite raises QuadratureError at once.
+Every integral goes through ManifoldModel._integrate_cells, which runs
+vectorized 16-point Gauss-Legendre panels with an embedded 8-point error
+estimate and bisects the panels that miss the tolerance.  A panel whose
+value is not finite, or one still unconverged after 50 bisections, raises
+QuadratureError.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .config import Tolerances, default_tolerances
 from .errors import (DomainError, InvalidProfileError, QuadratureError,
@@ -58,35 +60,34 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray):
     y16 = f(x16.reshape(-1)).reshape(x16.shape)
     x8 = mid[:, None] + half[:, None] * _GL8_X[None, :]
     y8 = f(x8.reshape(-1)).reshape(x8.shape)
-    # a non-finite integrand is reported by the caller as a QuadratureError
+    # a non-finite integrand is reported by the caller as a QuadratureError.
+    # Row-wise sums, not a matrix product: BLAS rounds a row differently
+    # depending on how many rows share the call.
     with np.errstate(invalid="ignore", over="ignore"):
-        i16 = (y16 @ _GL16_W) * half
-        i8 = (y8 @ _GL8_W) * half
+        i16 = (y16 * _GL16_W).sum(axis=1) * half
+        i8 = (y8 * _GL8_W).sum(axis=1) * half
         return i16, np.abs(i16 - i8)
 
 
-def _quad_cell(f: Callable, a: float, b: float, rel: float, char: float) -> float:
-    val, aerr = quad(lambda x: float(f(np.array([x]))[0]), a, b,
-                     limit=200, epsabs=rel * char, epsrel=max(rel, 1e-13))
-    if not math.isfinite(val) or aerr > 10.0 * max(rel * abs(val), rel * char):
-        raise QuadratureError(
-            f"quadrature failed to converge on [{a!r}, {b!r}] "
-            f"(value {val!r}, error estimate {aerr!r})")
-    return val
-
-
 def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
-                    char: Optional[float] = None) -> np.ndarray:
-    """Adaptive panel integration of f over each cell, returned per cell."""
-    a = np.asarray(a_arr, dtype=float)
-    b = np.asarray(b_arr, dtype=float)
-    n = a.size
-    out = np.zeros(n)
-    if n == 0:
+                    group=None) -> np.ndarray:
+    """Adaptive panel integration of f over each cell, returned per cell.
+
+    A panel is accepted when its GL16-GL8 gap is at most rel times its value
+    plus 1e-4 times the scale of its cell's group: the largest first-pass
+    value among the cells sharing its ``group`` label (one group by default).
+    A cell's result therefore depends only on the cells of its own group.
+    """
+    a = a0 = np.asarray(a_arr, dtype=float)
+    b = b0 = np.asarray(b_arr, dtype=float)
+    out = np.zeros(a.size)
+    if a.size == 0:
         return out
-    idx = np.arange(n)
-    depth = np.zeros(n, dtype=int)
-    while a.size:
+    labels = np.zeros(a.size, dtype=np.intp) if group is None else group
+    idx = np.arange(a.size)
+    scale = None
+    # every pass halves all pending cells, so they share one depth
+    for depth in range(_MAX_DEPTH + 1):
         if a.size > 200000:
             raise QuadratureError(
                 "adaptive quadrature failed to converge "
@@ -102,26 +103,30 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                 f"non-finite integrand on [{float(a[k])!r}, {float(b[k])!r}] "
                 f"(panel value {float(i16[k])!r}, error estimate "
                 f"{float(err[k])!r})")
-        if char is None:
-            char = max(float(np.max(np.abs(i16))), _TINY)
-        ok = err <= rel * (np.abs(i16) + 1e-4 * char)
+        if scale is None:
+            top = np.zeros(int(labels.max()) + 1)
+            np.maximum.at(top, labels, np.abs(i16))
+            scale = np.maximum(top, _TINY)[labels]
+        ok = err <= rel * (np.abs(i16) + 1e-4 * scale[idx])
         # cells narrower than a few ulps cannot be split further
         ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
         np.add.at(out, idx[ok], i16[ok])
+        if np.all(ok):
+            return out
         pending = ~ok
-        exhausted = pending & (depth >= _MAX_DEPTH)
-        for k in np.nonzero(exhausted)[0]:
-            out[idx[k]] += _quad_cell(f, float(a[k]), float(b[k]), rel, char)
-        splitting = pending & ~exhausted
-        a2, b2 = a[splitting], b[splitting]
+        if depth == _MAX_DEPTH:
+            k = int(np.argmax(pending))
+            raise QuadratureError(
+                f"adaptive quadrature did not converge on "
+                f"[{float(a0[idx[k]])!r}, {float(b0[idx[k]])!r}] within "
+                f"{_MAX_DEPTH} bisections (piece [{float(a[k])!r}, "
+                f"{float(b[k])!r}], error estimate {float(err[k])!r})")
+        a2, b2 = a[pending], b[pending]
         mid = 0.5 * (a2 + b2)
-        idx2 = idx[splitting]
-        d2 = depth[splitting] + 1
+        idx2 = idx[pending]
         a = np.concatenate([a2, mid])
         b = np.concatenate([mid, b2])
         idx = np.concatenate([idx2, idx2])
-        depth = np.concatenate([d2, d2])
-    return out
 
 
 def euclidean_annulus_volume(dimension: int, r_a: float, r_b: float) -> float:
@@ -233,86 +238,106 @@ class ManifoldModel:
         knots = np.unique(np.concatenate(pts))
         knots = knots[(knots >= self.r_min) & (knots <= self.r_cap)]
         self.knots = knots
-        self._F_knots = self._cumulative(self.f_prime)
-        self._s_knots = self._cumulative(self.s_prime)
+        # one tolerance group per table, scaled by its largest increment
+        self._F_knots, self._s_knots = (
+            np.concatenate([[0.0], np.cumsum(
+                self._integrate_cells(f, knots[:-1], knots[1:]))])
+            for f in (self.f_prime, self.s_prime))
 
-    def _substituted(self, fvec: Callable) -> Callable:
-        # Integrand under u = sqrt(r - r_min).  For u below sqrt(ulp(r_min))
-        # the sum r_min + u*u rounds back to r_min where fvec diverges, so the
-        # offset is re-derived from the rounded radius (floored one step above
-        # r_min); fvec(r) * sqrt(r - r_min) stays bounded as r -> r_min.
+    # -- the integration primitive ---------------------------------------------
+
+    def _integrate_cells(self, fvec: Callable, a, b, group=None) -> np.ndarray:
+        """Integrals of fvec over cells [a_i, b_i], each inside one knot interval.
+
+        On a singular model the first interval's cells run under
+        u = sqrt(r - r_min).  A query with a ``group`` label of its own (see
+        _adaptive_cells) gets the same value whatever else is in its batch.
+        """
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        group = np.zeros(a.size, dtype=np.intp) if group is None else group
+        rel = self.tolerances.quad_rel
+        if not self._singular:
+            return _adaptive_cells(fvec, a, b, rel, group)
         r_min = self.r_min
+        # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back to
+        # r_min where fvec diverges, so the offset is re-derived from the
+        # rounded radius (floored one step above r_min); fvec(r) *
+        # sqrt(r - r_min) stays bounded as r -> r_min.
         r_floor = np.nextafter(r_min, np.inf)
 
         def g(u):
             r = np.maximum(r_min + u * u, r_floor)
             return fvec(r) * 2.0 * np.sqrt(r - r_min)
 
-        return g
-
-    def _cumulative(self, fvec: Callable) -> np.ndarray:
-        knots = self.knots
-        rel = self.tolerances.quad_rel
-        a = knots[:-1].copy()
-        b = knots[1:]
-        if self._singular:
-            inc0 = _adaptive_cells(self._substituted(fvec),
-                                   [0.0], [math.sqrt(knots[1] - knots[0])], rel)
-            inc = np.concatenate([
-                inc0, _adaptive_cells(fvec, a[1:], b[1:], rel)])
-        else:
-            inc = _adaptive_cells(fvec, a, b, rel)
-        table = np.concatenate([[0.0], np.cumsum(inc)])
-        return table
+        out = np.empty(a.size)
+        sub = b <= self.knots[1]
+        if np.any(sub):
+            out[sub] = _adaptive_cells(g, np.sqrt(a[sub] - r_min),
+                                       np.sqrt(b[sub] - r_min), rel,
+                                       group[sub])
+        if not np.all(sub):
+            out[~sub] = _adaptive_cells(fvec, a[~sub], b[~sub], rel,
+                                        group[~sub])
+        return out
 
     # -- cumulative queries ----------------------------------------------------
 
-    def _eval_cumulative(self, r, table: np.ndarray, fvec: Callable):
+    def _radii(self, r) -> np.ndarray:
+        """r as an array clipped to [r_min, r_cap], checked up to round-off."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        scalar = np.ndim(r) == 0
         slack = 1e-12 * max(1.0, self.r_cap)
         if arr.size and (np.min(arr) < self.r_min - slack
                          or np.max(arr) > self.r_cap + slack):
             raise RangeError(
                 f"radius outside model range [{self.r_min}, {self.r_cap}]")
-        arr = np.clip(arr, self.r_min, self.r_cap)
+        return np.clip(arr, self.r_min, self.r_cap)
+
+    def _cumulative_at(self, r, table: np.ndarray, fvec: Callable):
+        """Tabulated integral of fvec from r_min to each radius in r.
+
+        A knot reads the table; any other radius adds the integral from the
+        nearer knot (from r_min in the first interval of a singular model).
+        """
+        scalar = np.ndim(r) == 0
+        arr = self._radii(r)
         knots = self.knots
-        rel = self.tolerances.quad_rel
-        out = np.empty_like(arr)
-        for n, x in enumerate(arr):
-            i = int(np.searchsorted(knots, x))
-            if i < knots.size and knots[i] == x:
-                out[n] = table[i]
-                continue
-            if self._singular and x < knots[1]:
-                half = _adaptive_cells(self._substituted(fvec),
-                                       [0.0], [math.sqrt(x - knots[0])], rel)
-                out[n] = float(half[0])
-                continue
-            j = i - 1 if (x - knots[i - 1]) <= (knots[i] - x) else i
-            if j == 0 and self._singular:
-                j = 1
-            lo, hi = (knots[j], x) if knots[j] <= x else (x, knots[j])
-            inc = float(_adaptive_cells(fvec, [lo], [hi], rel)[0])
-            out[n] = table[j] + (inc if knots[j] <= x else -inc)
+        i = np.searchsorted(knots, arr)
+        out = table[i]
+        off = knots[i] != arr
+        if np.any(off):
+            x, i = arr[off], i[off]
+            j = np.where(x - knots[i - 1] <= knots[i] - x, i - 1, i)
+            if self._singular:
+                j = np.where(x < knots[1], 0, j)
+            anchor = knots[j]
+            inc = self._integrate_cells(fvec, np.minimum(anchor, x),
+                                        np.maximum(anchor, x),
+                                        np.arange(x.size))
+            out[off] = table[j] + np.where(anchor <= x, inc, -inc)
         return float(out[0]) if scalar else out
 
     def F(self, r):
         """Graph height F(r), normalized to F(r_min) = 0."""
-        return self._eval_cumulative(r, self._F_knots, self.f_prime)
+        return self._cumulative_at(r, self._F_knots, self.f_prime)
 
     def s(self, r):
         """Radial arclength from the inner boundary to the sphere at r."""
-        return self._eval_cumulative(r, self._s_knots, self.s_prime)
+        return self._cumulative_at(r, self._s_knots, self.s_prime)
 
     @property
     def s_cap(self) -> float:
         return float(self._s_knots[-1])
 
     def r_of_s(self, s):
-        """Invert the arclength: the radius whose sphere lies at arclength s."""
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
+        """Invert the arclength: the radius whose sphere lies at arclength s.
+
+        An arclength within 4 ulps of a tabulated one reads its knot; the
+        rest run one safeguarded Newton iteration over the whole array, each
+        point in its own bracket and frozen once converged.
+        """
         scalar = np.ndim(s) == 0
+        arr = np.atleast_1d(np.asarray(s, dtype=float))
         table = self._s_knots
         slack = 1e-9 * max(1.0, table[-1])
         if arr.size and (np.min(arr) < -slack or np.max(arr) > table[-1] + slack):
@@ -320,70 +345,47 @@ class ManifoldModel:
                 f"arclength outside model range [0, {table[-1]}]")
         arr = np.clip(arr, 0.0, table[-1])
         knots = self.knots
-        tol = self.tolerances.solve_rel
-        out = np.empty_like(arr)
-        for n, target in enumerate(arr):
-            i = int(np.searchsorted(table, target))
-            if i < table.size and table[i] == target:
-                out[n] = knots[i]
-                continue
+        i = np.searchsorted(table, arr)
+        # the cumulative sum rounds by a few ulps, so an exact-match rule
+        # would depend on how it rounded
+        j = np.where((i > 0) & (arr - table[i - 1] < table[i] - arr), i - 1, i)
+        out = knots[j]
+        off = np.abs(table[j] - arr) > 4.0 * np.spacing(arr)
+        if np.any(off):
+            target, i = arr[off], i[off]
             lo, hi = knots[i - 1], knots[i]
             s_lo, s_hi = table[i - 1], table[i]
             r = lo + (hi - lo) * (target - s_lo) / (s_hi - s_lo)
+            tol = self.tolerances.solve_rel * np.maximum(1.0, target)
+            active = np.ones(r.size, dtype=bool)
             for _ in range(80):
-                g = float(self.s(r)) - target
-                if abs(g) <= tol * max(1.0, target):
+                g = self.s(r) - target
+                active &= ~(np.abs(g) <= tol)
+                if not np.any(active):
                     break
-                if g > 0:
-                    hi = r
-                else:
-                    lo = r
-                sp = float(self.s_prime(r))
-                step = r - g / sp if math.isfinite(sp) and sp > 0 else None
-                if step is None or not (lo < step < hi):
-                    step = 0.5 * (lo + hi)
-                if step == r:
-                    break
-                r = step
-            out[n] = r
+                hi = np.where(active & (g > 0), r, hi)
+                lo = np.where(active & ~(g > 0), r, lo)
+                sp = self.s_prime(r)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = r - g / sp
+                newton = np.isfinite(sp) & (sp > 0) & (lo < step) & (step < hi)
+                step = np.where(newton, step, 0.5 * (lo + hi))
+                active &= step != r
+                r = np.where(active, step, r)
+            out[off] = r
         return float(out[0]) if scalar else out
 
     # -- integrals over radial ranges -----------------------------------------
 
-    def _integrate(self, fvec: Callable, r_a: float, r_b: float) -> float:
-        """Knot-aligned adaptive integral of fvec over [r_a, r_b]."""
-        slack = 1e-12 * max(1.0, self.r_cap)
-        if r_a < self.r_min - slack or r_b > self.r_cap + slack:
-            raise RangeError(
-                f"integration range [{r_a}, {r_b}] outside the model")
-        r_a = max(r_a, self.r_min)
-        r_b = min(r_b, self.r_cap)
+    def _range_integral(self, fvec: Callable, r_a: float, r_b: float) -> float:
+        """Integral of fvec over [r_a, r_b], split at the knots."""
+        r_a, r_b = self._radii([r_a, r_b])
         if r_b <= r_a:
             return 0.0
         knots = self.knots
-        rel = self.tolerances.quad_rel
-        inner = knots[(knots > r_a) & (knots < r_b)]
-        edges = np.concatenate([[r_a], inner, [r_b]])
-        total = 0.0
-        start = 0
-        if self._singular and r_a < knots[1]:
-            g = self._substituted(fvec)
-            w_hi = math.sqrt(edges[1] - self.r_min)
-            if r_a <= self.r_min * (1.0 + 1e-15):
-                total += float(_adaptive_cells(g, [0.0], [w_hi], rel)[0])
-            else:
-                w_lo = math.sqrt(r_a - self.r_min)
-                if w_lo <= 0.7 * w_hi:
-                    parts = _adaptive_cells(g, [0.0, 0.0], [w_hi, w_lo], rel)
-                    total += float(parts[0] - parts[1])
-                else:
-                    total += float(
-                        _adaptive_cells(fvec, [r_a], [edges[1]], rel)[0])
-            start = 1
-        if edges.size - 1 > start:
-            total += float(np.sum(_adaptive_cells(
-                fvec, edges[start:-1], edges[start + 1:], rel)))
-        return total
+        edges = np.concatenate([[r_a], knots[(knots > r_a) & (knots < r_b)],
+                                [r_b]])
+        return float(np.sum(self._integrate_cells(fvec, edges[:-1], edges[1:])))
 
     def shell_volume(self, r_a: float, r_b: float) -> float:
         """Riemannian volume of the shell between the spheres at r_a, r_b."""
@@ -395,7 +397,7 @@ class ManifoldModel:
         def integrand(r):
             return omega * r ** (m - 1) * self.s_prime(r)
 
-        return self._integrate(integrand, r_a, r_b)
+        return self._range_integral(integrand, r_a, r_b)
 
     def graph_excess(self, r_a: float, r_b: float) -> float:
         """Integral of (F(r) - F(r_a)) over the annulus [r_a, r_b].
@@ -412,17 +414,29 @@ class ManifoldModel:
         def integrand(t):
             return self.f_prime(t) * omega * (cap - t**m) / m
 
-        return self._integrate(integrand, r_a, r_b)
+        return self._range_integral(integrand, r_a, r_b)
 
-    def sup_grad(self, r_a: float, r_b: float) -> float:
-        """Maximum of F' over [r_a, r_b], scanned at knots and endpoints."""
-        slack = 1e-12 * max(1.0, self.r_cap)
-        if r_a < self.r_min - slack or r_b > self.r_cap + slack or r_b < r_a:
-            raise RangeError(f"range [{r_a}, {r_b}] outside the model")
-        inner = self.knots[(self.knots > r_a) & (self.knots < r_b)]
-        rs = np.concatenate([[max(r_a, self.r_min)], inner,
-                             [min(r_b, self.r_cap)]])
-        return float(np.max(self.f_prime(rs)))
+    def sup_grad(self, r_a, r_b: float):
+        """Maximum of F' over [r_a, r_b], scanned at knots and endpoints.
+
+        r_a may be an array of left ends sharing r_b; a running maximum over
+        the knots serves them all from one F' evaluation.
+        """
+        scalar = np.ndim(r_a) == 0
+        ras = self._radii(r_a)
+        r_b = float(self._radii(r_b)[0])
+        if np.max(ras, initial=r_b) > r_b:
+            raise RangeError(f"sup_grad needs r_a <= r_b, got "
+                             f"{float(np.max(ras))!r} > {r_b!r}")
+        knots = self.knots
+        inner = knots[(knots > np.min(ras, initial=r_b)) & (knots < r_b)]
+        vals = self.f_prime(np.concatenate([ras, inner, [r_b]]))
+        at_knots = vals[ras.size:-1]
+        # tail[k] = max F' over inner[k:]; the -inf entry is an empty tail
+        tail = np.append(np.maximum.accumulate(at_knots[::-1])[::-1], -np.inf)
+        first = np.searchsorted(inner, ras, side="right")
+        out = np.maximum(np.maximum(vals[:ras.size], tail[first]), vals[-1])
+        return float(out[0]) if scalar else out
 
     # -- derived geometry ------------------------------------------------------
 
@@ -453,6 +467,32 @@ class ManifoldModel:
                 self._r_disk = float(0.5 * (lo + hi))
         return self._r_disk
 
+    def _graph_invariants(self, r) -> Tuple[np.ndarray, ...]:
+        """R, A, H, m_H, m_H', F' and F'' at radii r in (r_min, r_cap]."""
+        x = np.atleast_1d(np.asarray(r, dtype=float))
+        slack = 1e-12 * max(1.0, self.r_cap)
+        bad = ~((self.r_min < x) & (x <= self.r_cap + slack))
+        if np.any(bad):
+            raise RangeError(f"quantities requires r in (r_min, r_cap], "
+                             f"got {float(x[bad][0])}")
+        m = self.dimension
+        mh = self.profile.mass(x)
+        mp = self.profile.mass_prime(x)
+        gap = self.profile.wall_gap(x)
+        area = self.omega * x ** (m - 1)
+        # a graph this close to flat has zero slope in double precision
+        curved = 2.0 * mh > 1e-280 * x ** (m - 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zp2 = np.where(curved, 2.0 * mh / gap, 0.0)
+            zp = np.sqrt(zp2)
+            gap_p = (m - 2) * x ** (m - 3) - 2.0 * mp
+            zpp = (mp * gap - mh * gap_p) / (gap * gap * zp)
+            one = 1.0 + zp2
+            curv = np.where(curved, (m - 1) * (zp / x) / one
+                            * ((m - 2) * zp / x + 2.0 * zpp / one), 0.0)
+        mean = (m - 1) / (x * np.sqrt(one))
+        return curv, area, mean, mh, mp, zp, zpp
+
     def quantities(self, r) -> dict:
         """Pointwise invariants of the reconstruction at radius r.
 
@@ -463,29 +503,9 @@ class ManifoldModel:
         the arclength parametrization as an internal cross-check.
         """
         x = float(r)
-        slack = 1e-12 * max(1.0, self.r_cap)
-        if not (self.r_min < x <= self.r_cap + slack):
-            raise RangeError(
-                f"quantities requires r in (r_min, r_cap], got {x}")
         m = self.dimension
-        mh = float(self.profile.mass(x))
-        mp = float(self.profile.mass_prime(x))
-        gap = float(self.profile.wall_gap(x))
-        xi = x ** (m - 2)
-        area = self.omega * x ** (m - 1)
-        if 2.0 * mh <= 1e-280 * xi:
-            zp = 0.0
-            zpp = 0.0
-            curv = 0.0
-            mean = (m - 1) / x
-        else:
-            zp2 = 2.0 * mh / gap
-            zp = math.sqrt(zp2)
-            gap_p = (m - 2) * x ** (m - 3) - 2.0 * mp
-            zpp = (mp * gap - mh * gap_p) / (gap * gap * zp)
-            one = 1.0 + zp2
-            curv = (m - 1) * (zp / x) / one * ((m - 2) * zp / x + 2.0 * zpp / one)
-            mean = (m - 1) / (x * math.sqrt(one))
+        curv, area, mean, mh, mp, zp, zpp = (
+            float(v[0]) for v in self._graph_invariants(x))
         out = {"R": curv, "A": area, "H": mean, "m_H": mh, "m_H_prime": mp,
                "radial": None}
         if zp > 1e-12:
@@ -497,7 +517,7 @@ class ManifoldModel:
                 "R": curv_z,
                 "A": area,
                 "H": (m - 1) * rp / (x * math.sqrt(one_r)),
-                "m_H": xi / (2.0 * one_r),
+                "m_H": x ** (m - 2) / (2.0 * one_r),
                 "m_H_prime": x ** (m - 1) * rp * curv_z / (2.0 * (m - 1)),
             }
         return out
@@ -556,15 +576,14 @@ def tubular_window(model: ManifoldModel, alpha0: float, D: float) -> TubularWind
         raise WindowOverflowError(
             f"window reaches arclength {s_plus:g} but the model ends at "
             f"{model.s_cap:g}; increase r_cap")
-    s_minus_raw = s0 - D
-    clamped = s_minus_raw < 0.0
-    s_minus = max(s_minus_raw, 0.0)
-    r_minus = model.r_min if clamped or s_minus == 0.0 else float(model.r_of_s(s_minus))
-    r_plus = float(model.r_of_s(min(s_plus, model.s_cap)))
+    clamped = s0 - D < 0.0
+    s_minus = max(s0 - D, 0.0)
+    # s = 0 is tabulated, so a clamped window starts exactly at r_min
+    ends = model.r_of_s(np.array([s_minus, min(s_plus, model.s_cap)]))
     # the window lies in the bracket; clamp away the couple of ulps the
     # inversion can overshoot by
-    r_minus = max(r_minus, r_lo)
-    r_plus = min(r_plus, r_hi)
+    r_minus = max(float(ends[0]), r_lo)
+    r_plus = min(float(ends[1]), r_hi)
     return TubularWindow(alpha0=alpha0, D=D, r0=r0, s0=s0,
                          r_minus=r_minus, r_plus=r_plus,
                          s_minus=s_minus, s_plus=s_plus, clamped=clamped)
@@ -578,18 +597,11 @@ def model_table(model: ManifoldModel, rs=None) -> dict:
     if rs is None:
         rs = model.knots[model.knots > model.r_min]
     rs = np.asarray(rs, dtype=float)
-    cols = {name: np.empty_like(rs) for name in CSV_COLUMNS}
-    cols["r"] = rs
-    cols["F"] = np.atleast_1d(model.F(rs))
-    cols["F_prime"] = np.atleast_1d(model.f_prime(rs))
-    cols["s"] = np.atleast_1d(model.s(rs))
-    for n, x in enumerate(rs):
-        q = model.quantities(x)
-        cols["m_H"][n] = q["m_H"]
-        cols["R"][n] = q["R"]
-        cols["A"][n] = q["A"]
-        cols["H"][n] = q["H"]
-    return cols
+    curv, area, mean, mh = model._graph_invariants(rs)[:4]
+    return {"r": rs, "F": np.atleast_1d(model.F(rs)),
+            "F_prime": np.atleast_1d(model.f_prime(rs)),
+            "s": np.atleast_1d(model.s(rs)),
+            "m_H": mh, "R": curv, "A": area, "H": mean}
 
 def write_model_csv(model: ManifoldModel, path, rs=None) -> None:
     """Write the model table as CSV with 17 significant digits."""
@@ -601,8 +613,3 @@ def write_model_csv(model: ManifoldModel, path, rs=None) -> None:
             fh.write(",".join("%.17g" % cols[name][i]
                               for name in CSV_COLUMNS) + "\n")
 
-
-# re-exported here so geometry presents the full reconstruction toolkit
-from .mesh import MeshGeodesicOracle, mesh_distance  # noqa: E402,F401
-
-__all__ += ["MeshGeodesicOracle", "mesh_distance"]

@@ -42,6 +42,17 @@ class GHBound:
     rho_prime: float
 
 
+def _gh_terms(model: ManifoldModel, window: TubularWindow, r_eps: np.ndarray):
+    """S_M1, delta_F, the two well excesses and the GH total at cuts r_eps."""
+    consts = embedding_constant_bound(model, r_eps, window.r_plus)
+    s_cut = model.s(np.append(r_eps, window.r_minus))
+    excess_1 = s_cut[:-1] - s_cut[-1]
+    excess_2 = r_eps - max(window.r0 - window.D, 0.0)
+    # the second space is flat: its defect S_M2 is 0
+    total = consts.S_M + 0.0 + consts.delta_F + excess_1 + excess_2
+    return consts.S_M, consts.delta_F, excess_1, excess_2, total
+
+
 def gh_bound(model: ManifoldModel, window: TubularWindow,
              r_eps: float) -> GHBound:
     """GH upper bound from cutting the tube at radius r_eps."""
@@ -50,40 +61,37 @@ def gh_bound(model: ManifoldModel, window: TubularWindow,
         raise RangeError(
             f"cut radius {r_eps} outside [r_minus, r0) = "
             f"[{window.r_minus}, {window.r0})")
-    consts = embedding_constant_bound(model, r_eps, window.r_plus)
-    s_m1 = consts.S_M
-    s_m2 = 0.0
-    delta_f = consts.delta_F
-    excess_1 = float(model.s(r_eps)) - float(model.s(window.r_minus))
-    excess_2 = r_eps - max(window.r0 - window.D, 0.0)
-    total = s_m1 + s_m2 + delta_f + excess_1 + excess_2
-    rho = max(delta_f + s_m1, math.pi * r_eps)
-    rho_prime = max(r_eps, delta_f + s_m1)
-    return GHBound(r_eps=r_eps, S_M1=s_m1, S_M2=s_m2,
+    s_m1, delta_f, excess_1, excess_2, total = (
+        float(v[0]) for v in _gh_terms(model, window, np.array([r_eps])))
+    return GHBound(r_eps=r_eps, S_M1=s_m1, S_M2=0.0,
                    hausdorff_ambient=delta_f,
                    well_excess_1=excess_1, well_excess_2=excess_2,
-                   total=total, rho=rho, rho_prime=rho_prime)
+                   total=total, rho=max(delta_f + s_m1, math.pi * r_eps),
+                   rho_prime=max(r_eps, delta_f + s_m1))
 
 
-def best_gh_bound(model: ManifoldModel, window: TubularWindow,
-                  n: int = 48) -> GHBound:
-    """Smallest gh_bound over a geometric grid of candidate cut radii."""
+def _cut_candidates(model: ManifoldModel, window: TubularWindow,
+                    n: int) -> np.ndarray:
+    """r_minus and a geometric grid of n cut radii in (r_minus, r0)."""
     lo = max(window.r_minus, 1e-9 * window.r0)
     if model.r_min > 0:
         lo = max(lo, model.r_min * (1.0 + 1e-12))
     hi = window.r0 * (1.0 - 1e-9)
-    cands = [window.r_minus]
-    if hi > lo:
-        cands.extend(float(x) for x in np.geomspace(lo, hi, n))
-    best: Optional[GHBound] = None
-    for r_eps in cands:
-        if not (window.r_minus <= r_eps < window.r0):
-            continue
-        cur = gh_bound(model, window, r_eps)
-        if best is None or cur.total < best.total:
-            best = cur
-    assert best is not None
-    return best
+    grid = np.geomspace(lo, hi, n) if hi > lo else np.empty(0)
+    cands = np.append(window.r_minus, grid)
+    return cands[(window.r_minus <= cands) & (cands < window.r0)]
+
+
+def best_gh_bound(model: ManifoldModel, window: TubularWindow,
+                  n: int = 48) -> GHBound:
+    """Smallest gh_bound over a geometric grid of candidate cut radii.
+
+    Every candidate is scored in one batched pass; the winner (the first
+    smallest total) is rebuilt by gh_bound.
+    """
+    cands = _cut_candidates(model, window, n)
+    total = _gh_terms(model, window, cands)[-1]
+    return gh_bound(model, window, float(cands[int(np.argmin(total))]))
 
 
 class SegmentBound(NamedTuple):

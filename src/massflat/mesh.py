@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from math import gcd
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -81,12 +81,6 @@ class MeshGeodesicOracle:
         self.s_nodes = s_a + self.h_s * np.arange(self.n_s)
         self.thetas = self.h_theta * np.arange(self.n_theta)
         self._graph = self._build_graph()
-        self._rows: Dict[int, np.ndarray] = {}
-
-    @classmethod
-    def from_warp(cls, f: Callable, s_a: float, s_b: float,
-                  h: float) -> "MeshGeodesicOracle":
-        return cls(f, s_a, s_b, h)
 
     @classmethod
     def from_model(cls, model, s_a: float, s_b: float,
@@ -103,7 +97,7 @@ class MeshGeodesicOracle:
         extra = np.arange(s_a, s_b, max(h / 4.0, (s_b - s_a) * 1e-6))
         keep = (s_tab >= s_a - h) & (s_tab <= s_b + h)
         s_all = np.unique(np.concatenate([s_tab[keep], extra, [s_a, s_b]]))
-        r_all = np.array([float(model.r_of_s(v)) for v in s_all])
+        r_all = model.r_of_s(s_all)
 
         def f(s):
             return np.interp(s, s_all, r_all)
@@ -143,40 +137,42 @@ class MeshGeodesicOracle:
 
     # -- queries ---------------------------------------------------------------
 
+    def _snap(self, points) -> np.ndarray:
+        """Indices of the mesh nodes nearest to the points (s, theta)."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        s, theta = pts[:, 0], pts[:, 1]
+        slack = 2.0 * self.h_s
+        out = (s < self.s_a - slack) | (s > self.s_b + slack)
+        if np.any(out):
+            raise RangeError(f"s={float(s[out][0])} outside the tube "
+                             f"[{self.s_a}, {self.s_b}]")
+        i = np.clip(np.round((s - self.s_a) / self.h_s), 0, self.n_s - 1)
+        jj = np.round((theta % _TWO_PI) / self.h_theta) % self.n_theta
+        return i.astype(np.int64) * self.n_theta + jj.astype(np.int64)
+
     def snap(self, point: Tuple[float, float]) -> int:
         """Index of the mesh node nearest to the point (s, theta)."""
-        s, theta = float(point[0]), float(point[1])
-        slack = 2.0 * self.h_s
-        if s < self.s_a - slack or s > self.s_b + slack:
-            raise RangeError(f"s={s} outside the tube [{self.s_a}, {self.s_b}]")
-        i = int(round((s - self.s_a) / self.h_s))
-        i = min(max(i, 0), self.n_s - 1)
-        jj = int(round((theta % _TWO_PI) / self.h_theta)) % self.n_theta
-        return i * self.n_theta + jj
+        return int(self._snap(point)[0])
 
     def node_point(self, index: int) -> Tuple[float, float]:
         i, jj = divmod(int(index), self.n_theta)
         return float(self.s_nodes[i]), float(self.thetas[jj])
 
-    def _row(self, src: int) -> np.ndarray:
-        if src not in self._rows:
-            self._rows[src] = dijkstra(self._graph, directed=False,
-                                       indices=src)
-        return self._rows[src]
+    def _node_distances(self, src, tgt) -> np.ndarray:
+        """Mesh distances between node indices, all sources in one Dijkstra."""
+        nodes, back = np.unique(np.asarray(src, dtype=np.int64),
+                                return_inverse=True)
+        rows = dijkstra(self._graph, directed=False, indices=nodes)
+        return np.atleast_2d(rows)[:, tgt][back]
 
     def distance(self, p: Tuple[float, float], q: Tuple[float, float]) -> float:
         """Mesh geodesic distance between the points (s, theta)."""
-        return float(self._row(self.snap(p))[self.snap(q)])
+        return float(self.distances([p], [q])[0, 0])
 
     def distances(self, sources: Sequence[Tuple[float, float]],
                   targets: Sequence[Tuple[float, float]]) -> np.ndarray:
         """Matrix of mesh distances, sources by targets."""
-        src_idx = [self.snap(p) for p in sources]
-        tgt_idx = np.array([self.snap(q) for q in targets], dtype=np.int64)
-        out = np.empty((len(src_idx), tgt_idx.size))
-        for n, src in enumerate(src_idx):
-            out[n] = self._row(src)[tgt_idx]
-        return out
+        return self._node_distances(self._snap(sources), self._snap(targets))
 
 
 def mesh_distance(f: Callable, s_range: Tuple[float, float],

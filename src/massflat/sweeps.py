@@ -4,14 +4,12 @@ Each row builds the profile, reconstructs the manifold, and reports the flat
 certificate for the (alpha0, D) tube next to a full-depth Gromov-Hausdorff
 bound.  The GH bound needs a window deep enough to contain the well, so a
 second model is built with D_gh = 1.05 s(r0) and a correspondingly larger
-r_cap.  Rows are computed concurrently and returned in input order; failures
-are caught per row and recorded in the status column.
+r_cap.  Rows are computed one after another and returned in input order;
+failures are caught per row and recorded in the status column.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence
 
 from .certificates import flat_certificate
@@ -98,8 +96,7 @@ def run_sweep(family: str, values: Sequence, alpha0: float, D: float,
               epsilon: float, dimension: int = 3, well_depth: float = 10.0,
               radii: Sequence[float] = (1.0, 2.0),
               r_cap: Optional[float] = None,
-              tolerances: Optional[Tolerances] = None,
-              max_workers: Optional[int] = None) -> List[dict]:
+              tolerances: Optional[Tolerances] = None) -> List[dict]:
     """Certificate rows for every member of a profile family, input order."""
     if family not in _FAMILIES:
         raise MassflatError(f"unknown family {family!r}; pick from "
@@ -108,16 +105,8 @@ def run_sweep(family: str, values: Sequence, alpha0: float, D: float,
     if not values:
         raise MassflatError("sweep needs at least one parameter value")
     tol = tolerances if tolerances is not None else default_tolerances()
-    workers = max_workers or min(8, len(values))
-
-    def job(value):
-        return _sweep_row(family, value, dimension, alpha0, D, epsilon,
-                          well_depth, radii, r_cap, tol)
-
-    if workers <= 1 or len(values) == 1:
-        return [job(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, values))
+    return [_sweep_row(family, value, dimension, alpha0, D, epsilon,
+                       well_depth, radii, r_cap, tol) for value in values]
 
 
 def _cell(value) -> str:

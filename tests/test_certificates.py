@@ -161,6 +161,16 @@ def test_certificate_rejects_horizon_before_any_quadrature(monkeypatch):
         assert "wall_gap(" in str(exc.value)
 
 
+def test_tiny_mass_window_starts_exactly_at_r0_minus_D():
+    # s' - 1 is below 1e-15 on this window, so its bottom is r0 - D to double
+    # precision, and the A2 annulus between them is empty; s0 - D lands within
+    # an ulp or two of the tabulated arclength of that knot
+    model = ManifoldModel(schwarzschild(3, 1e-17), 6.0)
+    cert = flat_certificate(model, 4.0 * math.pi, 0.5, 0.5)
+    assert cert.r_minus == 0.5
+    assert cert.vol_A2 == 0.0
+
+
 def test_certificate_epsilon_validation():
     model = ManifoldModel(flat(3), 8.0)
     with pytest.raises(DomainError):

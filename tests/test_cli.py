@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from massflat import cli, errors
 from massflat.cli import main
 from massflat.profiles import schwarzschild
 from massflat.serialization import dumps_profile, loads_profile, write_profile
@@ -199,3 +200,40 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
     assert "MASSFLAT_TOL" in out
+
+
+# exit codes as the README documents them: 2 for malformed input and bad
+# argument values, 1 for every other domain failure
+_EXIT_CODES = {
+    errors.MassflatError: 1,
+    errors.DomainError: 2,
+    errors.RangeError: 2,
+    errors.ProfileFormatError: 2,
+    errors.InvalidProfileError: 1,
+    errors.WindowOverflowError: 1,
+    errors.QuadratureError: 1,
+    errors.CertificateError: 1,
+}
+
+
+def _error_classes(cls):
+    return {cls}.union(*(_error_classes(c) for c in cls.__subclasses__()))
+
+
+def test_exit_code_table_names_every_error_class():
+    assert _error_classes(errors.MassflatError) == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", list(_EXIT_CODES),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_with_its_documented_code(cls, monkeypatch,
+                                                          capsys):
+    def fail(*args, **kwargs):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "delta_budget", fail)
+    code, out, err = run(capsys, "delta", "--epsilon", "0.5", "--D", "0.5",
+                         "--alpha0", "1.0")
+    assert code == _EXIT_CODES[cls]
+    assert out == ""
+    assert err == "error: boom\n"

@@ -367,3 +367,71 @@ def test_adaptive_cells_fails_fast_on_non_finite_panel():
             _adaptive_cells(diverging, [0.25, 0.5], [0.75, 0.5], 1e-12)
     # the first pass only: one GL16 and one GL8 evaluation over both cells
     assert sizes == [32, 16]
+
+
+def test_adaptive_cells_raises_at_the_depth_limit():
+    # a jump the panels cannot resolve to the tolerance: every pass halves
+    # the piece holding it until the depth limit names the original cell
+    calls = []
+
+    def step(x):
+        calls.append(x.size)
+        return np.where(x < 0.4, 0.0, 1.0)
+
+    with pytest.raises(QuadratureError,
+                       match=r"did not converge on \[0\.0, 1\.0\] within 50 "
+                             r"bisections \(piece \[0\.3999"):
+        _adaptive_cells(step, [0.0], [1.0], 1e-13)
+    assert len(calls) == 2 * 51
+
+
+def _spline_model(seed):
+    p = random_spline_profile(np.random.default_rng(seed), 3 + seed % 3)
+    return ManifoldModel(p, float(p.pieces[1].knots[-1] + 3.0))
+
+
+_BATCH_MODELS = {
+    "schwarzschild": lambda: _schwarzschild_model(0.1, 12.0),
+    "deep-well": lambda: ManifoldModel(
+        deep_well(3, 0.02, 4.0 * math.pi, 10.0), 8.0),
+    # near-wall cells here need the tolerance floor, which a shared scale
+    # would change
+    "deep-well-small": lambda: ManifoldModel(
+        deep_well(3, 1e-5, 0.01 * math.pi, 10.0), 1.0),
+    "schwarzschild-tiny": lambda: _schwarzschild_model(1e-17, 6.0),
+    "stripes": lambda: ManifoldModel(stripes((1.0, 2.0, 3.0, 4.0), 0.1), 8.0),
+    "flat": lambda: ManifoldModel(flat(3), 8.0),
+    "spline-0": lambda: _spline_model(0),
+    "spline-1": lambda: _spline_model(1),
+    "spline-5": lambda: _spline_model(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
+def test_batched_queries_equal_the_per_point_loop(name):
+    model = _BATCH_MODELS[name]()
+    rng = np.random.default_rng(11)
+    rs = np.concatenate([
+        [model.r_min], model.knots, [model.r_cap],
+        rng.uniform(model.r_min, model.r_cap, 200),
+        model.r_min + (model.knots[5] - model.r_min) * rng.random(100)])
+    for query in (model.s, model.F):
+        np.testing.assert_array_equal(
+            query(rs), np.array([query(float(r)) for r in rs]))
+    ss = np.concatenate([[0.0], model._s_knots, [model.s_cap],
+                         rng.uniform(0.0, model.s_cap, 40)])
+    np.testing.assert_array_equal(
+        model.r_of_s(ss), np.array([model.r_of_s(float(v)) for v in ss]))
+    r_b = 0.5 * (model.r_min + model.r_cap)
+    ras = np.concatenate([[model.r_min, r_b], model.knots[model.knots < r_b],
+                          rng.uniform(model.r_min, r_b, 20)])
+    np.testing.assert_array_equal(
+        model.sup_grad(ras, r_b),
+        np.array([model.sup_grad(float(r), r_b) for r in ras]))
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
+def test_r_of_s_is_exact_at_knots(name):
+    model = _BATCH_MODELS[name]()
+    np.testing.assert_array_equal(model.r_of_s(model.s(model.knots)),
+                                  model.knots)

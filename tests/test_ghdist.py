@@ -10,7 +10,8 @@ import pytest
 from massflat.embedding import embedding_constant_bound
 from massflat.errors import DomainError, RangeError
 from massflat.geometry import ManifoldModel, tubular_window
-from massflat.ghdist import best_gh_bound, gh_bound, segment_limit_bound
+from massflat.ghdist import (_cut_candidates, best_gh_bound, gh_bound,
+                             segment_limit_bound)
 from massflat.profiles import deep_well, flat, schwarzschild
 
 
@@ -64,6 +65,21 @@ def test_best_gh_bound_beats_grid():
     assert window.r_minus <= best.r_eps < window.r0
     for r in np.linspace(window.r_minus, window.r0 * (1 - 1e-6), 17):
         assert best.total <= gh_bound(model, window, float(r)).total + 1e-12
+
+
+@pytest.mark.parametrize("profile", [schwarzschild(3, 0.05),
+                                     deep_well(3, 1e-3, 4.0 * math.pi, 10.0)])
+def test_best_gh_bound_is_the_minimum_of_gh_bound(profile):
+    # the batched scoring picks the candidate a gh_bound per cut would pick
+    model = ManifoldModel(profile, 8.0)
+    window = tubular_window(model, 4.0 * math.pi, 0.5)
+    cands = _cut_candidates(model, window, 48)
+    assert cands.size == 49
+    loop = min((gh_bound(model, window, float(r)) for r in cands),
+               key=lambda b: b.total)
+    best = best_gh_bound(model, window)
+    assert best.r_eps == loop.r_eps
+    assert best == loop
 
 
 def test_gh_bound_pinned_by_well_depth():
