@@ -10,10 +10,8 @@ Commands:
     example      emit a generated profile as JSON
 
 Exit codes: 0 success; 1 invalid profile, window overflow, or failed sweep
-rows; 2 usage, parse, I/O, or domain-parameter errors.  The environment
-variable MASSFLAT_TOL overrides the base identity tolerance (default 1e-9);
-dependent tolerances scale with it.  Output is deterministic: sorted keys,
-no timestamps, floats at full precision.
+rows; 2 usage, parse, I/O, or domain-parameter errors.  Output is
+deterministic: sorted keys, no timestamps, floats at full precision.
 """
 
 from __future__ import annotations
@@ -185,34 +183,32 @@ def _cmd_example(args) -> int:
     return 0
 
 
-def _add_common(sub, r_cap=True):
-    sub.add_argument("--format", choices=("json", "csv", "text"),
-                     default="json", help="output format")
-    if r_cap:
-        sub.add_argument("--r-cap", type=float, default=None,
-                         help="truncation radius (default 4 (r0 + D))")
-    sub.add_argument("--mesh-h", type=float, default=0.02,
-                     help="mesh spacing for sampled checks")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for sampled checks")
+def _add_format(sub, choices=("json", "text")):
+    sub.add_argument("--format", choices=choices, default=choices[0],
+                     help="output format")
+
+
+def _add_r_cap(sub):
+    sub.add_argument("--r-cap", type=float, default=None,
+                     help="truncation radius (default 4 (r0 + D))")
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="massflat",
         description="Flat-distance and Gromov-Hausdorff certificates for "
-                    "rotationally symmetric asymptotically flat manifolds.",
-        epilog="MASSFLAT_TOL overrides the base tolerance (default 1e-9).")
+                    "rotationally symmetric asymptotically flat manifolds.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("validate", help="validate a profile JSON")
     p.add_argument("path")
-    _add_common(p, r_cap=False)
+    _add_format(p)
     p.set_defaults(func=_cmd_validate)
 
     p = subs.add_parser("describe", help="summarize a profile")
     p.add_argument("path")
-    _add_common(p)
+    _add_format(p)
+    _add_r_cap(p)
     p.set_defaults(func=_cmd_describe)
 
     p = subs.add_parser("certificate",
@@ -223,7 +219,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--sampled-cm", action="store_true",
                    help="attach a mesh-sampled embedding check")
-    _add_common(p)
+    p.add_argument("--mesh-h", type=float, default=0.02,
+                   help="mesh spacing of the sampled check")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled check")
+    _add_format(p)
+    _add_r_cap(p)
     p.set_defaults(func=_cmd_certificate)
 
     p = subs.add_parser("delta", help="mass budget for a target epsilon")
@@ -231,7 +232,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=float, required=True)
     p.add_argument("--alpha0", type=float, required=True)
     p.add_argument("--dimension", type=int, default=3)
-    _add_common(p, r_cap=False)
+    _add_format(p)
     p.set_defaults(func=_cmd_delta)
 
     p = subs.add_parser("gh", help="Gromov-Hausdorff upper bound")
@@ -240,7 +241,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=float, required=True)
     p.add_argument("--r-eps", type=float, default=None,
                    help="cut radius (default: best over a grid)")
-    _add_common(p)
+    _add_format(p)
+    _add_r_cap(p)
     p.set_defaults(func=_cmd_gh)
 
     p = subs.add_parser("sweep", help="certificate rows for a family")
@@ -255,8 +257,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--well-depth", type=float, default=10.0)
     p.add_argument("--radii", default="1,2")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep, format="csv")
+    _add_format(p, ("csv", "json"))
+    _add_r_cap(p)
+    p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("example", help="emit a generated profile")
     p.add_argument("family",
@@ -268,7 +271,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--well-depth", type=float, default=10.0)
     p.add_argument("--radii", default="1,2")
     p.add_argument("--no-boundary", action="store_true")
-    _add_common(p, r_cap=False)
     p.set_defaults(func=_cmd_example)
 
     return parser

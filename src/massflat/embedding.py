@@ -27,7 +27,6 @@ __all__ = [
     "embedding_constant_bound",
     "budget_embedding_constants",
     "annulus_distance",
-    "ambient_product_distance",
     "metric_embedding_check",
 ]
 
@@ -142,11 +141,6 @@ def annulus_distance(r_in, r1, theta1, r2, theta2):
     return float(out[0]) if scalar else out
 
 
-def ambient_product_distance(d_flat, dz):
-    """Distance in (annulus) x R from the flat part and the height gap."""
-    return np.hypot(d_flat, dz)
-
-
 def metric_embedding_check(model, window, mesh_h: float, seed: int,
                            n_pairs: int = 2048,
                            S: Optional[float] = None) -> dict:
@@ -184,7 +178,8 @@ def metric_embedding_check(model, window, mesh_h: float, seed: int,
         r_rows[si][:, None], oracle.thetas[sj][:, None],
         r_rows[ti][None, :], oracle.thetas[tj][None, :])
     dz = f_rows[si][:, None] - f_rows[ti][None, :]
-    d_amb = ambient_product_distance(d_flat, dz)
+    # the distance in (annulus) x R
+    d_amb = np.hypot(d_flat, dz)
 
     excess = d_mesh - d_amb - 2.0 * s_allow
     tol = 0.01 * d_mesh + 2.5 * mesh_h

@@ -29,7 +29,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .config import Tolerances, default_tolerances
 from .errors import (DomainError, InvalidProfileError, QuadratureError,
                      RangeError, WindowOverflowError)
 from .profiles import (CubicSplinePiece, HawkingProfile, PowerLawPiece,
@@ -50,6 +49,9 @@ _TINY = 1e-300
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _MAX_DEPTH = 50
+# relative targets of the quadrature panels and of the arclength inversion
+_QUAD_REL = 1e-12
+_SOLVE_REL = 1e-10
 
 
 def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray):
@@ -77,6 +79,11 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     plus 1e-4 times the scale of its cell's group: the largest first-pass
     value among the cells sharing its ``group`` label (one group by default).
     A cell's result therefore depends only on the cells of its own group.
+
+    f must be smooth on each cell.  A jump between a cell end and the
+    outermost GL16 and GL8 nodes is invisible to both rules, so the gap
+    reads 0 and the cell is accepted with the wrong value; the model puts
+    every piece boundary and spline knot at a cell end for this reason.
     """
     a = a0 = np.asarray(a_arr, dtype=float)
     b = b0 = np.asarray(b_arr, dtype=float)
@@ -143,20 +150,17 @@ class ManifoldModel:
     """Tabulated reconstruction of a profile, truncated at r_cap."""
 
     def __init__(self, profile: HawkingProfile, r_cap: float,
-                 tolerances: Optional[Tolerances] = None,
                  check: bool = True):
-        tol = tolerances if tolerances is not None else default_tolerances()
         if not (math.isfinite(r_cap) and r_cap > 0 and r_cap > 2.0 * profile.r_min):
             raise DomainError(
                 f"r_cap must be finite, positive and above 2 r_min, got {r_cap}")
         if check:
-            report = validate(profile, tol)
+            report = validate(profile)
             if not report.ok:
                 raise InvalidProfileError(
                     "profile failed validation:\n" + str(report))
         self.profile = profile
         self.r_cap = float(r_cap)
-        self.tolerances = tol
         self.dimension = profile.dimension
         self.r_min = profile.r_min
         self.adm_mass = profile.adm_mass
@@ -256,9 +260,8 @@ class ManifoldModel:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         group = np.zeros(a.size, dtype=np.intp) if group is None else group
-        rel = self.tolerances.quad_rel
         if not self._singular:
-            return _adaptive_cells(fvec, a, b, rel, group)
+            return _adaptive_cells(fvec, a, b, _QUAD_REL, group)
         r_min = self.r_min
         # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back to
         # r_min where fvec diverges, so the offset is re-derived from the
@@ -274,10 +277,10 @@ class ManifoldModel:
         sub = b <= self.knots[1]
         if np.any(sub):
             out[sub] = _adaptive_cells(g, np.sqrt(a[sub] - r_min),
-                                       np.sqrt(b[sub] - r_min), rel,
+                                       np.sqrt(b[sub] - r_min), _QUAD_REL,
                                        group[sub])
         if not np.all(sub):
-            out[~sub] = _adaptive_cells(fvec, a[~sub], b[~sub], rel,
+            out[~sub] = _adaptive_cells(fvec, a[~sub], b[~sub], _QUAD_REL,
                                         group[~sub])
         return out
 
@@ -334,7 +337,8 @@ class ManifoldModel:
 
         An arclength within 4 ulps of a tabulated one reads its knot; the
         rest run one safeguarded Newton iteration over the whole array, each
-        point in its own bracket and frozen once converged.
+        point in its own bracket and frozen once s(r) matches its target to
+        _SOLVE_REL relative, which keeps the inverse accurate at any scale.
         """
         scalar = np.ndim(s) == 0
         arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -356,7 +360,7 @@ class ManifoldModel:
             lo, hi = knots[i - 1], knots[i]
             s_lo, s_hi = table[i - 1], table[i]
             r = lo + (hi - lo) * (target - s_lo) / (s_hi - s_lo)
-            tol = self.tolerances.solve_rel * np.maximum(1.0, target)
+            tol = _SOLVE_REL * target
             active = np.ones(r.size, dtype=bool)
             for _ in range(80):
                 g = self.s(r) - target

@@ -82,14 +82,13 @@ def _cut_candidates(model: ManifoldModel, window: TubularWindow,
     return cands[(window.r_minus <= cands) & (cands < window.r0)]
 
 
-def best_gh_bound(model: ManifoldModel, window: TubularWindow,
-                  n: int = 48) -> GHBound:
+def best_gh_bound(model: ManifoldModel, window: TubularWindow) -> GHBound:
     """Smallest gh_bound over a geometric grid of candidate cut radii.
 
     Every candidate is scored in one batched pass; the winner (the first
     smallest total) is rebuilt by gh_bound.
     """
-    cands = _cut_candidates(model, window, n)
+    cands = _cut_candidates(model, window, 48)
     total = _gh_terms(model, window, cands)[-1]
     return gh_bound(model, window, float(cands[int(np.argmin(total))]))
 

@@ -22,8 +22,6 @@ from math import gcd
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, RangeError
 
@@ -104,7 +102,11 @@ class MeshGeodesicOracle:
 
         return cls(f, s_a, s_b, h)
 
-    def _build_graph(self) -> csr_matrix:
+    def _build_graph(self):
+        # scipy.sparse is imported on first use: it is most of the package's
+        # start-up time, and only the mesh needs it
+        from scipy.sparse import csr_matrix
+
         n_s, n_t = self.n_s, self.n_theta
         f12 = self._f_fine
         rows, cols, data = [], [], []
@@ -160,6 +162,8 @@ class MeshGeodesicOracle:
 
     def _node_distances(self, src, tgt) -> np.ndarray:
         """Mesh distances between node indices, all sources in one Dijkstra."""
+        from scipy.sparse.csgraph import dijkstra
+
         nodes, back = np.unique(np.asarray(src, dtype=np.int64),
                                 return_inverse=True)
         rows = dijkstra(self._graph, directed=False, indices=nodes)

@@ -25,9 +25,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .config import Tolerances, default_tolerances
 from .errors import DomainError, InvalidProfileError, RangeError
 
 __all__ = [
@@ -360,12 +358,47 @@ class CubicSplinePiece(ProfilePiece):
         return out
 
 
+def _end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point slope at an end knot, clipped to keep shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 def monotone_slopes(knots: Sequence[float], values: Sequence[float]) -> np.ndarray:
-    """Shape-preserving knot slopes (Fritsch-Carlson) for monotone data."""
-    knots = np.asarray(knots, dtype=float)
-    values = np.asarray(values, dtype=float)
-    interp = PchipInterpolator(knots, values)
-    return np.asarray(interp.derivative()(knots), dtype=float)
+    """Shape-preserving knot slopes for monotone data (the PCHIP rule).
+
+    An interior knot takes the weighted harmonic mean of its two secants, or
+    0 where either secant vanishes or they change sign; an end knot takes the
+    one-sided three-point estimate (Moler, Numerical Computing with MATLAB,
+    sec. 3.6).  Two knots share their secant.
+    """
+    x = np.asarray(knots, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.size < 2 or y.shape != x.shape:
+        raise DomainError("monotone_slopes needs two or more knots and one "
+                          "value per knot")
+    h = np.diff(x)
+    if not np.all(h > 0):
+        raise DomainError("monotone_slopes needs strictly increasing knots")
+    m = np.diff(y) / h
+    if m.size == 1:
+        return np.full(2, m[0])
+    sign = np.sign(m)
+    zero = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    out = np.empty(x.size)
+    # the entries that divide by a zero secant are the ones set to 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        harmonic = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        out[1:-1] = np.where(zero, 0.0, 1.0 / harmonic)
+    out[0] = _end_slope(h[0], h[1], m[0], m[1])
+    out[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    return out
 
 
 @dataclass(frozen=True)
@@ -406,11 +439,6 @@ class HawkingProfile:
     def _starts(self) -> np.ndarray:
         return np.array([p.r_lo for p in self.pieces])
 
-    @cached_property
-    def joints(self) -> np.ndarray:
-        """Interior joint radii between consecutive pieces."""
-        return self._starts[1:]
-
     def _prepare(self, r) -> tuple[np.ndarray, bool]:
         arr, scalar = _as_array(r)
         if arr.size and np.min(arr) < self.r_min:
@@ -447,12 +475,6 @@ class HawkingProfile:
     def wall_gap(self, r):
         """r^(m-2) - 2 m_H(r), evaluated cancellation-free."""
         return self._dispatch(r, "wall_gap", dimension_arg=True)
-
-    def wall(self, r):
-        """The admissibility wall r^(m-2)/2."""
-        arr, scalar = _as_array(r)
-        out = 0.5 * arr ** (self.dimension - 2)
-        return out[0] if scalar else out
 
     def scale(self, lam: float) -> "HawkingProfile":
         """Rescaled profile: m_H -> lam^(m-2) m_H(r/lam) on radii lam*r."""
@@ -494,6 +516,12 @@ class ValidationReport:
         return "\n".join(str(i) for i in self.issues)
 
 
+# relative tolerance for C1 joints and the boundary identities, and the
+# allowed undershoot of m_H' below zero relative to its scale
+_IDENTITY_REL = 1e-9
+_MONOTONE_SLACK = 1e-12
+
+
 def _piece_samples(piece: ProfilePiece, profile: HawkingProfile, n: int) -> np.ndarray:
     a = piece.r_lo
     b = piece.r_hi
@@ -513,12 +541,9 @@ def _piece_samples(piece: ProfilePiece, profile: HawkingProfile, n: int) -> np.n
     return out
 
 
-def validate(profile: HawkingProfile,
-             tolerances: Optional[Tolerances] = None,
-             samples_per_piece: int = 1024) -> ValidationReport:
+def validate(profile: HawkingProfile) -> ValidationReport:
     """Check admissibility of a profile; returns a report of all violations."""
-    tol = tolerances if tolerances is not None else default_tolerances()
-    rel = tol.identity_rel
+    rel = _IDENTITY_REL
     m = profile.dimension
     adm = profile.adm_mass
     issues = []
@@ -581,7 +606,7 @@ def validate(profile: HawkingProfile,
 
     # per-piece sampling
     for piece in pieces:
-        xs = _piece_samples(piece, profile, samples_per_piece)
+        xs = _piece_samples(piece, profile, 1024)
         mh = piece.mass(xs)
         mp = piece.mass_prime(xs)
         gap = piece.wall_gap(xs, m)
@@ -590,7 +615,7 @@ def validate(profile: HawkingProfile,
                 f"{piece.kind} piece produced a non-finite value")
             continue
         slope_scale = max(1.0, float(np.max(np.abs(mp)))) if mp.size else 1.0
-        neg = mp < -tol.monotone_slack * slope_scale
+        neg = mp < -_MONOTONE_SLACK * slope_scale
         if np.any(neg):
             k = int(np.argmin(mp))
             add("monotone/negative-slope", float(xs[k]),

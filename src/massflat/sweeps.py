@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .certificates import flat_certificate
-from .config import Tolerances, default_tolerances
 from .errors import MassflatError
 from .geometry import ManifoldModel, tubular_window
 from .ghdist import best_gh_bound, segment_limit_bound
@@ -52,7 +51,7 @@ def _blank_row(family: str, value) -> dict:
 
 def _sweep_row(family: str, value, dimension: int, alpha0: float, D: float,
                epsilon: float, well_depth: float, radii: Sequence[float],
-               r_cap: Optional[float], tol: Tolerances) -> dict:
+               r_cap: Optional[float]) -> dict:
     row = _blank_row(family, value)
     try:
         profile = _make_profile(family, value, dimension, alpha0,
@@ -61,12 +60,12 @@ def _sweep_row(family: str, value, dimension: int, alpha0: float, D: float,
         omega = unit_sphere_area(m)
         r0 = (alpha0 / omega) ** (1.0 / (m - 1.0))
         cap = r_cap if r_cap is not None else 4.0 * (r0 + D)
-        model = ManifoldModel(profile, cap, tol)
+        model = ManifoldModel(profile, cap)
         cert = flat_certificate(model, alpha0, D, epsilon)
         s0 = float(model.s(r0))
 
         d_gh = 1.05 * s0
-        model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh), tol, check=False)
+        model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh), check=False)
         window_gh = tubular_window(model_gh, alpha0, d_gh)
         gh = best_gh_bound(model_gh, window_gh)
         seg = segment_limit_bound(model_gh, window_gh,
@@ -95,8 +94,7 @@ def _sweep_row(family: str, value, dimension: int, alpha0: float, D: float,
 def run_sweep(family: str, values: Sequence, alpha0: float, D: float,
               epsilon: float, dimension: int = 3, well_depth: float = 10.0,
               radii: Sequence[float] = (1.0, 2.0),
-              r_cap: Optional[float] = None,
-              tolerances: Optional[Tolerances] = None) -> List[dict]:
+              r_cap: Optional[float] = None) -> List[dict]:
     """Certificate rows for every member of a profile family, input order."""
     if family not in _FAMILIES:
         raise MassflatError(f"unknown family {family!r}; pick from "
@@ -104,9 +102,8 @@ def run_sweep(family: str, values: Sequence, alpha0: float, D: float,
     values = list(values)
     if not values:
         raise MassflatError("sweep needs at least one parameter value")
-    tol = tolerances if tolerances is not None else default_tolerances()
     return [_sweep_row(family, value, dimension, alpha0, D, epsilon,
-                       well_depth, radii, r_cap, tol) for value in values]
+                       well_depth, radii, r_cap) for value in values]
 
 
 def _cell(value) -> str:

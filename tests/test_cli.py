@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,7 +203,6 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     code, out, err = run(capsys, "--help")
     assert code == 0
-    assert "MASSFLAT_TOL" in out
 
 
 # exit codes as the README documents them: 2 for malformed input and bad
@@ -237,3 +240,79 @@ def test_every_error_class_exits_with_its_documented_code(cls, monkeypatch,
     assert code == _EXIT_CODES[cls]
     assert out == ""
     assert err == "error: boom\n"
+
+
+def _write_doc(tmp_path, name, pieces, r_min):
+    path = tmp_path / name
+    path.write_text(json.dumps({"dimension": 3, "r_min": r_min,
+                                "pieces": pieces}), encoding="utf-8")
+    return str(path)
+
+
+def test_no_environment_variable_loosens_the_checks(tmp_path, capsys,
+                                                    monkeypatch):
+    # the boundary mass 0.125 does not close the horizon at r_min = 0.5
+    mismatch = _write_doc(tmp_path, "mismatch.json", [
+        {"kind": "constant", "from": 0.5, "to": "inf",
+         "params": {"value": 0.125}}], 0.5)
+    # m_H jumps from 0 to 0.2 at r = 1
+    jump = _write_doc(tmp_path, "jump.json", [
+        {"kind": "constant", "from": 0.0, "to": 1.0, "params": {"value": 0.0}},
+        {"kind": "constant", "from": 1.0, "to": "inf",
+         "params": {"value": 0.2}}], 0.0)
+    tube = ("--alpha0", str(4.0 * math.pi), "--D", "0.5", "--epsilon", "0.5")
+    for value in ("nan", "inf", "1e-6"):
+        monkeypatch.setenv("MASSFLAT_TOL", value)
+        code, out, err = run(capsys, "validate", mismatch)
+        assert code == 1, value
+        assert json.loads(out)["valid"] is False
+        code, out, err = run(capsys, "validate", jump)
+        assert code == 1, value
+        code, out, err = run(capsys, "certificate", jump, *tube)
+        assert code == 1, value
+        assert out == ""
+        assert "joint/value" in err
+
+
+def test_each_command_takes_only_the_options_it_reads(schwarz_path, capsys):
+    tube = ("--alpha0", str(4.0 * math.pi), "--D", "0.5")
+    sweep = ("sweep", "--family", "schwarzschild", "--values", "1e-3",
+             *tube, "--epsilon", "0.5")
+    for argv in (("validate", schwarz_path, "--format", "csv"),
+                 ("validate", schwarz_path, "--seed", "1"),
+                 ("describe", schwarz_path, "--mesh-h", "0.1"),
+                 ("delta", *tube, "--epsilon", "0.5", "--format", "csv"),
+                 ("gh", schwarz_path, *tube, "--mesh-h", "0.1"),
+                 ("gh", schwarz_path, *tube, "--seed", "1"),
+                 ("example", "flat", "--format", "text"),
+                 ("example", "flat", "--format", "json"),
+                 (*sweep, "--format", "text"),
+                 (*sweep, "--seed", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+    code, out, err = run(capsys, "validate", schwarz_path, "--format", "text")
+    assert code == 0
+    assert out == "valid = True\n"
+    code, out, err = run(capsys, "delta", *tube, "--epsilon", "0.5",
+                         "--format", "text")
+    assert code == 0
+    assert "\ndelta = 1.27" in out
+
+
+def test_start_up_imports_no_scipy(schwarz_path):
+    # scipy is only needed by the mesh, so the commands that do not mesh
+    # must not pay for importing it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (["-c", "import massflat"],
+                 ["-m", "massflat.cli", "validate", schwarz_path]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        names = [line.rsplit("|", 1)[-1].strip()
+                 for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")]
+        assert "massflat.geometry" in names
+        assert [n for n in names if n.split(".")[0] == "scipy"] == []

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from massflat.embedding import (
-    ambient_product_distance,
     annulus_distance,
     budget_embedding_constants,
     embedding_constant_bound,
@@ -136,12 +135,6 @@ def test_annulus_triangle_inequality():
                 dbc = annulus_distance(r_in, b[0], b[1], c[0], c[1])
                 dac = annulus_distance(r_in, a[0], a[1], c[0], c[1])
                 assert dac <= dab + dbc + 1e-12
-
-
-def test_ambient_product_distance_is_hypot():
-    assert ambient_product_distance(3.0, 4.0) == pytest.approx(5.0, rel=1e-15)
-    arr = ambient_product_distance(np.array([0.0, 1.0]), np.array([2.0, 0.0]))
-    np.testing.assert_allclose(arr, [2.0, 1.0], rtol=1e-15)
 
 
 def test_metric_embedding_check_passes_and_is_deterministic():

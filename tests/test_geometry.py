@@ -23,6 +23,7 @@ from massflat.geometry import (
     write_model_csv,
 )
 from massflat.profiles import (
+    CubicSplinePiece,
     deep_well,
     flat,
     schwarzschild,
@@ -435,3 +436,73 @@ def test_r_of_s_is_exact_at_knots(name):
     model = _BATCH_MODELS[name]()
     np.testing.assert_array_equal(model.r_of_s(model.s(model.knots)),
                                   model.knots)
+
+
+_KNOT_MODELS = {
+    "schwarzschild": lambda: _schwarzschild_model(0.1, 12.0),
+    "deep-well": lambda: ManifoldModel(
+        deep_well(3, 0.02, 4.0 * math.pi, 10.0), 8.0),
+    "deep-well-no-boundary": lambda: ManifoldModel(
+        deep_well(3, 0.02, 4.0 * math.pi, 10.0, with_boundary=False), 8.0),
+    "deep-well-4d": lambda: ManifoldModel(
+        deep_well(4, 0.05, 2.0 * math.pi**2, 3.0), 6.0),
+    "stripes": lambda: ManifoldModel(stripes((1.0, 2.0, 3.0, 4.0), 0.1), 8.0),
+    **{f"spline-{k}": (lambda k=k: _spline_model(k)) for k in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KNOT_MODELS))
+def test_profile_breaks_are_model_knots(name):
+    # _adaptive_cells cannot see a jump between a cell end and its outermost
+    # Gauss nodes, so every radius where m_H or a derivative may jump has to
+    # be a cell end, that is a model knot
+    model = _KNOT_MODELS[name]()
+    breaks = [model.r_min, model.r_cap]
+    for piece in model.profile.pieces:
+        breaks += [piece.r_lo, piece.r_hi]
+        if isinstance(piece, CubicSplinePiece):
+            breaks += list(piece.knots)
+    breaks = np.array(breaks)
+    inside = breaks[(breaks >= model.r_min) & (breaks <= model.r_cap)]
+    assert inside.size > 2
+    missing = np.setdiff1d(inside, model.knots)
+    assert missing.size == 0, missing
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-3, 1e-6])
+def test_arclength_inverse_and_window_are_scale_covariant(lam):
+    # s, r and D all scale by lam, so relative errors must not depend on it
+    base = ManifoldModel(schwarzschild(3, 0.05), 8.0)
+    model = ManifoldModel(schwarzschild(3, 0.05).scale(lam), 8.0 * lam)
+    rs = lam * np.concatenate([
+        0.1 + np.geomspace(1e-9, 1e-2, 7),
+        np.linspace(0.1, 8.0, 41)[1:-1] + 0.0123])
+    back = model.r_of_s(model.s(rs))
+    np.testing.assert_allclose(back, rs, rtol=2e-10, atol=0)
+    w1 = tubular_window(base, 4.0 * math.pi, 0.5)
+    w = tubular_window(model, 4.0 * math.pi * lam**2, 0.5 * lam)
+    for name in ("r0", "r_minus", "r_plus", "s0", "s_minus", "s_plus"):
+        assert getattr(w, name) / lam == pytest.approx(
+            getattr(w1, name), rel=2e-10), name
+
+
+@pytest.mark.parametrize("mass", [1e-17, 0.05, 0.1, 1.0])
+def test_schwarzschild_graph_and_arclength_against_mpmath(mass):
+    # F = sqrt(8M (r - 2M)) and s = sqrt(r (r - 2M)) + 2M acosh(sqrt(r/2M))
+    # at 50 digits, from just above the horizon out to r_cap
+    mpmath = pytest.importorskip("mpmath")
+    model = ManifoldModel(schwarzschild(3, mass), 8.0)
+    r_min = model.r_min
+    rs = np.unique(np.concatenate([
+        r_min * (1.0 + np.geomspace(1e-14, 8.0 / r_min - 1.0, 60)),
+        np.linspace(r_min, 8.0, 41)[1:]]))
+    rs = rs[(rs > r_min) & (rs <= 8.0)]
+    with mpmath.workdps(50):
+        M = mpmath.mpf(mass)
+        F_ref = [mpmath.sqrt(8 * M * (mpmath.mpf(r) - 2 * M)) for r in rs]
+        s_ref = [mpmath.sqrt(mpmath.mpf(r) * (mpmath.mpf(r) - 2 * M))
+                 + 2 * M * mpmath.acosh(mpmath.sqrt(mpmath.mpf(r) / (2 * M)))
+                 for r in rs]
+        for got, ref in ((model.F(rs), F_ref), (model.s(rs), s_ref)):
+            err = max(abs((mpmath.mpf(g) - e) / e) for g, e in zip(got, ref))
+            assert err <= 1e-13, float(err)

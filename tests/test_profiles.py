@@ -192,8 +192,31 @@ def test_monotone_slopes_match_pchip_and_stay_nonnegative():
     slopes = monotone_slopes(knots, values)
     assert np.all(slopes >= 0.0)
     from scipy.interpolate import PchipInterpolator
-    ref = PchipInterpolator(knots, values).derivative()(knots)
-    np.testing.assert_allclose(slopes, ref, rtol=1e-13, atol=1e-15)
+
+    def check(knots, values):
+        got = monotone_slopes(knots, values)
+        ref = PchipInterpolator(knots, values).derivative()(knots)
+        # bit for bit but at the last knot, where scipy evaluates its last
+        # derivative polynomial at the right end
+        np.testing.assert_array_equal(got[:-1], ref[:-1])
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
+        return got
+
+    check(knots, values)
+    # two knots share their secant
+    np.testing.assert_array_equal(check([1.0, 3.0], [0.5, 1.5]), [0.5, 0.5])
+    # a flat segment zeroes the slopes on both of its ends
+    got = check([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 2.0, 2.5])
+    assert got[1] == 0.0 and got[2] == 0.0
+    # a sign change zeroes the slope at the extremum
+    got = check([0.0, 1.0, 2.5, 3.0], [0.0, 2.0, 1.0, 1.5])
+    assert got[1] == 0.0
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        knots = np.cumsum(0.05 + rng.random(n))
+        signs = rng.choice([0.0, 1.0, -1.0], n, p=[0.2, 0.6, 0.2])
+        steps = rng.random(n) * signs
+        check(knots, np.cumsum(steps))
 
 
 def test_random_spline_profiles_are_admissible():
