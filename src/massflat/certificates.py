@@ -18,11 +18,12 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .embedding import embedding_constant_bound, q_slope
-from .errors import CertificateError, DomainError
+from .embedding import (budget_embedding_constants, embedding_constant_bound,
+                        q_slope)
+from .errors import CertificateError, DomainError, positive
 from .geometry import (ManifoldModel, TubularWindow, euclidean_annulus_volume,
                        tubular_window, window_bracket)
-from .profiles import unit_sphere_area
+from .profiles import sphere_radius, unit_sphere_area
 
 __all__ = [
     "WellCut",
@@ -46,15 +47,16 @@ def well_cut(epsilon: float, D: float, alpha0: float, m: int) -> WellCut:
     alpha_eps = min(eps/(16 D), (omega eps / 8)^(m/(m-1)), alpha0), and
     r_eps_prime is the Euclidean radius of a sphere with that area.
     """
-    if not (epsilon > 0 and D > 0 and alpha0 > 0):
-        raise DomainError("well_cut needs positive epsilon, D, alpha0")
+    epsilon = positive(epsilon, "epsilon")
+    D = positive(D, "D")
+    alpha0 = positive(alpha0, "alpha0")
     if m < 3:
         raise DomainError(f"dimension must be at least 3, got {m}")
     omega = unit_sphere_area(m)
     alpha_eps = min(epsilon / (16.0 * D),
                     (omega * epsilon / 8.0) ** (m / (m - 1.0)),
                     alpha0)
-    r_eps_prime = (alpha_eps / omega) ** (1.0 / (m - 1.0))
+    r_eps_prime = sphere_radius(alpha_eps, m)
     return WellCut(alpha_eps=alpha_eps, r_eps_prime=r_eps_prime)
 
 
@@ -112,8 +114,7 @@ def _delta_eff(adm: float, xi_eps: float) -> Optional[float]:
 def flat_certificate(model: ManifoldModel, alpha0: float, D: float,
                      epsilon: float) -> FlatCertificate:
     """Assemble the flat-distance certificate for the (alpha0, D) tube."""
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    epsilon = positive(epsilon, "epsilon")
     m = model.dimension
     omega = model.omega
     # On a horizon s' is infinite, so the guard runs before the window's
@@ -252,8 +253,7 @@ def _budget_conditions(delta: float, epsilon: float, D: float, r0: float,
             "threshold": xi_cap}]
     if 2.0 * delta < r_eps_prime ** (m - 2):
         q = q_slope(delta, r_eps_prime, m)
-        c = (4.0 * D + 2.0 * math.pi * r0) * q
-        s = math.sqrt(c * (2.0 * D + math.pi * r0 + c))
+        s = budget_embedding_constants(m, D, r0, q).S_M
     else:
         q = math.inf
         s = math.inf
@@ -282,13 +282,8 @@ def delta_budget(epsilon: float, D: float, alpha0: float,
     an interval (0, delta*); a log-space bisection locates delta* to 1e-9
     relative and 0.9 delta* is returned.
     """
-    if not (epsilon > 0 and D > 0 and alpha0 > 0):
-        raise DomainError("delta_budget needs positive epsilon, D, alpha0")
-    if m < 3:
-        raise DomainError(f"dimension must be at least 3, got {m}")
-    omega = unit_sphere_area(m)
-    r0 = (alpha0 / omega) ** (1.0 / (m - 1.0))
-    cut = well_cut(epsilon, D, alpha0, m)
+    cut = well_cut(epsilon, D, alpha0, m)  # checks the parameters
+    r0 = sphere_radius(alpha0, m)
 
     def feasible(delta: float) -> bool:
         conds = _budget_conditions(delta, epsilon, D, r0, cut.r_eps_prime, m)

@@ -26,8 +26,8 @@ from .embedding import metric_embedding_check
 from .errors import DomainError, MassflatError, ProfileFormatError
 from .geometry import ManifoldModel, tubular_window
 from .ghdist import best_gh_bound, gh_bound
-from .profiles import (deep_well, flat, schwarzschild, stripes,
-                       unit_sphere_area, validate)
+from .profiles import (deep_well, flat, schwarzschild, sphere_radius,
+                       stripes, validate)
 from .serialization import canonical_json, dumps_profile, read_profile
 from .sweeps import run_sweep, write_sweep_csv
 
@@ -68,9 +68,7 @@ def _floats(text: str):
 def _default_r_cap(args, alpha0: float, D: float, dimension: int) -> float:
     if args.r_cap is not None:
         return args.r_cap
-    omega = unit_sphere_area(dimension)
-    r0 = (alpha0 / omega) ** (1.0 / (dimension - 1.0))
-    return 4.0 * (r0 + D)
+    return 4.0 * (sphere_radius(alpha0, dimension) + D)
 
 
 def _cmd_validate(args) -> int:

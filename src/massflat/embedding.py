@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, positive
 from .mesh import MeshGeodesicOracle
 
 __all__ = [
@@ -93,8 +93,9 @@ def embedding_constant_bound(model, r_a, r_b: float,
 def budget_embedding_constants(dimension: int, D: float, r0: float,
                                Q: float) -> EmbeddingConstants:
     """Distortion constants from the slope budget Q alone."""
-    if not (D > 0 and r0 > 0 and Q >= 0):
-        raise DomainError("budget constants need D > 0, r0 > 0, Q >= 0")
+    D, r0 = positive(D, "D"), positive(r0, "r0")
+    if not Q >= 0:
+        raise DomainError(f"budget constants need Q >= 0, got {Q}")
     diam_W = 2.0 * D + math.pi * r0
     C = 2.0 * diam_W * Q
     S = math.sqrt(C * (diam_W + C))

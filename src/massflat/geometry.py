@@ -17,8 +17,8 @@ by the substitution u = sqrt(r - r_min).
 Every integral goes through ManifoldModel._integrate_cells, which runs
 vectorized 16-point Gauss-Legendre panels with an embedded 8-point error
 estimate and bisects the panels that miss the tolerance.  A panel whose
-value is not finite, or one still unconverged after 50 bisections, raises
-QuadratureError.
+value is not finite, one still unconverged after 50 bisections, or a batch
+that bisection would grow by more than 200,000 cells raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import (DomainError, InvalidProfileError, QuadratureError,
-                     RangeError, WindowOverflowError)
+                     RangeError, WindowOverflowError, checked_range, positive)
 from .profiles import (CubicSplinePiece, HawkingProfile, PowerLawPiece,
-                       unit_sphere_area, validate)
+                       sphere_radius, unit_sphere_area, validate)
 
 __all__ = [
     "ManifoldModel",
@@ -49,6 +49,8 @@ _TINY = 1e-300
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _MAX_DEPTH = 50
+# cells bisection may add to a batch before it gives up
+_MAX_EXTRA_CELLS = 200000
 # relative targets of the quadrature panels and of the arclength inversion
 _QUAD_REL = 1e-12
 _SOLVE_REL = 1e-10
@@ -95,11 +97,6 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     scale = None
     # every pass halves all pending cells, so they share one depth
     for depth in range(_MAX_DEPTH + 1):
-        if a.size > 200000:
-            raise QuadratureError(
-                "adaptive quadrature failed to converge "
-                f"({a.size} cells pending, first [{float(a[0])!r}, "
-                f"{float(b[0])!r}])")
         i16, err = _panel_integrals(f, a, b)
         # the GL nodes are interior, so halving a panel cannot make a
         # non-finite integrand finite: fail on the first one
@@ -121,13 +118,15 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         if np.all(ok):
             return out
         pending = ~ok
-        if depth == _MAX_DEPTH:
+        n_next = 2 * int(np.count_nonzero(pending))
+        if depth == _MAX_DEPTH or n_next > a0.size + _MAX_EXTRA_CELLS:
             k = int(np.argmax(pending))
             raise QuadratureError(
                 f"adaptive quadrature did not converge on "
                 f"[{float(a0[idx[k]])!r}, {float(b0[idx[k]])!r}] within "
-                f"{_MAX_DEPTH} bisections (piece [{float(a[k])!r}, "
-                f"{float(b[k])!r}], error estimate {float(err[k])!r})")
+                f"{depth} bisections (piece [{float(a[k])!r}, "
+                f"{float(b[k])!r}], error estimate {float(err[k])!r}; "
+                f"{n_next} cells would be pending)")
         a2, b2 = a[pending], b[pending]
         mid = 0.5 * (a2 + b2)
         idx2 = idx[pending]
@@ -193,7 +192,9 @@ class ManifoldModel:
             good = gap > 0
             out[good] = np.sqrt(2.0 * mh[good] / gap[good])
             out[~good] = np.inf
-        at_min = arr <= self.r_min
+        # near the origin r^(m-2) underflows, and m_H and the gap with it
+        at_min = (arr ** (self.dimension - 2) == 0.0 if self.r_min == 0.0
+                  else arr <= self.r_min)
         if np.any(at_min):
             if self.r_min == 0.0:
                 out[at_min] = math.sqrt(self._origin_slope_sq())
@@ -212,7 +213,7 @@ class ManifoldModel:
             good = (gap > 0) & (xi > 0)
             out[good] = np.sqrt(xi[good] / gap[good])
             out[~good] = np.inf
-        at_zero = arr == 0.0
+        at_zero = xi == 0.0
         if np.any(at_zero) and self.r_min == 0.0:
             out[at_zero] = math.sqrt(1.0 + self._origin_slope_sq())
         return float(out[0]) if scalar else out
@@ -286,15 +287,9 @@ class ManifoldModel:
 
     # -- cumulative queries ----------------------------------------------------
 
-    def _radii(self, r) -> np.ndarray:
-        """r as an array clipped to [r_min, r_cap], checked up to round-off."""
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        slack = 1e-12 * max(1.0, self.r_cap)
-        if arr.size and (np.min(arr) < self.r_min - slack
-                         or np.max(arr) > self.r_cap + slack):
-            raise RangeError(
-                f"radius outside model range [{self.r_min}, {self.r_cap}]")
-        return np.clip(arr, self.r_min, self.r_cap)
+    def _radii(self, r) -> Tuple[np.ndarray, bool]:
+        """checked_range over the model's radii [r_min, r_cap]."""
+        return checked_range(r, self.r_min, self.r_cap, "radius")
 
     def _cumulative_at(self, r, table: np.ndarray, fvec: Callable):
         """Tabulated integral of fvec from r_min to each radius in r.
@@ -302,8 +297,7 @@ class ManifoldModel:
         A knot reads the table; any other radius adds the integral from the
         nearer knot (from r_min in the first interval of a singular model).
         """
-        scalar = np.ndim(r) == 0
-        arr = self._radii(r)
+        arr, scalar = self._radii(r)
         knots = self.knots
         i = np.searchsorted(knots, arr)
         out = table[i]
@@ -340,14 +334,8 @@ class ManifoldModel:
         point in its own bracket and frozen once s(r) matches its target to
         _SOLVE_REL relative, which keeps the inverse accurate at any scale.
         """
-        scalar = np.ndim(s) == 0
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
+        arr, scalar = checked_range(s, 0.0, self.s_cap, "arclength")
         table = self._s_knots
-        slack = 1e-9 * max(1.0, table[-1])
-        if arr.size and (np.min(arr) < -slack or np.max(arr) > table[-1] + slack):
-            raise RangeError(
-                f"arclength outside model range [0, {table[-1]}]")
-        arr = np.clip(arr, 0.0, table[-1])
         knots = self.knots
         i = np.searchsorted(table, arr)
         # the cumulative sum rounds by a few ulps, so an exact-match rule
@@ -383,7 +371,7 @@ class ManifoldModel:
 
     def _range_integral(self, fvec: Callable, r_a: float, r_b: float) -> float:
         """Integral of fvec over [r_a, r_b], split at the knots."""
-        r_a, r_b = self._radii([r_a, r_b])
+        (r_a, r_b), _ = self._radii([r_a, r_b])
         if r_b <= r_a:
             return 0.0
         knots = self.knots
@@ -426,9 +414,8 @@ class ManifoldModel:
         r_a may be an array of left ends sharing r_b; a running maximum over
         the knots serves them all from one F' evaluation.
         """
-        scalar = np.ndim(r_a) == 0
-        ras = self._radii(r_a)
-        r_b = float(self._radii(r_b)[0])
+        ras, scalar = self._radii(r_a)
+        r_b = float(self._radii(r_b)[0][0])
         if np.max(ras, initial=r_b) > r_b:
             raise RangeError(f"sup_grad needs r_a <= r_b, got "
                              f"{float(np.max(ras))!r} > {r_b!r}")
@@ -473,12 +460,10 @@ class ManifoldModel:
 
     def _graph_invariants(self, r) -> Tuple[np.ndarray, ...]:
         """R, A, H, m_H, m_H', F' and F'' at radii r in (r_min, r_cap]."""
-        x = np.atleast_1d(np.asarray(r, dtype=float))
-        slack = 1e-12 * max(1.0, self.r_cap)
-        bad = ~((self.r_min < x) & (x <= self.r_cap + slack))
-        if np.any(bad):
-            raise RangeError(f"quantities requires r in (r_min, r_cap], "
-                             f"got {float(x[bad][0])}")
+        x = self._radii(r)[0]
+        if np.any(x <= self.r_min):  # singular there: F' = inf, or r = 0
+            raise RangeError(f"quantities requires r > r_min = {self.r_min!r}"
+                             f", got {float(np.min(x))!r}")
         m = self.dimension
         mh = self.profile.mass(x)
         mp = self.profile.mass_prime(x)
@@ -552,14 +537,8 @@ def window_bracket(model: ManifoldModel, alpha0: float,
     runs, so the bracket is safe to inspect on a profile that is not
     admissible.
     """
-    alpha0 = float(alpha0)
-    D = float(D)
-    if not (alpha0 > 0 and math.isfinite(alpha0)):
-        raise DomainError(f"alpha0 must be positive, got {alpha0}")
-    if not (D > 0 and math.isfinite(D)):
-        raise DomainError(f"D must be positive, got {D}")
-    m = model.dimension
-    r0 = (alpha0 / model.omega) ** (1.0 / (m - 1))
+    r0 = sphere_radius(positive(alpha0, "alpha0"), model.dimension)
+    D = positive(D, "D")
     if r0 <= model.r_min:
         raise DomainError(
             f"the alpha0 sphere (r0={r0:g}) is at or below the boundary")

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .embedding import embedding_constant_bound
-from .errors import DomainError, RangeError
+from .errors import RangeError, positive
 from .geometry import ManifoldModel, TubularWindow
 
 __all__ = ["GHBound", "gh_bound", "best_gh_bound",
@@ -108,8 +108,7 @@ def segment_limit_bound(model: ManifoldModel, window: TubularWindow,
     the geometric mean of the wall scale 2 m_ADM and r0^(m-2), taken in
     r^(m-2), which sits above any budget-small well and below the window.
     """
-    if not (L0 > 0 and math.isfinite(L0)):
-        raise DomainError(f"segment length must be positive, got {L0}")
+    positive(L0, "segment length L0")
     m = model.dimension
     if r_eps is None:
         xi_eps = math.sqrt(2.0 * model.adm_mass * window.r0 ** (m - 2))

@@ -23,7 +23,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, checked_range, positive
 
 __all__ = ["MeshGeodesicOracle", "mesh_distance"]
 
@@ -47,17 +47,27 @@ def _pow2_at_least(x: float) -> int:
     return 1 << max(0, math.ceil(math.log2(max(x, 1.0))))
 
 
+def _segments(span: float, h: float) -> int:
+    """s-steps of a mesh of spacing h over span.  It has 8 (n + 1) nodes or
+    more, so a mesh too large to build is refused before f is sampled."""
+    n_seg = _pow2_at_least(min(span / h, 2.0**62))
+    if 8 * (n_seg + 1) > _MAX_NODES:
+        raise DomainError(f"a mesh of spacing h={h!r} over length "
+                          f"{float(span)!r} needs over {_MAX_NODES} nodes; "
+                          "coarsen h")
+    return n_seg
+
+
 class MeshGeodesicOracle:
     """Dijkstra distances on the (s, theta) mesh of a warped product tube."""
 
     def __init__(self, f: Callable, s_a: float, s_b: float, h: float):
-        s_a, s_b, h = float(s_a), float(s_b), float(h)
-        if not (s_b > s_a and h > 0):
-            raise DomainError(
-                f"need s_a < s_b and h > 0, got [{s_a}, {s_b}], h={h}")
+        s_a, s_b, h = float(s_a), float(s_b), positive(h, "mesh spacing h")
+        if not s_b > s_a:
+            raise DomainError(f"need s_a < s_b, got [{s_a}, {s_b}]")
         self.s_a, self.s_b, self.h = s_a, s_b, h
         span = s_b - s_a
-        n_seg = _pow2_at_least(span / h)
+        n_seg = _segments(span, h)
         self.n_s = n_seg + 1
         self.h_s = span / n_seg
         # f on the 12-fold refined grid covers every sub-segment endpoint
@@ -84,12 +94,10 @@ class MeshGeodesicOracle:
     def from_model(cls, model, s_a: float, s_b: float,
                    h: float) -> "MeshGeodesicOracle":
         """Mesh the tube s in [s_a, s_b] of a reconstructed manifold."""
-        slack = 1e-9 * max(1.0, model.s_cap)
-        if s_a < -slack or s_b > model.s_cap + slack:
-            raise RangeError(
-                f"tube [{s_a}, {s_b}] outside the model arclength range")
-        s_a = max(s_a, 0.0)
-        s_b = min(s_b, model.s_cap)
+        h = positive(h, "mesh spacing h")
+        (s_a, s_b), _ = checked_range([s_a, s_b], 0.0, model.s_cap,
+                                      "tube arclength")
+        _segments(s_b - s_a, h)  # before r_of_s runs on a fine s-grid
         s_tab = model._s_knots
         r_tab = model.knots
         extra = np.arange(s_a, s_b, max(h / 4.0, (s_b - s_a) * 1e-6))

@@ -26,10 +26,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidProfileError, RangeError
+from .errors import DomainError, checked_range, positive
 
 __all__ = [
     "unit_sphere_area",
+    "sphere_radius",
     "ProfilePiece",
     "ConstantPiece",
     "PowerLawPiece",
@@ -58,9 +59,9 @@ def unit_sphere_area(dimension: int) -> float:
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
-def _as_array(r) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(r, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
+def sphere_radius(area: float, dimension: int) -> float:
+    """Radius of the round Euclidean sphere of the given area."""
+    return (area / unit_sphere_area(dimension)) ** (1.0 / (dimension - 1))
 
 
 def _check_interval(r_lo: float, r_hi: float) -> tuple[float, float]:
@@ -439,18 +440,8 @@ class HawkingProfile:
     def _starts(self) -> np.ndarray:
         return np.array([p.r_lo for p in self.pieces])
 
-    def _prepare(self, r) -> tuple[np.ndarray, bool]:
-        arr, scalar = _as_array(r)
-        if arr.size and np.min(arr) < self.r_min:
-            slack = 1e-12 * max(self.r_min, 1.0)
-            if np.min(arr) < self.r_min - slack:
-                raise RangeError(
-                    f"radius {np.min(arr)} below profile boundary r_min={self.r_min}")
-            arr = np.maximum(arr, self.r_min)
-        return arr, scalar
-
     def _dispatch(self, r, method: str, dimension_arg: bool = False):
-        arr, scalar = self._prepare(r)
+        arr, scalar = checked_range(r, self.r_min, math.inf, "radius")
         out = np.empty_like(arr)
         idx = np.clip(np.searchsorted(self._starts, arr, side="right") - 1,
                       0, len(self.pieces) - 1)
@@ -462,7 +453,7 @@ class HawkingProfile:
                     out[sel] = fn(arr[sel], self.dimension)
                 else:
                     out[sel] = fn(arr[sel])
-        return out[0] if scalar else out
+        return float(out[0]) if scalar else out
 
     def mass(self, r):
         """Hawking mass m_H(r)."""
@@ -478,9 +469,7 @@ class HawkingProfile:
 
     def scale(self, lam: float) -> "HawkingProfile":
         """Rescaled profile: m_H -> lam^(m-2) m_H(r/lam) on radii lam*r."""
-        lam = float(lam)
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise DomainError("scale factor must be positive and finite")
+        lam = positive(lam, "scale factor")
         return HawkingProfile(
             self.dimension,
             self.r_min * lam,
@@ -647,9 +636,7 @@ def flat(dimension: int) -> HawkingProfile:
 
 def schwarzschild(dimension: int, mass: float) -> HawkingProfile:
     """Constant Hawking mass starting at the minimal sphere."""
-    mass = float(mass)
-    if not (mass > 0.0 and math.isfinite(mass)):
-        raise DomainError(f"schwarzschild mass must be positive, got {mass}")
+    mass = positive(mass, "schwarzschild mass")
     r_min = (2.0 * mass) ** (1.0 / (dimension - 2))
     return HawkingProfile(dimension, r_min,
                           (ConstantPiece(r_min, math.inf, mass),))
@@ -667,14 +654,11 @@ def deep_well_parameters(dimension: int, delta: float, alpha0: float,
     m = int(dimension)
     if m < 3:
         raise DomainError("dimension must be >= 3")
-    delta = float(delta)
-    alpha0 = float(alpha0)
-    L = float(L)
-    if delta <= 0 or alpha0 <= 0 or L <= 0:
-        raise DomainError("delta, alpha0 and L must all be positive")
+    delta = positive(delta, "delta")
+    alpha0 = positive(alpha0, "alpha0")
+    L = positive(L, "well depth L")
     k = m - 2
-    omega = unit_sphere_area(m)
-    r0 = (alpha0 / omega) ** (1.0 / (m - 1))
+    r0 = sphere_radius(alpha0, m)
     delta_prime = min(0.5 * delta, 0.5 * r0**k)
 
     xi_r = 1.75 * delta_prime
@@ -819,9 +803,7 @@ def stripes(radii: Iterable[float], delta: float) -> HawkingProfile:
         raise DomainError("stripe radii must be positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("stripe radii must be strictly increasing")
-    delta = float(delta)
-    if not (delta > 0 and math.isfinite(delta)):
-        raise DomainError("delta must be positive")
+    delta = positive(delta, "delta")
     if radii[0] < 0.5 * delta:
         raise DomainError("stripe radii must be at least delta/2")
 

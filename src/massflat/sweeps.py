@@ -16,7 +16,7 @@ from .certificates import flat_certificate
 from .errors import MassflatError
 from .geometry import ManifoldModel, tubular_window
 from .ghdist import best_gh_bound, segment_limit_bound
-from .profiles import deep_well, schwarzschild, stripes, unit_sphere_area
+from .profiles import deep_well, schwarzschild, sphere_radius, stripes
 from .serialization import read_profile
 
 __all__ = ["SWEEP_COLUMNS", "run_sweep", "write_sweep_csv"]
@@ -56,9 +56,7 @@ def _sweep_row(family: str, value, dimension: int, alpha0: float, D: float,
     try:
         profile = _make_profile(family, value, dimension, alpha0,
                                 well_depth, radii)
-        m = profile.dimension
-        omega = unit_sphere_area(m)
-        r0 = (alpha0 / omega) ** (1.0 / (m - 1.0))
+        r0 = sphere_radius(alpha0, profile.dimension)
         cap = r_cap if r_cap is not None else 4.0 * (r0 + D)
         model = ManifoldModel(profile, cap)
         cert = flat_certificate(model, alpha0, D, epsilon)

@@ -131,6 +131,29 @@ def test_delta_rejects_bad_epsilon(capsys):
     assert "error:" in err
 
 
+_NON_POSITIVE = [
+    ("delta", "--epsilon", "inf", "--D", "0.5", "--alpha0", "1.0"),
+    ("delta", "--epsilon", "0.5", "--D", "inf", "--alpha0", "1.0"),
+    ("delta", "--epsilon", "0.5", "--D", "0.5", "--alpha0", "inf"),
+    *(("certificate", "{path}", "--alpha0", str(4.0 * math.pi), "--D", "0.5",
+       "--epsilon", "0.5", "--sampled-cm", "--mesh-h", h)
+      for h in ("nan", "0", "-1", "inf")),
+    ("example", "deep-well", "--well-depth", "inf"),
+    ("example", "deep-well", "--alpha0", "inf"),
+]
+
+
+@pytest.mark.parametrize("argv", _NON_POSITIVE, ids=" ".join)
+def test_non_finite_or_non_positive_parameters_exit_2(argv, schwarz_path,
+                                                      capsys):
+    code, out, err = run(capsys,
+                         *(a.format(path=schwarz_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite and positive" in err
+
+
 def test_gh_command(schwarz_path, capsys):
     code, out, err = run(
         capsys, "gh", schwarz_path,

@@ -506,3 +506,35 @@ def test_schwarzschild_graph_and_arclength_against_mpmath(mass):
         for got, ref in ((model.F(rs), F_ref), (model.s(rs), s_ref)):
             err = max(abs((mpmath.mpf(g) - e) / e) for g, e in zip(got, ref))
             assert err <= 1e-13, float(err)
+
+
+def test_batches_beyond_the_bisection_cap_are_answered():
+    # the cap bounds the cells bisection adds, not the batch itself
+    model = _schwarzschild_model(0.05, 8.0)
+    rs = np.random.default_rng(5).uniform(model.r_min, model.r_cap, 250000)
+    np.testing.assert_array_equal(
+        model.s(rs), np.concatenate([model.s(rs[:125000]),
+                                     model.s(rs[125000:])]))
+
+
+def test_adaptive_cells_caps_what_bisection_adds():
+    # noise never converges, so every pass doubles the pending cells until
+    # they would pass the cap; the error names the first input cell
+    rng = np.random.default_rng(0)
+    edges = np.linspace(0.0, 1.0, 1001)
+    with pytest.raises(QuadratureError,
+                       match=r"did not converge on \[0\.0, 0\.001\] within "
+                             r"7 bisections .* 256000 cells would be pending"):
+        _adaptive_cells(lambda x: rng.random(x.size), edges[:-1], edges[1:],
+                        1e-12)
+
+
+def test_slopes_where_the_wall_underflows():
+    # in 4-D, r^(m-2) underflows below r ~ 1e-154, and m_H and the wall gap
+    # with it; the slopes take their limit at the origin there instead of
+    # reading 0/0 as a horizon
+    model = ManifoldModel(flat(4), 8.0)
+    assert model.f_prime(1e-200) == 0.0
+    assert model.s_prime(1e-200) == 1.0
+    assert model.s(1e-200) == pytest.approx(1e-200, rel=1e-12)
+    assert model.F(1e-200) == 0.0

@@ -93,3 +93,26 @@ def test_distances_matrix_is_symmetric_in_roles():
     assert mat.shape == (3, 3)
     np.testing.assert_allclose(mat, mat.T, rtol=0, atol=1e-12)
     assert np.all(np.diag(mat) == 0.0)
+
+
+@pytest.mark.parametrize("h", [1e-9, 1e-6])
+def test_mesh_size_is_checked_before_anything_is_evaluated(h, monkeypatch):
+    # every mesh has at least 8 angular nodes, so span and h alone reject
+    # these spacings; the warp must not be sampled on the fine grid first
+    calls = []
+
+    def warp(s):
+        calls.append(np.size(s))
+        return np.ones_like(np.asarray(s))
+
+    with pytest.raises(DomainError, match="nodes"):
+        MeshGeodesicOracle(warp, 0.0, 1.0, h)
+    model = ManifoldModel(schwarzschild(3, 0.05), 8.0)
+
+    def no_queries(*args, **kwargs):
+        raise AssertionError("the model was queried")
+
+    monkeypatch.setattr(model, "r_of_s", no_queries)
+    with pytest.raises(DomainError, match="nodes"):
+        MeshGeodesicOracle.from_model(model, 1.0, 2.0, h)
+    assert calls == []
