@@ -23,7 +23,7 @@ from dataclasses import asdict
 
 from .certificates import delta_budget, flat_certificate
 from .embedding import metric_embedding_check
-from .errors import DomainError, MassflatError, ProfileFormatError
+from .errors import DomainError, MassflatError, ProfileFormatError, positive
 from .geometry import ManifoldModel, tubular_window
 from .ghdist import best_gh_bound, gh_bound
 from .profiles import (deep_well, flat, schwarzschild, sphere_radius,
@@ -66,6 +66,8 @@ def _floats(text: str):
 
 
 def _default_r_cap(args, alpha0: float, D: float, dimension: int) -> float:
+    # checked first, so an infinite D is blamed on D, not on r_cap
+    alpha0, D = positive(alpha0, "alpha0"), positive(D, "D")
     if args.r_cap is not None:
         return args.r_cap
     return 4.0 * (sphere_radius(alpha0, dimension) + D)
@@ -216,9 +218,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--sampled-cm", action="store_true",
-                   help="attach a mesh-sampled embedding check")
+                   help="attach a sampled embedding check")
     p.add_argument("--mesh-h", type=float, default=0.02,
-                   help="mesh spacing of the sampled check")
+                   help="spacing of the sample lattice of the sampled check")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the sampled check")
     _add_format(p)

@@ -56,14 +56,23 @@ _QUAD_REL = 1e-12
 _SOLVE_REL = 1e-10
 
 
-def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray):
-    """GL16 integrals over the cells [a_i, b_i] plus GL16-GL8 error gauges."""
+def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
+    """GL16 integrals over the cells [a_i, b_i] plus GL16-GL8 error gauges.
+
+    With a per-cell ``param``, f is called as f(x, p), each node getting its
+    cell's row of param.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x16 = mid[:, None] + half[:, None] * _GL16_X[None, :]
-    y16 = f(x16.reshape(-1)).reshape(x16.shape)
     x8 = mid[:, None] + half[:, None] * _GL8_X[None, :]
-    y8 = f(x8.reshape(-1)).reshape(x8.shape)
+    if param is None:
+        y16 = f(x16.reshape(-1)).reshape(x16.shape)
+        y8 = f(x8.reshape(-1)).reshape(x8.shape)
+    else:
+        y16 = f(x16.reshape(-1),
+                np.repeat(param, 16, axis=0)).reshape(x16.shape)
+        y8 = f(x8.reshape(-1), np.repeat(param, 8, axis=0)).reshape(x8.shape)
     # a non-finite integrand is reported by the caller as a QuadratureError.
     # Row-wise sums, not a matrix product: BLAS rounds a row differently
     # depending on how many rows share the call.
@@ -74,13 +83,15 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray):
 
 
 def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
-                    group=None) -> np.ndarray:
+                    group=None, param=None) -> np.ndarray:
     """Adaptive panel integration of f over each cell, returned per cell.
 
     A panel is accepted when its GL16-GL8 gap is at most rel times its value
     plus 1e-4 times the scale of its cell's group: the largest first-pass
     value among the cells sharing its ``group`` label (one group by default).
     A cell's result therefore depends only on the cells of its own group.
+    ``param`` (one entry or row per cell) is passed to f as f(x, p), and
+    the halves of a bisected cell inherit it.
 
     f must be smooth on each cell.  A jump between a cell end and the
     outermost GL16 and GL8 nodes is invisible to both rules, so the gap
@@ -94,10 +105,11 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         return out
     labels = np.zeros(a.size, dtype=np.intp) if group is None else group
     idx = np.arange(a.size)
+    p = None if param is None else np.asarray(param, dtype=float)
     scale = None
     # every pass halves all pending cells, so they share one depth
     for depth in range(_MAX_DEPTH + 1):
-        i16, err = _panel_integrals(f, a, b)
+        i16, err = _panel_integrals(f, a, b, p)
         # the GL nodes are interior, so halving a panel cannot make a
         # non-finite integrand finite: fail on the first one
         bad = ~(np.isfinite(i16) & np.isfinite(err))
@@ -133,6 +145,8 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         a = np.concatenate([a2, mid])
         b = np.concatenate([mid, b2])
         idx = np.concatenate([idx2, idx2])
+        if p is not None:
+            p = np.concatenate([p[pending], p[pending]])
 
 
 def euclidean_annulus_volume(dimension: int, r_a: float, r_b: float) -> float:

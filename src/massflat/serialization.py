@@ -162,7 +162,9 @@ def profile_from_dict(data) -> HawkingProfile:
     if "adm_mass" in data:
         declared = _number(data["adm_mass"], "adm_mass")
         actual = profile.adm_mass
-        if abs(declared - actual) > 1e-12 * max(1.0, abs(actual)):
+        # the gates' relative rule: no absolute floor, so a tiny mass is
+        # checked as closely as a large one
+        if not abs(declared - actual) <= 1e-12 * abs(actual):
             raise ProfileFormatError(
                 f"declared adm_mass {declared} disagrees with the final "
                 f"piece value {actual}")

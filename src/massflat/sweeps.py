@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .certificates import flat_certificate
-from .errors import MassflatError
+from .errors import MassflatError, positive
 from .geometry import ManifoldModel, tubular_window
 from .ghdist import best_gh_bound, segment_limit_bound
 from .profiles import deep_well, schwarzschild, sphere_radius, stripes
@@ -93,13 +93,19 @@ def run_sweep(family: str, values: Sequence, alpha0: float, D: float,
               epsilon: float, dimension: int = 3, well_depth: float = 10.0,
               radii: Sequence[float] = (1.0, 2.0),
               r_cap: Optional[float] = None) -> List[dict]:
-    """Certificate rows for every member of a profile family, input order."""
+    """Certificate rows for every member of a profile family, input order.
+
+    alpha0, D and epsilon must be finite and positive (DomainError before
+    any row runs); a failure within a row is recorded in its status.
+    """
     if family not in _FAMILIES:
         raise MassflatError(f"unknown family {family!r}; pick from "
                             f"{', '.join(_FAMILIES)}")
     values = list(values)
     if not values:
         raise MassflatError("sweep needs at least one parameter value")
+    alpha0, D = positive(alpha0, "alpha0"), positive(D, "D")
+    epsilon = positive(epsilon, "epsilon")
     return [_sweep_row(family, value, dimension, alpha0, D, epsilon,
                        well_depth, radii, r_cap) for value in values]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -140,7 +141,20 @@ _NON_POSITIVE = [
       for h in ("nan", "0", "-1", "inf")),
     ("example", "deep-well", "--well-depth", "inf"),
     ("example", "deep-well", "--alpha0", "inf"),
+    ("certificate", "{path}", "--alpha0", str(4.0 * math.pi), "--D", "inf",
+     "--epsilon", "0.5"),
+    ("certificate", "{path}", "--alpha0", "inf", "--D", "0.5",
+     "--epsilon", "0.5"),
+    ("gh", "{path}", "--alpha0", "inf", "--D", "0.5"),
+    ("gh", "{path}", "--alpha0", str(4.0 * math.pi), "--D", "-1"),
+    ("sweep", "--family", "schwarzschild", "--values", "1e-3", "--alpha0",
+     str(4.0 * math.pi), "--D", "inf", "--epsilon", "0.5"),
+    ("sweep", "--family", "schwarzschild", "--values", "1e-3", "--alpha0",
+     str(4.0 * math.pi), "--D", "0.5", "--epsilon", "nan"),
 ]
+# the name each message gives the parameter that failed
+_NAMES = {"--D": "D", "--alpha0": "alpha0", "--epsilon": "epsilon",
+          "--mesh-h": "mesh spacing h", "--well-depth": "well depth L"}
 
 
 @pytest.mark.parametrize("argv", _NON_POSITIVE, ids=" ".join)
@@ -151,7 +165,9 @@ def test_non_finite_or_non_positive_parameters_exit_2(argv, schwarz_path,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "must be finite and positive" in err
+    bad = next(opt for opt, value in zip(argv, argv[1:])
+               if value in ("inf", "nan", "0", "-1"))
+    assert f"error: {_NAMES[bad]} must be finite and positive" in err
 
 
 def test_gh_command(schwarz_path, capsys):
@@ -324,12 +340,16 @@ def test_each_command_takes_only_the_options_it_reads(schwarz_path, capsys):
 
 
 def test_start_up_imports_no_scipy(schwarz_path):
-    # scipy is only needed by the mesh, so the commands that do not mesh
-    # must not pay for importing it
+    # scipy is a test reference only: no command imports it, the sampled
+    # embedding check included
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
+    sampled = ["certificate", schwarz_path, "--alpha0", str(4.0 * math.pi),
+               "--D", "0.5", "--epsilon", "0.5", "--sampled-cm",
+               "--mesh-h", "0.1"]
     for argv in (["-c", "import massflat"],
-                 ["-m", "massflat.cli", "validate", schwarz_path]):
+                 ["-m", "massflat.cli", "validate", schwarz_path],
+                 ["-m", "massflat.cli", *sampled]):
         proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                               env=env, capture_output=True, text=True,
                               timeout=120)
@@ -339,3 +359,18 @@ def test_start_up_imports_no_scipy(schwarz_path):
                  if line.startswith("import time:")]
         assert "massflat.geometry" in names
         assert [n for n in names if n.split(".")[0] == "scipy"] == []
+
+
+def test_no_module_of_the_package_imports_scipy():
+    package = Path(cli.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), path

@@ -16,7 +16,6 @@ from massflat.embedding import (
 )
 from massflat.errors import DomainError
 from massflat.geometry import ManifoldModel, tubular_window
-from massflat.mesh import MeshGeodesicOracle
 from massflat.profiles import flat, schwarzschild
 
 
@@ -106,23 +105,6 @@ def test_annulus_distance_chord_and_blocked():
     assert annulus_distance(0.5, 1.3, 0.7, 1.3, 0.7) == 0.0
 
 
-def test_annulus_distance_against_mesh_oracle():
-    # warp f(s) = s on [r_in, r_out] is the flat annulus itself
-    r_in, r_out = 0.6, 2.2
-    h = 0.02
-    oracle = MeshGeodesicOracle(lambda s: np.asarray(s, dtype=float),
-                                r_in, r_out, h)
-    rng = np.random.default_rng(12)
-    for _ in range(25):
-        r1, r2 = rng.uniform(r_in, r_out, 2)
-        t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
-        exact = annulus_distance(r_in, r1, t1, r2, t2)
-        mesh = oracle.distance((r1, t1), (r2, t2))
-        # the mesh overestimates, by at most its quantization margin
-        assert mesh >= exact - 2.01 * h
-        assert mesh <= exact + 0.01 * exact + 2.5 * h
-
-
 def test_annulus_triangle_inequality():
     rng = np.random.default_rng(77)
     r_in = 0.5
@@ -147,9 +129,8 @@ def test_metric_embedding_check_passes_and_is_deterministic():
                         "max_violation", "tol_min"}
     rep2 = metric_embedding_check(model, w, mesh_h=0.05, seed=3, n_pairs=256)
     assert rep == rep2
-    # sampled distortion is controlled by the bound plus mesh inflation
-    assert rep["c_m_sampled"] <= rep["c_m_bound"] \
-        + 2.0 * rep["mesh_h"] * (1.0 + rep["sup_grad"])
+    # the distances are exact, so the sampled distortion obeys the bound
+    assert rep["c_m_sampled"] <= rep["c_m_bound"]
 
 
 def test_metric_embedding_check_requires_finite_defect():
@@ -161,3 +142,6 @@ def test_metric_embedding_check_requires_finite_defect():
     rep = metric_embedding_check(model, w, mesh_h=0.25, seed=0, n_pairs=64,
                                  S=50.0)
     assert rep["s_m"] == 50.0
+    # the window starts on the horizon, where paths spiral along the
+    # boundary circle; every distance is still finite
+    assert 0.0 < rep["c_m_sampled"] < math.inf

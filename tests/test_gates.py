@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from massflat.certificates import delta_budget, flat_certificate, well_cut
-from massflat.embedding import budget_embedding_constants
+from massflat.embedding import (budget_embedding_constants,
+                                metric_embedding_check, tube_distance)
 from massflat.errors import DomainError, RangeError, checked_range, positive
 from massflat.geometry import ManifoldModel, tubular_window, window_bracket
 from massflat.ghdist import segment_limit_bound
-from massflat.mesh import MeshGeodesicOracle
 from massflat.profiles import deep_well_parameters, schwarzschild, stripes
 
 
@@ -35,7 +35,7 @@ def test_out_of_range_queries_raise_at_every_scale(lam):
         with pytest.raises(RangeError):
             query(value)
     with pytest.raises(RangeError):
-        MeshGeodesicOracle.from_model(model, 0.0, past_s_cap, 0.05 * lam)
+        tube_distance(model, model.r_min, past_cap, 0.0, model.r_cap, 1.0)
     # round-off past an end is clipped, at every scale
     assert model.s(model.r_cap * (1.0 + 1e-13)) == model.s_cap
     assert model.r_of_s(model.s_cap * (1.0 + 1e-13)) == model.r_cap
@@ -102,6 +102,6 @@ def test_every_positive_parameter_rejects_infinity():
                  lambda: delta_budget(0.5, inf, 1.0, 3),
                  lambda: deep_well_parameters(3, 0.02, 1.0, inf),
                  lambda: budget_embedding_constants(3, 0.5, inf, 0.1),
-                 lambda: MeshGeodesicOracle(np.asarray, 0.0, 1.0, inf)):
+                 lambda: metric_embedding_check(model, window, inf, 0)):
         with pytest.raises(DomainError, match="must be finite and positive"):
             call()

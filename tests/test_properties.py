@@ -1,5 +1,7 @@
 """Property tests over the profile generators and random splines, at scales
-lam = 10^U(-6, 6): the range rule, s' >= 1 and scale covariance."""
+lam = 10^U(-6, 6): the range rule, s' >= 1, scale covariance, F increments
+bounded by the scanned slope, byte-stable serialization, and tube distances
+between the ambient product distance and two explicit paths."""
 
 from __future__ import annotations
 
@@ -9,9 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from massflat.embedding import annulus_distance, tube_distance
 from massflat.errors import RangeError
 from massflat.geometry import ManifoldModel
 from massflat.profiles import deep_well, flat, schwarzschild, stripes
+from massflat.serialization import dumps_profile, loads_profile
 from util import random_spline_profile
 
 pytest.importorskip("hypothesis")
@@ -97,3 +101,54 @@ def test_s_and_F_are_scale_covariant(name, lam, fracs):
         err = np.abs(query(lam * rs) / lam - want)
         assert np.all(err <= 1e-12 * np.abs(want)
                       + slope(rs) * np.spacing(rs)), (err, want)
+
+
+@settings(max_examples=30)
+@given(names, scales, fractions)
+def test_F_increments_are_bounded_by_the_scanned_slope(name, lam, fracs):
+    model = _scaled(name, lam)
+    rs = np.sort(model.r_min + (model.r_cap - model.r_min) * np.array(fracs))
+    rs = np.clip(rs, model.r_min, model.r_cap)
+    inc = np.diff(model.F(rs))
+    # F is nondecreasing, up to the quadrature's relative accuracy
+    slack = 1e-12 * float(model.F(model.r_cap))
+    assert np.all(inc >= -slack), inc.min()
+    for a, b, step in zip(rs[:-1], rs[1:], inc):
+        # the slope is infinite on a boundary sphere, where b - a may be 0
+        bound = model.sup_grad(a, b) * (b - a) if b > a else 0.0
+        assert step <= bound + slack, (a, b)
+
+
+@settings(max_examples=30)
+@given(names, scales)
+def test_serialization_is_byte_stable(name, lam):
+    text = dumps_profile(_scaled(name, lam).profile)
+    assert dumps_profile(loads_profile(text)) == text
+
+
+@settings(max_examples=20)
+@given(names, scales, st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_tube_distances_lie_between_the_ambient_one_and_explicit_paths(
+        name, lam, inner, seed):
+    model = _scaled(name, lam)
+    rng = np.random.default_rng(seed)
+    r_in = model.r_min + inner * (model.r_cap - model.r_min)
+    r1, r2 = rng.uniform(r_in, model.r_cap, (2, 16))
+    r1[:4] = r_in
+    t1, t2 = rng.uniform(0.0, 2.0 * math.pi, (2, 16))
+    d = tube_distance(model, r_in, r1, t1, r2, t2)
+    # the graph over the annulus embeds the tube 1-Lipschitz into
+    # (annulus) x R
+    ambient = np.hypot(annulus_distance(r_in, r1, t1, r2, t2),
+                       model.F(r1) - model.F(r2))
+    phi = np.abs(t1 - t2) % (2.0 * math.pi)
+    phi = np.minimum(phi, 2.0 * math.pi - phi)
+    s1, s2, s_in = model.s(r1), model.s(r2), model.s(r_in)
+    # around the lower circle then radially, or down to the inner circle,
+    # around it and up
+    paths = np.minimum(np.minimum(r1, r2) * phi + np.abs(s2 - s1),
+                       s1 + s2 - 2.0 * s_in + r_in * phi)
+    slack = 1e-10 * model.s_cap
+    assert np.all(ambient <= d + slack), np.max(ambient - d)
+    assert np.all(np.abs(s2 - s1) <= d + slack)
+    assert np.all(d <= paths + slack), np.max(d - paths)

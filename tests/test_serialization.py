@@ -76,6 +76,21 @@ def test_declared_adm_mass_is_verified():
     assert profile_from_dict(doc).adm_mass == 0.1
 
 
+def test_declared_adm_mass_is_checked_relative_to_the_mass():
+    tiny = stripes((1.0, 2.0), 1e-17)
+    doc = profile_to_dict(tiny)
+    assert 0.0 < doc["adm_mass"] < 1e-17
+    doc["adm_mass"] = 5e-13
+    with pytest.raises(ProfileFormatError, match="adm_mass"):
+        profile_from_dict(doc)
+    doc["adm_mass"] = tiny.adm_mass * (1.0 + 1e-13)
+    assert profile_from_dict(doc).adm_mass == tiny.adm_mass
+    doc = profile_to_dict(flat(3))
+    doc["adm_mass"] = 1e-300
+    with pytest.raises(ProfileFormatError, match="adm_mass"):
+        profile_from_dict(doc)
+
+
 def test_unknown_keys_rejected_everywhere():
     doc = profile_to_dict(schwarzschild(3, 0.1))
     doc["comment"] = "hi"
