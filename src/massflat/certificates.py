@@ -211,8 +211,8 @@ def switch_bounds(model: ManifoldModel, window: TubularWindow,
     a0_actual = euclidean_annulus_volume(m, window.r_plus, window.r0 + window.D)
     a0_bound = window.D * q_slope(delta, window.r0, m) \
         * omega * (window.r0 + window.D) ** (m - 1)
-    scale = max(1.0, a0_bound)
-    if a0_actual > a0_bound + 1e-12 * scale:
+    # the gates' relative rule: 1e-12 of the bound, at every scale
+    if a0_actual > a0_bound * (1.0 + 1e-12):
         raise CertificateError(
             f"A0 volume {a0_actual} exceeds its bound {a0_bound}")
     inner = max(window.r0 - window.D, 0.0)
@@ -220,7 +220,7 @@ def switch_bounds(model: ManifoldModel, window: TubularWindow,
     if window.r_minus ** (m - 2) > 2.0 * delta:
         a22_bound = window.D * q_slope(delta, window.r_minus, m) \
             * omega * window.r0 ** (m - 1)
-        if a22_actual > a22_bound + 1e-12 * max(1.0, a22_bound):
+        if a22_actual > a22_bound * (1.0 + 1e-12):
             raise CertificateError(
                 f"A22 volume {a22_actual} exceeds its bound {a22_bound}")
     else:

@@ -14,9 +14,10 @@ ds^2 + r(s)^2 dtheta^2, whose geodesics keep Clairaut's constant
 c = r^2 dtheta/dt (do Carmo, Differential Geometry of Curves and Surfaces,
 sec. 4-4).  tube_distance shoots on c: each step is one batched adaptive
 quadrature of the swept angle, through the same primitive as every other
-integral of the package.  metric_embedding_check compares these distances
-with the ambient product's on seeded pairs of nodes of an (s, theta)
-lattice over the window.
+integral of the package, over one or two outward legs in r whose cells end
+where the model's own cells do.  metric_embedding_check compares these
+distances with the ambient product's on seeded pairs of nodes of an
+(s, theta) lattice over the window.
 """
 
 from __future__ import annotations
@@ -76,24 +77,21 @@ class EmbeddingConstants:
     C_M_sampled: Optional[float] = None
 
 
-def embedding_constant_bound(model, r_a, r_b: float,
-                             diam_W_bound: Optional[float] = None
-                             ) -> EmbeddingConstants:
+def embedding_constant_bound(model, r_a, r_b: float) -> EmbeddingConstants:
     """Distortion constants for the reconstruction restricted to [r_a, r_b].
 
-    sup|grad F| is scanned on the range; the annulus diameter bound defaults
-    to the measured strip length plus pi r_b but can be supplied (e.g. the
-    budget value 2 D + pi r0).  S_M = sqrt(C (diam_M + C)) where diam_M is
-    bounded by diam_W sqrt(1 + sup_grad^2) plus the graph height.  An array
-    of left ends r_a sharing r_b gives constants whose fields are arrays.
+    sup|grad F| is scanned on the range, and the annulus diameter is bounded
+    by the measured strip length plus pi r_b.  S_M = sqrt(C (diam_M + C))
+    where diam_M is bounded by diam_W sqrt(1 + sup_grad^2) plus the graph
+    height.  An array of left ends r_a sharing r_b gives constants whose
+    fields are arrays.
     """
     scalar = np.ndim(r_a) == 0
     r_a = np.atleast_1d(np.asarray(r_a, dtype=float))
     sup_grad = model.sup_grad(r_a, r_b)
     ends = np.append(r_a, r_b)
-    if diam_W_bound is None:
-        s_ends = model.s(ends)
-        diam_W_bound = (s_ends[-1] - s_ends[:-1]) + math.pi * r_b
+    s_ends = model.s(ends)
+    diam_W_bound = (s_ends[-1] - s_ends[:-1]) + math.pi * r_b
     f_ends = model.F(ends)
     delta_f = f_ends[-1] - f_ends[:-1]
     # sup_grad is infinite only on a boundary sphere, where diam_W > 0, so
@@ -101,7 +99,7 @@ def embedding_constant_bound(model, r_a, r_b: float,
     diam_M = diam_W_bound * np.sqrt(1.0 + sup_grad**2) + delta_f
     C = 2.0 * diam_W_bound * sup_grad
     fields = {"C_M_bound": C, "S_M": np.sqrt(C * (diam_M + C)),
-              "diam_W_bound": np.broadcast_to(diam_W_bound, r_a.shape),
+              "diam_W_bound": diam_W_bound,
               "diam_M_bound": diam_M, "sup_grad": sup_grad, "delta_F": delta_f}
     if scalar:
         fields = {k: float(v[0]) for k, v in fields.items()}
@@ -165,85 +163,56 @@ def annulus_distance(r_in, r1, theta1, r2, theta2):
     return float(out[0]) if scalar else out
 
 
-def _cut_radii(model) -> np.ndarray:
-    """Radii where s' may be unsmooth: piece ends and spline knots.
-
-    On a singular model the first knot is a cut too: below it the path
-    integrals run under the substitution that absorbs the boundary
-    singularity (see _path_integrals).
-    """
-    cuts = [model.knots[1]] if model._singular else []
-    for piece in model.profile.pieces:
-        cuts += [piece.r_lo, piece.r_hi, *getattr(piece, "knots", ())]
-    cuts = np.unique(cuts)
-    return cuts[(cuts > model.r_min) & (cuts < model.r_cap)]
-
-
-def _path_integrals(model, cuts, r1, r2, c, turning, length: bool):
+def _path_integrals(model, r1, r2, c, turning, length: bool):
     """Swept angle, or length, of the geodesics with Clairaut constants c
     from radius r1 to radius r2 >= r1, turning once at radius c where
     ``turning``.
 
-    With v = +-sqrt(r^2 - c^2), negative before the turning point, the
-    length is the integral of s'(r) dv and the angle that of
+    A path is integrated as outward legs: c -> r1 plus c -> r2 where it
+    turns, r1 -> r2 where it does not.  On a leg, with v = sqrt(r^2 - c^2),
+    the length is the integral of s'(r) dv and the angle that of
     c s'(r) / r^2 dv = s'(r) dalpha, alpha = arctan(v / c) being the angle
-    the straight segment with Clairaut constant c sweeps in the plane; both
-    are smooth through the turning point, and the angle's integrand stays
-    bounded as c -> 0, where c / r^2 dv peaks.  Cells end at the cut
-    radii.  On a singular model, below the first knot, where
-    s' ~ (r - r_min)^(-1/2), a cell runs under w with
+    the straight segment with Clairaut constant c sweeps in the plane; the
+    angle's integrand stays bounded as c -> 0, where c / r^2 dv peaks.  Both
+    integrands are even in v and in alpha, so the legs of a turning path
+    add up to the integral through its turning point.  A leg's cells end at
+    the model's cut radii.  On a singular model, below its substitution
+    edge, where s' ~ (r - r_min)^(-1/2), a cell runs under w with
     r = max(c, r_min) + |c - r_min| sinh(w)^2, which leaves the bounded
     integrands 2 s' sqrt(r - r_min) r / sqrt(r + c) dw (length) and c / r^2
-    times it (angle).  The angle diverges as c -> r_min on a path that
-    reaches r_min; such a path reads +inf.  Each path is its own tolerance
-    group, so its value does not depend on the batch.
+    times it (angle), again even in w.  The angle diverges as c -> r_min on
+    a path that reaches r_min; such a path reads +inf.  Each path is its own
+    tolerance group, so its value does not depend on the batch.
     """
     n = r1.size
     r_min = model.r_min
-    low = np.where(turning, c, r1)
+    t = np.nonzero(turning)[0]
+    path = np.concatenate([np.arange(n), t])
+    lo = np.concatenate([np.where(turning, c, r1), c[t]])
+    hi = np.concatenate([np.where(turning, r1, r2), r2[t]])
     out = np.zeros(n)
-    diverge = (model._singular & (c == r_min) & (low == r_min) & (r2 > low))
+    diverge = model._singular & (c == r_min) & (lo[:n] == r_min) & (r2 > r_min)
     out[diverge] = np.inf
-    # the path's points: start, turning point, end, and the cut radii met
-    # going in (sign -1) and going out (+1); sign (r - c) orders them
-    k = cuts.size
-    cut_rows = np.broadcast_to(cuts, (n, k))
-    rad = np.concatenate([r1[:, None], c[:, None], r2[:, None],
-                          cut_rows, cut_rows], axis=1)
-    sign = np.concatenate([np.where(turning, -1.0, 1.0)[:, None],
-                           np.zeros((n, 1)), np.ones((n, 1)),
-                           -np.ones((n, k)), np.ones((n, k))], axis=1)
-    valid = np.concatenate([
-        np.ones((n, 1), dtype=bool), turning[:, None],
-        np.ones((n, 1), dtype=bool),
-        turning[:, None] & (cut_rows > c[:, None]) & (cut_rows < r1[:, None]),
-        (cut_rows > low[:, None]) & (cut_rows < r2[:, None])], axis=1)
-    valid &= ~diverge[:, None]
-    key = np.where(valid, sign * (rad - c[:, None]), np.inf)
-    order = np.argsort(key, axis=1, kind="stable")
-    rad = np.take_along_axis(rad, order, axis=1)
-    sign = np.take_along_axis(sign, order, axis=1)
-    key = np.take_along_axis(key, order, axis=1)
-    live = np.isfinite(key[:, 1:]) & (rad[:, :-1] != rad[:, 1:])
-    owner = np.nonzero(live)[0]
+    # each leg's cells, ascending; empty ones are dropped
+    edges = np.column_stack([lo, np.clip(model._cuts, lo[:, None],
+                                         hi[:, None]), hi])
+    live = (edges[:, :-1] < edges[:, 1:]) & ~diverge[path][:, None]
+    owner = np.broadcast_to(path[:, None], live.shape)[live]
     if owner.size == 0:
         return out
     cc = c[owner]
     eps = cc - r_min
-    r_w = model.knots[1] if model._singular else -np.inf
-    ends = (rad[:, :-1][live], rad[:, 1:][live])
-    signs = (sign[:, :-1][live], sign[:, 1:][live])
-    sub = (np.maximum(*ends) <= r_w) & (eps != 0.0)
+    a, b = edges[:, :-1][live], edges[:, 1:][live]
+    sub = (b <= model._sub_edge) & (eps != 0.0)
 
-    def coordinate(r, s):
-        x = s * np.sqrt((r - cc) * (r + cc))
+    def coordinate(r):
+        x = np.sqrt((r - cc) * (r + cc))
         if not length:
             x = np.arctan2(x, cc)
-        x[sub] = s[sub] * np.arcsinh(np.sqrt(
+        x[sub] = np.arcsinh(np.sqrt(
             (r[sub] - np.maximum(cc[sub], r_min)) / np.abs(eps[sub])))
         return x
 
-    a, b = (coordinate(r, s) for r, s in zip(ends, signs))
     r_floor = np.nextafter(r_min, np.inf)
 
     def plain(x, c):  # in v (length) or alpha (angle)
@@ -264,8 +233,8 @@ def _path_integrals(model, cuts, r1, r2, c, turning, length: bool):
         y[~w] = plain(x[~w], c[~w])
         return y
 
-    vals = _adaptive_cells(integrand, a, b, _QUAD_REL, owner,
-                           np.column_stack([cc, sub]))
+    vals = _adaptive_cells(integrand, coordinate(a), coordinate(b),
+                           _QUAD_REL, owner, np.column_stack([cc, sub]))
     out += np.bincount(owner, weights=vals, minlength=n)
     return out
 
@@ -317,7 +286,6 @@ def tube_distance(model, r_in: float, r1, theta1, r2, theta2):
 
 def _shoot(model, r_in, r1, r2, phi):
     """Distances for r1 <= r2 and folded angles phi > 0 (see tube_distance)."""
-    cuts = _cut_radii(model)
     n = phi.size
     # the straight line between the points, in the plane, sweeps u and
     # passes at distance c from the origin; u_max grazes the inner circle
@@ -336,15 +304,13 @@ def _shoot(model, r_in, r1, r2, phi):
 
     def integrals(sel, u, length=False):
         c, turning = clairaut(sel, u)
-        return _path_integrals(model, cuts, r1[sel], r2[sel], c, turning,
-                               length)
+        return _path_integrals(model, r1[sel], r2[sel], c, turning, length)
 
     # Theta(u_max) >= u_max, so only phi >= u_max may hug; the boundary
     # circle of a singular model is a closed geodesic, which paths from it
-    # or around it approach by spiralling, and Theta(u_max) is unbounded
+    # or around it approach by spiralling, and Theta(u_max) reads +inf
     theta_max = np.full(n, np.inf)
-    check = (phi >= u_max) & ~(model._singular & (r_in == model.r_min)
-                               & (r2 > r_in))
+    check = phi >= u_max
     if np.any(check):
         theta_max[check] = integrals(check, u_max[check])
     u, theta = u_max.copy(), theta_max.copy()

@@ -237,11 +237,14 @@ class ManifoldModel:
     def _build_tables(self):
         profile = self.profile
         pts = [np.array([self.r_min, self.r_cap])]
+        # piece ends and spline knots: where s' may be unsmooth
+        breaks = []
         for k, piece in enumerate(profile.pieces):
             a = max(piece.r_lo, self.r_min)
             b = min(piece.r_hi, self.r_cap)
             if not b > a:
                 continue
+            breaks += [a, b]
             pts.append(np.linspace(a, b, 49))
             if a > 0 and b / a > 6.0:
                 pts.append(np.geomspace(a, b, 33))
@@ -251,12 +254,15 @@ class ManifoldModel:
                 # sqrt grading resolves the boundary singularity profile
                 pts.append(a + (b - a) * np.linspace(0.0, 1.0, 49) ** 2)
             if isinstance(piece, CubicSplinePiece):
-                inner = piece.knots[(piece.knots > a) & (piece.knots < b)]
-                if inner.size:
-                    pts.append(inner)
-        knots = np.unique(np.concatenate(pts))
+                breaks += [x for x in piece.knots if a < x < b]
+        knots = np.unique(np.concatenate(pts + [breaks]))
         knots = knots[(knots >= self.r_min) & (knots <= self.r_cap)]
         self.knots = knots
+        # below this edge a singular model integrates under u = sqrt(r - r_min)
+        self._sub_edge = knots[1] if self._singular else -math.inf
+        # every integral's cells end at these radii
+        cuts = np.unique(np.append(breaks, self._sub_edge))
+        self._cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
         # one tolerance group per table, scaled by its largest increment
         self._F_knots, self._s_knots = (
             np.concatenate([[0.0], np.cumsum(
@@ -268,14 +274,15 @@ class ManifoldModel:
     def _integrate_cells(self, fvec: Callable, a, b, group=None) -> np.ndarray:
         """Integrals of fvec over cells [a_i, b_i], each inside one knot interval.
 
-        On a singular model the first interval's cells run under
-        u = sqrt(r - r_min).  A query with a ``group`` label of its own (see
-        _adaptive_cells) gets the same value whatever else is in its batch.
+        Cells below _sub_edge run under u = sqrt(r - r_min).  A query with a
+        ``group`` label of its own (see _adaptive_cells) gets the same value
+        whatever else is in its batch.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         group = np.zeros(a.size, dtype=np.intp) if group is None else group
-        if not self._singular:
+        sub = b <= self._sub_edge
+        if not np.any(sub):
             return _adaptive_cells(fvec, a, b, _QUAD_REL, group)
         r_min = self.r_min
         # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back to
@@ -289,11 +296,9 @@ class ManifoldModel:
             return fvec(r) * 2.0 * np.sqrt(r - r_min)
 
         out = np.empty(a.size)
-        sub = b <= self.knots[1]
-        if np.any(sub):
-            out[sub] = _adaptive_cells(g, np.sqrt(a[sub] - r_min),
-                                       np.sqrt(b[sub] - r_min), _QUAD_REL,
-                                       group[sub])
+        out[sub] = _adaptive_cells(g, np.sqrt(a[sub] - r_min),
+                                   np.sqrt(b[sub] - r_min), _QUAD_REL,
+                                   group[sub])
         if not np.all(sub):
             out[~sub] = _adaptive_cells(fvec, a[~sub], b[~sub], _QUAD_REL,
                                         group[~sub])
@@ -319,8 +324,7 @@ class ManifoldModel:
         if np.any(off):
             x, i = arr[off], i[off]
             j = np.where(x - knots[i - 1] <= knots[i] - x, i - 1, i)
-            if self._singular:
-                j = np.where(x < knots[1], 0, j)
+            j = np.where(x < self._sub_edge, 0, j)
             anchor = knots[j]
             inc = self._integrate_cells(fvec, np.minimum(anchor, x),
                                         np.maximum(anchor, x),

@@ -161,8 +161,6 @@ class PowerLawPiece(ProfilePiece):
     def mass_prime(self, r):
         r = np.asarray(r, dtype=float)
         p = self.exponent
-        if p == 1.0:
-            return np.full_like(r, self.coefficient)
         return self.coefficient * p * r ** (p - 1.0)
 
     def wall_gap(self, r, dimension):
@@ -279,26 +277,19 @@ class CubicSplinePiece(ProfilePiece):
         self.slopes = slopes
         self.power = power
         self.gap_space = bool(gap_space)
-        if power == 1.0:
-            self._u_knots = knots
-            self._u_slopes = slopes
-        else:
-            self._u_knots = knots**power
-            dudr = power * knots ** (power - 1.0)
-            if knots[0] == 0.0:
-                if slopes[0] != 0.0:
-                    raise DomainError(
-                        "a knot at r=0 with power > 1 requires zero slope")
-                u_slopes = np.empty_like(slopes)
-                u_slopes[0] = 0.0
-                u_slopes[1:] = slopes[1:] / dudr[1:]
-                self._u_slopes = u_slopes
-            else:
-                self._u_slopes = slopes / dudr
+        self._u_knots = knots**power
+        dudr = power * knots ** (power - 1.0)
+        if knots[0] == 0.0 and power > 1.0:
+            # du/dr = 0 there, so only a zero slope maps to a finite one
+            if slopes[0] != 0.0:
+                raise DomainError(
+                    "a knot at r=0 with power > 1 requires zero slope")
+            dudr[0] = math.inf
+        self._u_slopes = slopes / dudr
 
     def _segment(self, r):
         r = np.asarray(r, dtype=float)
-        u = r if self.power == 1.0 else r**self.power
+        u = r**self.power
         uk = self._u_knots
         i = np.clip(np.searchsorted(uk, u, side="right") - 1, 0, uk.size - 2)
         h = uk[i + 1] - uk[i]
@@ -318,8 +309,6 @@ class CubicSplinePiece(ProfilePiece):
 
     def _dudr(self, r):
         r = np.asarray(r, dtype=float)
-        if self.power == 1.0:
-            return np.ones_like(r)
         return self.power * r ** (self.power - 1.0)
 
     def mass(self, r):

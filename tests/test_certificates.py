@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -187,6 +188,20 @@ def test_switch_bounds_dominance_and_preconditions():
         switch_bounds(model, w, 1e-4)  # adm >= delta
     with pytest.raises(CertificateError):
         switch_bounds(model, w, 0.3)  # horizon scale reaches r0/2
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-6])
+@pytest.mark.parametrize("field", ["r_plus", "r_minus"])
+def test_switch_bounds_reject_a_forged_window_at_every_scale(lam, field):
+    # moving either window end to r0 makes its mismatch annulus several times
+    # its bound; the tolerance must be relative, or it swallows that below
+    # unit scale
+    model = ManifoldModel(schwarzschild(3, 1e-3).scale(lam), 8.0 * lam)
+    w = tubular_window(model, 4.0 * math.pi * lam**2, 0.5 * lam)
+    switch_bounds(model, w, 0.01 * lam)
+    with pytest.raises(CertificateError, match="exceeds its bound"):
+        switch_bounds(model, dataclasses.replace(w, **{field: w.r0}),
+                      0.01 * lam)
 
 
 def _budget_oracle_feasible(delta, epsilon, D, alpha0, m):

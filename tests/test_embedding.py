@@ -60,10 +60,6 @@ def test_defect_identity_holds_exactly():
         c.C_M_bound * (c.diam_M_bound + c.C_M_bound), rel=1e-12)
     assert c.mode == "measured"
     assert c.C_M_sampled is None
-    # explicit diameter bound is honored
-    c2 = embedding_constant_bound(model, 0.5, 2.0, diam_W_bound=10.0)
-    assert c2.diam_W_bound == 10.0
-    assert c2.C_M_bound == pytest.approx(20.0 * c2.sup_grad, rel=1e-14)
 
 
 def test_flat_model_has_zero_defect():

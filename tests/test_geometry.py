@@ -467,6 +467,12 @@ def test_profile_breaks_are_model_knots(name):
     assert inside.size > 2
     missing = np.setdiff1d(inside, model.knots)
     assert missing.size == 0, missing
+    # the cells of the geodesic integrals end at the same breaks inside the
+    # model, and at the edge of the boundary substitution
+    cuts = breaks[(breaks > model.r_min) & (breaks < model.r_cap)]
+    if model._singular:
+        cuts = np.append(cuts, model.knots[1])
+    np.testing.assert_array_equal(model._cuts, np.unique(cuts))
 
 
 @pytest.mark.parametrize("lam", [1.0, 1e-3, 1e-6])

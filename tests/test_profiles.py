@@ -84,6 +84,17 @@ def test_cubic_spline_rejects_bad_data():
         CubicSplinePiece([1.0, 2.0], [0.1, 0.2], [0.0, 0.0], power=0.5)
 
 
+def test_spline_knot_at_the_origin_needs_zero_slope_only_above_power_one():
+    # du/dr = power r^(power - 1) vanishes at r = 0 only for power > 1
+    with pytest.raises(DomainError, match="zero slope"):
+        CubicSplinePiece([0.0, 1.0], [0.0, 0.2], [0.1, 0.0], power=2.0)
+    sq = CubicSplinePiece([0.0, 1.0], [0.0, 0.2], [0.0, 0.0], power=2.0)
+    assert sq.mass_prime(np.array([0.0]))[0] == 0.0
+    lin = CubicSplinePiece([0.0, 1.0], [0.0, 0.2], [0.1, 0.0])
+    np.testing.assert_array_equal(lin.mass_prime(np.array([0.0, 1.0])),
+                                  [0.1, 0.0])
+
+
 def test_gap_space_spline_is_cancellation_free_near_wall():
     # gap drops from 1e-3 to 1e-18 across one interval; the evaluated gap
     # must stay positive and monotone instead of dissolving into roundoff

@@ -1,12 +1,17 @@
 """Property tests over the profile generators and random splines, at scales
 lam = 10^U(-6, 6): the range rule, s' >= 1, scale covariance, F increments
 bounded by the scanned slope, byte-stable serialization, and tube distances
-between the ambient product distance and two explicit paths."""
+between the ambient product distance and two explicit paths; and a failing
+property test under the repository's pytest settings."""
 
 from __future__ import annotations
 
 import functools
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,3 +157,28 @@ def test_tube_distances_lie_between_the_ambient_one_and_explicit_paths(
     assert np.all(ambient <= d + slack), np.max(ambient - d)
     assert np.all(np.abs(s2 - s1) <= d + slack)
     assert np.all(d <= paths + slack), np.max(d - paths)
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    # hypothesis's reporter warns while printing a falsifying example; under
+    # filterwarnings = error that warning must not abort the session
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+        """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out, out
