@@ -253,7 +253,7 @@ def _budget_conditions(delta: float, epsilon: float, D: float, r0: float,
             "threshold": xi_cap}]
     if 2.0 * delta < r_eps_prime ** (m - 2):
         q = q_slope(delta, r_eps_prime, m)
-        s = budget_embedding_constants(m, D, r0, q).S_M
+        s = budget_embedding_constants(D, r0, q).S_M
     else:
         q = math.inf
         s = math.inf

@@ -74,17 +74,18 @@ class EmbeddingConstants:
     sup_grad: float
     delta_F: float
     mode: str
-    C_M_sampled: Optional[float] = None
 
 
 def embedding_constant_bound(model, r_a, r_b: float) -> EmbeddingConstants:
     """Distortion constants for the reconstruction restricted to [r_a, r_b].
 
-    sup|grad F| is scanned on the range, and the annulus diameter is bounded
-    by the measured strip length plus pi r_b.  S_M = sqrt(C (diam_M + C))
-    where diam_M is bounded by diam_W sqrt(1 + sup_grad^2) plus the graph
-    height.  An array of left ends r_a sharing r_b gives constants whose
-    fields are arrays.
+    sup_grad is the model's knot scan of F' (ManifoldModel.sup_grad), and
+    the annulus diameter is bounded by the measured strip length plus pi r_b.
+    C = 2 diam_W sup_grad is therefore an upper bound only where F' peaks at
+    a knot or an end of the range; between knots it can read low.
+    S_M = sqrt(C (diam_M + C)) where diam_M is bounded by
+    diam_W sqrt(1 + sup_grad^2) plus the graph height.  An array of left
+    ends r_a sharing r_b gives constants whose fields are arrays.
     """
     scalar = np.ndim(r_a) == 0
     r_a = np.atleast_1d(np.asarray(r_a, dtype=float))
@@ -106,7 +107,7 @@ def embedding_constant_bound(model, r_a, r_b: float) -> EmbeddingConstants:
     return EmbeddingConstants(mode="measured", **fields)
 
 
-def budget_embedding_constants(dimension: int, D: float, r0: float,
+def budget_embedding_constants(D: float, r0: float,
                                Q: float) -> EmbeddingConstants:
     """Distortion constants from the slope budget Q alone."""
     D, r0 = positive(D, "D"), positive(r0, "r0")

@@ -40,9 +40,6 @@ __all__ = [
     "tubular_window",
     "window_bracket",
     "euclidean_annulus_volume",
-    "model_table",
-    "write_model_csv",
-    "CSV_COLUMNS",
 ]
 
 _TINY = 1e-300
@@ -427,10 +424,12 @@ class ManifoldModel:
         return self._range_integral(integrand, r_a, r_b)
 
     def sup_grad(self, r_a, r_b: float):
-        """Maximum of F' over [r_a, r_b], scanned at knots and endpoints.
+        """Largest F' at the model's knots inside [r_a, r_b] and at both ends.
 
-        r_a may be an array of left ends sharing r_b; a running maximum over
-        the knots serves them all from one F' evaluation.
+        A knot scan, not a certified supremum: where F' peaks between two
+        knots the scan reads below sup F' on the range.  r_a may be an array
+        of left ends sharing r_b; a running maximum over the knots serves
+        them all from one F' evaluation.
         """
         ras, scalar = self._radii(r_a)
         r_b = float(self._radii(r_b)[0][0])
@@ -476,9 +475,15 @@ class ManifoldModel:
                 self._r_disk = float(0.5 * (lo + hi))
         return self._r_disk
 
-    def _graph_invariants(self, r) -> Tuple[np.ndarray, ...]:
-        """R, A, H, m_H, m_H', F' and F'' at radii r in (r_min, r_cap]."""
-        x = self._radii(r)[0]
+    def quantities(self, r) -> dict:
+        """Pointwise invariants of the reconstruction at radii r > r_min.
+
+        Returns scalar curvature R, sphere area A, sphere mean curvature H,
+        the Hawking mass m_H and its radial derivative m_H_prime, all from
+        the graph parametrization (one-sided at piece joints): floats for a
+        scalar r, arrays for an array.
+        """
+        x, scalar = self._radii(r)
         if np.any(x <= self.r_min):  # singular there: F' = inf, or r = 0
             raise RangeError(f"quantities requires r > r_min = {self.r_min!r}"
                              f", got {float(np.min(x))!r}")
@@ -498,36 +503,8 @@ class ManifoldModel:
             curv = np.where(curved, (m - 1) * (zp / x) / one
                             * ((m - 2) * zp / x + 2.0 * zpp / one), 0.0)
         mean = (m - 1) / (x * np.sqrt(one))
-        return curv, area, mean, mh, mp, zp, zpp
-
-    def quantities(self, r) -> dict:
-        """Pointwise invariants of the reconstruction at radius r.
-
-        Returns scalar curvature R, sphere area A, sphere mean curvature H,
-        the Hawking mass and its radial derivative, all from the graph
-        parametrization (one-sided at piece joints).  Where the graph slope
-        is nonzero the ``radial`` entry repeats the five values computed in
-        the arclength parametrization as an internal cross-check.
-        """
-        x = float(r)
-        m = self.dimension
-        curv, area, mean, mh, mp, zp, zpp = (
-            float(v[0]) for v in self._graph_invariants(x))
-        out = {"R": curv, "A": area, "H": mean, "m_H": mh, "m_H_prime": mp,
-               "radial": None}
-        if zp > 1e-12:
-            rp = 1.0 / zp
-            rpp = -zpp / zp**3
-            one_r = 1.0 + rp * rp
-            curv_z = (m - 1) * ((m - 2) * one_r - 2.0 * x * rpp) / (x * x * one_r**2)
-            out["radial"] = {
-                "R": curv_z,
-                "A": area,
-                "H": (m - 1) * rp / (x * math.sqrt(one_r)),
-                "m_H": x ** (m - 2) / (2.0 * one_r),
-                "m_H_prime": x ** (m - 1) * rp * curv_z / (2.0 * (m - 1)),
-            }
-        return out
+        out = {"R": curv, "A": area, "H": mean, "m_H": mh, "m_H_prime": mp}
+        return {k: float(v[0]) for k, v in out.items()} if scalar else out
 
 
 @dataclass(frozen=True)
@@ -588,29 +565,3 @@ def tubular_window(model: ManifoldModel, alpha0: float, D: float) -> TubularWind
     return TubularWindow(alpha0=alpha0, D=D, r0=r0, s0=s0,
                          r_minus=r_minus, r_plus=r_plus,
                          s_minus=s_minus, s_plus=s_plus, clamped=clamped)
-
-
-CSV_COLUMNS = ("r", "F", "F_prime", "s", "m_H", "R", "A", "H")
-
-
-def model_table(model: ManifoldModel, rs=None) -> dict:
-    """Column arrays of the model's pointwise data at the given radii."""
-    if rs is None:
-        rs = model.knots[model.knots > model.r_min]
-    rs = np.asarray(rs, dtype=float)
-    curv, area, mean, mh = model._graph_invariants(rs)[:4]
-    return {"r": rs, "F": np.atleast_1d(model.F(rs)),
-            "F_prime": np.atleast_1d(model.f_prime(rs)),
-            "s": np.atleast_1d(model.s(rs)),
-            "m_H": mh, "R": curv, "A": area, "H": mean}
-
-def write_model_csv(model: ManifoldModel, path, rs=None) -> None:
-    """Write the model table as CSV with 17 significant digits."""
-    cols = model_table(model, rs)
-    n = cols["r"].size
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(n):
-            fh.write(",".join("%.17g" % cols[name][i]
-                              for name in CSV_COLUMNS) + "\n")
-

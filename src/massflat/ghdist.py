@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,25 +99,19 @@ class SegmentBound(NamedTuple):
 
 
 def segment_limit_bound(model: ManifoldModel, window: TubularWindow,
-                        L0: float,
-                        r_eps: Optional[float] = None) -> SegmentBound:
+                        L0: float) -> SegmentBound:
     """GH radii against Euclidean space with a segment of length L0 glued on.
 
     rho = max(F(r_plus) - F(r_eps) + S_M, pi r_eps) and
-    rho_prime = max(r_eps, F(r_plus) - F(r_eps) + S_M).  The default cut is
+    rho_prime = max(r_eps, F(r_plus) - F(r_eps) + S_M).  The cut r_eps is
     the geometric mean of the wall scale 2 m_ADM and r0^(m-2), taken in
     r^(m-2), which sits above any budget-small well and below the window.
     """
     positive(L0, "segment length L0")
     m = model.dimension
-    if r_eps is None:
-        xi_eps = math.sqrt(2.0 * model.adm_mass * window.r0 ** (m - 2))
-        r_eps = xi_eps ** (1.0 / (m - 2))
-        r_eps = min(max(r_eps, model.r_min), window.r0 * (1.0 - 1e-9))
-    r_eps = float(r_eps)
-    if not (model.r_min <= r_eps < window.r0):
-        raise RangeError(
-            f"cut radius {r_eps} outside [r_min, r0)")
+    xi_eps = math.sqrt(2.0 * model.adm_mass * window.r0 ** (m - 2))
+    r_eps = min(max(xi_eps ** (1.0 / (m - 2)), model.r_min),
+                window.r0 * (1.0 - 1e-9))
     consts = embedding_constant_bound(model, r_eps, window.r_plus)
     reach = consts.delta_F + consts.S_M
     return SegmentBound(rho=max(reach, math.pi * r_eps),

@@ -494,8 +494,9 @@ class ValidationReport:
         return "\n".join(str(i) for i in self.issues)
 
 
-# relative tolerance for C1 joints and the boundary identities, and the
-# allowed undershoot of m_H' below zero relative to its scale
+# relative tolerance for piece ends, C1 joints and the boundary identities,
+# and the allowed undershoot of m_H' below zero relative to its scale; every
+# rule scales with the values it compares, with no absolute floor
 _IDENTITY_REL = 1e-9
 _MONOTONE_SLACK = 1e-12
 
@@ -533,12 +534,12 @@ def validate(profile: HawkingProfile) -> ValidationReport:
 
     # structural coverage
     start = pieces[0].r_lo
-    if abs(start - profile.r_min) > rel * max(1.0, profile.r_min):
+    if abs(start - profile.r_min) > rel * max(start, profile.r_min):
         add("structure/start", start,
             f"first piece starts at {start}, expected r_min={profile.r_min}")
     for left, right in zip(pieces, pieces[1:]):
         a, b = left.r_hi, right.r_lo
-        slack = rel * max(1.0, abs(a))
+        slack = rel * max(a, b)
         if b > a + slack:
             add("structure/gap", a, f"gap between pieces: [{a}, {b}] uncovered")
         elif b < a - slack:
@@ -564,7 +565,7 @@ def validate(profile: HawkingProfile) -> ValidationReport:
                     "function would not be integrable")
     else:
         v0 = float(profile.mass(0.0))
-        if abs(v0) > rel * max(adm, 1.0e-12):
+        if abs(v0) > rel * adm:
             add("boundary/origin-mass", 0.0,
                 f"m_H(0)={v0!r}, expected 0 for a boundaryless profile")
 
@@ -592,8 +593,7 @@ def validate(profile: HawkingProfile) -> ValidationReport:
             add("numeric/nonfinite", piece.r_lo,
                 f"{piece.kind} piece produced a non-finite value")
             continue
-        slope_scale = max(1.0, float(np.max(np.abs(mp)))) if mp.size else 1.0
-        neg = mp < -_MONOTONE_SLACK * slope_scale
+        neg = mp < -_MONOTONE_SLACK * np.max(np.abs(mp), initial=0.0)
         if np.any(neg):
             k = int(np.argmin(mp))
             add("monotone/negative-slope", float(xs[k]),

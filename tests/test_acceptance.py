@@ -187,9 +187,8 @@ def test_criterion_03_curvature_sign_agreement():
     for k, (p, model) in enumerate(_random_models()):
         span = model.r_cap - model.r_min
         rs = model.r_min + span * rng.uniform(1e-3, 1.0, 500)
-        qs = [model.quantities(float(r)) for r in rs]
-        mps = np.array([q["m_H_prime"] for q in qs])
-        curvs = np.array([q["R"] for q in qs])
+        q = model.quantities(rs)
+        mps, curvs = q["m_H_prime"], q["R"]
         scale_m = max(np.max(np.abs(mps)), 1e-300)
         scale_r = max(np.max(np.abs(curvs)), 1e-300)
         sgn_m = np.where(np.abs(mps) <= 1e-8 * scale_m, 0, np.sign(mps))

@@ -42,7 +42,7 @@ def test_q_slope_monotonicity():
 
 def test_budget_constants_match_paper_worked_example():
     # Q = 1/3, D = 1, r0 = 1: C = (4 + 2 pi)/3 and S = sqrt(C (2 + pi + C))
-    c = budget_embedding_constants(3, 1.0, 1.0, 1.0 / 3.0)
+    c = budget_embedding_constants(1.0, 1.0, 1.0 / 3.0)
     c_exact = (4.0 + 2.0 * math.pi) / 3.0
     assert c.C_M_bound == pytest.approx(c_exact, rel=1e-14)
     assert c.S_M == pytest.approx(
@@ -50,7 +50,7 @@ def test_budget_constants_match_paper_worked_example():
     assert c.mode == "budget"
     assert c.diam_W_bound == pytest.approx(2.0 + math.pi, rel=1e-15)
     with pytest.raises(DomainError):
-        budget_embedding_constants(3, -0.5, 1.0, 0.1)
+        budget_embedding_constants(-0.5, 1.0, 0.1)
 
 
 def test_defect_identity_holds_exactly():
@@ -59,7 +59,6 @@ def test_defect_identity_holds_exactly():
     assert c.S_M ** 2 == pytest.approx(
         c.C_M_bound * (c.diam_M_bound + c.C_M_bound), rel=1e-12)
     assert c.mode == "measured"
-    assert c.C_M_sampled is None
 
 
 def test_flat_model_has_zero_defect():

@@ -101,7 +101,7 @@ def test_every_positive_parameter_rejects_infinity():
                  lambda: well_cut(0.5, inf, 1.0, 3),
                  lambda: delta_budget(0.5, inf, 1.0, 3),
                  lambda: deep_well_parameters(3, 0.02, 1.0, inf),
-                 lambda: budget_embedding_constants(3, 0.5, inf, 0.1),
+                 lambda: budget_embedding_constants(0.5, inf, 0.1),
                  lambda: metric_embedding_check(model, window, inf, 0)):
         with pytest.raises(DomainError, match="must be finite and positive"):
             call()

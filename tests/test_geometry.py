@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 
@@ -14,13 +13,10 @@ from scipy.stats import qmc
 from massflat.errors import (DomainError, QuadratureError, RangeError,
                              WindowOverflowError)
 from massflat.geometry import (
-    CSV_COLUMNS,
     ManifoldModel,
     _adaptive_cells,
     euclidean_annulus_volume,
-    model_table,
     tubular_window,
-    write_model_csv,
 )
 from massflat.profiles import (
     CubicSplinePiece,
@@ -222,10 +218,6 @@ def test_quantities_flat_and_schwarzschild():
     assert q["m_H"] == mass
     # H = (m-1) / (r sqrt(1 + F'^2)) with F'^2 = 2m/(r-2m)
     assert q["H"] == pytest.approx(2.0 / math.sqrt(1.25), rel=1e-12)
-    rad = q["radial"]
-    assert rad is not None
-    assert rad["m_H"] == pytest.approx(mass, rel=1e-10)
-    assert abs(rad["R"]) < 1e-8
 
 
 def test_quantities_stripe_curvature():
@@ -235,23 +227,7 @@ def test_quantities_stripe_curvature():
     for r in (1.1, 1.25, 1.4):
         q = model.quantities(r)
         assert q["R"] == pytest.approx(6.0 * k, rel=1e-10)
-        assert q["radial"]["R"] == pytest.approx(6.0 * k, rel=1e-8)
         assert q["m_H_prime"] > 0.0
-
-
-def test_quantities_sign_agreement_and_fd_slope():
-    rng = np.random.default_rng(5)
-    p = random_spline_profile(rng, 3)
-    model = ManifoldModel(p, float(p.pieces[1].knots[-1] + 3.0))
-    rs = rng.uniform(model.r_min + 0.1, model.r_cap - 0.1, 200)
-    h = 1e-6
-    for r in rs:
-        q = model.quantities(float(r))
-        fd = (p.mass(r + h) - p.mass(r - h)) / (2.0 * h)
-        assert q["m_H_prime"] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-        if abs(q["m_H_prime"]) > 1e-8:
-            assert math.copysign(1.0, q["R"]) == math.copysign(
-                1.0, q["m_H_prime"])
 
 
 def test_quantities_range_check():
@@ -260,6 +236,9 @@ def test_quantities_range_check():
         model.quantities(model.r_min * 0.5)
     with pytest.raises(RangeError):
         model.quantities(model.r_cap * 1.5)
+    # an array is refused if any radius is r_min itself
+    with pytest.raises(RangeError, match="requires r > r_min"):
+        model.quantities(np.array([1.0, model.r_min]))
 
 
 def test_r_disk_flat_schwarzschild_and_spline():
@@ -324,24 +303,6 @@ def test_deep_well_depth_exceeds_requested():
         p = deep_well(3, 0.2, 4.0 * math.pi, depth)
         model = ManifoldModel(p, 6.0)
         assert float(model.s(1.0)) >= depth
-
-
-def test_model_table_and_csv_round_trip(tmp_path):
-    model = _schwarzschild_model()
-    cols = model_table(model)
-    assert set(cols) == set(CSV_COLUMNS)
-    path = tmp_path / "table.csv"
-    write_model_csv(model, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == list(CSV_COLUMNS)
-    body = np.array([[float(x) for x in row] for row in rows[1:]])
-    for j, name in enumerate(CSV_COLUMNS):
-        np.testing.assert_array_equal(body[:, j], cols[name])
-    # rebuilding the model writes the identical file
-    path2 = tmp_path / "table2.csv"
-    write_model_csv(_schwarzschild_model(), path2)
-    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_validate_runs_inside_model_build():
@@ -419,6 +380,11 @@ def test_batched_queries_equal_the_per_point_loop(name):
     for query in (model.s, model.F):
         np.testing.assert_array_equal(
             query(rs), np.array([query(float(r)) for r in rs]))
+    inner = rs[rs > model.r_min]
+    batch = model.quantities(inner)
+    loop = [model.quantities(float(r)) for r in inner]
+    for key, values in batch.items():
+        np.testing.assert_array_equal(values, [q[key] for q in loop], key)
     ss = np.concatenate([[0.0], model._s_knots, [model.s_cap],
                          rng.uniform(0.0, model.s_cap, 40)])
     np.testing.assert_array_equal(
@@ -449,6 +415,38 @@ _KNOT_MODELS = {
     "stripes": lambda: ManifoldModel(stripes((1.0, 2.0, 3.0, 4.0), 0.1), 8.0),
     **{f"spline-{k}": (lambda k=k: _spline_model(k)) for k in range(6)},
 }
+
+
+_INVARIANT_MODELS = {
+    "schwarzschild": lambda: _schwarzschild_model(0.05, 8.0),
+    "stripes": lambda: ManifoldModel(stripes((1.0, 2.0, 3.0, 4.0), 0.1), 8.0),
+    "deep-well": lambda: ManifoldModel(
+        deep_well(3, 0.02, 4.0 * math.pi, 10.0), 8.0),
+    "deep-well-4d-no-boundary": lambda: ManifoldModel(
+        deep_well(4, 0.05, 2.0 * math.pi**2, 3.0, with_boundary=False), 6.0),
+    **{f"spline-{k}": (lambda k=k: _spline_model(k)) for k in range(9)},
+}
+
+
+def test_quantities_sign_agreement_and_fd_slope():
+    # m_H = r^(m-2) F'^2 / (2 (1 + F'^2)) makes R = 2 (m-1) m_H' / r^(m-1)
+    # an identity, so the graph curvature must match the profile's own slope
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    for name, build in _INVARIANT_MODELS.items():
+        model = build()
+        p, m = model.profile, model.dimension
+        rs = rng.uniform(model.r_min, model.r_cap, 1000)
+        rs = rs[rs > model.r_min + h]
+        q = model.quantities(rs)
+        curv, mp = q["R"], q["m_H_prime"]
+        identity = 2.0 * (m - 1) * mp / rs ** (m - 1)
+        scale = np.maximum(np.abs(curv), rs ** -2.0)
+        assert np.all(np.abs(curv - identity) <= 1e-13 * scale), name
+        fd = (p.mass(rs + h) - p.mass(rs - h)) / (2.0 * h)
+        np.testing.assert_allclose(mp, fd, rtol=1e-5, atol=1e-8, err_msg=name)
+        strict = np.abs(mp) > 1e-8
+        assert np.all(np.sign(curv[strict]) == np.sign(mp[strict])), name
 
 
 @pytest.mark.parametrize("name", sorted(_KNOT_MODELS))

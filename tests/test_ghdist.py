@@ -106,11 +106,5 @@ def test_segment_limit_default_and_explicit_cut():
     reach = consts.delta_F + consts.S_M
     assert out.rho == pytest.approx(max(reach, math.pi * r_def), rel=1e-12)
     assert out.rho_prime == pytest.approx(max(r_def, reach), rel=1e-12)
-    explicit = segment_limit_bound(model, window, L0=2.0, r_eps=0.7)
-    consts2 = embedding_constant_bound(model, 0.7, window.r_plus)
-    reach2 = consts2.delta_F + consts2.S_M
-    assert explicit.rho == pytest.approx(max(reach2, math.pi * 0.7), rel=1e-12)
     with pytest.raises(DomainError):
         segment_limit_bound(model, window, L0=0.0)
-    with pytest.raises(RangeError):
-        segment_limit_bound(model, window, L0=1.0, r_eps=window.r0 + 0.1)

@@ -196,6 +196,31 @@ def test_validate_flags_mass_above_adm():
     assert any(i.code == "admissible/exceeds-adm" for i in rep.issues)
 
 
+_SCALE_FREE_DEFECTS = {
+    # a 1e-4 relative gap between the two pieces
+    "structure/gap": HawkingProfile(3, 1.0, (
+        ConstantPiece(1.0, 2.0, 0.5), ConstantPiece(2.0002, math.inf, 0.5))),
+    # the only piece starts 1e-4 relative above r_min
+    "structure/start": HawkingProfile(3, 1.0, (
+        ConstantPiece(1.0001, math.inf, 0.5),)),
+    # m_H' dips to -1.67e-8 of its largest value on the spline
+    "monotone/negative-slope": HawkingProfile(4, 0.0, (
+        ConstantPiece(0.0, 1.0, 0.0),
+        CubicSplinePiece([1.0, 2.0, 3.0, 4.0], [0.0, 0.3, 0.3 - 5e-9, 0.6],
+                         [0.0] * 4),
+        ConstantPiece(4.0, math.inf, 0.6))),
+}
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-3, 1e-6])
+@pytest.mark.parametrize("code", sorted(_SCALE_FREE_DEFECTS))
+def test_validate_flags_defects_at_every_scale(code, lam):
+    # each rule compares values relative to themselves, so a defect that is
+    # flagged at one scale is flagged at every scale
+    rep = validate(_SCALE_FREE_DEFECTS[code].scale(lam))
+    assert [i.code for i in rep.issues] == [code]
+
+
 def test_monotone_slopes_match_pchip_and_stay_nonnegative():
     rng = np.random.default_rng(11)
     knots = np.cumsum(0.3 + rng.random(8))
