@@ -16,9 +16,14 @@ by the substitution u = sqrt(r - r_min).
 
 Every integral goes through ManifoldModel._integrate_cells, which runs
 vectorized 16-point Gauss-Legendre panels with an embedded 8-point error
-estimate and bisects the panels that miss the tolerance.  A panel whose
-value is not finite, one still unconverged after 50 bisections, or a batch
-that bisection would grow by more than 200,000 cells raises QuadratureError.
+estimate and bisects the panels that miss the tolerance.  Each bisection
+pass evaluates the integrand once at the GL16 and GL8 nodes of all its
+pending cells together, in calls of at most _BLOCK nodes of whole cells.
+An integrand may return a stack of rows; each row keeps its own
+acceptance and equals the row integrated alone, so one pass over
+(F', s') builds both tables.  A panel whose value is not finite, one still
+unconverged after 50 bisections, or a batch whose pending cells (over all
+rows) bisection would grow by more than 200,000 raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -45,6 +50,12 @@ __all__ = [
 _TINY = 1e-300
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+# the nodes of one cell: GL16, then GL8
+_GL_X = np.concatenate([_GL16_X, _GL8_X])
+# most nodes per integrand call.  Larger calls ran slower per node: their
+# temporaries outgrow the allocator's reuse and fault in fresh pages (a
+# 2,048-path tube_distance batch took over twice the page faults at 16,384)
+_BLOCK = 4096
 _MAX_DEPTH = 50
 # cells bisection may add to a batch before it gives up
 _MAX_EXTRA_CELLS = 200000
@@ -56,26 +67,33 @@ _SOLVE_REL = 1e-10
 def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
     """GL16 integrals over the cells [a_i, b_i] plus GL16-GL8 error gauges.
 
-    With a per-cell ``param``, f is called as f(x, p), each node getting its
-    cell's row of param.
+    The 16 + 8 nodes of a run of cells go to f in one call, at most _BLOCK
+    nodes of whole cells at a time, so the temporaries of a pass stay
+    cache-sized however many cells it holds.  f may return one value per
+    node or a (k, n) stack of k integrands, which gives (k, cells) results.
+    With a per-cell ``param``, f is called as f(x, p), each node getting
+    its cell's row of param.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x16 = mid[:, None] + half[:, None] * _GL16_X[None, :]
-    x8 = mid[:, None] + half[:, None] * _GL8_X[None, :]
-    if param is None:
-        y16 = f(x16.reshape(-1)).reshape(x16.shape)
-        y8 = f(x8.reshape(-1)).reshape(x8.shape)
-    else:
-        y16 = f(x16.reshape(-1),
-                np.repeat(param, 16, axis=0)).reshape(x16.shape)
-        y8 = f(x8.reshape(-1), np.repeat(param, 8, axis=0)).reshape(x8.shape)
-    # a non-finite integrand is reported by the caller as a QuadratureError.
-    # Row-wise sums, not a matrix product: BLAS rounds a row differently
-    # depending on how many rows share the call.
-    with np.errstate(invalid="ignore", over="ignore"):
-        i16 = (y16 * _GL16_W).sum(axis=1) * half
-        i8 = (y8 * _GL8_W).sum(axis=1) * half
+    step = _BLOCK // _GL_X.size
+    i16 = i8 = None
+    for start in range(0, a.size, step):
+        cells = slice(start, start + step)
+        x = (mid[cells, None] + half[cells, None] * _GL_X).reshape(-1)
+        y = f(x) if param is None else f(
+            x, np.repeat(param[cells], _GL_X.size, axis=0))
+        y = y.reshape(y.shape[:-1] + (-1, _GL_X.size))
+        if i16 is None:
+            i16 = np.empty(y.shape[:-2] + a.shape)
+            i8 = np.empty_like(i16)
+        # a non-finite integrand is reported by the caller as a
+        # QuadratureError.  Row-wise sums, not a matrix product: BLAS rounds
+        # a row differently depending on how many rows share the call.
+        with np.errstate(invalid="ignore", over="ignore"):
+            i16[..., cells] = (y[..., :16] * _GL16_W).sum(axis=-1) * half[cells]
+            i8[..., cells] = (y[..., 16:] * _GL8_W).sum(axis=-1) * half[cells]
+    with np.errstate(invalid="ignore"):
         return i16, np.abs(i16 - i8)
 
 
@@ -83,12 +101,22 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                     group=None, param=None) -> np.ndarray:
     """Adaptive panel integration of f over each cell, returned per cell.
 
-    A panel is accepted when its GL16-GL8 gap is at most rel times its value
-    plus 1e-4 times the scale of its cell's group: the largest first-pass
-    value among the cells sharing its ``group`` label (one group by default).
-    A cell's result therefore depends only on the cells of its own group.
-    ``param`` (one entry or row per cell) is passed to f as f(x, p), and
-    the halves of a bisected cell inherit it.
+    Each pass makes one GL16 + GL8 evaluation of every pending cell (see
+    _panel_integrals) and halves the cells it does not accept.  A panel is
+    accepted when its GL16-GL8 gap is at most rel times its value plus 1e-4
+    times the scale of its cell's group: the largest first-pass value among
+    the cells sharing its ``group`` label (one group by default).  A cell's
+    result therefore depends only on the cells of its own group.  ``param``
+    (one entry or row per cell) is passed to f as f(x, p), and the halves
+    of a bisected cell inherit it.
+
+    An f returning a (k, n) stack integrates k integrands at once and gives
+    a (k, cells) result.  Each row has its own group scales and acceptance
+    and stops collecting a cell once it accepts it; a cell stays pending
+    while any row still needs it.  A row's live cells are thus an in-order
+    subsequence of every pass, and its values equal those of the row
+    integrated alone, bit for bit.  The bisection cap counts the union of
+    pending cells.
 
     f must be smooth on each cell.  A jump between a cell end and the
     outermost GL16 and GL8 nodes is invisible to both rules, so the gap
@@ -97,44 +125,57 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     """
     a = a0 = np.asarray(a_arr, dtype=float)
     b = b0 = np.asarray(b_arr, dtype=float)
-    out = np.zeros(a.size)
     if a.size == 0:
-        return out
+        return np.zeros(0)
     labels = np.zeros(a.size, dtype=np.intp) if group is None else group
     idx = np.arange(a.size)
     p = None if param is None else np.asarray(param, dtype=float)
-    scale = None
+    out = scale = None
     # every pass halves all pending cells, so they share one depth
     for depth in range(_MAX_DEPTH + 1):
         i16, err = _panel_integrals(f, a, b, p)
+        stacked = i16.ndim == 2
+        i16, err = np.atleast_2d(i16), np.atleast_2d(err)
+        n_rows = i16.shape[0]
+        if out is None:
+            # per-row accumulators, indexed flat: ufunc.at is much slower
+            # with a tuple of index arrays
+            out = np.zeros(n_rows * a0.size)
+            base = a0.size * np.arange(n_rows)[:, None]
+            live = np.ones(i16.shape, dtype=bool)
         # the GL nodes are interior, so halving a panel cannot make a
         # non-finite integrand finite: fail on the first one
-        bad = ~(np.isfinite(i16) & np.isfinite(err))
+        bad = live & ~(np.isfinite(i16) & np.isfinite(err))
         if np.any(bad):
-            k = int(np.argmax(bad))
+            j, k = _first_cell(bad)
             raise QuadratureError(
                 f"non-finite integrand on [{float(a[k])!r}, {float(b[k])!r}] "
-                f"(panel value {float(i16[k])!r}, error estimate "
-                f"{float(err[k])!r})")
+                f"(panel value {float(i16[j, k])!r}, error estimate "
+                f"{float(err[j, k])!r})")
         if scale is None:
-            top = np.zeros(int(labels.max()) + 1)
-            np.maximum.at(top, labels, np.abs(i16))
-            scale = np.maximum(top, _TINY)[labels]
-        ok = err <= rel * (np.abs(i16) + 1e-4 * scale[idx])
+            n_groups = int(labels.max()) + 1
+            top = np.zeros(n_rows * n_groups)
+            np.maximum.at(top, (n_groups * np.arange(n_rows)[:, None]
+                                + labels).ravel(), np.abs(i16).ravel())
+            scale = np.maximum(top, _TINY).reshape(n_rows, n_groups)[:, labels]
+        ok = err <= rel * (np.abs(i16) + 1e-4 * scale[:, idx])
         # cells narrower than a few ulps cannot be split further
         ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
-        np.add.at(out, idx[ok], i16[ok])
-        if np.all(ok):
-            return out
-        pending = ~ok
+        ok &= live
+        np.add.at(out, (base + idx)[ok], i16[ok])
+        live &= ~ok
+        pending = np.any(live, axis=0)
+        if not np.any(pending):
+            out = out.reshape(n_rows, a0.size)
+            return out if stacked else out[0]
         n_next = 2 * int(np.count_nonzero(pending))
         if depth == _MAX_DEPTH or n_next > a0.size + _MAX_EXTRA_CELLS:
-            k = int(np.argmax(pending))
+            j, k = _first_cell(live)
             raise QuadratureError(
                 f"adaptive quadrature did not converge on "
                 f"[{float(a0[idx[k]])!r}, {float(b0[idx[k]])!r}] within "
                 f"{depth} bisections (piece [{float(a[k])!r}, "
-                f"{float(b[k])!r}], error estimate {float(err[k])!r}; "
+                f"{float(b[k])!r}], error estimate {float(err[j, k])!r}; "
                 f"{n_next} cells would be pending)")
         a2, b2 = a[pending], b[pending]
         mid = 0.5 * (a2 + b2)
@@ -142,8 +183,16 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         a = np.concatenate([a2, mid])
         b = np.concatenate([mid, b2])
         idx = np.concatenate([idx2, idx2])
+        live = np.concatenate([live[:, pending], live[:, pending]], axis=1)
         if p is not None:
             p = np.concatenate([p[pending], p[pending]])
+
+
+def _first_cell(mask: np.ndarray) -> Tuple[int, int]:
+    """(row, cell) of a (rows, cells) mask: the first cell holding a True
+    entry, and the first row true there."""
+    k = int(np.argmax(np.any(mask, axis=0)))
+    return int(np.argmax(mask[:, k])), k
 
 
 def euclidean_annulus_volume(dimension: int, r_a: float, r_b: float) -> float:
@@ -192,42 +241,48 @@ class ManifoldModel:
             return 2.0 * c / (1.0 - 2.0 * c)
         return 0.0
 
+    def _slopes(self, r) -> np.ndarray:
+        """F'(r) and s'(r) as the two rows of one array.
+
+        One profile evaluation serves both, so the two tables are built by
+        one integration with this integrand.
+        """
+        arr = np.atleast_1d(np.asarray(r, dtype=float))
+        mh, gap = self.profile.mass_and_gap(arr)
+        xi = arr ** (self.dimension - 2)
+        out = np.full((2,) + arr.shape, np.inf)
+        fp, sp = out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.sqrt(2.0 * mh / gap, out=fp, where=gap > 0)
+        # near the origin r^(m-2) underflows, and m_H and the gap with it
+        if self.r_min == 0.0:
+            fp[xi == 0.0] = math.sqrt(self._origin_slope_sq())
+        elif self._singular:
+            fp[arr <= self.r_min] = np.inf
+        self._fill_s_prime(sp, xi, gap)
+        return out
+
+    def _fill_s_prime(self, out: np.ndarray, xi, gap):
+        """Fill out, preset to +inf, with s' = sqrt(r^(m-2) / gap) where both
+        are positive, and with its origin limit where r^(m-2) underflows."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.sqrt(xi / gap, out=out, where=(gap > 0) & (xi > 0))
+        if self.r_min == 0.0:
+            out[xi == 0.0] = math.sqrt(1.0 + self._origin_slope_sq())
+
     def f_prime(self, r):
         """Exact graph slope F'(r); +inf on a minimal boundary sphere."""
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        scalar = np.ndim(r) == 0
-        mh = self.profile.mass(arr)
-        gap = self.profile.wall_gap(arr)
-        out = np.empty_like(arr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            good = gap > 0
-            out[good] = np.sqrt(2.0 * mh[good] / gap[good])
-            out[~good] = np.inf
-        # near the origin r^(m-2) underflows, and m_H and the gap with it
-        at_min = (arr ** (self.dimension - 2) == 0.0 if self.r_min == 0.0
-                  else arr <= self.r_min)
-        if np.any(at_min):
-            if self.r_min == 0.0:
-                out[at_min] = math.sqrt(self._origin_slope_sq())
-            elif self._singular:
-                out[at_min] = np.inf
-        return float(out[0]) if scalar else out
+        out = self._slopes(r)[0]
+        return float(out[0]) if np.ndim(r) == 0 else out
 
     def s_prime(self, r):
         """Exact arclength density sqrt(1 + F'(r)^2)."""
+        # without m_H and F': geodesic lengths call this on large batches
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        scalar = np.ndim(r) == 0
-        gap = self.profile.wall_gap(arr)
-        xi = arr ** (self.dimension - 2)
-        out = np.empty_like(arr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            good = (gap > 0) & (xi > 0)
-            out[good] = np.sqrt(xi[good] / gap[good])
-            out[~good] = np.inf
-        at_zero = xi == 0.0
-        if np.any(at_zero) and self.r_min == 0.0:
-            out[at_zero] = math.sqrt(1.0 + self._origin_slope_sq())
-        return float(out[0]) if scalar else out
+        out = np.full(arr.shape, np.inf)
+        self._fill_s_prime(out, arr ** (self.dimension - 2),
+                           self.profile.wall_gap(arr))
+        return float(out[0]) if np.ndim(r) == 0 else out
 
     # -- tabulation ----------------------------------------------------------
 
@@ -260,11 +315,12 @@ class ManifoldModel:
         # every integral's cells end at these radii
         cuts = np.unique(np.append(breaks, self._sub_edge))
         self._cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
-        # one tolerance group per table, scaled by its largest increment
+        # one pass builds both tables, each row its own tolerance group,
+        # scaled by its largest increment
         self._F_knots, self._s_knots = (
-            np.concatenate([[0.0], np.cumsum(
-                self._integrate_cells(f, knots[:-1], knots[1:]))])
-            for f in (self.f_prime, self.s_prime))
+            np.concatenate([[0.0], np.cumsum(row)])
+            for row in self._integrate_cells(self._slopes, knots[:-1],
+                                             knots[1:]))
 
     # -- the integration primitive ---------------------------------------------
 
@@ -273,7 +329,8 @@ class ManifoldModel:
 
         Cells below _sub_edge run under u = sqrt(r - r_min).  A query with a
         ``group`` label of its own (see _adaptive_cells) gets the same value
-        whatever else is in its batch.
+        whatever else is in its batch.  An fvec returning a (k, n) stack
+        gives (k, cells) integrals, each row equal to its integrand's alone.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -292,13 +349,14 @@ class ManifoldModel:
             r = np.maximum(r_min + u * u, r_floor)
             return fvec(r) * 2.0 * np.sqrt(r - r_min)
 
-        out = np.empty(a.size)
-        out[sub] = _adaptive_cells(g, np.sqrt(a[sub] - r_min),
-                                   np.sqrt(b[sub] - r_min), _QUAD_REL,
-                                   group[sub])
-        if not np.all(sub):
-            out[~sub] = _adaptive_cells(fvec, a[~sub], b[~sub], _QUAD_REL,
-                                        group[~sub])
+        inner = _adaptive_cells(g, np.sqrt(a[sub] - r_min),
+                                np.sqrt(b[sub] - r_min), _QUAD_REL, group[sub])
+        if np.all(sub):
+            return inner
+        out = np.empty(inner.shape[:-1] + a.shape)
+        out[..., sub] = inner
+        out[..., ~sub] = _adaptive_cells(fvec, a[~sub], b[~sub], _QUAD_REL,
+                                         group[~sub])
         return out
 
     # -- cumulative queries ----------------------------------------------------
@@ -488,9 +546,8 @@ class ManifoldModel:
             raise RangeError(f"quantities requires r > r_min = {self.r_min!r}"
                              f", got {float(np.min(x))!r}")
         m = self.dimension
-        mh = self.profile.mass(x)
+        mh, gap = self.profile.mass_and_gap(x)
         mp = self.profile.mass_prime(x)
-        gap = self.profile.wall_gap(x)
         area = self.omega * x ** (m - 1)
         # a graph this close to flat has zero slope in double precision
         curved = 2.0 * mh > 1e-280 * x ** (m - 2)

@@ -90,8 +90,17 @@ class ProfilePiece:
         raise NotImplementedError
 
     def wall_gap(self, r: np.ndarray, dimension: int) -> np.ndarray:
-        """r^(m-2) - 2 m_H(r), overridable for cancellation-free forms."""
-        return r ** (dimension - 2) - 2.0 * self.mass(r)
+        """r^(m-2) - 2 m_H(r), as mass_and_gap evaluates it."""
+        return self.mass_and_gap(r, dimension)[1]
+
+    def mass_and_gap(self, r: np.ndarray, dimension: int):
+        """m_H(r) and the wall gap r^(m-2) - 2 m_H(r) from one evaluation.
+
+        This default derives the gap from the mass; a piece with a
+        cancellation-free form of the gap overrides it.
+        """
+        mh = self.mass(r)
+        return mh, r ** (dimension - 2) - 2.0 * mh
 
     def scaled(self, lam: float, dimension: int) -> "ProfilePiece":
         raise NotImplementedError
@@ -121,7 +130,7 @@ class ConstantPiece(ProfilePiece):
     def mass_prime(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
 
-    def wall_gap(self, r, dimension):
+    def mass_and_gap(self, r, dimension):
         k = dimension - 2
         r = np.asarray(r, dtype=float)
         xi_lo = self.r_lo ** k
@@ -130,8 +139,8 @@ class ConstantPiece(ProfilePiece):
             # the touch as exact and factor r^k - r_lo^k so the gap keeps
             # full relative accuracy arbitrarily close to r_lo
             poly = sum(r**j * self.r_lo ** (k - 1 - j) for j in range(k))
-            return (r - self.r_lo) * poly
-        return super().wall_gap(r, dimension)
+            return self.mass(r), (r - self.r_lo) * poly
+        return super().mass_and_gap(r, dimension)
 
     def scaled(self, lam, dimension):
         return ConstantPiece(self.r_lo * lam, self.r_hi * lam, self.value * lam ** (dimension - 2))
@@ -163,13 +172,14 @@ class PowerLawPiece(ProfilePiece):
         p = self.exponent
         return self.coefficient * p * r ** (p - 1.0)
 
-    def wall_gap(self, r, dimension):
+    def mass_and_gap(self, r, dimension):
         r = np.asarray(r, dtype=float)
         xi = r ** (dimension - 2)
+        rp = r ** self.exponent
         if self.exponent == dimension - 2:
             # the near-wall case; (1 - 2c) keeps full precision as c -> 1/2
-            return (1.0 - 2.0 * self.coefficient) * xi
-        return xi - 2.0 * self.coefficient * r ** self.exponent
+            return self.coefficient * rp, (1.0 - 2.0 * self.coefficient) * xi
+        return self.coefficient * rp, xi - 2.0 * self.coefficient * rp
 
     def scaled(self, lam, dimension):
         c = self.coefficient * lam ** (dimension - 2 - self.exponent)
@@ -199,10 +209,10 @@ class StripePiece(ProfilePiece):
         r = np.asarray(r, dtype=float)
         return 1.5 * self.curvature * r**2
 
-    def wall_gap(self, r, dimension):
+    def mass_and_gap(self, r, dimension):
         r = np.asarray(r, dtype=float)
         # only valid in dimension 3, where xi = r
-        return r * (1.0 - self.curvature * r**2)
+        return self.mass(r), r * (1.0 - self.curvature * r**2)
 
     def scaled(self, lam, dimension):
         return StripePiece(self.r_lo * lam, self.r_hi * lam, self.curvature / lam**2)
@@ -322,10 +332,12 @@ class CubicSplinePiece(ProfilePiece):
             return 0.5 * self._dudr(r) * (1.0 - self._eval_du(r))
         return self._eval_du(r) * self._dudr(r)
 
-    def wall_gap(self, r, dimension):
+    def mass_and_gap(self, r, dimension):
         if self.gap_space:
-            return self._eval(r)
-        return super().wall_gap(r, dimension)
+            r = np.asarray(r, dtype=float)
+            gap = self._eval(r)
+            return 0.5 * (r**self.power - gap), gap
+        return super().mass_and_gap(r, dimension)
 
     def scaled(self, lam, dimension):
         scale_v = lam ** (dimension - 2)
@@ -429,20 +441,28 @@ class HawkingProfile:
     def _starts(self) -> np.ndarray:
         return np.array([p.r_lo for p in self.pieces])
 
-    def _dispatch(self, r, method: str, dimension_arg: bool = False):
+    def _dispatch(self, r, method: str, dimension_arg: bool = False,
+                  rows: int = 1):
+        """Evaluate a piece method at each radius, by the piece holding it.
+
+        A method returning ``rows`` > 1 values gives a tuple of that many
+        arrays (floats for a scalar r).
+        """
         arr, scalar = checked_range(r, self.r_min, math.inf, "radius")
-        out = np.empty_like(arr)
+        out = np.empty((rows,) + arr.shape)
         idx = np.clip(np.searchsorted(self._starts, arr, side="right") - 1,
                       0, len(self.pieces) - 1)
         for k, piece in enumerate(self.pieces):
             sel = idx == k
             if np.any(sel):
                 fn = getattr(piece, method)
-                if dimension_arg:
-                    out[sel] = fn(arr[sel], self.dimension)
-                else:
-                    out[sel] = fn(arr[sel])
-        return float(out[0]) if scalar else out
+                vals = (fn(arr[sel], self.dimension) if dimension_arg
+                        else fn(arr[sel]))
+                # row by row: a masked write into a 2-D array is slower
+                for row, v in zip(out, vals if rows > 1 else (vals,)):
+                    row[sel] = v
+        vals = tuple(float(v[0]) for v in out) if scalar else tuple(out)
+        return vals[0] if rows == 1 else vals
 
     def mass(self, r):
         """Hawking mass m_H(r)."""
@@ -455,6 +475,10 @@ class HawkingProfile:
     def wall_gap(self, r):
         """r^(m-2) - 2 m_H(r), evaluated cancellation-free."""
         return self._dispatch(r, "wall_gap", dimension_arg=True)
+
+    def mass_and_gap(self, r):
+        """(m_H(r), wall_gap(r)) from one pass over the pieces."""
+        return self._dispatch(r, "mass_and_gap", dimension_arg=True, rows=2)
 
     def scale(self, lam: float) -> "HawkingProfile":
         """Rescaled profile: m_H -> lam^(m-2) m_H(r/lam) on radii lam*r."""

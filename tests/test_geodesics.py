@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from massflat import geometry
 from massflat.embedding import (annulus_distance, metric_embedding_check,
                                 tube_distance)
 from massflat.errors import DomainError, RangeError
@@ -116,6 +117,17 @@ def test_distance_is_symmetric_and_batch_independent(profile, r_in, r_hi):
                          r2[None, :], t2[None, :])
     assert grid.shape == (40, 40)
     assert np.diag(grid).tolist() == batch.tolist()
+
+
+def test_batches_spanning_several_integrand_calls_match_each_pair():
+    # every path is its own tolerance group, so how its cells fall into the
+    # quadrature's integrand calls cannot change its value
+    model = ManifoldModel(schwarzschild(3, 0.1), 8.0)
+    r1, t1, r2, t2 = _random_pairs(5, 0.5, 2.0,
+                                   2 * (geometry._BLOCK // 24) + 3)
+    batch = tube_distance(model, 0.5, r1, t1, r2, t2)
+    alone = [tube_distance(model, 0.5, *args) for args in zip(r1, t1, r2, t2)]
+    assert batch.tolist() == alone
 
 
 def test_horizon_circle_is_a_shortest_path():

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import qmc
 
+from massflat import geometry
 from massflat.errors import (DomainError, QuadratureError, RangeError,
                              WindowOverflowError)
 from massflat.geometry import (
@@ -20,6 +21,7 @@ from massflat.geometry import (
 )
 from massflat.profiles import (
     CubicSplinePiece,
+    HawkingProfile,
     deep_well,
     flat,
     schwarzschild,
@@ -327,8 +329,8 @@ def test_adaptive_cells_fails_fast_on_non_finite_panel():
         with pytest.raises(QuadratureError,
                            match=r"on \[0\.25, 0\.75\] \(panel value inf"):
             _adaptive_cells(diverging, [0.25, 0.5], [0.75, 0.5], 1e-12)
-    # the first pass only: one GL16 and one GL8 evaluation over both cells
-    assert sizes == [32, 16]
+    # the first pass only: one call over both cells' GL16 and GL8 nodes
+    assert sizes == [48]
 
 
 def test_adaptive_cells_raises_at_the_depth_limit():
@@ -344,7 +346,8 @@ def test_adaptive_cells_raises_at_the_depth_limit():
                        match=r"did not converge on \[0\.0, 1\.0\] within 50 "
                              r"bisections \(piece \[0\.3999"):
         _adaptive_cells(step, [0.0], [1.0], 1e-13)
-    assert len(calls) == 2 * 51
+    # one integrand call per pass
+    assert len(calls) == 51
 
 
 def _spline_model(seed):
@@ -447,6 +450,86 @@ def test_quantities_sign_agreement_and_fd_slope():
         np.testing.assert_allclose(mp, fd, rtol=1e-5, atol=1e-8, err_msg=name)
         strict = np.abs(mp) > 1e-8
         assert np.all(np.sign(curv[strict]) == np.sign(mp[strict])), name
+
+
+_SLOPE_MODELS = {**{f"batch-{k}": v for k, v in _BATCH_MODELS.items()},
+                 **{f"invariant-{k}": v for k, v in _INVARIANT_MODELS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(_SLOPE_MODELS))
+def test_one_pass_over_both_slopes_equals_each_alone(name):
+    # the stacked integrand keeps each row's own acceptance, so F' and s'
+    # integrated together read what each reads alone, singular models too
+    model = _SLOPE_MODELS[name]()
+    a, b = model.knots[:-1], model.knots[1:]
+    both = model._integrate_cells(model._slopes, a, b)
+    assert both.shape == (2, a.size)
+    for row, alone in zip(both, (model.f_prime, model.s_prime)):
+        np.testing.assert_array_equal(row, model._integrate_cells(alone, a, b))
+    np.testing.assert_array_equal(model._F_knots[1:], np.cumsum(both[0]))
+    np.testing.assert_array_equal(model._s_knots[1:], np.cumsum(both[1]))
+
+
+def test_deep_well_build_evaluates_the_profile_once_per_call(monkeypatch):
+    # the 1/sqrt peaks at the ride knots of a delta = 1e-6 well force about
+    # twenty bisection passes; each evaluates m_H and the wall gap together,
+    # once per integrand call, for both tables
+    cells, evaluations = [], []
+    panel = geometry._panel_integrals
+    mass_and_gap = HawkingProfile.mass_and_gap
+
+    def counted_panel(f, a, b, param=None):
+        cells.append(a.size)
+        return panel(f, a, b, param)
+
+    def counted_mass_and_gap(self, r):
+        evaluations.append(np.size(r))
+        return mass_and_gap(self, r)
+
+    monkeypatch.setattr(geometry, "_panel_integrals", counted_panel)
+    monkeypatch.setattr(HawkingProfile, "mass_and_gap", counted_mass_and_gap)
+    ManifoldModel(deep_well(3, 1e-6, math.pi / 100, 10.0), 0.4)
+    per_call = geometry._BLOCK // 24
+    assert len(cells) >= 20
+    assert len(evaluations) == sum(-(-n // per_call) for n in cells)
+    # every pass after the first of each integration fits in one call
+    assert len(evaluations) <= len(cells) + 2
+
+
+def test_block_splitting_does_not_change_bits():
+    # a batch spanning several integrand calls equals its cells integrated
+    # a few at a time, with and without param; every cell is its own
+    # tolerance group, so only the split differs
+    per_call = geometry._BLOCK // 24
+    n = 3 * per_call + 5
+    edges = np.linspace(0.0, 2.0, n + 1)
+    a, b = edges[:-1], edges[1:]
+    c = np.linspace(1.0, 3.0, n)
+
+    def peak(x):  # only the cells near 0.3 need bisection
+        return 1.0 / (1e-4 + (x - 0.3) ** 2)
+
+    def wave(x, p):
+        return np.cos(p * x) * peak(x)
+
+    def stacked(x):
+        return np.stack([peak(x), np.sin(3.0 * x)])
+
+    whole = _adaptive_cells(peak, a, b, 1e-12, np.arange(n))
+    whole_p = _adaptive_cells(wave, a, b, 1e-12, np.arange(n), c)
+    rows = _adaptive_cells(stacked, a, b, 1e-12, np.arange(n))
+    chunks = [slice(i, i + 7) for i in range(0, n, 7)]
+    np.testing.assert_array_equal(whole, np.concatenate([
+        _adaptive_cells(peak, a[k], b[k], 1e-12, np.arange(a[k].size))
+        for k in chunks]))
+    np.testing.assert_array_equal(whole_p, np.concatenate([
+        _adaptive_cells(wave, a[k], b[k], 1e-12, np.arange(a[k].size), c[k])
+        for k in chunks]))
+    # a row that accepts every cell on the first pass still equals itself
+    # alone while the other row bisects
+    np.testing.assert_array_equal(rows[0], whole)
+    np.testing.assert_array_equal(rows[1], _adaptive_cells(
+        lambda x: np.sin(3.0 * x), a, b, 1e-12, np.arange(n)))
 
 
 @pytest.mark.parametrize("name", sorted(_KNOT_MODELS))

@@ -323,6 +323,62 @@ def test_profile_scale_is_exact_on_generators():
     assert validate(q).ok
 
 
+_PIECE_KIND_PROFILES = {
+    # on-wall constant, plain and gap-space splines, off-wall constant
+    "deep-well": lambda: deep_well(3, 1e-6, math.pi / 100, 10.0),
+    # power law with exponent m - 2, splines in u = r^2
+    "deep-well-4d": lambda: deep_well(4, 0.05, 2.0 * math.pi**2, 3.0,
+                                      with_boundary=False),
+    # power law r^3, stripe, plain spline
+    "stripes": lambda: stripes((1.0, 2.0), 0.1),
+    # the on-wall constant's factored gap with two terms
+    "schwarzschild-4d": lambda: schwarzschild(4, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIECE_KIND_PROFILES))
+def test_mass_and_gap_equals_mass_and_wall_gap(name):
+    p = _PIECE_KIND_PROFILES[name]()
+    rs = [np.array([p.r_min])]
+    for piece in p.pieces:
+        hi = piece.r_hi if math.isfinite(piece.r_hi) else 2.0 * piece.r_lo
+        rs.append(np.linspace(piece.r_lo, hi, 33))
+    rs = np.concatenate(rs)
+    mh, gap = p.mass_and_gap(rs)
+    np.testing.assert_array_equal(mh, p.mass(rs))
+    np.testing.assert_array_equal(gap, p.wall_gap(rs))
+    for r in rs[::7]:
+        pair = p.mass_and_gap(float(r))
+        assert pair == (p.mass(float(r)), p.wall_gap(float(r)))
+        assert all(type(v) is float for v in pair)
+    for bad in (math.nan, 0.5 * p.r_min - 1.0, np.array([p.r_min, math.nan])):
+        with pytest.raises(RangeError):
+            p.mass(bad)
+        with pytest.raises(RangeError):
+            p.mass_and_gap(bad)
+
+
+def test_mass_and_gap_profiles_cover_every_piece_kind():
+    kinds = set()
+    for build in _PIECE_KIND_PROFILES.values():
+        p = build()
+        for piece in p.pieces:
+            if isinstance(piece, ConstantPiece):
+                on_wall = math.isclose(
+                    piece.value, 0.5 * piece.r_lo ** (p.dimension - 2),
+                    rel_tol=1e-9)
+                kinds.add(("constant", on_wall))
+            elif isinstance(piece, PowerLawPiece):
+                kinds.add(("power-law", piece.exponent == p.dimension - 2))
+            elif isinstance(piece, CubicSplinePiece):
+                kinds.add(("spline", piece.gap_space))
+            else:
+                kinds.add((piece.kind, None))
+    assert kinds == {("constant", True), ("constant", False),
+                     ("power-law", True), ("power-law", False),
+                     ("spline", True), ("spline", False), ("stripe", None)}
+
+
 def test_mass_below_r_min_raises():
     p = schwarzschild(3, 0.1)
     with pytest.raises(RangeError):
