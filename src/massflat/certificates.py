@@ -20,10 +20,10 @@ import numpy as np
 
 from .embedding import (budget_embedding_constants, embedding_constant_bound,
                         q_slope)
-from .errors import CertificateError, DomainError, positive
+from .errors import CertificateError, positive
 from .geometry import (ManifoldModel, TubularWindow, euclidean_annulus_volume,
                        tubular_window, window_bracket)
-from .profiles import sphere_radius, unit_sphere_area
+from .profiles import _dimension, sphere_radius, unit_sphere_area
 
 __all__ = [
     "WellCut",
@@ -50,8 +50,7 @@ def well_cut(epsilon: float, D: float, alpha0: float, m: int) -> WellCut:
     epsilon = positive(epsilon, "epsilon")
     D = positive(D, "D")
     alpha0 = positive(alpha0, "alpha0")
-    if m < 3:
-        raise DomainError(f"dimension must be at least 3, got {m}")
+    m = _dimension(m)
     omega = unit_sphere_area(m)
     alpha_eps = min(epsilon / (16.0 * D),
                     (omega * epsilon / 8.0) ** (m / (m - 1.0)),

@@ -383,6 +383,8 @@ def metric_embedding_check(model, window, mesh_h: float, seed: int,
     embedding bound produces zero violations.
     """
     h = positive(mesh_h, "mesh spacing h")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
     span = window.s_plus - window.s_minus
     n_seg = _pow2_at_least(min(span / h, 2.0**62))
     n_theta = _pow2_at_least(max(8.0, _TWO_PI * window.r_plus / h))

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -228,7 +229,6 @@ class ManifoldModel:
         self._singular = (profile.r_min > 0
                           and gap0 <= 1e-9 * profile.r_min ** (self.dimension - 2))
         self._build_tables()
-        self._r_disk: Optional[float] = None
 
     # -- exact pointwise data ------------------------------------------------
 
@@ -277,7 +277,8 @@ class ManifoldModel:
 
     def s_prime(self, r):
         """Exact arclength density sqrt(1 + F'(r)^2)."""
-        # without m_H and F': geodesic lengths call this on large batches
+        # skips F' (the profile still evaluates m_H next to the gap):
+        # geodesic lengths call this on large batches
         arr = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.full(arr.shape, np.inf)
         self._fill_s_prime(out, arr ** (self.dimension - 2),
@@ -506,32 +507,29 @@ class ManifoldModel:
 
     # -- derived geometry ------------------------------------------------------
 
-    @property
+    @cached_property
     def r_disk(self) -> float:
         """Largest radius below which the reconstruction is exactly flat.
 
         F' below 1e-12 counts as flat; returns r_min when the profile is
         curved from the start and +inf when it is flat through r_cap.
         """
-        if self._r_disk is None:
-            thr = 1e-12
-            vals = self.f_prime(self.knots)
-            above = vals >= thr
-            if not np.any(above):
-                self._r_disk = math.inf
-            elif above[0]:
-                self._r_disk = self.r_min
+        thr = 1e-12
+        vals = self.f_prime(self.knots)
+        above = vals >= thr
+        if not np.any(above):
+            return math.inf
+        if above[0]:
+            return self.r_min
+        k = int(np.argmax(above))
+        lo, hi = self.knots[k - 1], self.knots[k]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if float(self.f_prime(mid)) < thr:
+                lo = mid
             else:
-                k = int(np.argmax(above))
-                lo, hi = self.knots[k - 1], self.knots[k]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if float(self.f_prime(mid)) < thr:
-                        lo = mid
-                    else:
-                        hi = mid
-                self._r_disk = float(0.5 * (lo + hi))
-        return self._r_disk
+                hi = mid
+        return float(0.5 * (lo + hi))
 
     def quantities(self, r) -> dict:
         """Pointwise invariants of the reconstruction at radii r > r_min.

@@ -12,9 +12,10 @@ so validation and quadrature are deterministic.  A profile is admissible when
 
 Near-extremal profiles hug the admissibility wall r^(m-2)/2 so closely that
 the gap r^(m-2) - 2 m_H(r) underflows when reconstructed from rounded m_H
-values.  Every piece therefore exposes the gap through a dedicated
-``wall_gap`` channel; cubic-spline pieces may be parametrized directly by the
-gap function, in which case m_H is the derived quantity.
+values.  Every piece therefore returns the gap next to m_H from its
+``mass_and_gap`` evaluator, in a cancellation-free form where the piece has
+one; cubic-spline pieces may be parametrized directly by the gap function,
+in which case m_H is the derived quantity.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def sphere_radius(area: float, dimension: int) -> float:
     return (area / unit_sphere_area(dimension)) ** (1.0 / (dimension - 1))
 
 
+def _dimension(dimension) -> int:
+    """dimension as an int; DomainError unless it is an integer >= 3."""
+    if not isinstance(dimension, (int, np.integer)) or dimension < 3:
+        raise DomainError(
+            f"dimension must be an integer >= 3, got {dimension!r}")
+    return int(dimension)
+
+
 def _check_interval(r_lo: float, r_hi: float) -> tuple[float, float]:
     r_lo = float(r_lo)
     r_hi = float(r_hi)
@@ -83,24 +92,13 @@ class ProfilePiece:
     def __init__(self, r_lo: float, r_hi: float):
         self.r_lo, self.r_hi = _check_interval(r_lo, r_hi)
 
-    def mass(self, r: np.ndarray) -> np.ndarray:
+    def mass_and_gap(self, r: np.ndarray, dimension: int):
+        """m_H(r) and the wall gap r^(m-2) - 2 m_H(r) from one evaluation."""
         raise NotImplementedError
 
     def mass_prime(self, r: np.ndarray) -> np.ndarray:
+        """Radial derivative m_H'(r)."""
         raise NotImplementedError
-
-    def wall_gap(self, r: np.ndarray, dimension: int) -> np.ndarray:
-        """r^(m-2) - 2 m_H(r), as mass_and_gap evaluates it."""
-        return self.mass_and_gap(r, dimension)[1]
-
-    def mass_and_gap(self, r: np.ndarray, dimension: int):
-        """m_H(r) and the wall gap r^(m-2) - 2 m_H(r) from one evaluation.
-
-        This default derives the gap from the mass; a piece with a
-        cancellation-free form of the gap overrides it.
-        """
-        mh = self.mass(r)
-        return mh, r ** (dimension - 2) - 2.0 * mh
 
     def scaled(self, lam: float, dimension: int) -> "ProfilePiece":
         raise NotImplementedError
@@ -124,23 +122,21 @@ class ConstantPiece(ProfilePiece):
             raise DomainError(f"constant piece value must be finite and >= 0, got {value}")
         self.value = value
 
-    def mass(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.value)
-
     def mass_prime(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
 
     def mass_and_gap(self, r, dimension):
         k = dimension - 2
         r = np.asarray(r, dtype=float)
+        mh = np.full_like(r, self.value)
         xi_lo = self.r_lo ** k
         if abs(xi_lo - 2.0 * self.value) <= 1e-9 * max(xi_lo, _TINY):
             # the piece starts on the wall (minimal boundary sphere); treat
             # the touch as exact and factor r^k - r_lo^k so the gap keeps
             # full relative accuracy arbitrarily close to r_lo
             poly = sum(r**j * self.r_lo ** (k - 1 - j) for j in range(k))
-            return self.mass(r), (r - self.r_lo) * poly
-        return super().mass_and_gap(r, dimension)
+            return mh, (r - self.r_lo) * poly
+        return mh, r**k - 2.0 * mh
 
     def scaled(self, lam, dimension):
         return ConstantPiece(self.r_lo * lam, self.r_hi * lam, self.value * lam ** (dimension - 2))
@@ -163,9 +159,6 @@ class PowerLawPiece(ProfilePiece):
             raise DomainError("power-law coefficient must be finite and >= 0")
         if not (self.exponent > 0.0 and math.isfinite(self.exponent)):
             raise DomainError("power-law exponent must be positive")
-
-    def mass(self, r):
-        return self.coefficient * np.asarray(r, dtype=float) ** self.exponent
 
     def mass_prime(self, r):
         r = np.asarray(r, dtype=float)
@@ -201,10 +194,6 @@ class StripePiece(ProfilePiece):
         if not (self.curvature > 0.0 and math.isfinite(self.curvature)):
             raise DomainError("stripe curvature must be positive")
 
-    def mass(self, r):
-        r = np.asarray(r, dtype=float)
-        return 0.5 * self.curvature * r**3
-
     def mass_prime(self, r):
         r = np.asarray(r, dtype=float)
         return 1.5 * self.curvature * r**2
@@ -212,7 +201,7 @@ class StripePiece(ProfilePiece):
     def mass_and_gap(self, r, dimension):
         r = np.asarray(r, dtype=float)
         # only valid in dimension 3, where xi = r
-        return self.mass(r), r * (1.0 - self.curvature * r**2)
+        return 0.5 * self.curvature * r**3, r * (1.0 - self.curvature * r**2)
 
     def scaled(self, lam, dimension):
         return StripePiece(self.r_lo * lam, self.r_hi * lam, self.curvature / lam**2)
@@ -298,46 +287,30 @@ class CubicSplinePiece(ProfilePiece):
         self._u_slopes = slopes / dudr
 
     def _segment(self, r):
-        r = np.asarray(r, dtype=float)
+        """Hermite data (t, h, v0, v1, s0, s1) of the interval holding each r,
+        in the argument order of _hermite and _hermite_du."""
         u = r**self.power
         uk = self._u_knots
-        i = np.clip(np.searchsorted(uk, u, side="right") - 1, 0, uk.size - 2)
+        # the interval index, clamped to the end intervals without a clip
+        i = np.searchsorted(uk[1:-1], u, side="right")
         h = uk[i + 1] - uk[i]
-        t = (u - uk[i]) / h
-        return i, h, t
-
-    def _eval(self, r):
-        i, h, t = self._segment(r)
-        v = _hermite(t, h, self.values[i], self.values[i + 1],
-                     self._u_slopes[i], self._u_slopes[i + 1])
-        return v
-
-    def _eval_du(self, r):
-        i, h, t = self._segment(r)
-        return _hermite_du(t, h, self.values[i], self.values[i + 1],
-                           self._u_slopes[i], self._u_slopes[i + 1])
-
-    def _dudr(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.power * r ** (self.power - 1.0)
-
-    def mass(self, r):
-        if self.gap_space:
-            r = np.asarray(r, dtype=float)
-            return 0.5 * (r**self.power - self._eval(r))
-        return self._eval(r)
+        return ((u - uk[i]) / h, h, self.values[i], self.values[i + 1],
+                self._u_slopes[i], self._u_slopes[i + 1])
 
     def mass_prime(self, r):
+        r = np.asarray(r, dtype=float)
+        dv = _hermite_du(*self._segment(r))
+        dudr = self.power * r ** (self.power - 1.0)
         if self.gap_space:
-            return 0.5 * self._dudr(r) * (1.0 - self._eval_du(r))
-        return self._eval_du(r) * self._dudr(r)
+            return 0.5 * dudr * (1.0 - dv)
+        return dv * dudr
 
     def mass_and_gap(self, r, dimension):
+        r = np.asarray(r, dtype=float)
+        v = _hermite(*self._segment(r))
         if self.gap_space:
-            r = np.asarray(r, dtype=float)
-            gap = self._eval(r)
-            return 0.5 * (r**self.power - gap), gap
-        return super().mass_and_gap(r, dimension)
+            return 0.5 * (r**self.power - v), v
+        return v, r ** (dimension - 2) - 2.0 * v
 
     def scaled(self, lam, dimension):
         scale_v = lam ** (dimension - 2)
@@ -412,9 +385,7 @@ class HawkingProfile:
     pieces: tuple
 
     def __post_init__(self):
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 3:
-            raise DomainError(f"dimension must be an integer >= 3, got {self.dimension!r}")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", _dimension(self.dimension))
         if not (math.isfinite(self.r_min) and self.r_min >= 0.0):
             raise DomainError(f"r_min must be finite and >= 0, got {self.r_min}")
         pieces = tuple(self.pieces)
@@ -441,44 +412,41 @@ class HawkingProfile:
     def _starts(self) -> np.ndarray:
         return np.array([p.r_lo for p in self.pieces])
 
-    def _dispatch(self, r, method: str, dimension_arg: bool = False,
-                  rows: int = 1):
-        """Evaluate a piece method at each radius, by the piece holding it.
+    def _dispatch(self, r, rows: int, evaluate):
+        """Evaluate at each radius by the piece holding it.
 
-        A method returning ``rows`` > 1 values gives a tuple of that many
-        arrays (floats for a scalar r).
+        ``evaluate(piece, radii)`` returns a tuple of ``rows`` arrays; the
+        result is the tuple of those rows over all of r (floats for a
+        scalar r).  A radius below the first piece reads that piece.
         """
         arr, scalar = checked_range(r, self.r_min, math.inf, "radius")
         out = np.empty((rows,) + arr.shape)
-        idx = np.clip(np.searchsorted(self._starts, arr, side="right") - 1,
-                      0, len(self.pieces) - 1)
+        idx = np.searchsorted(self._starts[1:], arr, side="right")
         for k, piece in enumerate(self.pieces):
             sel = idx == k
             if np.any(sel):
-                fn = getattr(piece, method)
-                vals = (fn(arr[sel], self.dimension) if dimension_arg
-                        else fn(arr[sel]))
                 # row by row: a masked write into a 2-D array is slower
-                for row, v in zip(out, vals if rows > 1 else (vals,)):
+                for row, v in zip(out, evaluate(piece, arr[sel])):
                     row[sel] = v
-        vals = tuple(float(v[0]) for v in out) if scalar else tuple(out)
-        return vals[0] if rows == 1 else vals
+        return tuple(float(v[0]) for v in out) if scalar else tuple(out)
+
+    def mass_and_gap(self, r):
+        """m_H(r) and the wall gap r^(m-2) - 2 m_H(r), cancellation-free,
+        from one pass over the pieces."""
+        m = self.dimension
+        return self._dispatch(r, 2, lambda piece, x: piece.mass_and_gap(x, m))
 
     def mass(self, r):
         """Hawking mass m_H(r)."""
-        return self._dispatch(r, "mass")
-
-    def mass_prime(self, r):
-        """Radial derivative m_H'(r)."""
-        return self._dispatch(r, "mass_prime")
+        return self.mass_and_gap(r)[0]
 
     def wall_gap(self, r):
         """r^(m-2) - 2 m_H(r), evaluated cancellation-free."""
-        return self._dispatch(r, "wall_gap", dimension_arg=True)
+        return self.mass_and_gap(r)[1]
 
-    def mass_and_gap(self, r):
-        """(m_H(r), wall_gap(r)) from one pass over the pieces."""
-        return self._dispatch(r, "mass_and_gap", dimension_arg=True, rows=2)
+    def mass_prime(self, r):
+        """Radial derivative m_H'(r)."""
+        return self._dispatch(r, 1, lambda piece, x: (piece.mass_prime(x),))[0]
 
     def scale(self, lam: float) -> "HawkingProfile":
         """Rescaled profile: m_H -> lam^(m-2) m_H(r/lam) on radii lam*r."""
@@ -596,8 +564,8 @@ def validate(profile: HawkingProfile) -> ValidationReport:
     # C1 joints
     for left, right in zip(pieces, pieces[1:]):
         rj = right.r_lo
-        vl = float(left.mass(np.array([min(rj, left.r_hi)]))[0])
-        vr = float(right.mass(np.array([rj]))[0])
+        vl = float(left.mass_and_gap(np.array([min(rj, left.r_hi)]), m)[0][0])
+        vr = float(right.mass_and_gap(np.array([rj]), m)[0][0])
         scale_v = max(abs(vl), abs(vr), adm, _TINY)
         if abs(vl - vr) > rel * scale_v:
             add("joint/value", rj, f"m_H jumps from {vl!r} to {vr!r}")
@@ -610,9 +578,8 @@ def validate(profile: HawkingProfile) -> ValidationReport:
     # per-piece sampling
     for piece in pieces:
         xs = _piece_samples(piece, profile, 1024)
-        mh = piece.mass(xs)
+        mh, gap = piece.mass_and_gap(xs, m)
         mp = piece.mass_prime(xs)
-        gap = piece.wall_gap(xs, m)
         if not (np.all(np.isfinite(mh)) and np.all(np.isfinite(mp))):
             add("numeric/nonfinite", piece.r_lo,
                 f"{piece.kind} piece produced a non-finite value")
@@ -649,6 +616,7 @@ def flat(dimension: int) -> HawkingProfile:
 
 def schwarzschild(dimension: int, mass: float) -> HawkingProfile:
     """Constant Hawking mass starting at the minimal sphere."""
+    dimension = _dimension(dimension)
     mass = positive(mass, "schwarzschild mass")
     r_min = (2.0 * mass) ** (1.0 / (dimension - 2))
     return HawkingProfile(dimension, r_min,
@@ -664,9 +632,7 @@ def deep_well_parameters(dimension: int, delta: float, alpha0: float,
     xi - 2 m_H = g0 between xi_w0 and xi_r; g0 = eps^2 xi_w0 with eps chosen
     so the ride alone is at least 2.1 L deep.
     """
-    m = int(dimension)
-    if m < 3:
-        raise DomainError("dimension must be >= 3")
+    m = _dimension(dimension)
     delta = positive(delta, "delta")
     alpha0 = positive(alpha0, "alpha0")
     L = positive(L, "well depth L")
@@ -788,7 +754,8 @@ def deep_well(dimension: int, delta: float, alpha0: float, L: float,
                     power=k,
                 )
                 rs = np.linspace(r_f, r_p, 257)
-                if np.all(fillet.wall_gap(rs, m) > 0.2 * (1.0 - 2.0 * c) * xi_f):
+                gap = fillet.mass_and_gap(rs, m)[1]
+                if np.all(gap > 0.2 * (1.0 - 2.0 * c) * xi_f):
                     break
             shrink = 0.5 * (shrink + 1.0)
             if 1.0 - shrink < 1e-6:
@@ -809,11 +776,9 @@ def stripes(radii: Iterable[float], delta: float) -> HawkingProfile:
     K_j = 2 min(r_2j/2, delta)/r_2j^3, so every stripe carries constant
     positive sectional curvature.  The ADM mass stays below delta.
     """
-    radii = [float(r) for r in radii]
+    radii = [positive(r, "stripe radius") for r in radii]
     if len(radii) < 2 or len(radii) % 2 != 0:
         raise DomainError("stripes needs an even number of radii, at least 2")
-    if any(r <= 0 for r in radii):
-        raise DomainError("stripe radii must be positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("stripe radii must be strictly increasing")
     delta = positive(delta, "delta")

@@ -170,6 +170,44 @@ def test_non_finite_or_non_positive_parameters_exit_2(argv, schwarz_path,
     assert f"error: {_NAMES[bad]} must be finite and positive" in err
 
 
+_REFUSED = [
+    (("example", "schwarzschild", "--dimension", "2"),
+     "dimension must be an integer >= 3, got 2"),
+    (("example", "deep-well", "--dimension", "2"),
+     "dimension must be an integer >= 3, got 2"),
+    (("example", "stripes", "--radii", "1,inf"),
+     "stripe radius must be finite and positive, got inf"),
+    (("example", "stripes", "--radii", "nan,2"),
+     "stripe radius must be finite and positive, got nan"),
+    (("certificate", "{path}", "--alpha0", str(4.0 * math.pi), "--D", "0.5",
+      "--epsilon", "0.5", "--sampled-cm", "--mesh-h", "0.05", "--seed", "-1"),
+     "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSED,
+                         ids=[" ".join(a) for a, _ in _REFUSED])
+def test_refused_inputs_exit_2_with_one_error_line(argv, message,
+                                                   schwarz_path, capsys):
+    code, out, err = run(capsys,
+                         *(a.format(path=schwarz_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_sweep_records_a_bad_dimension_per_row(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--family", "schwarzschild", "--values", "1e-3,1e-2",
+        "--dimension", "2", "--alpha0", str(4.0 * math.pi), "--D", "0.5",
+        "--epsilon", "0.5", "--format", "json")
+    assert code == 1
+    assert err == ""
+    rows = json.loads(out)
+    assert [row["status"] for row in rows] == [
+        "error: dimension must be an integer >= 3, got 2"] * 2
+
+
 def test_gh_command(schwarz_path, capsys):
     code, out, err = run(
         capsys, "gh", schwarz_path,

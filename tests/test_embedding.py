@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from massflat import embedding
 from massflat.embedding import (
     annulus_distance,
     budget_embedding_constants,
@@ -126,6 +127,19 @@ def test_metric_embedding_check_passes_and_is_deterministic():
     assert rep == rep2
     # the distances are exact, so the sampled distortion obeys the bound
     assert rep["c_m_sampled"] <= rep["c_m_bound"]
+
+
+def test_metric_embedding_check_refuses_a_negative_seed_before_quadrature(
+        monkeypatch):
+    model = ManifoldModel(schwarzschild(3, 0.01), 8.0)
+    w = tubular_window(model, 4.0 * math.pi, 0.4)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the seed is checked before any quadrature")
+
+    monkeypatch.setattr(embedding, "embedding_constant_bound", no_quadrature)
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        metric_embedding_check(model, w, mesh_h=0.05, seed=-1)
 
 
 def test_metric_embedding_check_requires_finite_defect():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from massflat.certificates import delta_budget, well_cut
 from massflat.errors import DomainError, RangeError
 from massflat.profiles import (
     ConstantPiece,
@@ -40,11 +41,12 @@ def test_unit_sphere_area_known_values():
 def test_constant_and_power_law_pieces():
     c = ConstantPiece(0.5, 2.0, 0.1)
     rs = np.linspace(0.5, 2.0, 7)
-    assert np.all(c.mass(rs) == 0.1)
+    assert np.all(c.mass_and_gap(rs, 3)[0] == 0.1)
     assert np.all(c.mass_prime(rs) == 0.0)
     p = PowerLawPiece(0.0, 1.0, 0.2, 3.0)
     rs = np.linspace(0.0, 1.0, 9)
-    np.testing.assert_allclose(p.mass(rs), 0.2 * rs**3, rtol=1e-15)
+    np.testing.assert_allclose(p.mass_and_gap(rs, 3)[0], 0.2 * rs**3,
+                               rtol=1e-15)
     np.testing.assert_allclose(p.mass_prime(rs), 0.6 * rs**2, rtol=1e-15)
 
 
@@ -52,10 +54,11 @@ def test_stripe_piece_matches_sphere_curve():
     k = 0.15
     sp = StripePiece(1.0, 1.5, k)
     rs = np.linspace(1.0, 1.5, 11)
-    np.testing.assert_allclose(sp.mass(rs), 0.5 * k * rs**3, rtol=1e-15)
+    mh, gap = sp.mass_and_gap(rs, 3)
+    np.testing.assert_allclose(mh, 0.5 * k * rs**3, rtol=1e-15)
     np.testing.assert_allclose(sp.mass_prime(rs), 1.5 * k * rs**2, rtol=1e-15)
-    # wall gap channel agrees with the direct formula away from the wall
-    np.testing.assert_allclose(sp.wall_gap(rs, 3), rs - k * rs**3, rtol=1e-14)
+    # the gap row agrees with the direct formula away from the wall
+    np.testing.assert_allclose(gap, rs - k * rs**3, rtol=1e-14)
 
 
 def test_cubic_spline_piece_interpolates_hermite_data():
@@ -63,13 +66,17 @@ def test_cubic_spline_piece_interpolates_hermite_data():
     values = [0.1, 0.3, 0.35]
     slopes = [0.0, 0.1, 0.0]
     sp = CubicSplinePiece(knots, values, slopes)
-    np.testing.assert_allclose(sp.mass(np.array(knots)), values, rtol=1e-14)
+
+    def mass(r):
+        return sp.mass_and_gap(r, 3)[0]
+
+    np.testing.assert_allclose(mass(np.array(knots)), values, rtol=1e-14)
     np.testing.assert_allclose(sp.mass_prime(np.array(knots)), slopes,
                                atol=1e-14)
     # derivative against central differences in the interior
     rs = np.linspace(1.05, 3.95, 41)
     h = 1e-6
-    fd = (sp.mass(rs + h) - sp.mass(rs - h)) / (2.0 * h)
+    fd = (mass(rs + h) - mass(rs - h)) / (2.0 * h)
     np.testing.assert_allclose(sp.mass_prime(rs), fd, rtol=1e-7, atol=1e-9)
 
 
@@ -103,7 +110,7 @@ def test_gap_space_spline_is_cancellation_free_near_wall():
     sp = CubicSplinePiece([1.0, 1.0 + width], [g_hi, g_lo], [-1.0, 0.0],
                           power=1.0, gap_space=True)
     rs = (1.0 + width) - np.geomspace(1e-16, width * 0.999, 64)
-    gaps = sp.wall_gap(rs, 3)
+    gaps = sp.mass_and_gap(rs, 3)[1]
     assert np.all(gaps > 0.0)
     # rs runs away from the right knot, so the gap must not decrease
     assert np.all(np.diff(gaps) >= 0.0)
@@ -300,6 +307,47 @@ def test_stripes_structure_and_curvature():
     assert stripe_pieces[0].curvature > stripe_pieces[1].curvature
 
 
+@pytest.mark.parametrize("radii, shown", [((1.0, math.inf), "inf"),
+                                           ((math.nan, 2.0), "nan"),
+                                           ((1.0, 2.0, 3.0, -math.inf),
+                                            "-inf")])
+def test_stripes_refuse_non_finite_radii_by_value(radii, shown):
+    with pytest.raises(DomainError,
+                       match=f"stripe radius must be finite and positive, "
+                             f"got {shown}$"):
+        stripes(radii, 0.1)
+
+
+_DIMENSION_CHECKS = {
+    "profile": lambda m: HawkingProfile(m, 0.0,
+                                        (ConstantPiece(0.0, math.inf, 0.0),)),
+    "flat": flat,
+    "schwarzschild": lambda m: schwarzschild(m, 0.1),
+    "deep_well": lambda m: deep_well(m, 0.01, 4.0 * math.pi, 10.0),
+    "deep_well_parameters": lambda m: deep_well_parameters(
+        m, 0.01, 4.0 * math.pi, 10.0),
+    "well_cut": lambda m: well_cut(0.5, 0.5, 4.0 * math.pi, m),
+    "delta_budget": lambda m: delta_budget(0.5, 0.5, 4.0 * math.pi, m),
+}
+
+
+@pytest.mark.parametrize("dimension", [2, 3.0, 3.5, 3.9, "3", True])
+@pytest.mark.parametrize("name", sorted(_DIMENSION_CHECKS))
+def test_one_dimension_rule(name, dimension):
+    # an integer >= 3, refused before any arithmetic with it (schwarzschild
+    # used to divide by m - 2 first) and never truncated to 3
+    with pytest.raises(DomainError,
+                       match=r"dimension must be an integer >= 3, got "):
+        _DIMENSION_CHECKS[name](dimension)
+
+
+def test_dimension_rule_accepts_numpy_integers():
+    assert schwarzschild(np.int64(4), 0.05).dimension == 4
+    assert type(schwarzschild(np.int64(4), 0.05).dimension) is int
+    assert deep_well_parameters(np.int32(3), 0.01, 4.0 * math.pi,
+                                10.0)["dimension"] == 3
+
+
 def test_stripes_preconditions():
     with pytest.raises(DomainError):
         stripes((1.0,), 0.1)
@@ -377,6 +425,44 @@ def test_mass_and_gap_profiles_cover_every_piece_kind():
     assert kinds == {("constant", True), ("constant", False),
                      ("power-law", True), ("power-law", False),
                      ("spline", True), ("spline", False), ("stripe", None)}
+
+
+_DISPATCH_PROFILES = {
+    "stripes": lambda: stripes((1, 2, 3, 4), 0.1),
+    "deep-well": _PIECE_KIND_PROFILES["deep-well"],
+    "deep-well-4d": _PIECE_KIND_PROFILES["deep-well-4d"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DISPATCH_PROFILES))
+def test_dispatch_reads_the_piece_that_starts_at_each_joint(name):
+    p = _DISPATCH_PROFILES[name]()
+    m = p.dimension
+    starts = np.array([piece.r_lo for piece in p.pieces])
+    mh, gap = p.mass_and_gap(starts)
+    mp = p.mass_prime(starts)
+    for k, piece in enumerate(p.pieces):
+        at = np.array([piece.r_lo])
+        want_mh, want_gap = piece.mass_and_gap(at, m)
+        assert (mh[k], gap[k]) == (want_mh[0], want_gap[0]), k
+        assert mp[k] == piece.mass_prime(at)[0], k
+        assert p.mass_and_gap(piece.r_lo) == (want_mh[0], want_gap[0]), k
+    if p.r_min > 0.0:
+        # within the range gate's 1e-12 slack below r_min: clipped to r_min
+        # and read by the first piece
+        below = p.r_min * (1.0 - 5e-13)
+        assert below < p.r_min
+        first = p.pieces[0].mass_and_gap(np.array([p.r_min]), m)
+        assert p.mass_and_gap(below) == (first[0][0], first[1][0])
+
+
+def test_dispatch_reads_the_first_piece_below_its_start():
+    # r_min below the first piece: validate flags it, and every radius
+    # below the first piece's start reads that piece
+    p = HawkingProfile(3, 0.0, (ConstantPiece(0.5, math.inf, 0.0),))
+    rs = np.array([0.0, 0.25, 0.5, 1.0])
+    np.testing.assert_array_equal(p.mass_and_gap(rs)[1], rs)
+    assert not validate(p).ok
 
 
 def test_mass_below_r_min_raises():
