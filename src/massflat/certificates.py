@@ -196,7 +196,12 @@ def switch_bounds(model: ManifoldModel, window: TubularWindow,
 
     A0_bound covers the outer mismatch annulus (r_plus, r0 + D); A22_bound
     covers the inner mismatch (r0 - D, r_minus) when the cut sits below the
-    window.  Both are verified against the exact volumes before returning.
+    window.  They are flat_certificate's bounds["A0"] and shallow
+    bounds["A2"] formulas, evaluated at the caller's delta instead of the
+    certificate's delta_eff.  What the certificate does not do, this does:
+    it raises CertificateError unless m_ADM < delta and
+    (2 delta)^(1/(m-2)) < r0/2, and unless each bound dominates its exact
+    volume; the certificate only reports its bounds next to the volumes.
     """
     m = model.dimension
     omega = model.omega

@@ -178,7 +178,8 @@ def _cmd_example(args) -> int:
                             args.well_depth,
                             with_boundary=not args.no_boundary)
     else:
-        profile = stripes(tuple(_floats(args.radii)), args.delta)
+        profile = stripes(tuple(_floats(args.radii)), args.delta,
+                          args.dimension)
     print(dumps_profile(profile))
     return 0
 

@@ -7,8 +7,10 @@ between the graphs, and the intrinsic size of whatever the cut removed.  For
 deep wells the removed part has arclength depth at least the well depth, so
 the bound never drops below it: flat-distance certificates can shrink while
 these bounds stay pinned at the depth, which is the point of the contrast.
-The segment-limit radii rho, rho_prime play the same game against the space
-with an interval glued on.
+The radii rho, rho_prime play the same game against the space with an
+interval glued on.  One batched pass, _gh_terms, computes every field of a
+bound over an array of cuts; gh_bound, best_gh_bound and segment_limit_bound
+each read rows of it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .embedding import embedding_constant_bound
-from .errors import RangeError, positive
+from .errors import RangeError
 from .geometry import ManifoldModel, TubularWindow
 
 __all__ = ["GHBound", "gh_bound", "best_gh_bound",
@@ -42,15 +44,25 @@ class GHBound:
     rho_prime: float
 
 
-def _gh_terms(model: ManifoldModel, window: TubularWindow, r_eps: np.ndarray):
-    """S_M1, delta_F, the two well excesses and the GH total at cuts r_eps."""
+def _gh_terms(model: ManifoldModel, window: TubularWindow,
+              r_eps: np.ndarray) -> dict:
+    """Every GHBound field, as an array over the cuts r_eps."""
     consts = embedding_constant_bound(model, r_eps, window.r_plus)
     s_cut = model.s(np.append(r_eps, window.r_minus))
     excess_1 = s_cut[:-1] - s_cut[-1]
     excess_2 = r_eps - max(window.r0 - window.D, 0.0)
     # the second space is flat: its defect S_M2 is 0
     total = consts.S_M + 0.0 + consts.delta_F + excess_1 + excess_2
-    return consts.S_M, consts.delta_F, excess_1, excess_2, total
+    reach = consts.delta_F + consts.S_M
+    return {"r_eps": r_eps, "S_M1": consts.S_M, "S_M2": np.zeros_like(r_eps),
+            "hausdorff_ambient": consts.delta_F, "well_excess_1": excess_1,
+            "well_excess_2": excess_2, "total": total,
+            "rho": np.maximum(reach, math.pi * r_eps),
+            "rho_prime": np.maximum(r_eps, reach)}
+
+
+def _row(terms: dict, k: int) -> GHBound:
+    return GHBound(**{name: float(col[k]) for name, col in terms.items()})
 
 
 def gh_bound(model: ManifoldModel, window: TubularWindow,
@@ -61,23 +73,20 @@ def gh_bound(model: ManifoldModel, window: TubularWindow,
         raise RangeError(
             f"cut radius {r_eps} outside [r_minus, r0) = "
             f"[{window.r_minus}, {window.r0})")
-    s_m1, delta_f, excess_1, excess_2, total = (
-        float(v[0]) for v in _gh_terms(model, window, np.array([r_eps])))
-    return GHBound(r_eps=r_eps, S_M1=s_m1, S_M2=0.0,
-                   hausdorff_ambient=delta_f,
-                   well_excess_1=excess_1, well_excess_2=excess_2,
-                   total=total, rho=max(delta_f + s_m1, math.pi * r_eps),
-                   rho_prime=max(r_eps, delta_f + s_m1))
+    return _row(_gh_terms(model, window, np.array([r_eps])), 0)
 
 
-def _cut_candidates(model: ManifoldModel, window: TubularWindow,
-                    n: int) -> np.ndarray:
-    """r_minus and a geometric grid of n cut radii in (r_minus, r0)."""
+_N_CUTS = 48
+
+
+def _cut_candidates(model: ManifoldModel,
+                    window: TubularWindow) -> np.ndarray:
+    """r_minus and a geometric grid of _N_CUTS cut radii in (r_minus, r0)."""
     lo = max(window.r_minus, 1e-9 * window.r0)
     if model.r_min > 0:
         lo = max(lo, model.r_min * (1.0 + 1e-12))
     hi = window.r0 * (1.0 - 1e-9)
-    grid = np.geomspace(lo, hi, n) if hi > lo else np.empty(0)
+    grid = np.geomspace(lo, hi, _N_CUTS) if hi > lo else np.empty(0)
     cands = np.append(window.r_minus, grid)
     return cands[(window.r_minus <= cands) & (cands < window.r0)]
 
@@ -85,12 +94,12 @@ def _cut_candidates(model: ManifoldModel, window: TubularWindow,
 def best_gh_bound(model: ManifoldModel, window: TubularWindow) -> GHBound:
     """Smallest gh_bound over a geometric grid of candidate cut radii.
 
-    Every candidate is scored in one batched pass; the winner (the first
-    smallest total) is rebuilt by gh_bound.
+    Every candidate is scored in one batched pass, and the first smallest
+    total is that pass's row: a cut's row does not depend on the batch, so
+    it equals gh_bound at that cut.
     """
-    cands = _cut_candidates(model, window, 48)
-    total = _gh_terms(model, window, cands)[-1]
-    return gh_bound(model, window, float(cands[int(np.argmin(total))]))
+    terms = _gh_terms(model, window, _cut_candidates(model, window))
+    return _row(terms, int(np.argmin(terms["total"])))
 
 
 class SegmentBound(NamedTuple):
@@ -98,21 +107,18 @@ class SegmentBound(NamedTuple):
     rho_prime: float
 
 
-def segment_limit_bound(model: ManifoldModel, window: TubularWindow,
-                        L0: float) -> SegmentBound:
-    """GH radii against Euclidean space with a segment of length L0 glued on.
+def segment_limit_bound(model: ManifoldModel,
+                        window: TubularWindow) -> SegmentBound:
+    """GH radii against Euclidean space with a segment glued on.
 
-    rho = max(F(r_plus) - F(r_eps) + S_M, pi r_eps) and
-    rho_prime = max(r_eps, F(r_plus) - F(r_eps) + S_M).  The cut r_eps is
-    the geometric mean of the wall scale 2 m_ADM and r0^(m-2), taken in
-    r^(m-2), which sits above any budget-small well and below the window.
+    GHBound's rho and rho_prime at the geometric mean of the wall scale
+    2 m_ADM and r0^(m-2), taken in r^(m-2): a cut above any budget-small
+    well and below the window.  It can lie below r_minus, where the rest of
+    a GHBound bounds nothing, so only the two radii are returned.
     """
-    positive(L0, "segment length L0")
     m = model.dimension
     xi_eps = math.sqrt(2.0 * model.adm_mass * window.r0 ** (m - 2))
     r_eps = min(max(xi_eps ** (1.0 / (m - 2)), model.r_min),
                 window.r0 * (1.0 - 1e-9))
-    consts = embedding_constant_bound(model, r_eps, window.r_plus)
-    reach = consts.delta_F + consts.S_M
-    return SegmentBound(rho=max(reach, math.pi * r_eps),
-                        rho_prime=max(r_eps, reach))
+    terms = _gh_terms(model, window, np.array([r_eps]))
+    return SegmentBound(float(terms["rho"][0]), float(terms["rho_prime"][0]))

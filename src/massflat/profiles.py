@@ -768,14 +768,19 @@ def deep_well(dimension: int, delta: float, alpha0: float, L: float,
     return profile
 
 
-def stripes(radii: Iterable[float], delta: float) -> HawkingProfile:
+def stripes(radii: Iterable[float], delta: float,
+            dimension: int = 3) -> HawkingProfile:
     """A 3-dimensional profile with round-sphere stripes.
 
     ``radii`` lists consecutive pairs (r_1, r_2), (r_3, r_4), ...; inside each
     pair the profile runs along the sphere curve m_H = K_j r^3/2 with
     K_j = 2 min(r_2j/2, delta)/r_2j^3, so every stripe carries constant
-    positive sectional curvature.  The ADM mass stays below delta.
+    positive sectional curvature.  The ADM mass stays below delta.  A
+    dimension other than 3 is refused rather than ignored.
     """
+    if dimension != 3:
+        raise DomainError(f"stripes are 3-dimensional only, got dimension "
+                          f"{dimension!r}")
     radii = [positive(r, "stripe radius") for r in radii]
     if len(radii) < 2 or len(radii) % 2 != 0:
         raise DomainError("stripes needs an even number of radii, at least 2")

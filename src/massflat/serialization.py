@@ -40,13 +40,15 @@ __all__ = [
     "canonical_json",
 ]
 
-_PARAM_KEYS = {
-    "constant": ({"value"},),
-    "power-law": ({"coefficient", "exponent"},),
-    "stripe": ({"curvature"},),
-    "cubic-spline": ({"knots", "values", "slopes", "power"},
-                     {"knots", "gap_values", "gap_slopes", "power"}),
+# kind -> (piece class, parameters after from/to, in constructor order)
+_PIECES = {
+    "constant": (ConstantPiece, ("value",)),
+    "power-law": (PowerLawPiece, ("coefficient", "exponent")),
+    "stripe": (StripePiece, ("curvature",)),
+    "cubic-spline": (CubicSplinePiece, None),
 }
+_SPLINE_KEYS = ({"knots", "values", "slopes", "power"},
+                {"knots", "gap_values", "gap_slopes", "power"})
 
 
 def _edge(value: Union[float, str], where: str) -> float:
@@ -90,44 +92,34 @@ def _parse_piece(entry, where: str):
     if missing:
         raise ProfileFormatError(f"{where} is missing keys {sorted(missing)}")
     kind = entry["kind"]
-    if kind not in _PARAM_KEYS:
+    if not isinstance(kind, str) or kind not in _PIECES:
         raise ProfileFormatError(f"{where}.kind {kind!r} is not recognized")
     lo = _number(entry["from"], f"{where}.from")
     hi = _edge(entry["to"], f"{where}.to")
     params = entry["params"]
     if not isinstance(params, dict):
         raise ProfileFormatError(f"{where}.params must be an object")
-    allowed = _PARAM_KEYS[kind]
     keyset = set(params)
-    if kind == "cubic-spline":
-        # power is optional in both parametrizations
-        if not any(keyset == var or keyset == var - {"power"}
-                   for var in allowed):
+    cls, names = _PIECES[kind]
+    if names is not None:
+        if keyset != set(names):
             raise ProfileFormatError(
-                f"{where}.params for cubic-spline must be knots with either "
-                f"values/slopes or gap_values/gap_slopes, got {sorted(keyset)}")
-    elif keyset != allowed[0]:
+                f"{where}.params for {kind} must have keys "
+                f"{sorted(names)}, got {sorted(keyset)}")
+        return cls(lo, hi, *(_number(params[n], f"{where}.params.{n}")
+                             for n in names))
+    # power is optional in both parametrizations
+    if not any(keyset == var or keyset == var - {"power"}
+               for var in _SPLINE_KEYS):
         raise ProfileFormatError(
-            f"{where}.params for {kind} must have keys "
-            f"{sorted(allowed[0])}, got {sorted(keyset)}")
-
-    if kind == "constant":
-        return ConstantPiece(lo, hi, _number(params["value"],
-                                             f"{where}.params.value"))
-    if kind == "power-law":
-        return PowerLawPiece(
-            lo, hi,
-            _number(params["coefficient"], f"{where}.params.coefficient"),
-            _number(params["exponent"], f"{where}.params.exponent"))
-    if kind == "stripe":
-        return StripePiece(lo, hi, _number(params["curvature"],
-                                           f"{where}.params.curvature"))
+            f"{where}.params for cubic-spline must be knots with either "
+            f"values/slopes or gap_values/gap_slopes, got {sorted(keyset)}")
     knots = _number_list(params["knots"], f"{where}.params.knots")
     power = _number(params.get("power", 1.0), f"{where}.params.power")
     gap_space = "gap_values" in params
     vkey, skey = (("gap_values", "gap_slopes") if gap_space
                   else ("values", "slopes"))
-    piece = CubicSplinePiece(
+    piece = cls(
         knots,
         _number_list(params[vkey], f"{where}.params.{vkey}"),
         _number_list(params[skey], f"{where}.params.{skey}"),

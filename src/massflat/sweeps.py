@@ -38,7 +38,7 @@ def _make_profile(family: str, value, dimension: int, alpha0: float,
     if family == "deep-well":
         return deep_well(dimension, float(value), alpha0, well_depth)
     if family == "stripes":
-        return stripes(tuple(radii), float(value))
+        return stripes(tuple(radii), float(value), dimension)
     return read_profile(value)
 
 
@@ -66,8 +66,7 @@ def _sweep_row(family: str, value, dimension: int, alpha0: float, D: float,
         model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh), check=False)
         window_gh = tubular_window(model_gh, alpha0, d_gh)
         gh = best_gh_bound(model_gh, window_gh)
-        seg = segment_limit_bound(model_gh, window_gh,
-                                  L0=max(well_depth, 1.0))
+        seg = segment_limit_bound(model_gh, window_gh)
 
         row.update({
             "mass": profile.adm_mass,

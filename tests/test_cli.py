@@ -179,6 +179,8 @@ _REFUSED = [
      "stripe radius must be finite and positive, got inf"),
     (("example", "stripes", "--radii", "nan,2"),
      "stripe radius must be finite and positive, got nan"),
+    (("example", "stripes", "--dimension", "4"),
+     "stripes are 3-dimensional only, got dimension 4"),
     (("certificate", "{path}", "--alpha0", str(4.0 * math.pi), "--D", "0.5",
       "--epsilon", "0.5", "--sampled-cm", "--mesh-h", "0.05", "--seed", "-1"),
      "seed must be >= 0, got -1"),
@@ -197,15 +199,17 @@ def test_refused_inputs_exit_2_with_one_error_line(argv, message,
 
 
 def test_sweep_records_a_bad_dimension_per_row(capsys):
-    code, out, err = run(
-        capsys, "sweep", "--family", "schwarzschild", "--values", "1e-3,1e-2",
-        "--dimension", "2", "--alpha0", str(4.0 * math.pi), "--D", "0.5",
-        "--epsilon", "0.5", "--format", "json")
-    assert code == 1
-    assert err == ""
-    rows = json.loads(out)
-    assert [row["status"] for row in rows] == [
-        "error: dimension must be an integer >= 3, got 2"] * 2
+    for family, dimension, message in (
+            ("schwarzschild", "2", "dimension must be an integer >= 3, got 2"),
+            ("stripes", "5", "stripes are 3-dimensional only, got dimension 5")):
+        code, out, err = run(
+            capsys, "sweep", "--family", family, "--values", "1e-3,1e-2",
+            "--dimension", dimension, "--alpha0", str(4.0 * math.pi),
+            "--D", "0.5", "--epsilon", "0.5", "--format", "json")
+        assert code == 1
+        assert err == ""
+        rows = json.loads(out)
+        assert [row["status"] for row in rows] == [f"error: {message}"] * 2
 
 
 def test_gh_command(schwarz_path, capsys):

@@ -13,7 +13,6 @@ from massflat.embedding import (budget_embedding_constants,
                                 metric_embedding_check, tube_distance)
 from massflat.errors import DomainError, RangeError, checked_range, positive
 from massflat.geometry import ManifoldModel, tubular_window, window_bracket
-from massflat.ghdist import segment_limit_bound
 from massflat.profiles import deep_well_parameters, schwarzschild, stripes
 
 
@@ -94,7 +93,6 @@ def test_every_positive_parameter_rejects_infinity():
     for call in (lambda: window_bracket(model, inf, 0.5),
                  lambda: window_bracket(model, 4.0 * math.pi, inf),
                  lambda: flat_certificate(model, 4.0 * math.pi, 0.5, inf),
-                 lambda: segment_limit_bound(model, window, inf),
                  lambda: model.profile.scale(inf),
                  lambda: schwarzschild(3, inf),
                  lambda: stripes((1.0, 2.0), inf),

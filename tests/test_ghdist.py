@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from massflat import ghdist
 from massflat.embedding import embedding_constant_bound
-from massflat.errors import DomainError, RangeError
+from massflat.errors import RangeError
 from massflat.geometry import ManifoldModel, tubular_window
 from massflat.ghdist import (_cut_candidates, best_gh_bound, gh_bound,
                              segment_limit_bound)
@@ -73,7 +74,7 @@ def test_best_gh_bound_is_the_minimum_of_gh_bound(profile):
     # the batched scoring picks the candidate a gh_bound per cut would pick
     model = ManifoldModel(profile, 8.0)
     window = tubular_window(model, 4.0 * math.pi, 0.5)
-    cands = _cut_candidates(model, window, 48)
+    cands = _cut_candidates(model, window)
     assert cands.size == 49
     loop = min((gh_bound(model, window, float(r)) for r in cands),
                key=lambda b: b.total)
@@ -99,12 +100,27 @@ def test_gh_bound_pinned_by_well_depth():
 def test_segment_limit_default_and_explicit_cut():
     model = ManifoldModel(schwarzschild(3, 0.05), 8.0)
     window = tubular_window(model, 4.0 * math.pi, 0.5)
-    out = segment_limit_bound(model, window, L0=2.0)
-    # default cut: geometric mean of wall scale and window scale in r^(m-2)
+    out = segment_limit_bound(model, window)
+    # default cut: geometric mean of wall scale and window scale in r^(m-2),
+    # below the window here, so only the two radii are reported
     r_def = math.sqrt(2.0 * 0.05 * window.r0)
+    assert r_def < window.r_minus
     consts = embedding_constant_bound(model, r_def, window.r_plus)
     reach = consts.delta_F + consts.S_M
-    assert out.rho == pytest.approx(max(reach, math.pi * r_def), rel=1e-12)
-    assert out.rho_prime == pytest.approx(max(r_def, reach), rel=1e-12)
-    with pytest.raises(DomainError):
-        segment_limit_bound(model, window, L0=0.0)
+    assert out.rho == max(reach, math.pi * r_def)
+    assert out.rho_prime == max(r_def, reach)
+
+
+@pytest.mark.parametrize("call", [best_gh_bound, segment_limit_bound])
+def test_one_embedding_constant_pass_per_bound(call, monkeypatch):
+    model = ManifoldModel(schwarzschild(3, 0.05), 8.0)
+    window = tubular_window(model, 4.0 * math.pi, 0.5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return embedding_constant_bound(*args)
+
+    monkeypatch.setattr(ghdist, "embedding_constant_bound", counted)
+    call(model, window)
+    assert len(calls) == 1

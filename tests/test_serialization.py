@@ -134,6 +134,14 @@ def test_missing_and_type_errors():
         loads_profile("{nope")
 
 
+@pytest.mark.parametrize("kind", [["constant"], {"a": 1}, 3, None])
+def test_non_string_kind_is_a_format_error(kind):
+    doc = profile_to_dict(flat(3))
+    doc["pieces"][0]["kind"] = kind
+    with pytest.raises(ProfileFormatError, match="not recognized"):
+        profile_from_dict(doc)
+
+
 def test_spline_params_must_pick_one_parametrization():
     doc = profile_to_dict(deep_well(3, 0.05, 4.0 * math.pi, 1.0))
     spline = next(p for p in doc["pieces"] if p["kind"] == "cubic-spline")
