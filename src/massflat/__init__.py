@@ -15,10 +15,9 @@ from .geometry import (ManifoldModel, TubularWindow, euclidean_annulus_volume,
 from .ghdist import (GHBound, SegmentBound, best_gh_bound, gh_bound,
                      segment_limit_bound)
 from .profiles import (ConstantPiece, CubicSplinePiece, HawkingProfile,
-                       PowerLawPiece, StripePiece, ValidationIssue,
-                       ValidationReport, deep_well, deep_well_parameters,
-                       flat, monotone_slopes, schwarzschild, stripes,
-                       unit_sphere_area, validate)
+                       PowerLawPiece, ValidationIssue, ValidationReport,
+                       deep_well, deep_well_parameters, flat, monotone_slopes,
+                       schwarzschild, stripes, unit_sphere_area, validate)
 from .serialization import (canonical_json, dumps_profile, loads_profile,
                             profile_from_dict, profile_to_dict, read_profile,
                             write_profile)
@@ -45,7 +44,6 @@ __all__ = [
     "RangeError",
     "SWEEP_COLUMNS",
     "SegmentBound",
-    "StripePiece",
     "TubularWindow",
     "ValidationIssue",
     "ValidationReport",

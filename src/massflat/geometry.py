@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import (DomainError, InvalidProfileError, QuadratureError,
                      RangeError, WindowOverflowError, checked_range, positive)
-from .profiles import (CubicSplinePiece, HawkingProfile, PowerLawPiece,
-                       sphere_radius, unit_sphere_area, validate)
+from .profiles import (CubicSplinePiece, HawkingProfile, sphere_radius,
+                       unit_sphere_area, validate)
 
 __all__ = [
     "ManifoldModel",
@@ -232,14 +232,21 @@ class ManifoldModel:
 
     # -- exact pointwise data ------------------------------------------------
 
-    def _origin_slope_sq(self) -> float:
-        """Limit of F'(r)^2 as r -> 0 for a boundaryless profile."""
-        piece = self.profile.pieces[0]
+    @cached_property
+    def _origin_slopes(self) -> Tuple[float, float]:
+        """F' and s' as r -> 0 on a boundaryless model.
+
+        Near the origin r^(m-2) underflows, and m_H and the gap with it, so
+        both read their values at r0 = 1e-300^(1/(m-2)), where r^(m-2) is
+        still a normal double.  On every piece kind that can start at
+        r = 0 those differ from the limits by terms that vanish with r0.
+        """
         k = self.dimension - 2
-        if isinstance(piece, PowerLawPiece) and piece.exponent == k:
-            c = piece.coefficient
-            return 2.0 * c / (1.0 - 2.0 * c)
-        return 0.0
+        r0 = np.array([_TINY ** (1.0 / k)])
+        mh, gap = self.profile.mass_and_gap(r0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (float(np.sqrt(2.0 * mh / gap)[0]),
+                    float(np.sqrt(r0**k / gap)[0]))
 
     def _slopes(self, r) -> np.ndarray:
         """F'(r) and s'(r) as the two rows of one array.
@@ -256,7 +263,7 @@ class ManifoldModel:
             np.sqrt(2.0 * mh / gap, out=fp, where=gap > 0)
         # near the origin r^(m-2) underflows, and m_H and the gap with it
         if self.r_min == 0.0:
-            fp[xi == 0.0] = math.sqrt(self._origin_slope_sq())
+            fp[xi == 0.0] = self._origin_slopes[0]
         elif self._singular:
             fp[arr <= self.r_min] = np.inf
         self._fill_s_prime(sp, xi, gap)
@@ -268,7 +275,7 @@ class ManifoldModel:
         with np.errstate(divide="ignore", invalid="ignore"):
             np.sqrt(xi / gap, out=out, where=(gap > 0) & (xi > 0))
         if self.r_min == 0.0:
-            out[xi == 0.0] = math.sqrt(1.0 + self._origin_slope_sq())
+            out[xi == 0.0] = self._origin_slopes[1]
 
     def f_prime(self, r):
         """Exact graph slope F'(r); +inf on a minimal boundary sphere."""

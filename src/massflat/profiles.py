@@ -36,7 +36,6 @@ __all__ = [
     "ConstantPiece",
     "PowerLawPiece",
     "CubicSplinePiece",
-    "StripePiece",
     "HawkingProfile",
     "ValidationIssue",
     "ValidationReport",
@@ -57,7 +56,12 @@ def unit_sphere_area(dimension: int) -> float:
     m = dimension
     if not isinstance(m, (int, np.integer)) or m < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {m!r}")
-    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    try:
+        # Gamma(m/2) overflows from m = 344 on
+        return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    except OverflowError:
+        raise DomainError(f"the unit sphere area in dimension {m} is not a "
+                          f"finite double") from None
 
 
 def sphere_radius(area: float, dimension: int) -> float:
@@ -103,10 +107,6 @@ class ProfilePiece:
     def scaled(self, lam: float, dimension: int) -> "ProfilePiece":
         raise NotImplementedError
 
-    def params(self) -> dict:
-        """Kind-specific parameters for serialization."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}([{self.r_lo:g}, {self.r_hi:g}])"
 
@@ -141,9 +141,6 @@ class ConstantPiece(ProfilePiece):
     def scaled(self, lam, dimension):
         return ConstantPiece(self.r_lo * lam, self.r_hi * lam, self.value * lam ** (dimension - 2))
 
-    def params(self):
-        return {"value": self.value}
-
 
 class PowerLawPiece(ProfilePiece):
     """m_H(r) = coefficient * r^exponent."""
@@ -177,37 +174,6 @@ class PowerLawPiece(ProfilePiece):
     def scaled(self, lam, dimension):
         c = self.coefficient * lam ** (dimension - 2 - self.exponent)
         return PowerLawPiece(self.r_lo * lam, self.r_hi * lam, c, self.exponent)
-
-    def params(self):
-        return {"coefficient": self.coefficient, "exponent": self.exponent}
-
-
-class StripePiece(ProfilePiece):
-    """m_H(r) = K r^3 / 2: a slice of the round 3-sphere of radius K^(-1/2)."""
-
-    kind = "stripe"
-    __slots__ = ("curvature",)
-
-    def __init__(self, r_lo: float, r_hi: float, curvature: float):
-        super().__init__(r_lo, r_hi)
-        self.curvature = float(curvature)
-        if not (self.curvature > 0.0 and math.isfinite(self.curvature)):
-            raise DomainError("stripe curvature must be positive")
-
-    def mass_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        return 1.5 * self.curvature * r**2
-
-    def mass_and_gap(self, r, dimension):
-        r = np.asarray(r, dtype=float)
-        # only valid in dimension 3, where xi = r
-        return 0.5 * self.curvature * r**3, r * (1.0 - self.curvature * r**2)
-
-    def scaled(self, lam, dimension):
-        return StripePiece(self.r_lo * lam, self.r_hi * lam, self.curvature / lam**2)
-
-    def params(self):
-        return {"curvature": self.curvature}
 
 
 def _lerp(a, b, t):
@@ -321,16 +287,6 @@ class CubicSplinePiece(ProfilePiece):
             power=self.power,
             gap_space=self.gap_space,
         )
-
-    def params(self):
-        out = {"knots": [float(x) for x in self.knots], "power": self.power}
-        if self.gap_space:
-            out["gap_values"] = [float(x) for x in self.values]
-            out["gap_slopes"] = [float(x) for x in self.slopes]
-        else:
-            out["values"] = [float(x) for x in self.values]
-            out["slopes"] = [float(x) for x in self.slopes]
-        return out
 
 
 def _end_slope(h0, h1, m0, m1) -> float:
@@ -536,10 +492,6 @@ def validate(profile: HawkingProfile) -> ValidationReport:
             add("structure/gap", a, f"gap between pieces: [{a}, {b}] uncovered")
         elif b < a - slack:
             add("structure/overlap", b, f"pieces overlap on [{b}, {a}]")
-    for piece in pieces:
-        if isinstance(piece, StripePiece) and m != 3:
-            add("structure/stripe-dimension", piece.r_lo,
-                "stripe pieces are only defined in dimension 3")
 
     # boundary condition
     if profile.r_min > 0.0:
@@ -775,8 +727,10 @@ def stripes(radii: Iterable[float], delta: float,
     ``radii`` lists consecutive pairs (r_1, r_2), (r_3, r_4), ...; inside each
     pair the profile runs along the sphere curve m_H = K_j r^3/2 with
     K_j = 2 min(r_2j/2, delta)/r_2j^3, so every stripe carries constant
-    positive sectional curvature.  The ADM mass stays below delta.  A
-    dimension other than 3 is refused rather than ignored.
+    positive sectional curvature.  The head from the origin and every
+    stretch along a sphere curve are power-law pieces with coefficient K_j/2
+    and exponent 3.  The ADM mass stays below delta.  A dimension other than
+    3 is refused rather than ignored.
     """
     if dimension != 3:
         raise DomainError(f"stripes are 3-dimensional only, got dimension "
@@ -814,7 +768,7 @@ def stripes(radii: Iterable[float], delta: float,
         K = curvatures[j]
         r_out = radii[2 * j + 1]
         b = 0.5 * (a + r_out)
-        pieces.append(StripePiece(a, b, K))
+        pieces.append(PowerLawPiece(a, b, 0.5 * K, 3.0))
         if j + 1 == count:
             break
         K_next = curvatures[j + 1]

@@ -28,7 +28,7 @@ from typing import Union
 
 from .errors import ProfileFormatError
 from .profiles import (ConstantPiece, CubicSplinePiece, HawkingProfile,
-                       PowerLawPiece, StripePiece)
+                       PowerLawPiece)
 
 __all__ = [
     "profile_to_dict",
@@ -40,15 +40,15 @@ __all__ = [
     "canonical_json",
 ]
 
-# kind -> (piece class, parameters after from/to, in constructor order)
+# kind -> (piece class, parameters after from/to, in constructor order):
+# the only list of each kind's parameter names, for writing and reading
 _PIECES = {
     "constant": (ConstantPiece, ("value",)),
     "power-law": (PowerLawPiece, ("coefficient", "exponent")),
-    "stripe": (StripePiece, ("curvature",)),
     "cubic-spline": (CubicSplinePiece, None),
 }
-_SPLINE_KEYS = ({"knots", "values", "slopes", "power"},
-                {"knots", "gap_values", "gap_slopes", "power"})
+# a cubic spline's value and slope keys, by its gap_space flag
+_SPLINE_DATA = {False: ("values", "slopes"), True: ("gap_values", "gap_slopes")}
 
 
 def _edge(value: Union[float, str], where: str) -> float:
@@ -71,12 +71,21 @@ def _number_list(value, where: str) -> list:
     return [_number(x, f"{where}[{k}]") for k, x in enumerate(value)]
 
 
+def _params(piece) -> dict:
+    names = _PIECES[piece.kind][1]
+    if names is not None:
+        return {n: getattr(piece, n) for n in names}
+    vkey, skey = _SPLINE_DATA[piece.gap_space]
+    return {"knots": piece.knots.tolist(), "power": piece.power,
+            vkey: piece.values.tolist(), skey: piece.slopes.tolist()}
+
+
 def profile_to_dict(profile: HawkingProfile) -> dict:
     pieces = []
     for p in profile.pieces:
         to = "inf" if math.isinf(p.r_hi) else p.r_hi
         pieces.append({"kind": p.kind, "from": p.r_lo, "to": to,
-                       "params": p.params()})
+                       "params": _params(p)})
     return {"dimension": profile.dimension, "r_min": profile.r_min,
             "adm_mass": profile.adm_mass, "pieces": pieces}
 
@@ -109,16 +118,15 @@ def _parse_piece(entry, where: str):
         return cls(lo, hi, *(_number(params[n], f"{where}.params.{n}")
                              for n in names))
     # power is optional in both parametrizations
-    if not any(keyset == var or keyset == var - {"power"}
-               for var in _SPLINE_KEYS):
+    if not any(keyset - {"power"} == {"knots", *data}
+               for data in _SPLINE_DATA.values()):
         raise ProfileFormatError(
             f"{where}.params for cubic-spline must be knots with either "
             f"values/slopes or gap_values/gap_slopes, got {sorted(keyset)}")
     knots = _number_list(params["knots"], f"{where}.params.knots")
     power = _number(params.get("power", 1.0), f"{where}.params.power")
     gap_space = "gap_values" in params
-    vkey, skey = (("gap_values", "gap_slopes") if gap_space
-                  else ("values", "slopes"))
+    vkey, skey = _SPLINE_DATA[gap_space]
     piece = cls(
         knots,
         _number_list(params[vkey], f"{where}.params.{vkey}"),
@@ -191,12 +199,18 @@ def loads_profile(text: str) -> HawkingProfile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProfileFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProfileFormatError("JSON nested too deeply to parse") from exc
     return profile_from_dict(data)
 
 
 def read_profile(path) -> HawkingProfile:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_profile(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ProfileFormatError(f"not UTF-8 text: {exc}") from exc
+    return loads_profile(text)
 
 
 def write_profile(profile: HawkingProfile, path) -> None:

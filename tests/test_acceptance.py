@@ -213,7 +213,7 @@ def test_criterion_04_stripe_sphere_fit():
     p = stripes((1.0, 2.0), 0.1)
     model = ManifoldModel(p, 4.0)
     stripe = p.pieces[1]
-    curvature = stripe.curvature
+    curvature = 2.0 * stripe.coefficient
     rs = np.linspace(stripe.r_lo + 1e-9, stripe.r_hi - 1e-9, 257)
     fs = np.asarray(model.F(rs))
     # the stripe graph is a circular arc: fit the center height and check

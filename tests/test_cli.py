@@ -14,7 +14,7 @@ import pytest
 
 from massflat import cli, errors
 from massflat.cli import main
-from massflat.profiles import schwarzschild
+from massflat.profiles import schwarzschild, stripes
 from massflat.serialization import dumps_profile, loads_profile, write_profile
 
 
@@ -23,6 +23,24 @@ def schwarz_path(tmp_path):
     path = tmp_path / "schwarz.json"
     write_profile(schwarzschild(3, 0.05), path)
     return str(path)
+
+
+@pytest.fixture
+def bad_paths(tmp_path):
+    """Files the format refuses: Latin-1 bytes, nesting deeper than the
+    JSON parser recurses, and a stripes profile with the retired "stripe"
+    piece kind (a stripe of curvature K is now the power law K/2 r^3)."""
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("latin1", "nested", "stripe")}
+    paths["latin1"].write_bytes(
+        b'{"dimension": 3, "r_min": 0.0, "pieces": "caf\xe9"}')
+    paths["nested"].write_text("[" * 100000 + "]" * 100000,
+                               encoding="utf-8")
+    doc = json.loads(dumps_profile(stripes((1.0, 2.0), 0.1)))
+    doc["pieces"][1] = {"kind": "stripe", "from": 1.0, "to": 1.5,
+                        "params": {"curvature": 0.025}}
+    paths["stripe"].write_text(json.dumps(doc), encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
 
 
 def run(capsys, *argv):
@@ -184,15 +202,27 @@ _REFUSED = [
     (("certificate", "{path}", "--alpha0", str(4.0 * math.pi), "--D", "0.5",
       "--epsilon", "0.5", "--sampled-cm", "--mesh-h", "0.05", "--seed", "-1"),
      "seed must be >= 0, got -1"),
+    (("delta", "--epsilon", "0.5", "--D", "0.5", "--alpha0", "12.5",
+      "--dimension", "400"),
+     "the unit sphere area in dimension 400 is not a finite double"),
+    *((argv, "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in "
+             "position 45: invalid continuation byte")
+      for argv in (("validate", "{latin1}"),
+                   ("certificate", "{latin1}", "--alpha0", "12.5", "--D",
+                    "0.5", "--epsilon", "0.5"))),
+    *((argv, "JSON nested too deeply to parse")
+      for argv in (("validate", "{nested}"), ("describe", "{nested}"))),
+    (("validate", "{stripe}"), "pieces[1].kind 'stripe' is not recognized"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", _REFUSED,
                          ids=[" ".join(a) for a, _ in _REFUSED])
 def test_refused_inputs_exit_2_with_one_error_line(argv, message,
-                                                   schwarz_path, capsys):
-    code, out, err = run(capsys,
-                         *(a.format(path=schwarz_path) for a in argv))
+                                                   schwarz_path, bad_paths,
+                                                   capsys):
+    code, out, err = run(capsys, *(a.format(path=schwarz_path, **bad_paths)
+                                   for a in argv))
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
@@ -201,7 +231,9 @@ def test_refused_inputs_exit_2_with_one_error_line(argv, message,
 def test_sweep_records_a_bad_dimension_per_row(capsys):
     for family, dimension, message in (
             ("schwarzschild", "2", "dimension must be an integer >= 3, got 2"),
-            ("stripes", "5", "stripes are 3-dimensional only, got dimension 5")):
+            ("stripes", "5", "stripes are 3-dimensional only, got dimension 5"),
+            ("schwarzschild", "400",
+             "the unit sphere area in dimension 400 is not a finite double")):
         code, out, err = run(
             capsys, "sweep", "--family", family, "--values", "1e-3,1e-2",
             "--dimension", dimension, "--alpha0", str(4.0 * math.pi),
@@ -210,6 +242,21 @@ def test_sweep_records_a_bad_dimension_per_row(capsys):
         assert err == ""
         rows = json.loads(out)
         assert [row["status"] for row in rows] == [f"error: {message}"] * 2
+
+
+def test_sweep_records_a_malformed_file_per_row(schwarz_path, bad_paths,
+                                                capsys):
+    code, out, err = run(
+        capsys, "sweep", "--family", "file", "--values",
+        ",".join([bad_paths["nested"], bad_paths["latin1"], schwarz_path]),
+        "--alpha0", str(4.0 * math.pi), "--D", "0.5", "--epsilon", "0.5",
+        "--format", "json")
+    assert code == 1
+    assert err == ""
+    status = [row["status"] for row in json.loads(out)]
+    assert status[0] == "error: JSON nested too deeply to parse"
+    assert status[1].startswith("error: not UTF-8 text: ")
+    assert status[2] == "ok"
 
 
 def test_gh_command(schwarz_path, capsys):

@@ -14,7 +14,7 @@ from massflat.embedding import (annulus_distance, metric_embedding_check,
 from massflat.errors import DomainError, RangeError
 from massflat.geometry import ManifoldModel, tubular_window
 from massflat.profiles import (ConstantPiece, HawkingProfile, PowerLawPiece,
-                               StripePiece, deep_well, flat, schwarzschild)
+                               deep_well, flat, schwarzschild)
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,7 +64,7 @@ def test_cone_matches_the_unrolled_annulus():
 def test_lower_hemisphere_matches_spherical_trigonometry():
     # m_H = r^3 / 2 makes s' = 1 / sqrt(1 - r^2): the unit sphere around a
     # pole, r = sin s; the inner circle sits at colatitude s_in
-    cap = HawkingProfile(3, 0.0, (StripePiece(0.0, 0.95, 1.0),
+    cap = HawkingProfile(3, 0.0, (PowerLawPiece(0.0, 0.95, 0.5, 3.0),
                                   ConstantPiece(0.95, math.inf,
                                                 0.5 * 0.95**3)))
     model = ManifoldModel(cap, 0.94, check=False)

@@ -20,6 +20,7 @@ from massflat.geometry import (
     tubular_window,
 )
 from massflat.profiles import (
+    ConstantPiece,
     CubicSplinePiece,
     HawkingProfile,
     deep_well,
@@ -632,3 +633,27 @@ def test_slopes_where_the_wall_underflows():
     assert model.s_prime(1e-200) == 1.0
     assert model.s(1e-200) == pytest.approx(1e-200, rel=1e-12)
     assert model.F(1e-200) == 0.0
+
+
+def test_origin_slopes_are_the_limits_of_every_head():
+    # a plain spline head with m_H'(0) = c = 0.2 is a cone tip: F'^2 tends
+    # to 2c / (1 - 2c) and s'^2 to 1 / (1 - 2c), curved from r = 0 on
+    tip = HawkingProfile(3, 0.0, (
+        CubicSplinePiece([0.0, 1.0], [0.0, 0.2], [0.2, 0.0]),
+        ConstantPiece(1.0, math.inf, 0.2)))
+    model = ManifoldModel(tip, 4.0)
+    assert model.f_prime(0.0) == pytest.approx(math.sqrt(0.4 / 0.6),
+                                               rel=1e-12)
+    assert model.s_prime(0.0) == pytest.approx(1.0 / math.sqrt(0.6),
+                                               rel=1e-12)
+    assert model.r_disk == 0.0
+    # the boundaryless deep wells' heads are power laws with exponent m - 2
+    for p in (deep_well(3, 1e-3, 4.0 * math.pi, 5.0, with_boundary=False),
+              deep_well(4, 0.02, 2.0 * math.pi**2, 2.0, with_boundary=False)):
+        c = p.pieces[0].coefficient
+        model = ManifoldModel(p, 8.0)
+        assert model.f_prime(0.0) ** 2 == pytest.approx(2 * c / (1 - 2 * c),
+                                                        rel=1e-15)
+    for p in (flat(3), flat(4), stripes((1.0, 2.0), 0.1)):
+        model = ManifoldModel(p, 4.0)
+        assert (model.f_prime(0.0), model.s_prime(0.0)) == (0.0, 1.0)

@@ -14,7 +14,6 @@ from massflat.profiles import (
     CubicSplinePiece,
     HawkingProfile,
     PowerLawPiece,
-    StripePiece,
     deep_well,
     deep_well_parameters,
     flat,
@@ -24,6 +23,7 @@ from massflat.profiles import (
     unit_sphere_area,
     validate,
 )
+from massflat.serialization import _PIECES
 from util import random_spline_profile
 
 
@@ -36,6 +36,11 @@ def test_unit_sphere_area_known_values():
         unit_sphere_area(1)
     with pytest.raises(DomainError):
         unit_sphere_area(3.0)
+    # Gamma(m/2) overflows a double from m = 344 on
+    assert 0.0 < unit_sphere_area(343) < 1e-200
+    for m in (344, 400, 10**6):
+        with pytest.raises(DomainError, match=f"in dimension {m} "):
+            unit_sphere_area(m)
 
 
 def test_constant_and_power_law_pieces():
@@ -48,17 +53,9 @@ def test_constant_and_power_law_pieces():
     np.testing.assert_allclose(p.mass_and_gap(rs, 3)[0], 0.2 * rs**3,
                                rtol=1e-15)
     np.testing.assert_allclose(p.mass_prime(rs), 0.6 * rs**2, rtol=1e-15)
-
-
-def test_stripe_piece_matches_sphere_curve():
-    k = 0.15
-    sp = StripePiece(1.0, 1.5, k)
-    rs = np.linspace(1.0, 1.5, 11)
-    mh, gap = sp.mass_and_gap(rs, 3)
-    np.testing.assert_allclose(mh, 0.5 * k * rs**3, rtol=1e-15)
-    np.testing.assert_allclose(sp.mass_prime(rs), 1.5 * k * rs**2, rtol=1e-15)
     # the gap row agrees with the direct formula away from the wall
-    np.testing.assert_allclose(gap, rs - k * rs**3, rtol=1e-14)
+    np.testing.assert_allclose(p.mass_and_gap(rs, 3)[1], rs - 0.4 * rs**3,
+                               rtol=1e-14)
 
 
 def test_cubic_spline_piece_interpolates_hermite_data():
@@ -298,13 +295,20 @@ def test_stripes_structure_and_curvature():
     p = stripes((1.0, 2.0, 3.0, 4.0), 0.1)
     assert validate(p).ok, str(validate(p))
     assert p.adm_mass < 0.1
-    stripe_pieces = [q for q in p.pieces if isinstance(q, StripePiece)]
-    assert len(stripe_pieces) == 2
-    # curvature K_j = 2 min(r_out/2, delta) / r_out^3 and stripes start at r_j
-    assert stripe_pieces[0].r_lo == 1.0
-    assert stripe_pieces[0].curvature == pytest.approx(0.2 / 8.0, rel=1e-15)
-    assert stripe_pieces[1].curvature == pytest.approx(0.2 / 64.0, rel=1e-15)
-    assert stripe_pieces[0].curvature > stripe_pieces[1].curvature
+    # the sphere curves m_H = K_j r^3 / 2: the head from the origin, then
+    # one stripe per curve
+    curves = [q for q in p.pieces
+              if isinstance(q, PowerLawPiece) and q.exponent == 3.0]
+    assert [(q.r_lo, q.r_hi) for q in curves[:2]] == [(0.0, 1.0), (1.0, 1.5)]
+    # coefficients K_j / 2 with K_j = 2 min(r_out/2, delta) / r_out^3,
+    # decreasing outward
+    assert [q.coefficient for q in curves] == pytest.approx(
+        [0.1 / 8.0, 0.1 / 8.0, 0.1 / 64.0], rel=1e-15)
+    # the second stripe starts where the link onto its curve ends, past r_3
+    second = curves[2]
+    link = p.pieces[p.pieces.index(second) - 1]
+    assert isinstance(link, CubicSplinePiece)
+    assert second.r_lo == link.r_hi == pytest.approx(3.668, abs=1e-3)
 
 
 @pytest.mark.parametrize("radii, shown", [((1.0, math.inf), "inf"),
@@ -377,7 +381,7 @@ _PIECE_KIND_PROFILES = {
     # power law with exponent m - 2, splines in u = r^2
     "deep-well-4d": lambda: deep_well(4, 0.05, 2.0 * math.pi**2, 3.0,
                                       with_boundary=False),
-    # power law r^3, stripe, plain spline
+    # power law r^3, plain spline
     "stripes": lambda: stripes((1.0, 2.0), 0.1),
     # the on-wall constant's factored gap with two terms
     "schwarzschild-4d": lambda: schwarzschild(4, 0.05),
@@ -407,24 +411,23 @@ def test_mass_and_gap_equals_mass_and_wall_gap(name):
 
 
 def test_mass_and_gap_profiles_cover_every_piece_kind():
+    # each kind's two mass_and_gap branches: the on-wall constant, the
+    # exponent m-2 power law and the gap-space spline, and the plain forms
     kinds = set()
     for build in _PIECE_KIND_PROFILES.values():
         p = build()
         for piece in p.pieces:
             if isinstance(piece, ConstantPiece):
-                on_wall = math.isclose(
+                branch = math.isclose(
                     piece.value, 0.5 * piece.r_lo ** (p.dimension - 2),
                     rel_tol=1e-9)
-                kinds.add(("constant", on_wall))
             elif isinstance(piece, PowerLawPiece):
-                kinds.add(("power-law", piece.exponent == p.dimension - 2))
-            elif isinstance(piece, CubicSplinePiece):
-                kinds.add(("spline", piece.gap_space))
+                branch = piece.exponent == p.dimension - 2
             else:
-                kinds.add((piece.kind, None))
-    assert kinds == {("constant", True), ("constant", False),
-                     ("power-law", True), ("power-law", False),
-                     ("spline", True), ("spline", False), ("stripe", None)}
+                branch = piece.gap_space
+            kinds.add((piece.kind, branch))
+    assert kinds == {(kind, branch) for kind in _PIECES
+                     for branch in (True, False)}
 
 
 _DISPATCH_PROFILES = {

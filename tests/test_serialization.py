@@ -132,6 +132,28 @@ def test_missing_and_type_errors():
         profile_from_dict(doc)
     with pytest.raises(ProfileFormatError, match="not valid JSON"):
         loads_profile("{nope")
+    with pytest.raises(ProfileFormatError, match="nested too deeply"):
+        loads_profile("[" * 100000 + "]" * 100000)
+
+
+def test_non_utf8_file_is_a_format_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(dumps_profile(flat(3)).replace('"constant"', '"caf\xe9"')
+                     .encode("latin-1"))
+    with pytest.raises(ProfileFormatError, match="not UTF-8 text"):
+        read_profile(path)
+
+
+def test_retired_stripe_kind_is_refused():
+    # a stripe of curvature K is the power law with coefficient K/2 and
+    # exponent 3; the old kind has no read alias
+    doc = profile_to_dict(stripes((1.0, 2.0), 0.1))
+    stripe = doc["pieces"][1]
+    assert stripe["params"] == {"coefficient": 0.0125, "exponent": 3.0}
+    stripe.update(kind="stripe", params={"curvature": 0.025})
+    with pytest.raises(ProfileFormatError,
+                       match=r"pieces\[1\]\.kind 'stripe' is not recognized"):
+        profile_from_dict(doc)
 
 
 @pytest.mark.parametrize("kind", [["constant"], {"a": 1}, 3, None])
