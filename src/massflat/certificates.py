@@ -140,11 +140,12 @@ def flat_certificate(model: ManifoldModel, alpha0: float, D: float,
     s_m, c_m = consts.S_M, consts.C_M_bound
 
     inner = max(window.r0 - D, 0.0)
-    vol_a1 = model.shell_volume(window.r_minus, r_eps) if deep else 0.0
+    # one quadrature pass; the deep shell [r_minus, r_eps] is empty unless
+    # the cut lies inside the window
+    shell, vol_b1, vol_a1 = model._window_volumes(window.r_minus, r_eps,
+                                                  r_plus)
     vol_a2 = euclidean_annulus_volume(m, inner, r_eps)
     vol_a0 = euclidean_annulus_volume(m, r_plus, window.r0 + D)
-    vol_b1 = model.graph_excess(r_eps, r_plus)
-    shell = model.shell_volume(r_eps, r_plus)
     vol_b2 = s_m * shell
     vol_a31 = s_m * omega * r_plus ** (m - 1)
     vol_a32 = s_m * omega * r_eps ** (m - 1)

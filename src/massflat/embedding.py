@@ -85,26 +85,32 @@ def embedding_constant_bound(model, r_a, r_b: float) -> EmbeddingConstants:
     a knot or an end of the range; between knots it can read low.
     S_M = sqrt(C (diam_M + C)) where diam_M is bounded by
     diam_W sqrt(1 + sup_grad^2) plus the graph height.  An array of left
-    ends r_a sharing r_b gives constants whose fields are arrays.
+    ends r_a sharing r_b gives constants whose fields are arrays.  F and s
+    at every end come from one stacked read (ManifoldModel._F_and_s).
     """
     scalar = np.ndim(r_a) == 0
     r_a = np.atleast_1d(np.asarray(r_a, dtype=float))
+    fields = _measured_fields(model, r_a, r_b,
+                              *model._F_and_s(np.append(r_a, r_b)))
+    if scalar:
+        fields = {k: float(v[0]) for k, v in fields.items()}
+    return EmbeddingConstants(mode="measured", **fields)
+
+
+def _measured_fields(model, r_a: np.ndarray, r_b: float, f_ends: np.ndarray,
+                     s_ends: np.ndarray) -> dict:
+    """embedding_constant_bound's fields, as arrays over the left ends r_a,
+    from F and s read at r_a and then r_b (the last entry of each)."""
     sup_grad = model.sup_grad(r_a, r_b)
-    ends = np.append(r_a, r_b)
-    s_ends = model.s(ends)
     diam_W_bound = (s_ends[-1] - s_ends[:-1]) + math.pi * r_b
-    f_ends = model.F(ends)
     delta_f = f_ends[-1] - f_ends[:-1]
     # sup_grad is infinite only on a boundary sphere, where diam_W > 0, so
     # the infinity carries through to diam_M, C and S
     diam_M = diam_W_bound * np.sqrt(1.0 + sup_grad**2) + delta_f
     C = 2.0 * diam_W_bound * sup_grad
-    fields = {"C_M_bound": C, "S_M": np.sqrt(C * (diam_M + C)),
-              "diam_W_bound": diam_W_bound,
-              "diam_M_bound": diam_M, "sup_grad": sup_grad, "delta_F": delta_f}
-    if scalar:
-        fields = {k: float(v[0]) for k, v in fields.items()}
-    return EmbeddingConstants(mode="measured", **fields)
+    return {"C_M_bound": C, "S_M": np.sqrt(C * (diam_M + C)),
+            "diam_W_bound": diam_W_bound,
+            "diam_M_bound": diam_M, "sup_grad": sup_grad, "delta_F": delta_f}
 
 
 def budget_embedding_constants(D: float, r0: float,

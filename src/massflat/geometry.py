@@ -21,9 +21,15 @@ pass evaluates the integrand once at the GL16 and GL8 nodes of all its
 pending cells together, in calls of at most _BLOCK nodes of whole cells.
 An integrand may return a stack of rows; each row keeps its own
 acceptance and equals the row integrated alone, so one pass over
-(F', s') builds both tables.  A panel whose value is not finite, one still
-unconverged after 50 bisections, or a batch whose pending cells (over all
-rows) bisection would grow by more than 200,000 raises QuadratureError.
+(F', s') builds both tables.  The same stacking serves the readers that
+need several integrals at once: _F_and_s reads F and s at a batch of radii
+in one pass, and _window_volumes integrates a certificate window's shell,
+graph excess and deep shell in one pass from one profile evaluation per
+node.  Each value equals the one its single query gives, bit for bit.  A
+panel whose value is not finite, one still unconverged after 50
+bisections, or a batch whose pending cells (over all rows) bisection would
+grow by more than 200,000 raises QuadratureError.  A model whose r^(m-2)
+or wall gap overflows at r_cap is refused before any quadrature runs.
 """
 
 from __future__ import annotations
@@ -78,23 +84,33 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     step = _BLOCK // _GL_X.size
-    i16 = i8 = None
-    for start in range(0, a.size, step):
-        cells = slice(start, start + step)
+
+    def values(cells):
         x = (mid[cells, None] + half[cells, None] * _GL_X).reshape(-1)
         y = f(x) if param is None else f(
             x, np.repeat(param[cells], _GL_X.size, axis=0))
-        y = y.reshape(y.shape[:-1] + (-1, _GL_X.size))
+        return y.reshape(y.shape[:-1] + (-1, _GL_X.size))
+
+    # a non-finite integrand is reported by the caller as a QuadratureError.
+    # Row-wise sums, not a matrix product: BLAS rounds a row differently
+    # depending on how many rows share the call.
+    if a.size <= step:
+        y = values(slice(None))
+        with np.errstate(invalid="ignore", over="ignore"):
+            i16 = (y[..., :16] * _GL16_W).sum(axis=-1) * half
+            i8 = (y[..., 16:] * _GL8_W).sum(axis=-1) * half
+            return i16, np.abs(i16 - i8)
+    i16 = i8 = None
+    for start in range(0, a.size, step):
+        cells = slice(start, start + step)
+        y = values(cells)
         if i16 is None:
             i16 = np.empty(y.shape[:-2] + a.shape)
             i8 = np.empty_like(i16)
-        # a non-finite integrand is reported by the caller as a
-        # QuadratureError.  Row-wise sums, not a matrix product: BLAS rounds
-        # a row differently depending on how many rows share the call.
         with np.errstate(invalid="ignore", over="ignore"):
             i16[..., cells] = (y[..., :16] * _GL16_W).sum(axis=-1) * half[cells]
             i8[..., cells] = (y[..., 16:] * _GL8_W).sum(axis=-1) * half[cells]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return i16, np.abs(i16 - i8)
 
 
@@ -145,8 +161,9 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
             base = a0.size * np.arange(n_rows)[:, None]
             live = np.ones(i16.shape, dtype=bool)
         # the GL nodes are interior, so halving a panel cannot make a
-        # non-finite integrand finite: fail on the first one
-        bad = live & ~(np.isfinite(i16) & np.isfinite(err))
+        # non-finite integrand finite: fail on the first one.  err =
+        # |i16 - i8| is finite only where i16 is.
+        bad = live & ~np.isfinite(err)
         if np.any(bad):
             j, k = _first_cell(bad)
             raise QuadratureError(
@@ -155,17 +172,24 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                 f"{float(err[j, k])!r})")
         if scale is None:
             n_groups = int(labels.max()) + 1
-            top = np.zeros(n_rows * n_groups)
-            np.maximum.at(top, (n_groups * np.arange(n_rows)[:, None]
-                                + labels).ravel(), np.abs(i16).ravel())
-            scale = np.maximum(top, _TINY).reshape(n_rows, n_groups)[:, labels]
-        ok = err <= rel * (np.abs(i16) + 1e-4 * scale[:, idx])
+            if n_groups == 1:
+                # (rows, 1): broadcasts over every pass's cells
+                scale = np.maximum(np.abs(i16).max(axis=1, keepdims=True),
+                                   _TINY)
+            else:
+                top = np.zeros(n_rows * n_groups)
+                np.maximum.at(top, (n_groups * np.arange(n_rows)[:, None]
+                                    + labels).ravel(), np.abs(i16).ravel())
+                scale = np.maximum(top, _TINY).reshape(
+                    n_rows, n_groups)[:, labels]
+        ok = err <= rel * (np.abs(i16) + 1e-4 * (
+            scale if n_groups == 1 else scale[:, idx]))
         # cells narrower than a few ulps cannot be split further
         ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
         ok &= live
         np.add.at(out, (base + idx)[ok], i16[ok])
         live &= ~ok
-        pending = np.any(live, axis=0)
+        pending = live[0] if n_rows == 1 else np.any(live, axis=0)
         if not np.any(pending):
             out = out.reshape(n_rows, a0.size)
             return out if stacked else out[0]
@@ -214,6 +238,17 @@ class ManifoldModel:
         if not (math.isfinite(r_cap) and r_cap > 0 and r_cap > 2.0 * profile.r_min):
             raise DomainError(
                 f"r_cap must be finite, positive and above 2 r_min, got {r_cap}")
+        m = profile.dimension
+        # the integrands read r^(m-2), largest at r_cap, and the wall gap:
+        # a double that overflows there would surface as a QuadratureError
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi_cap = float(np.float64(r_cap) ** (m - 2))
+            gap_cap = float(profile.wall_gap(r_cap))
+        for name, value in (("r^(m-2)", xi_cap), ("the wall gap", gap_cap)):
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"{name} is not a finite double at r_cap = {r_cap!r} in "
+                    f"dimension {m} (it reads {value!r}); lower r_cap")
         if check:
             report = validate(profile)
             if not report.ok:
@@ -325,10 +360,11 @@ class ManifoldModel:
         self._cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
         # one pass builds both tables, each row its own tolerance group,
         # scaled by its largest increment
-        self._F_knots, self._s_knots = (
+        self._Fs_knots = np.stack([
             np.concatenate([[0.0], np.cumsum(row)])
             for row in self._integrate_cells(self._slopes, knots[:-1],
-                                             knots[1:]))
+                                             knots[1:])])
+        self._F_knots, self._s_knots = self._Fs_knots
 
     # -- the integration primitive ---------------------------------------------
 
@@ -378,11 +414,15 @@ class ManifoldModel:
 
         A knot reads the table; any other radius adds the integral from the
         nearer knot (from r_min in the first interval of a singular model).
+        Each radius is its own tolerance group, so its value does not depend
+        on the batch.  A (k, knots) table with an fvec returning k rows
+        gives k rows, each equal to its row read alone (a scalar r gives k
+        floats).
         """
         arr, scalar = self._radii(r)
         knots = self.knots
         i = np.searchsorted(knots, arr)
-        out = table[i]
+        out = table[..., i]
         off = knots[i] != arr
         if np.any(off):
             x, i = arr[off], i[off]
@@ -392,8 +432,10 @@ class ManifoldModel:
             inc = self._integrate_cells(fvec, np.minimum(anchor, x),
                                         np.maximum(anchor, x),
                                         np.arange(x.size))
-            out[off] = table[j] + np.where(anchor <= x, inc, -inc)
-        return float(out[0]) if scalar else out
+            out[..., off] = table[..., j] + np.where(anchor <= x, inc, -inc)
+        if not scalar:
+            return out
+        return float(out[0]) if out.ndim == 1 else tuple(out[:, 0].tolist())
 
     def F(self, r):
         """Graph height F(r), normalized to F(r_min) = 0."""
@@ -402,6 +444,14 @@ class ManifoldModel:
     def s(self, r):
         """Radial arclength from the inner boundary to the sphere at r."""
         return self._cumulative_at(r, self._s_knots, self.s_prime)
+
+    def _F_and_s(self, r):
+        """F(r) and s(r) from one quadrature pass over (F', s').
+
+        Rows of a (2, n) array, or two floats for a scalar r; each row is
+        bit-equal to F or s queried alone.
+        """
+        return self._cumulative_at(r, self._Fs_knots, self._slopes)
 
     @property
     def s_cap(self) -> float:
@@ -450,27 +500,48 @@ class ManifoldModel:
 
     # -- integrals over radial ranges -----------------------------------------
 
-    def _range_integral(self, fvec: Callable, r_a: float, r_b: float) -> float:
-        """Integral of fvec over [r_a, r_b], split at the knots."""
-        (r_a, r_b), _ = self._radii([r_a, r_b])
-        if r_b <= r_a:
-            return 0.0
+    def _range_integrals(self, fvec: Callable, ranges) -> np.ndarray:
+        """Integrals of fvec over each [r_a, r_b] of ranges, split at the knots.
+
+        One pass over the cells of every range, each range its own tolerance
+        group, so each value equals its range integrated alone; an empty
+        range gives 0.  Returns a (rows, ranges) array: one row for a plain
+        fvec, k for an fvec returning a (k, n) stack.
+        """
         knots = self.knots
-        edges = np.concatenate([[r_a], knots[(knots > r_a) & (knots < r_b)],
-                                [r_b]])
-        return float(np.sum(self._integrate_cells(fvec, edges[:-1], edges[1:])))
+        edges = []
+        for r_a, r_b in ranges:
+            (r_a, r_b), _ = self._radii([r_a, r_b])
+            edges.append(np.concatenate(
+                [[r_a], knots[(knots > r_a) & (knots < r_b)], [r_b]])
+                if r_b > r_a else np.zeros(1))
+        sizes = [e.size - 1 for e in edges]
+        a = np.concatenate([e[:-1] for e in edges])
+        b = np.concatenate([e[1:] for e in edges])
+        # with no cells, fvec on no radii still gives the stack's shape
+        vals = self._integrate_cells(
+            fvec, a, b, np.repeat(np.arange(len(edges)), sizes)) \
+            if a.size else fvec(a)
+        ends = np.cumsum([0] + sizes)
+        return np.array([[np.sum(row[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+                         for row in np.atleast_2d(vals)])
+
+    def _shell_density(self, r, s_prime):
+        """omega r^(m-1) s'(r): the shell volume per unit radius."""
+        return self.omega * r ** (self.dimension - 1) * s_prime
+
+    def _excess_density(self, t, f_prime, cap):
+        """F'(t) omega (cap - t^m) / m: graph_excess by Fubini, cap = r_b^m."""
+        m = self.dimension
+        return f_prime * self.omega * (cap - t**m) / m
 
     def shell_volume(self, r_a: float, r_b: float) -> float:
         """Riemannian volume of the shell between the spheres at r_a, r_b."""
         if r_b < r_a:
             raise RangeError("shell_volume needs r_a <= r_b")
-        m = self.dimension
-        omega = self.omega
-
-        def integrand(r):
-            return omega * r ** (m - 1) * self.s_prime(r)
-
-        return self._range_integral(integrand, r_a, r_b)
+        return float(self._range_integrals(
+            lambda r: self._shell_density(r, self.s_prime(r)),
+            [(r_a, r_b)])[0, 0])
 
     def graph_excess(self, r_a: float, r_b: float) -> float:
         """Integral of (F(r) - F(r_a)) over the annulus [r_a, r_b].
@@ -480,14 +551,29 @@ class ManifoldModel:
         """
         if r_b < r_a:
             raise RangeError("graph_excess needs r_a <= r_b")
-        m = self.dimension
-        omega = self.omega
-        cap = r_b**m
+        cap = r_b**self.dimension
+        return float(self._range_integrals(
+            lambda t: self._excess_density(t, self.f_prime(t), cap),
+            [(r_a, r_b)])[0, 0])
 
-        def integrand(t):
-            return self.f_prime(t) * omega * (cap - t**m) / m
+    def _window_volumes(self, r_deep: float, r_a: float,
+                        r_b: float) -> Tuple[float, float, float]:
+        """shell_volume(r_a, r_b), graph_excess(r_a, r_b) and
+        shell_volume(r_deep, r_a) from one pass, each bit-equal to its call.
 
-        return self._range_integral(integrand, r_a, r_b)
+        One _slopes evaluation feeds both densities; the deep range is its
+        own tolerance group (its graph-excess row is computed and dropped).
+        """
+        cap = r_b**self.dimension
+
+        def densities(r):
+            fp, sp = self._slopes(r)
+            return np.stack([self._shell_density(r, sp),
+                             self._excess_density(r, fp, cap)])
+
+        (shell, deep), (excess, _) = self._range_integrals(
+            densities, [(r_a, r_b), (r_deep, r_a)])
+        return float(shell), float(excess), float(deep)
 
     def sup_grad(self, r_a, r_b: float):
         """Largest F' at the model's knots inside [r_a, r_b] and at both ends.

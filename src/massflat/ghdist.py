@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embedding import embedding_constant_bound
+from .embedding import _measured_fields
 from .errors import RangeError
 from .geometry import ManifoldModel, TubularWindow
 
@@ -46,16 +46,25 @@ class GHBound:
 
 def _gh_terms(model: ManifoldModel, window: TubularWindow,
               r_eps: np.ndarray) -> dict:
-    """Every GHBound field, as an array over the cuts r_eps."""
-    consts = embedding_constant_bound(model, r_eps, window.r_plus)
-    s_cut = model.s(np.append(r_eps, window.r_minus))
-    excess_1 = s_cut[:-1] - s_cut[-1]
+    """Every GHBound field, as an array over the cuts r_eps.
+
+    F and s at the cuts, r_plus and r_minus come from one stacked read
+    (ManifoldModel._F_and_s), each value the same as read alone; the
+    embedding constants take the cuts and r_plus, the well excess the
+    arclengths of the cuts and r_minus.
+    """
+    f_ends, s_ends = model._F_and_s(
+        np.append(r_eps, [window.r_plus, window.r_minus]))
+    consts = _measured_fields(model, r_eps, window.r_plus, f_ends[:-1],
+                              s_ends[:-1])
+    s_m, delta_f = consts["S_M"], consts["delta_F"]
+    excess_1 = s_ends[:-2] - s_ends[-1]
     excess_2 = r_eps - max(window.r0 - window.D, 0.0)
     # the second space is flat: its defect S_M2 is 0
-    total = consts.S_M + 0.0 + consts.delta_F + excess_1 + excess_2
-    reach = consts.delta_F + consts.S_M
-    return {"r_eps": r_eps, "S_M1": consts.S_M, "S_M2": np.zeros_like(r_eps),
-            "hausdorff_ambient": consts.delta_F, "well_excess_1": excess_1,
+    total = s_m + 0.0 + delta_f + excess_1 + excess_2
+    reach = delta_f + s_m
+    return {"r_eps": r_eps, "S_M1": s_m, "S_M2": np.zeros_like(r_eps),
+            "hausdorff_ambient": delta_f, "well_excess_1": excess_1,
             "well_excess_2": excess_2, "total": total,
             "rho": np.maximum(reach, math.pi * r_eps),
             "rho_prime": np.maximum(r_eps, reach)}

@@ -376,8 +376,15 @@ class HawkingProfile:
         scalar r).  A radius below the first piece reads that piece.
         """
         arr, scalar = checked_range(r, self.r_min, math.inf, "radius")
+        starts = self._starts[1:]
+        first = np.searchsorted(starts, arr.min(initial=math.inf), side="right")
+        if first == np.searchsorted(starts, arr.max(initial=-math.inf),
+                                    side="right"):
+            # one piece holds every radius: no masks, gathers or scatters
+            out = evaluate(self.pieces[first], arr)
+            return tuple(float(v[0]) for v in out) if scalar else tuple(out)
         out = np.empty((rows,) + arr.shape)
-        idx = np.searchsorted(self._starts[1:], arr, side="right")
+        idx = np.searchsorted(starts, arr, side="right")
         for k, piece in enumerate(self.pieces):
             sel = idx == k
             if np.any(sel):

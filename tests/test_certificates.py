@@ -119,6 +119,58 @@ def test_certificate_deep_variant_cuts_inside_window():
     assert cert2.vol_A1 == 0.0
 
 
+_VOLUME_WINDOWS = {
+    # (profile, r_cap, alpha0, D, epsilon, variant)
+    "shallow": (schwarzschild(3, 0.05), 6.0, 4.0 * math.pi, 0.5, 0.5,
+                "shallow"),
+    "deep": (deep_well(3, 0.02, 4.0 * math.pi, 1.0), 8.0, 4.0 * math.pi,
+             2.0, 0.5, "deep"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VOLUME_WINDOWS))
+def test_one_volume_pass_equals_each_volume_alone(name):
+    # the shell, the graph excess and the deep shell share one pass, each
+    # range its own tolerance group: every volume reads what it reads alone
+    profile, r_cap, alpha0, D, epsilon, variant = _VOLUME_WINDOWS[name]
+    model = ManifoldModel(profile, r_cap)
+    cert = flat_certificate(model, alpha0, D, epsilon)
+    assert cert.a2_variant == variant
+    r_minus, r_eps, r_plus = cert.r_minus, cert.r_eps, cert.r_plus
+    shell, excess, deep = model._window_volumes(r_minus, r_eps, r_plus)
+    assert shell == model.shell_volume(r_eps, r_plus)
+    assert cert.vol_B2 == cert.S_M * shell
+    assert excess == model.graph_excess(r_eps, r_plus) == cert.vol_B1
+    assert deep == model.shell_volume(r_minus, r_eps) == cert.vol_A1
+    assert (deep > 0.0) == (variant == "deep")
+
+
+_SWEEP_ALPHA0 = math.pi / 100.0
+_SWEEP_R_CAP = 4.0 * (math.sqrt(_SWEEP_ALPHA0 / (4.0 * math.pi)) + 0.05)
+
+
+@pytest.mark.parametrize("profile, r_cap, alpha0, D, epsilon", [
+    (schwarzschild(3, 0.05), 6.0, 4.0 * math.pi, 0.5, 0.5),
+    (deep_well(3, 1e-4, _SWEEP_ALPHA0, 10.0), _SWEEP_R_CAP, _SWEEP_ALPHA0,
+     0.05, 0.02),
+], ids=["schwarzschild", "deep-well-sweep"])
+def test_flat_certificate_quadrature_passes(profile, r_cap, alpha0, D,
+                                            epsilon, monkeypatch):
+    # the window's Newton steps, one stacked F/s read for the embedding
+    # constants and one pass for every volume (7 and 8 passes before)
+    model = ManifoldModel(profile, r_cap)
+    calls = []
+    integrate = ManifoldModel._integrate_cells
+
+    def counted(self, *args):
+        calls.append(args)
+        return integrate(self, *args)
+
+    monkeypatch.setattr(ManifoldModel, "_integrate_cells", counted)
+    flat_certificate(model, alpha0, D, epsilon)
+    assert len(calls) <= 5
+
+
 def test_certificate_volume_bounds_dominate_measured():
     model = ManifoldModel(schwarzschild(3, 1e-4), 8.0)
     cert = flat_certificate(model, 4.0 * math.pi, 0.5, 0.5)

@@ -23,6 +23,7 @@ from massflat.profiles import (
     ConstantPiece,
     CubicSplinePiece,
     HawkingProfile,
+    PowerLawPiece,
     deep_well,
     flat,
     schwarzschild,
@@ -290,6 +291,22 @@ def test_model_requires_room_beyond_boundary():
         ManifoldModel(schwarzschild(3, 1.0), 2.0)  # r_cap = r_min
 
 
+def test_model_refuses_a_cap_where_the_wall_overflows():
+    # 8.12^341 is past the largest double: refused up front, naming the
+    # dimension and r_cap, with no overflow warning (warnings are errors)
+    with pytest.raises(DomainError, match=r"r\^\(m-2\) is not a finite "
+                       r"double at r_cap = 8\.12 in dimension 343"):
+        ManifoldModel(schwarzschild(343, 1e-3), 8.12)
+    # a gap that overflows where r^(m-2) does not (not admissible: the
+    # refusal comes before validation)
+    heavy = HawkingProfile(3, 0.0, (PowerLawPiece(0.0, 10.0, 1e-3, 400.0),
+                                    ConstantPiece(10.0, math.inf, 1e-3)))
+    with pytest.raises(DomainError, match=r"the wall gap is not a finite "
+                       r"double at r_cap = 8\.0 in dimension 3"):
+        ManifoldModel(heavy, 8.0)
+    assert ManifoldModel(schwarzschild(200, 1e-3), 8.12).s_cap > 0.0
+
+
 def test_model_rejects_inadmissible_profile():
     from massflat.errors import InvalidProfileError
     from massflat.profiles import ConstantPiece, HawkingProfile, PowerLawPiece
@@ -399,6 +416,27 @@ def test_batched_queries_equal_the_per_point_loop(name):
     np.testing.assert_array_equal(
         model.sup_grad(ras, r_b),
         np.array([model.sup_grad(float(r), r_b) for r in ras]))
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
+def test_stacked_F_and_s_read_equals_each_alone(name):
+    # one pass over (F', s') with a tolerance group per radius: each row is
+    # the query made alone, at knots, off them and for a scalar radius
+    model = _BATCH_MODELS[name]()
+    rng = np.random.default_rng(12)
+    rs = np.concatenate([
+        [model.r_min], model.knots[::4], [model.r_cap],
+        rng.uniform(model.r_min, model.r_cap, 60),
+        model.r_min + (model.knots[3] - model.r_min) * rng.random(20)])
+    both = model._F_and_s(rs)
+    assert both.shape == (2, rs.size)
+    np.testing.assert_array_equal(both[0], model.F(rs))
+    np.testing.assert_array_equal(both[1], model.s(rs))
+    for r in (model.r_min, float(model.knots[2]), float(rs[-1]),
+              float(rs[-30])):
+        f, s = model._F_and_s(r)
+        assert type(f) is float and type(s) is float
+        assert (f, s) == (model.F(r), model.s(r))
 
 
 @pytest.mark.parametrize("name", sorted(_BATCH_MODELS))

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from massflat import ghdist
 from massflat.embedding import embedding_constant_bound
 from massflat.errors import RangeError
 from massflat.geometry import ManifoldModel, tubular_window
@@ -113,14 +112,17 @@ def test_segment_limit_default_and_explicit_cut():
 
 @pytest.mark.parametrize("call", [best_gh_bound, segment_limit_bound])
 def test_one_embedding_constant_pass_per_bound(call, monkeypatch):
+    # F and s at every cut, r_plus and r_minus come from one stacked read:
+    # one quadrature pass per bound (three before: F, s, then s again)
     model = ManifoldModel(schwarzschild(3, 0.05), 8.0)
     window = tubular_window(model, 4.0 * math.pi, 0.5)
     calls = []
+    integrate = ManifoldModel._integrate_cells
 
-    def counted(*args):
+    def counted(self, *args):
         calls.append(args)
-        return embedding_constant_bound(*args)
+        return integrate(self, *args)
 
-    monkeypatch.setattr(ghdist, "embedding_constant_bound", counted)
+    monkeypatch.setattr(ManifoldModel, "_integrate_cells", counted)
     call(model, window)
     assert len(calls) == 1

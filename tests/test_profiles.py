@@ -459,6 +459,34 @@ def test_dispatch_reads_the_piece_that_starts_at_each_joint(name):
         assert p.mass_and_gap(below) == (first[0][0], first[1][0])
 
 
+@pytest.mark.parametrize("name", ["stripes", "deep-well", "spline"])
+def test_single_piece_batches_equal_the_masked_path(name):
+    # a batch inside one piece is evaluated directly; a batch across pieces
+    # goes through the per-piece masks.  Both read the same bits.
+    p = {"stripes": lambda: stripes((1.0, 2.0, 3.0, 4.0), 0.1),
+         "deep-well": _PIECE_KIND_PROFILES["deep-well"],
+         "spline": lambda: random_spline_profile(
+             np.random.default_rng(3), 4)}[name]()
+    rng = np.random.default_rng(8)
+    hi = 2.0 * p.pieces[-1].r_lo
+    rs = np.concatenate([[p.r_min], [q.r_lo for q in p.pieces[1:]],
+                         rng.uniform(p.r_min, hi, 400)])
+    mh, gap = p.mass_and_gap(rs)
+    mp = p.mass_prime(rs)
+    k = np.searchsorted([q.r_lo for q in p.pieces[1:]], rs, side="right")
+    for j in range(len(p.pieces)):
+        sel = k == j
+        assert np.any(sel), j
+        for got, want in zip(p.mass_and_gap(rs[sel]) + (p.mass_prime(rs[sel]),),
+                             (mh[sel], gap[sel], mp[sel])):
+            np.testing.assert_array_equal(got, want)
+    for i in range(0, rs.size, 37):
+        r = float(rs[i])
+        pair, slope = p.mass_and_gap(r), p.mass_prime(r)
+        assert all(type(v) is float for v in pair + (slope,))
+        assert pair + (slope,) == (mh[i], gap[i], mp[i])
+
+
 def test_dispatch_reads_the_first_piece_below_its_start():
     # r_min below the first piece: validate flags it, and every radius
     # below the first piece's start reads that piece
