@@ -1,9 +1,16 @@
-"""Shared helpers for the test suite: random admissible profiles."""
+"""Shared helpers for the test suite: random admissible profiles and the
+plain breadth-first bisection that massflat.geometry._adaptive_cells must
+reproduce bit for bit."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from massflat.errors import QuadratureError
+from massflat.geometry import (_MAX_DEPTH, _MAX_EXTRA_CELLS, _TINY,
+                               _first_cell, _panel_integrals)
 from massflat.profiles import (
     ConstantPiece,
     CubicSplinePiece,
@@ -58,3 +65,104 @@ def random_spline_profile(rng: np.random.Generator,
     ]
     return HawkingProfile(dimension=m, r_min=float(r_min),
                           pieces=tuple(pieces))
+
+
+# The reference for _adaptive_cells: the same bisection with one integrand
+# call per level, which evaluates each pending cell once and nothing more.
+def plain_adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
+                         group=None, param=None) -> np.ndarray:
+    """Adaptive panel integration of f over each cell, returned per cell.
+
+    Each pass makes one GL16 + GL8 evaluation of every pending cell (see
+    _panel_integrals) and halves the cells it does not accept.  A panel is
+    accepted when its GL16-GL8 gap is at most rel times its value plus 1e-4
+    times the scale of its cell's group: the largest first-pass value among
+    the cells sharing its ``group`` label (one group by default).  A cell's
+    result therefore depends only on the cells of its own group.  ``param``
+    (one entry or row per cell) is passed to f as f(x, p), and the halves
+    of a bisected cell inherit it.
+
+    An f returning a (k, n) stack integrates k integrands at once and gives
+    a (k, cells) result.  Each row has its own group scales and acceptance
+    and stops collecting a cell once it accepts it; a cell stays pending
+    while any row still needs it.  A row's live cells are thus an in-order
+    subsequence of every pass, and its values equal those of the row
+    integrated alone, bit for bit.  The bisection cap counts the union of
+    pending cells.
+
+    f must be smooth on each cell.  A jump between a cell end and the
+    outermost GL16 and GL8 nodes is invisible to both rules, so the gap
+    reads 0 and the cell is accepted with the wrong value; the model puts
+    every piece boundary and spline knot at a cell end for this reason.
+    """
+    a = a0 = np.asarray(a_arr, dtype=float)
+    b = b0 = np.asarray(b_arr, dtype=float)
+    if a.size == 0:
+        return np.zeros(0)
+    labels = np.zeros(a.size, dtype=np.intp) if group is None else group
+    idx = np.arange(a.size)
+    p = None if param is None else np.asarray(param, dtype=float)
+    out = scale = None
+    # every pass halves all pending cells, so they share one depth
+    for depth in range(_MAX_DEPTH + 1):
+        i16, err = _panel_integrals(f, a, b, p)
+        stacked = i16.ndim == 2
+        i16, err = np.atleast_2d(i16), np.atleast_2d(err)
+        n_rows = i16.shape[0]
+        if out is None:
+            # per-row accumulators, indexed flat: ufunc.at is much slower
+            # with a tuple of index arrays
+            out = np.zeros(n_rows * a0.size)
+            base = a0.size * np.arange(n_rows)[:, None]
+            live = np.ones(i16.shape, dtype=bool)
+        # the GL nodes are interior, so halving a panel cannot make a
+        # non-finite integrand finite: fail on the first one.  err =
+        # |i16 - i8| is finite only where i16 is.
+        bad = live & ~np.isfinite(err)
+        if np.any(bad):
+            j, k = _first_cell(bad)
+            raise QuadratureError(
+                f"non-finite integrand on [{float(a[k])!r}, {float(b[k])!r}] "
+                f"(panel value {float(i16[j, k])!r}, error estimate "
+                f"{float(err[j, k])!r})")
+        if scale is None:
+            n_groups = int(labels.max()) + 1
+            if n_groups == 1:
+                # (rows, 1): broadcasts over every pass's cells
+                scale = np.maximum(np.abs(i16).max(axis=1, keepdims=True),
+                                   _TINY)
+            else:
+                top = np.zeros(n_rows * n_groups)
+                np.maximum.at(top, (n_groups * np.arange(n_rows)[:, None]
+                                    + labels).ravel(), np.abs(i16).ravel())
+                scale = np.maximum(top, _TINY).reshape(
+                    n_rows, n_groups)[:, labels]
+        ok = err <= rel * (np.abs(i16) + 1e-4 * (
+            scale if n_groups == 1 else scale[:, idx]))
+        # cells narrower than a few ulps cannot be split further
+        ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
+        ok &= live
+        np.add.at(out, (base + idx)[ok], i16[ok])
+        live &= ~ok
+        pending = live[0] if n_rows == 1 else np.any(live, axis=0)
+        if not np.any(pending):
+            out = out.reshape(n_rows, a0.size)
+            return out if stacked else out[0]
+        n_next = 2 * int(np.count_nonzero(pending))
+        if depth == _MAX_DEPTH or n_next > a0.size + _MAX_EXTRA_CELLS:
+            j, k = _first_cell(live)
+            raise QuadratureError(
+                f"adaptive quadrature did not converge on "
+                f"[{float(a0[idx[k]])!r}, {float(b0[idx[k]])!r}] within "
+                f"{depth} bisections (piece [{float(a[k])!r}, "
+                f"{float(b[k])!r}], error estimate {float(err[j, k])!r}; "
+                f"{n_next} cells would be pending)")
+        a2, b2 = a[pending], b[pending]
+        mid = 0.5 * (a2 + b2)
+        idx2 = idx[pending]
+        a = np.concatenate([a2, mid])
+        b = np.concatenate([mid, b2])
+        idx = np.concatenate([idx2, idx2])
+        live = np.concatenate([live[:, pending], live[:, pending]], axis=1)
+        if p is not None:
+            p = np.concatenate([p[pending], p[pending]])
