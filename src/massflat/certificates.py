@@ -18,8 +18,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .embedding import (budget_embedding_constants, embedding_constant_bound,
-                        q_slope)
+from .embedding import _budget_distortion, embedding_constant_bound, q_slope
 from .errors import CertificateError, positive
 from .geometry import (ManifoldModel, TubularWindow, euclidean_annulus_volume,
                        tubular_window, window_bracket)
@@ -250,33 +249,48 @@ class DeltaBudget:
     slack: List[dict]
 
 
-def _budget_conditions(delta: float, epsilon: float, D: float, r0: float,
-                       r_eps_prime: float, m: int) -> List[dict]:
-    omega = unit_sphere_area(m)
+_BUDGET_CONDITIONS = tuple(f"choose-delta-{k}" for k in range(1, 7))
+
+
+def _budget_thresholds(epsilon: float, r0: float, r_eps_prime: float,
+                       m: int) -> tuple:
+    """What each budget condition's left-hand side must stay below."""
     xi_cap = min(r_eps_prime ** (m - 2), (r0 / 2.0) ** (m - 2))
-    out = [{"condition": "choose-delta-1", "lhs": 2.0 * delta,
-            "threshold": xi_cap}]
+    return (xi_cap, epsilon / 8.0, epsilon / 8.0, epsilon / 8.0,
+            epsilon / 12.0, epsilon / 12.0)
+
+
+def _budget_lhs(delta: float, D: float, r0: float, r_eps_prime: float,
+                m: int) -> tuple:
+    """The left-hand sides of the six budget conditions at delta."""
+    omega = unit_sphere_area(m)
     if 2.0 * delta < r_eps_prime ** (m - 2):
         q = q_slope(delta, r_eps_prime, m)
-        s = budget_embedding_constants(D, r0, q).S_M
+        s = _budget_distortion(D, r0, q)[2]
     else:
         q = math.inf
         s = math.inf
     ring0 = omega * r0 ** (m - 1)
     ring1 = omega * (r0 + D) ** (m - 1)
-    out.append({"condition": "choose-delta-2", "lhs": D * q * ring0,
-                "threshold": epsilon / 8.0})
-    out.append({"condition": "choose-delta-3", "lhs": 4.0 * D * D * ring1 * q,
-                "threshold": epsilon / 8.0})
-    out.append({"condition": "choose-delta-4", "lhs": s * 2.0 * D * ring1 * q,
-                "threshold": epsilon / 8.0})
-    out.append({"condition": "choose-delta-5", "lhs": s * ring1,
-                "threshold": epsilon / 12.0})
-    out.append({"condition": "choose-delta-6", "lhs": ring1 * q,
-                "threshold": epsilon / 12.0})
-    for entry in out:
-        entry["ok"] = bool(entry["lhs"] < entry["threshold"])
-    return out
+    return (2.0 * delta, D * q * ring0, 4.0 * D * D * ring1 * q,
+            s * 2.0 * D * ring1 * q, s * ring1, ring1 * q)
+
+
+def _budget_feasible(delta: float, D: float, r0: float, r_eps_prime: float,
+                     m: int, thresholds: tuple) -> bool:
+    """Whether every budget condition holds at delta."""
+    return all(lhs < threshold for lhs, threshold in
+               zip(_budget_lhs(delta, D, r0, r_eps_prime, m), thresholds))
+
+
+def _budget_conditions(delta: float, epsilon: float, D: float, r0: float,
+                       r_eps_prime: float, m: int) -> List[dict]:
+    return [{"condition": name, "lhs": lhs, "threshold": threshold,
+             "ok": bool(lhs < threshold)}
+            for name, lhs, threshold in zip(
+                _BUDGET_CONDITIONS,
+                _budget_lhs(delta, D, r0, r_eps_prime, m),
+                _budget_thresholds(epsilon, r0, r_eps_prime, m))]
 
 
 def delta_budget(epsilon: float, D: float, alpha0: float,
@@ -289,10 +303,10 @@ def delta_budget(epsilon: float, D: float, alpha0: float,
     """
     cut = well_cut(epsilon, D, alpha0, m)  # checks the parameters
     r0 = sphere_radius(alpha0, m)
+    thresholds = _budget_thresholds(epsilon, r0, cut.r_eps_prime, m)
 
     def feasible(delta: float) -> bool:
-        conds = _budget_conditions(delta, epsilon, D, r0, cut.r_eps_prime, m)
-        return all(entry["ok"] for entry in conds)
+        return _budget_feasible(delta, D, r0, cut.r_eps_prime, m, thresholds)
 
     hi = (1.0 - 1e-9) * 0.5 * min(cut.r_eps_prime ** (m - 2),
                                   (r0 / 2.0) ** (m - 2))

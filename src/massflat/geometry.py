@@ -12,7 +12,9 @@ safeguarded Newton iteration.  Queries take arrays: a batch of radii costs
 one adaptive integration, and each value is the same as that of the query
 made alone.  When the profile starts on a minimal boundary sphere the
 integrands carry a (r - r_min)^(-1/2) singularity which is removed exactly
-by the substitution u = sqrt(r - r_min).
+by the substitution u = sqrt(r - r_min).  The substitution is chosen per
+cell within one run: the cells of the first knot interval run under u, the
+rest under r, and one integrand call evaluates both kinds of node.
 
 Every integral goes through ManifoldModel._integrate_cells, which runs
 vectorized 16-point Gauss-Legendre panels with an embedded 8-point error
@@ -198,7 +200,6 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     labels = np.zeros(a.size, dtype=np.intp) if group is None else group
     idx = np.arange(a.size)
     p = None if param is None else np.asarray(param, dtype=float)
-    out = scale = None
     # gauge: the error estimate of each cell's parent (None where level 0
     # or a level too large for chains holds the parents).  In a cascade,
     # ``above`` holds the side of each cell of the level above.
@@ -228,11 +229,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         stacked = i16.ndim == 2
         i16, err = np.atleast_2d(i16), np.atleast_2d(err)
         n_rows = i16.shape[0]
-        if out is None:
-            # per-row accumulators, indexed flat: ufunc.at is much slower
-            # with a tuple of index arrays
-            out = np.zeros(n_rows * a0.size)
-            base = a0.size * np.arange(n_rows)[:, None]
+        if depth == 0:
             live = np.ones(i16.shape, dtype=bool)
         # the GL nodes are interior, so halving a panel cannot make a
         # non-finite integrand finite: fail on the first one.  err =
@@ -244,7 +241,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                 f"non-finite integrand on [{float(a[c])!r}, {float(b[c])!r}] "
                 f"(panel value {float(i16[j, c])!r}, error estimate "
                 f"{float(err[j, c])!r})")
-        if scale is None:
+        if depth == 0:
             n_groups = int(labels.max()) + 1
             if n_groups == 1:
                 # (rows, 1): broadcasts over every level's cells
@@ -260,6 +257,15 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
             scale if n_groups == 1 else scale[:, owner]))
         # cells narrower than a few ulps cannot be split further
         ok |= (eb - ea) <= 4e-16 * np.maximum(np.abs(ea), np.abs(eb))
+        if depth == 0:
+            if ok.all():
+                # every row accepts every cell at level 0: summing into
+                # zeros would give i16 + 0.0, which turns -0.0 into 0.0
+                return i16 + 0.0 if stacked else i16[0] + 0.0
+            # per-row accumulators, indexed flat: ufunc.at is much slower
+            # with a tuple of index arrays
+            out = np.zeros(n_rows * a0.size)
+            base = a0.size * np.arange(n_rows)[:, None]
         if k > 0:
             i16, i16c = i16[:, :n], i16[:, n:]
             err, errc = err[:, :n], err[:, n:]
@@ -516,14 +522,17 @@ class ManifoldModel:
     def _integrate_cells(self, fvec: Callable, a, b, group=None) -> np.ndarray:
         """Integrals of fvec over cells [a_i, b_i], each inside one knot interval.
 
-        Cells below _sub_edge run under u = sqrt(r - r_min).  A query with a
-        ``group`` label of its own (see _adaptive_cells) gets the same value
-        whatever else is in its batch.  An fvec returning a (k, n) stack
-        gives (k, cells) integrals, each row equal to its integrand's alone.
+        One _adaptive_cells run over every cell.  Cells below _sub_edge run
+        under u = sqrt(r - r_min), chosen per cell by a ``param`` flag, and
+        one fvec call takes the nodes of both kinds; their group labels are
+        offset past the others', so each kind keeps the tolerance scales it
+        would have in a run of its own.  A query with a ``group`` label of
+        its own (see _adaptive_cells) gets the same value whatever else is
+        in its batch.  An fvec returning a (k, n) stack gives (k, cells)
+        integrals, each row equal to its integrand's alone.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        group = np.zeros(a.size, dtype=np.intp) if group is None else group
         sub = b <= self._sub_edge
         if not np.any(sub):
             return _adaptive_cells(fvec, a, b, _QUAD_REL, group)
@@ -534,19 +543,20 @@ class ManifoldModel:
         # sqrt(r - r_min) stays bounded as r -> r_min.
         r_floor = np.nextafter(r_min, np.inf)
 
-        def g(u):
-            r = np.maximum(r_min + u * u, r_floor)
-            return fvec(r) * 2.0 * np.sqrt(r - r_min)
+        def g(x, flag):
+            # flag is 1.0 on the nodes of the cells under u, 0.0 elsewhere.
+            # Scaling by 2 is exact, so fvec(r) * (2 sqrt(r - r_min)) rounds
+            # as fvec(r) * 2.0 * sqrt(r - r_min) does.
+            u = flag != 0.0
+            r = np.where(u, np.maximum(r_min + x * x, r_floor), x)
+            return fvec(r) * np.where(u, 2.0 * np.sqrt(r - r_min), 1.0)
 
-        inner = _adaptive_cells(g, np.sqrt(a[sub] - r_min),
-                                np.sqrt(b[sub] - r_min), _QUAD_REL, group[sub])
-        if np.all(sub):
-            return inner
-        out = np.empty(inner.shape[:-1] + a.shape)
-        out[..., sub] = inner
-        out[..., ~sub] = _adaptive_cells(fvec, a[~sub], b[~sub], _QUAD_REL,
-                                         group[~sub])
-        return out
+        # the two kinds keep apart in tolerance groups, as in runs of their own
+        group = np.zeros(a.size, dtype=np.intp) if group is None else group
+        group = np.where(sub, group + (int(group.max()) + 1), group)
+        return _adaptive_cells(g, np.where(sub, np.sqrt(a - r_min), a),
+                               np.where(sub, np.sqrt(b - r_min), b),
+                               _QUAD_REL, group, sub.astype(float))
 
     # -- cumulative queries ----------------------------------------------------
 
@@ -707,14 +717,17 @@ class ManifoldModel:
         shell_volume(r_deep, r_a) from one pass, each bit-equal to its call.
 
         One _slopes evaluation feeds both densities; the deep range is its
-        own tolerance group (its graph-excess row is computed and dropped).
+        own tolerance group.  Its graph-excess row is not wanted, so it reads
+        0 on the deep range's nodes, which lie below r_a, and accepts every
+        cell at once instead of holding the deep cells in bisection.
         """
         cap = r_b**self.dimension
 
         def densities(r):
             fp, sp = self._slopes(r)
-            return np.stack([self._shell_density(r, sp),
-                             self._excess_density(r, fp, cap)])
+            return np.stack([
+                self._shell_density(r, sp),
+                np.where(r < r_a, 0.0, self._excess_density(r, fp, cap))])
 
         (shell, deep), (excess, _) = self._range_integrals(
             densities, [(r_a, r_b), (r_deep, r_a)])

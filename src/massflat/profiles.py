@@ -134,8 +134,14 @@ class ConstantPiece(ProfilePiece):
             # the piece starts on the wall (minimal boundary sphere); treat
             # the touch as exact and factor r^k - r_lo^k so the gap keeps
             # full relative accuracy arbitrarily close to r_lo
-            poly = sum(r**j * self.r_lo ** (k - 1 - j) for j in range(k))
-            return mh, (r - self.r_lo) * poly
+            if k == 1:
+                return mh, r - self.r_lo
+            # sum_j r^j r_lo^(k-1-j), the j = 0 and j = 1 terms written out
+            lo = self.r_lo
+            poly = lo ** (k - 1) + r * lo ** (k - 2)
+            for j in range(2, k):
+                poly = poly + r**j * lo ** (k - 1 - j)
+            return mh, (r - lo) * poly
         return mh, r**k - 2.0 * mh
 
     def scaled(self, lam, dimension):
@@ -176,35 +182,6 @@ class PowerLawPiece(ProfilePiece):
         return PowerLawPiece(self.r_lo * lam, self.r_hi * lam, c, self.exponent)
 
 
-def _lerp(a, b, t):
-    # convex form: no cancellation when a and b share a sign
-    return (1.0 - t) * a + t * b
-
-
-def _hermite(t, h, v0, v1, s0, s1):
-    """Cubic Hermite value on [0,1] via de Casteljau on the Bezier form.
-
-    Monotone Hermite data between positive values have positive control
-    points, so the convex recursion keeps the relative error near machine
-    precision even where the cubic runs many orders of magnitude below its
-    coefficients (the near-wall regime of gap-space pieces).
-    """
-    b1 = v0 + h * s0 / 3.0
-    b2 = v1 - h * s1 / 3.0
-    c0 = _lerp(v0, b1, t)
-    c1 = _lerp(b1, b2, t)
-    c2 = _lerp(b2, v1, t)
-    return _lerp(_lerp(c0, c1, t), _lerp(c1, c2, t), t)
-
-
-def _hermite_du(t, h, v0, v1, s0, s1):
-    """Derivative of the cubic Hermite with respect to u."""
-    q0 = h * s0
-    q1 = 3.0 * (v1 - v0) - h * (s0 + s1)
-    q2 = h * s1
-    return _lerp(_lerp(q0, q1, t), _lerp(q1, q2, t), t) / h
-
-
 class CubicSplinePiece(ProfilePiece):
     """Hermite cubic in the substituted variable u = r^power.
 
@@ -216,7 +193,7 @@ class CubicSplinePiece(ProfilePiece):
 
     kind = "cubic-spline"
     __slots__ = ("knots", "values", "slopes", "power", "gap_space",
-                 "_u_knots", "_u_slopes")
+                 "_u_knots", "_value_table", "_slope_table")
 
     def __init__(self, knots: Sequence[float], values: Sequence[float],
                  slopes: Sequence[float], power: float = 1.0,
@@ -242,7 +219,7 @@ class CubicSplinePiece(ProfilePiece):
         self.slopes = slopes
         self.power = power
         self.gap_space = bool(gap_space)
-        self._u_knots = knots**power
+        self._u_knots = uk = knots**power
         dudr = power * knots ** (power - 1.0)
         if knots[0] == 0.0 and power > 1.0:
             # du/dr = 0 there, so only a zero slope maps to a finite one
@@ -250,30 +227,56 @@ class CubicSplinePiece(ProfilePiece):
                 raise DomainError(
                     "a knot at r=0 with power > 1 requires zero slope")
             dudr[0] = math.inf
-        self._u_slopes = slopes / dudr
+        us = slopes / dudr
+        # per interval: its start and width in u, then the Bezier control
+        # points of the value and of h times its u-derivative
+        h = uk[1:] - uk[:-1]
+        v0, v1, s0, s1 = values[:-1], values[1:], us[:-1], us[1:]
+        self._value_table = np.stack([
+            uk[:-1], h, v0, v0 + h * s0 / 3.0, v1 - h * s1 / 3.0, v1])
+        self._slope_table = np.stack([
+            uk[:-1], h, h * s0, 3.0 * (v1 - v0) - h * (s0 + s1), h * s1])
 
-    def _segment(self, r):
-        """Hermite data (t, h, v0, v1, s0, s1) of the interval holding each r,
-        in the argument order of _hermite and _hermite_du."""
+    def _interval(self, r, table):
+        """The columns of table for the interval holding each r, in one
+        gather, with the first row (the interval's start u_lo) turned into
+        the local coordinate t = (u - u_lo) / h of u = r^power."""
         u = r**self.power
-        uk = self._u_knots
         # the interval index, clamped to the end intervals without a clip
-        i = np.searchsorted(uk[1:-1], u, side="right")
-        h = uk[i + 1] - uk[i]
-        return ((u - uk[i]) / h, h, self.values[i], self.values[i + 1],
-                self._u_slopes[i], self._u_slopes[i + 1])
+        i = np.searchsorted(self._u_knots[1:-1], u, side="right")
+        rows = table.take(i, axis=1)
+        u_lo, h = rows[0], rows[1]
+        rows[0] = (u - u_lo) / h
+        return rows
 
     def mass_prime(self, r):
+        # de Casteljau on the Bezier form of the quadratic h dv/du
         r = np.asarray(r, dtype=float)
-        dv = _hermite_du(*self._segment(r))
+        t, h, q0, q1, q2 = self._interval(r, self._slope_table)
+        s = 1.0 - t
+        c0 = s * q0 + t * q1
+        c1 = s * q1 + t * q2
+        dv = (s * c0 + t * c1) / h
         dudr = self.power * r ** (self.power - 1.0)
         if self.gap_space:
             return 0.5 * dudr * (1.0 - dv)
         return dv * dudr
 
     def mass_and_gap(self, r, dimension):
+        # de Casteljau on the Bezier form of the cubic: monotone Hermite
+        # data between positive values have positive control points, so
+        # the convex recursion keeps the relative error near machine
+        # precision even where the cubic runs many orders of magnitude
+        # below its coefficients (the near-wall regime of gap-space pieces)
         r = np.asarray(r, dtype=float)
-        v = _hermite(*self._segment(r))
+        t, _, b0, b1, b2, b3 = self._interval(r, self._value_table)
+        s = 1.0 - t
+        c0 = s * b0 + t * b1
+        c1 = s * b1 + t * b2
+        c2 = s * b2 + t * b3
+        d0 = s * c0 + t * c1
+        d1 = s * c1 + t * c2
+        v = s * d0 + t * d1
         if self.gap_space:
             return 0.5 * (r**self.power - v), v
         return v, r ** (dimension - 2) - 2.0 * v

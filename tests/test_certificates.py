@@ -9,13 +9,17 @@ import numpy as np
 import pytest
 
 from massflat.certificates import (
+    DeltaBudget,
+    _budget_conditions,
+    _budget_feasible,
+    _budget_thresholds,
     delta_budget,
     flat_certificate,
     switch_bounds,
     well_cut,
 )
 from massflat import geometry
-from massflat.embedding import q_slope
+from massflat.embedding import budget_embedding_constants, q_slope
 from massflat.errors import CertificateError, DomainError
 from massflat.geometry import ManifoldModel, tubular_window
 from massflat.profiles import (
@@ -25,8 +29,10 @@ from massflat.profiles import (
     deep_well,
     flat,
     schwarzschild,
+    sphere_radius,
     unit_sphere_area,
 )
+from test_acceptance import LATTICE_AREAS, LATTICE_EPSILONS, LATTICE_WIDTHS
 
 
 def _cut_oracle(epsilon, D, alpha0, m):
@@ -125,7 +131,13 @@ _VOLUME_WINDOWS = {
                 "shallow"),
     "deep": (deep_well(3, 0.02, 4.0 * math.pi, 1.0), 8.0, 4.0 * math.pi,
              2.0, 0.5, "deep"),
+    # a clamped window: the deep range starts at r_min, on the boundary
+    # sphere, where the unused graph-excess row would need bisection
+    "deep-from-r-min": (schwarzschild(3, 5e-20), 12.0, 4.0 * math.pi, 1.5,
+                        0.5, "deep"),
 }
+# most integrand calls a window's volume pass may take
+_VOLUME_PASS_CALLS = {"deep-from-r-min": 2}
 
 
 @pytest.mark.parametrize("name", sorted(_VOLUME_WINDOWS))
@@ -137,7 +149,11 @@ def test_one_volume_pass_equals_each_volume_alone(name):
     cert = flat_certificate(model, alpha0, D, epsilon)
     assert cert.a2_variant == variant
     r_minus, r_eps, r_plus = cert.r_minus, cert.r_eps, cert.r_plus
+    slopes, calls = model._slopes, []
+    model._slopes = lambda r: calls.append(r.size) or slopes(r)
     shell, excess, deep = model._window_volumes(r_minus, r_eps, r_plus)
+    del model._slopes
+    assert len(calls) <= _VOLUME_PASS_CALLS.get(name, math.inf)
     assert shell == model.shell_volume(r_eps, r_plus)
     assert cert.vol_B2 == cert.S_M * shell
     assert excess == model.graph_excess(r_eps, r_plus) == cert.vol_B1
@@ -307,3 +323,108 @@ def test_delta_budget_preconditions():
         delta_budget(0.0, 0.5, 1.0, 3)
     with pytest.raises(DomainError):
         delta_budget(0.5, 0.5, 1.0, 2)
+
+
+def _reference_budget_conditions(delta, epsilon, D, r0, r_eps_prime, m):
+    """The six conditions as dicts, each built from its own formula."""
+    omega = unit_sphere_area(m)
+    xi_cap = min(r_eps_prime ** (m - 2), (r0 / 2.0) ** (m - 2))
+    out = [{"condition": "choose-delta-1", "lhs": 2.0 * delta,
+            "threshold": xi_cap}]
+    if 2.0 * delta < r_eps_prime ** (m - 2):
+        q = q_slope(delta, r_eps_prime, m)
+        s = budget_embedding_constants(D, r0, q).S_M
+    else:
+        q = math.inf
+        s = math.inf
+    ring0 = omega * r0 ** (m - 1)
+    ring1 = omega * (r0 + D) ** (m - 1)
+    out.append({"condition": "choose-delta-2", "lhs": D * q * ring0,
+                "threshold": epsilon / 8.0})
+    out.append({"condition": "choose-delta-3", "lhs": 4.0 * D * D * ring1 * q,
+                "threshold": epsilon / 8.0})
+    out.append({"condition": "choose-delta-4", "lhs": s * 2.0 * D * ring1 * q,
+                "threshold": epsilon / 8.0})
+    out.append({"condition": "choose-delta-5", "lhs": s * ring1,
+                "threshold": epsilon / 12.0})
+    out.append({"condition": "choose-delta-6", "lhs": ring1 * q,
+                "threshold": epsilon / 12.0})
+    for entry in out:
+        entry["ok"] = bool(entry["lhs"] < entry["threshold"])
+    return out
+
+
+def _reference_delta_budget(epsilon, D, alpha0, m):
+    """delta_budget bisecting over the dicts of each step's conditions."""
+    cut = well_cut(epsilon, D, alpha0, m)
+    r0 = sphere_radius(alpha0, m)
+
+    def feasible(delta):
+        conds = _reference_budget_conditions(delta, epsilon, D, r0,
+                                             cut.r_eps_prime, m)
+        return all(entry["ok"] for entry in conds)
+
+    hi = (1.0 - 1e-9) * 0.5 * min(cut.r_eps_prime ** (m - 2),
+                                  (r0 / 2.0) ** (m - 2))
+    if feasible(hi):
+        delta_star = hi
+    else:
+        t_hi = math.log(hi)
+        t_lo = t_hi - 250.0
+        for _ in range(8):
+            if feasible(math.exp(t_lo)):
+                break
+            t_lo -= 250.0
+        else:
+            raise CertificateError("no feasible delta found")
+        while t_hi - t_lo > 1e-9:
+            t_mid = 0.5 * (t_lo + t_hi)
+            if feasible(math.exp(t_mid)):
+                t_lo = t_mid
+            else:
+                t_hi = t_mid
+        delta_star = math.exp(t_lo)
+    delta = 0.9 * delta_star
+    slack = _reference_budget_conditions(delta, epsilon, D, r0,
+                                         cut.r_eps_prime, m)
+    return DeltaBudget(epsilon=epsilon, D=D, alpha0=alpha0, m=m,
+                       r_eps_prime=cut.r_eps_prime, alpha_eps=cut.alpha_eps,
+                       delta=delta, slack=slack)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_budget_bisection_reads_the_budget_conditions(m):
+    # the bisection's predicate reads the six left-hand sides without
+    # building the slack dicts.  Around the feasible edge it agrees with
+    # the dicts, which equal those built formula by formula; with the other
+    # thresholds lifted it is each condition alone, so it reads all six.
+    # The budget equals the bisection over the dicts, bit for bit.
+    for epsilon in LATTICE_EPSILONS:
+        for D in LATTICE_WIDTHS:
+            for alpha0 in LATTICE_AREAS:
+                budget = delta_budget(epsilon, D, alpha0, m)
+                # repr: every float to the last bit, the sign of a zero too
+                assert repr(budget) == repr(
+                    _reference_delta_budget(epsilon, D, alpha0, m))
+                r0 = sphere_radius(alpha0, m)
+                r_eps = budget.r_eps_prime
+                thresholds = _budget_thresholds(epsilon, r0, r_eps, m)
+                alone = [tuple(t if j == c else math.inf
+                               for j, t in enumerate(thresholds))
+                         for c in range(6)]
+                # 200 deltas around the edge, then on to where q = inf
+                edge = budget.delta / 0.9
+                deltas = np.concatenate([
+                    np.geomspace(edge / 4.0, 4.0 * edge, 200),
+                    np.geomspace(4.0 * edge, r_eps ** (m - 2), 100)])
+                feasible = []
+                for d in deltas.tolist():
+                    conds = _budget_conditions(d, epsilon, D, r0, r_eps, m)
+                    assert repr(conds) == repr(_reference_budget_conditions(
+                        d, epsilon, D, r0, r_eps, m))
+                    feasible.append(_budget_feasible(d, D, r0, r_eps, m,
+                                                     thresholds))
+                    assert feasible[-1] == all(e["ok"] for e in conds)
+                    assert [_budget_feasible(d, D, r0, r_eps, m, only)
+                            for only in alone] == [e["ok"] for e in conds]
+                assert feasible[0] and not feasible[-1]

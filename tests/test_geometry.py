@@ -31,7 +31,7 @@ from massflat.profiles import (
     unit_sphere_area,
     validate,
 )
-from util import random_spline_profile
+from util import random_spline_profile, two_run_integrate_cells
 
 
 def _schwarzschild_model(mass=0.1, r_cap=12.0):
@@ -510,6 +510,65 @@ def test_one_pass_over_both_slopes_equals_each_alone(name):
         np.testing.assert_array_equal(row, model._integrate_cells(alone, a, b))
     np.testing.assert_array_equal(model._F_knots[1:], np.cumsum(both[0]))
     np.testing.assert_array_equal(model._s_knots[1:], np.cumsum(both[1]))
+
+
+# the _BATCH_MODELS whose profile starts on a minimal boundary sphere
+_SINGULAR_MODELS = ("deep-well", "deep-well-small", "schwarzschild",
+                    "schwarzschild-tiny", "spline-5")
+
+
+@pytest.mark.parametrize("name", _SINGULAR_MODELS)
+def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
+    # the cells under u = sqrt(r - r_min) share one _adaptive_cells run with
+    # the rest, in tolerance groups of their own: the table pass, reads that
+    # straddle _sub_edge and the window volumes equal the split into two
+    # runs bit for bit, in one run each
+    model = _BATCH_MODELS[name]()
+    assert model._singular
+    rng = np.random.default_rng(14)
+    edge, knots = model._sub_edge, model.knots
+    rs = np.concatenate([
+        model.r_min + (edge - model.r_min) * rng.random(6), [edge],
+        rng.uniform(edge, model.r_cap, 30)])
+    r_a = 0.5 * (knots[3] + knots[4])
+    r_b = 0.5 * (r_a + model.r_cap)
+    width = edge - model.r_min
+
+    def swing_and_cliff(r):
+        # a few periods below the edge, which their own tolerance scale
+        # bisects, and a cliff above it, whose scale would accept them
+        return np.where(r > edge, 1e12,
+                        np.sin(8.0 * (r - model.r_min) / width))
+
+    queries = {
+        "groups": lambda: model._integrate_cells(
+            swing_and_cliff, knots[:2], knots[1:3]),
+        "tables": lambda: ManifoldModel(model.profile, model.r_cap,
+                                        check=False)._Fs_knots,
+        "s": lambda: model.s(rs),
+        "F": lambda: model.F(rs),
+        "F_and_s": lambda: model._F_and_s(rs),
+        "volumes": lambda: model._window_volumes(model.r_min, r_a, r_b),
+    }
+    integrate = ManifoldModel._integrate_cells
+    adaptive = geometry._adaptive_cells
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_adaptive_cells", counted)
+    for what, query in queries.items():
+        monkeypatch.setattr(ManifoldModel, "_integrate_cells",
+                            two_run_integrate_cells)
+        runs.clear()
+        reference = query()
+        assert len(runs) == 2, what
+        monkeypatch.setattr(ManifoldModel, "_integrate_cells", integrate)
+        runs.clear()
+        np.testing.assert_array_equal(query(), reference, what)
+        assert len(runs) == 1, what
 
 
 def test_deep_well_build_evaluates_the_profile_once_per_call(monkeypatch):

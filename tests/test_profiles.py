@@ -24,7 +24,8 @@ from massflat.profiles import (
     validate,
 )
 from massflat.serialization import _PIECES
-from util import random_spline_profile
+from util import (hermite_mass_and_gap, hermite_mass_prime,
+                  random_spline_profile, summed_wall_gap)
 
 
 def test_unit_sphere_area_known_values():
@@ -75,6 +76,82 @@ def test_cubic_spline_piece_interpolates_hermite_data():
     h = 1e-6
     fd = (mass(rs + h) - mass(rs - h)) / (2.0 * h)
     np.testing.assert_allclose(sp.mass_prime(rs), fd, rtol=1e-7, atol=1e-9)
+
+
+def _reference_spline_pieces():
+    """(name, piece, dimension) for every spline piece the table evaluators
+    must reproduce: the deep wells' gap-space cores and power-k rises, the
+    random splines of tests/util.py, and those splines' data in u = r^2 and
+    u = r^3, one of them from a knot at r = 0."""
+    out = []
+    wells = {"3d": deep_well(3, 1e-6, math.pi / 100, 10.0),
+             "3d-no-boundary": deep_well(3, 0.02, 4.0 * math.pi, 10.0,
+                                         with_boundary=False),
+             "4d": deep_well(4, 0.05, 2.0 * math.pi**2, 3.0),
+             "4d-no-boundary": deep_well(4, 0.05, 2.0 * math.pi**2, 3.0,
+                                         with_boundary=False)}
+    for name, p in wells.items():
+        out += [(f"well-{name}-{k}", piece, p.dimension)
+                for k, piece in enumerate(p.pieces)
+                if isinstance(piece, CubicSplinePiece)]
+    for seed in range(6):
+        p = random_spline_profile(np.random.default_rng(seed), 3 + seed % 3)
+        sp = p.pieces[1]
+        out.append((f"spline-{seed}", sp, p.dimension))
+        for power in (2.0, 3.0):
+            out.append((f"spline-{seed}-u=r^{power:g}", CubicSplinePiece(
+                sp.knots, sp.values, sp.slopes, power=power), p.dimension))
+    sp = out[-1][1]
+    knots = np.concatenate([[0.0], sp.knots])
+    out.append(("from-origin", CubicSplinePiece(
+        knots, np.concatenate([[0.0], sp.values]),
+        np.concatenate([[0.0], sp.slopes]), power=2.0), 3))
+    assert any(piece.gap_space for _, piece, _ in out)
+    return out
+
+
+def test_spline_tables_equal_the_hermite_evaluation():
+    # one gather from the per-interval table and one 1 - t read the same
+    # bits as the Hermite data gathered value by value, at every knot (both
+    # ends included), next to every knot and between knots
+    rng = np.random.default_rng(21)
+    for name, piece, m in _reference_spline_pieces():
+        k = piece.knots
+        rs = np.concatenate([
+            k, np.nextafter(k[1:], -np.inf), np.nextafter(k[:-1], np.inf),
+            rng.uniform(k[0], k[-1], 200)])
+        for got, want in zip(piece.mass_and_gap(rs, m),
+                             hermite_mass_and_gap(piece, rs, m)):
+            np.testing.assert_array_equal(got, want, name)
+        np.testing.assert_array_equal(piece.mass_prime(rs),
+                                      hermite_mass_prime(piece, rs), name)
+        assert piece.r_lo == k[0] and piece.r_hi == k[-1]
+
+
+def test_factored_wall_gap_equals_the_summed_form():
+    # the wall-factored gap of a constant piece on the wall, r - r_lo in
+    # 3-D and (r - r_lo) times the sum of r^j r_lo^(k-1-j) above, reads
+    # the bits of the plain sum, right next to r_lo too
+    pieces = [(f"schwarzschild-{m}d", schwarzschild(m, 0.05).pieces[0], m)
+              for m in (3, 4, 5, 6)]
+    for m, p in ((3, deep_well(3, 1e-6, math.pi / 100, 10.0)),
+                 (3, deep_well(3, 0.02, 4.0 * math.pi, 10.0)),
+                 (4, deep_well(4, 0.05, 2.0 * math.pi**2, 3.0))):
+        pieces.append((f"deep-well-{m}d", p.pieces[0], m))
+    rng = np.random.default_rng(22)
+    for name, piece, m in pieces:
+        lo = piece.r_lo
+        assert abs(lo ** (m - 2) - 2.0 * piece.value) <= 1e-9 * lo ** (m - 2)
+        hi = piece.r_hi if math.isfinite(piece.r_hi) else 4.0 * lo
+        near = lo * (1.0 + np.geomspace(1e-16, 1e-12, 40))
+        ulps = lo + np.spacing(lo) * np.arange(1, 20)
+        rs = np.concatenate([[lo], ulps, near, rng.uniform(lo, hi, 200),
+                             [hi]])
+        assert np.any(rs - lo <= 1e-12 * lo)
+        mh, gap = piece.mass_and_gap(rs, m)
+        np.testing.assert_array_equal(gap, summed_wall_gap(piece, rs, m),
+                                      name)
+        np.testing.assert_array_equal(mh, piece.value)
 
 
 def test_cubic_spline_rejects_bad_data():

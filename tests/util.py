@@ -1,6 +1,8 @@
-"""Shared helpers for the test suite: random admissible profiles and the
-plain breadth-first bisection that massflat.geometry._adaptive_cells must
-reproduce bit for bit."""
+"""Shared helpers for the test suite: random admissible profiles, and the
+plain forms the optimized code must reproduce bit for bit: the breadth-first
+bisection of massflat.geometry._adaptive_cells, the two-run split of
+ManifoldModel._integrate_cells, the Hermite evaluation of cubic-spline
+pieces and the summed wall gap of a constant piece on the wall."""
 
 from __future__ import annotations
 
@@ -8,8 +10,9 @@ from typing import Callable
 
 import numpy as np
 
+from massflat import geometry
 from massflat.errors import QuadratureError
-from massflat.geometry import (_MAX_DEPTH, _MAX_EXTRA_CELLS, _TINY,
+from massflat.geometry import (_MAX_DEPTH, _MAX_EXTRA_CELLS, _QUAD_REL, _TINY,
                                _first_cell, _panel_integrals)
 from massflat.profiles import (
     ConstantPiece,
@@ -166,3 +169,125 @@ def plain_adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         live = np.concatenate([live[:, pending], live[:, pending]], axis=1)
         if p is not None:
             p = np.concatenate([p[pending], p[pending]])
+
+
+# The reference for ManifoldModel._integrate_cells: the cells under
+# u = sqrt(r - r_min) and the rest as two separate runs.
+def two_run_integrate_cells(model, fvec: Callable, a, b,
+                            group=None) -> np.ndarray:
+    """Integrals of fvec over cells [a_i, b_i], each inside one knot interval.
+
+    Cells below _sub_edge run under u = sqrt(r - r_min).  A query with a
+    ``group`` label of its own (see _adaptive_cells) gets the same value
+    whatever else is in its batch.  An fvec returning a (k, n) stack
+    gives (k, cells) integrals, each row equal to its integrand's alone.
+    """
+    _adaptive_cells = geometry._adaptive_cells
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    group = np.zeros(a.size, dtype=np.intp) if group is None else group
+    sub = b <= model._sub_edge
+    if not np.any(sub):
+        return _adaptive_cells(fvec, a, b, _QUAD_REL, group)
+    r_min = model.r_min
+    # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back to
+    # r_min where fvec diverges, so the offset is re-derived from the
+    # rounded radius (floored one step above r_min); fvec(r) *
+    # sqrt(r - r_min) stays bounded as r -> r_min.
+    r_floor = np.nextafter(r_min, np.inf)
+
+    def g(u):
+        r = np.maximum(r_min + u * u, r_floor)
+        return fvec(r) * 2.0 * np.sqrt(r - r_min)
+
+    inner = _adaptive_cells(g, np.sqrt(a[sub] - r_min),
+                            np.sqrt(b[sub] - r_min), _QUAD_REL, group[sub])
+    if np.all(sub):
+        return inner
+    out = np.empty(inner.shape[:-1] + a.shape)
+    out[..., sub] = inner
+    out[..., ~sub] = _adaptive_cells(fvec, a[~sub], b[~sub], _QUAD_REL,
+                                     group[~sub])
+    return out
+
+
+# The references for CubicSplinePiece: the Hermite data of each radius's
+# interval gathered value by value, and de Casteljau with a fresh 1 - t in
+# every step.
+def _u_slopes(piece) -> np.ndarray:
+    """The knot slopes of a spline piece in u = r^power."""
+    knots, power = piece.knots, piece.power
+    dudr = power * knots ** (power - 1.0)
+    if knots[0] == 0.0 and power > 1.0:
+        dudr[0] = np.inf
+    return piece.slopes / dudr
+
+
+def _lerp(a, b, t):
+    # convex form: no cancellation when a and b share a sign
+    return (1.0 - t) * a + t * b
+
+
+def _hermite(t, h, v0, v1, s0, s1):
+    """Cubic Hermite value on [0,1] via de Casteljau on the Bezier form.
+
+    Monotone Hermite data between positive values have positive control
+    points, so the convex recursion keeps the relative error near machine
+    precision even where the cubic runs many orders of magnitude below its
+    coefficients (the near-wall regime of gap-space pieces).
+    """
+    b1 = v0 + h * s0 / 3.0
+    b2 = v1 - h * s1 / 3.0
+    c0 = _lerp(v0, b1, t)
+    c1 = _lerp(b1, b2, t)
+    c2 = _lerp(b2, v1, t)
+    return _lerp(_lerp(c0, c1, t), _lerp(c1, c2, t), t)
+
+
+def _hermite_du(t, h, v0, v1, s0, s1):
+    """Derivative of the cubic Hermite with respect to u."""
+    q0 = h * s0
+    q1 = 3.0 * (v1 - v0) - h * (s0 + s1)
+    q2 = h * s1
+    return _lerp(_lerp(q0, q1, t), _lerp(q1, q2, t), t) / h
+
+
+def _segment(piece, r):
+    """Hermite data (t, h, v0, v1, s0, s1) of the interval holding each r,
+    in the argument order of _hermite and _hermite_du."""
+    u = r**piece.power
+    uk = piece._u_knots
+    u_slopes = _u_slopes(piece)
+    # the interval index, clamped to the end intervals without a clip
+    i = np.searchsorted(uk[1:-1], u, side="right")
+    h = uk[i + 1] - uk[i]
+    return ((u - uk[i]) / h, h, piece.values[i], piece.values[i + 1],
+            u_slopes[i], u_slopes[i + 1])
+
+
+def hermite_mass_and_gap(piece, r, dimension):
+    """CubicSplinePiece.mass_and_gap by _hermite."""
+    r = np.asarray(r, dtype=float)
+    v = _hermite(*_segment(piece, r))
+    if piece.gap_space:
+        return 0.5 * (r**piece.power - v), v
+    return v, r ** (dimension - 2) - 2.0 * v
+
+
+def hermite_mass_prime(piece, r):
+    """CubicSplinePiece.mass_prime by _hermite_du."""
+    r = np.asarray(r, dtype=float)
+    dv = _hermite_du(*_segment(piece, r))
+    dudr = piece.power * r ** (piece.power - 1.0)
+    if piece.gap_space:
+        return 0.5 * dudr * (1.0 - dv)
+    return dv * dudr
+
+
+def summed_wall_gap(piece, r, dimension):
+    """The wall gap r^k - r_lo^k of a constant piece on the wall, k = m - 2,
+    as (r - r_lo) times the plain sum of r^j r_lo^(k-1-j)."""
+    k = dimension - 2
+    r = np.asarray(r, dtype=float)
+    poly = sum(r**j * piece.r_lo ** (k - 1 - j) for j in range(k))
+    return (r - piece.r_lo) * poly
