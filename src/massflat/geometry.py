@@ -10,11 +10,15 @@ The model tabulates F and s over a knot set aligned with the profile pieces,
 answers queries by integrating from the nearest knot, and inverts s by a
 safeguarded Newton iteration.  Queries take arrays: a batch of radii costs
 one adaptive integration, and each value is the same as that of the query
-made alone.  When the profile starts on a minimal boundary sphere the
-integrands carry a (r - r_min)^(-1/2) singularity which is removed exactly
-by the substitution u = sqrt(r - r_min).  The substitution is chosen per
-cell within one run: the cells of the first knot interval run under u, the
-rest under r, and one integrand call evaluates both kinds of node.
+made alone.  Two integrand peaks are removed by a substitution, chosen per
+cell within one run, so one integrand call evaluates every kind of node.
+When the profile starts on a minimal boundary sphere the integrands carry a
+(r - r_min)^(-1/2) singularity, removed exactly by u = sqrt(r - r_min) on
+the cells of the first knot interval.  Next to a ride knot of a gap-space
+spline, where the gap is g0 + A (u - u_k)^2 + O((u - u_k)^3) in u = r^(m-2)
+with g0 tiny (the deep well's wall), they carry a 1/sqrt(gap) peak of width
+w = sqrt(g0 / A) in u, far narrower than a cell; u = u_k +- w sinh(v)
+turns it into a smooth integrand on the cell beside the knot.
 
 Every integral goes through ManifoldModel._integrate_cells, which runs
 vectorized 16-point Gauss-Legendre panels with an embedded 8-point error
@@ -22,22 +26,17 @@ estimate and bisects the panels that miss the tolerance, breadth-first:
 each level holds the left halves, then the right halves, of the cells the
 level above did not accept, and each cell sums its accepted panels in level
 order.  One integrand call evaluates the GL16 and GL8 nodes of a level's
-cells, in calls of at most _BLOCK nodes of whole cells.  Next to an
-end-point peak, where the same cells keep halving towards one end, a call
-also evaluates the chains of those cells: the halves they would be split
-into over the next levels.  Those levels are then replayed in the plain
-order until a cell off the chains stays pending, so a value does not depend
-on how its levels are grouped into calls.  An integrand may return a stack
-of rows; each row keeps its own acceptance and equals the row integrated
-alone, so one pass over (F', s') builds both tables.  The same stacking
-serves the readers that need several integrals at once: _F_and_s reads F
-and s at a batch of radii in one pass, and _window_volumes integrates a
-certificate window's shell, graph excess and deep shell in one pass from
-one profile evaluation per node.  Each value equals the one its single
-query gives, bit for bit.  A panel whose value is not finite, one still
-unconverged after 50 bisections, or a batch whose pending cells (over all
-rows) bisection would grow by more than 200,000 raises QuadratureError.  A
-model whose r^(m-2) or wall gap overflows at r_cap is refused before any
+cells, in calls of at most _BLOCK nodes of whole cells.  An integrand may
+return a stack of rows; each row keeps its own acceptance and equals the
+row integrated alone, so one pass over (F', s') builds both tables.  The
+same stacking serves the readers that need several integrals at once:
+_F_and_s reads F and s at a batch of radii in one pass, and _window_volumes
+integrates a certificate window's shell, graph excess and deep shell in one
+pass from one profile evaluation per node.  Each value equals the one its
+single query gives, bit for bit.  A panel whose value is not finite, one
+still unconverged after 50 bisections, or a batch whose pending cells (over
+all rows) bisection would grow by more than 200,000 raises QuadratureError.
+A model whose r^(m-2) or wall gap overflows at r_cap is refused before any
 quadrature runs.
 """
 
@@ -73,11 +72,6 @@ _GL_X = np.concatenate([_GL16_X, _GL8_X])
 # 2,048-path tube_distance batch took over twice the page faults at 16,384)
 _BLOCK = 4096
 _MAX_DEPTH = 50
-# most levels a speculative chain adds to an integrand call
-_CHAIN = 16
-# in a cascade every cell cut its parent's error estimate by less than
-# this factor; where f is smooth a halving cuts it by orders of magnitude
-_SLOW = 64.0
 # cells bisection may add to a batch before it gives up
 _MAX_EXTRA_CELLS = 200000
 # relative targets of the quadrature panels and of the arclength inversion
@@ -128,57 +122,20 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
         return i16, np.abs(i16 - i8)
 
 
-def _chains(a, b, right, k: int):
-    """k levels of bisection below each cell [a_i, b_i], as (k, 2, n) arrays
-    of the ends of left and right halves; each level halves the previous
-    level's half on side ``right_i`` (the right half where True).  Every
-    midpoint is computed as the plain bisection computes it."""
-    end = np.where(right, b, a)     # the end the chain keeps
-    m = np.empty((k + 1, a.size))
-    m[0] = np.where(right, a, b)    # the end each level moves
-    for j in range(k):
-        m[j + 1] = 0.5 * (end + m[j])
-    mid, outer = m[1:], m[:-1]
-    lo = np.where(right, outer, end)
-    hi = np.where(right, end, outer)
-    return np.stack([lo, mid], axis=1), np.stack([mid, hi], axis=1)
-
-
-def _gauge(err: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Largest error estimate over the rows still live in each cell."""
-    if err.shape[0] == 1:
-        return err[0]
-    return np.where(live, err, 0.0).max(axis=0)
-
-
 def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                     group=None, param=None) -> np.ndarray:
     """Adaptive panel integration of f over each cell, returned per cell.
 
-    Bisection runs breadth-first.  Level 0 is the given cells; level d + 1
-    holds the halves of the cells level d does not accept, the left halves
-    and then the right halves, each in the order of their parents.  A
-    panel is accepted when its GL16-GL8 gap is at most rel times its value
-    plus 1e-4 times the scale of its cell's group: the largest level-0
-    value among the cells sharing its ``group`` label (one group by
-    default).  A cell's result therefore depends only on the cells of its
-    own group; it sums the accepted panels in level order.  ``param`` (one
-    entry or row per cell) is passed to f as f(x, p), and the halves of a
-    bisected cell inherit it.
-
-    An integrand call evaluates the GL16 and GL8 nodes of a level (see
-    _panel_integrals) together with the chains of a cascade.  A level is a
-    cascade when every pending cell of the level above cut its parent's
-    error by less than _SLOW-fold, as the cells next to an end-point peak
-    do.  Each pending cell then roots a chain at its half on the side it
-    was itself taken from: both halves of the root's same-side half, then
-    both halves of that half's same-side half, for k levels.  The chain
-    levels are replayed exactly as the plain bisection decides them, up to
-    the first that leaves an off-chain cell pending or meets a non-finite
-    live cell; the next call evaluates the level below afresh.  k starts
-    at _CHAIN, falls to 1 when a chain breaks and doubles back while
-    chains come true, within _MAX_DEPTH and _BLOCK nodes per call.  No
-    value and no error depends on how the levels are grouped into calls.
+    Bisection runs breadth-first, one _panel_integrals pass per level.
+    Level 0 is the given cells; level d + 1 holds the halves of the cells
+    level d does not accept, the left halves and then the right halves,
+    each in the order of their parents.  A panel is accepted when its
+    GL16-GL8 gap is at most rel times its value plus 1e-4 times the scale
+    of its cell's group: the largest level-0 value among the cells sharing
+    its ``group`` label (one group by default).  A cell's result therefore
+    depends only on the cells of its own group; it sums the accepted panels
+    in level order.  ``param`` (one entry or row per cell) is passed to f
+    as f(x, p), and the halves of a bisected cell inherit it.
 
     An f returning a (k, n) stack integrates k integrands at once and gives
     a (k, cells) result.  Each row has its own group scales and acceptance
@@ -200,32 +157,9 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     labels = np.zeros(a.size, dtype=np.intp) if group is None else group
     idx = np.arange(a.size)
     p = None if param is None else np.asarray(param, dtype=float)
-    # gauge: the error estimate of each cell's parent (None where level 0
-    # or a level too large for chains holds the parents).  In a cascade,
-    # ``above`` holds the side of each cell of the level above.
-    gauge = None
-    cascade = False
-    reach = _CHAIN
     # every level halves all pending cells, so they share one depth
-    depth = 0
-    while True:
-        n = a.size
-        k = 0
-        if cascade:
-            is_root = np.concatenate([~above, above])
-            roots = np.flatnonzero(is_root)
-            k = min(reach, _MAX_DEPTH - depth,
-                    (_BLOCK // _GL_X.size - n) // n)
-        ea, eb, owner, ep = a, b, idx, p
-        if k > 0:
-            right = roots >= n // 2
-            ca, cb = _chains(a[roots], b[roots], right, k)
-            cells = np.concatenate([np.arange(n), np.tile(roots, 2 * k)])
-            ea = np.concatenate([a, ca.ravel()])
-            eb = np.concatenate([b, cb.ravel()])
-            owner = idx[cells]
-            ep = None if p is None else p[cells]
-        i16, err = _panel_integrals(f, ea, eb, ep)
+    for depth in range(_MAX_DEPTH + 1):
+        i16, err = _panel_integrals(f, a, b, p)
         stacked = i16.ndim == 2
         i16, err = np.atleast_2d(i16), np.atleast_2d(err)
         n_rows = i16.shape[0]
@@ -234,7 +168,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         # the GL nodes are interior, so halving a panel cannot make a
         # non-finite integrand finite: fail on the first one.  err =
         # |i16 - i8| is finite only where i16 is.
-        bad = live & ~np.isfinite(err[:, :n])
+        bad = live & ~np.isfinite(err)
         if bad.any():
             j, c = _first_cell(bad)
             raise QuadratureError(
@@ -254,9 +188,9 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                 scale = np.maximum(top, _TINY).reshape(
                     n_rows, n_groups)[:, labels]
         ok = err <= rel * (np.abs(i16) + 1e-4 * (
-            scale if n_groups == 1 else scale[:, owner]))
+            scale if n_groups == 1 else scale[:, idx]))
         # cells narrower than a few ulps cannot be split further
-        ok |= (eb - ea) <= 4e-16 * np.maximum(np.abs(ea), np.abs(eb))
+        ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
         if depth == 0:
             if ok.all():
                 # every row accepts every cell at level 0: summing into
@@ -266,65 +200,9 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
             # with a tuple of index arrays
             out = np.zeros(n_rows * a0.size)
             base = a0.size * np.arange(n_rows)[:, None]
-        if k > 0:
-            i16, i16c = i16[:, :n], i16[:, n:]
-            err, errc = err[:, :n], err[:, n:]
-            ok, okc = ok[:, :n], ok[:, n:]
         ok &= live
-        to, val = (base + idx)[ok], i16[ok]
+        np.add.at(out, (base + idx)[ok], i16[ok])
         live &= ~ok
-        if k > 0:
-            # the chain cells as (rows, level, half, root).  A row is live
-            # in both halves of a level while it is live in the root after
-            # level 0 and no chain half above has accepted it.
-            R = roots.size
-            side = right.astype(np.intp)
-            col = np.arange(R)
-            shape = (n_rows, k, 2, R)
-            okc, errc = okc.reshape(shape), errc.reshape(shape)
-            live_c = np.logical_and.accumulate(np.concatenate(
-                [live[:, None, roots], ~okc[:, :-1, side, col]], axis=1),
-                axis=1)[:, :, None]
-            okc &= live_c
-            left_c = live_c & ~okc
-            pend = left_c.any(axis=0)
-            own = np.arange(2)[:, None] == side
-            held = (pend & own).any(axis=(1, 2))
-            lost = (pend & ~own).any(axis=(1, 2))
-            pend0 = live.any(axis=0)
-            # level j + 1 replays when level j leaves cells pending, all of
-            # them with their halves evaluated, and its live cells are finite
-            feeds = np.concatenate([
-                [pend0.any() and not (pend0 & ~is_root).any()],
-                held[:-1] & ~lost[:-1]])
-            go = feeds & ~(live_c & ~np.isfinite(errc)).any(axis=(0, 2, 3))
-            levels = k if go.all() else int(go.argmin())
-            came_true = levels == k and held[-1] and not lost[-1]
-            reach = min(2 * k, _CHAIN) if came_true else 1
-            if levels:
-                # the chain cells lie in the plain order: level by level,
-                # lefts before rights, each in the order of the roots, and
-                # the roots, like their parents, list left halves first
-                done = 2 * R * levels
-                take = okc.reshape(n_rows, -1)[:, :done]
-                to = np.concatenate(
-                    [to, np.tile(base + idx[roots], 2 * levels)[take]])
-                val = np.concatenate([val, i16c[:, :done][take]])
-                # hand on the last replayed level, with the error estimate
-                # of each cell's parent: the root or the chain half above
-                parent_e = (_gauge(err[:, roots], live[:, roots])
-                            if levels == 1 else
-                            _gauge(errc[:, levels - 2, side, col],
-                                   left_c[:, levels - 2, side, col]))
-                gauge = np.tile(parent_e, 2)
-                a, b = ca[levels - 1].ravel(), cb[levels - 1].ravel()
-                idx = np.tile(idx[roots], 2)
-                if p is not None:
-                    p = p[np.tile(roots, 2)]
-                live = left_c[:, levels - 1].reshape(n_rows, -1)
-                err = errc[:, levels - 1].reshape(n_rows, -1)
-                depth += levels
-        np.add.at(out, to, val)
         pending = live[0] if n_rows == 1 else live.any(axis=0)
         if not pending.any():
             out = out.reshape(n_rows, a0.size)
@@ -338,30 +216,15 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                 f"{depth} bisections (piece [{float(a[c])!r}, "
                 f"{float(b[c])!r}], error estimate {float(err[j, c])!r}; "
                 f"{n_next} cells would be pending)")
-        live = live[:, pending]
-        # a chain needs room for its level and one more in a call, so the
-        # error estimates are kept only where the next level leaves it
-        cascade = False
-        if 2 * n_next <= _BLOCK // _GL_X.size:
-            e = _gauge(err[:, pending], live)
-            cascade = gauge is not None and bool(
-                (e > gauge[pending] / _SLOW).all())
-            gauge = np.concatenate([e, e])
-        else:
-            gauge = None
-        if cascade:
-            # a level below level 0 holds its left halves, then its rights
-            above = np.flatnonzero(pending) >= a.size // 2
         a2, b2 = a[pending], b[pending]
         mid = 0.5 * (a2 + b2)
         idx2 = idx[pending]
         a = np.concatenate([a2, mid])
         b = np.concatenate([mid, b2])
         idx = np.concatenate([idx2, idx2])
-        live = np.concatenate([live, live], axis=1)
+        live = np.concatenate([live[:, pending], live[:, pending]], axis=1)
         if p is not None:
             p = np.concatenate([p[pending], p[pending]])
-        depth += 1
 
 
 def _first_cell(mask: np.ndarray) -> Tuple[int, int]:
@@ -485,6 +348,8 @@ class ManifoldModel:
         pts = [np.array([self.r_min, self.r_cap])]
         # piece ends and spline knots: where s' may be unsmooth
         breaks = []
+        # (knot, side, w) of the ride knots inside the model
+        self._ride = []
         for k, piece in enumerate(profile.pieces):
             a = max(piece.r_lo, self.r_min)
             b = min(piece.r_hi, self.r_cap)
@@ -501,6 +366,7 @@ class ManifoldModel:
                 pts.append(a + (b - a) * np.linspace(0.0, 1.0, 49) ** 2)
             if isinstance(piece, CubicSplinePiece):
                 breaks += [x for x in piece.knots if a < x < b]
+                self._ride += [e for e in piece.ride_knots if a < e[0] < b]
         knots = np.unique(np.concatenate(pts + [breaks]))
         knots = knots[(knots >= self.r_min) & (knots <= self.r_cap)]
         self.knots = knots
@@ -522,19 +388,30 @@ class ManifoldModel:
     def _integrate_cells(self, fvec: Callable, a, b, group=None) -> np.ndarray:
         """Integrals of fvec over cells [a_i, b_i], each inside one knot interval.
 
-        One _adaptive_cells run over every cell.  Cells below _sub_edge run
-        under u = sqrt(r - r_min), chosen per cell by a ``param`` flag, and
-        one fvec call takes the nodes of both kinds; their group labels are
-        offset past the others', so each kind keeps the tolerance scales it
-        would have in a run of its own.  A query with a ``group`` label of
-        its own (see _adaptive_cells) gets the same value whatever else is
-        in its batch.  An fvec returning a (k, n) stack gives (k, cells)
-        integrals, each row equal to its integrand's alone.
+        One _adaptive_cells run over every cell, of three kinds, chosen per
+        cell by a ``param`` row; one fvec call takes the nodes of all kinds.
+        Cells below _sub_edge run under u = sqrt(r - r_min), in group labels
+        offset past the others', so they keep the tolerance scales they
+        would have in a run of their own.  A ride cell, which ends on a ride
+        knot u_k (see CubicSplinePiece) on the side where the gap rises, runs
+        under u = u_k +- w sinh(v) with u = r^(m-2), which turns the
+        1/sqrt(g0 + A (u - u_k)^2) peak there into a smooth integrand; it
+        keeps its caller's group.  The rest run under r.  A batch without
+        cells under u or ride cells calls fvec on its plain nodes.  A query
+        with a ``group`` label of its own (see _adaptive_cells) gets the same
+        value whatever else is in its batch.  An fvec returning a (k, n)
+        stack gives (k, cells) integrals, each row equal to its integrand's
+        alone.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         sub = b <= self._sub_edge
-        if not np.any(sub):
+        # the signed peak width, -w on a cell left of its knot, w right of it
+        sw = np.zeros(a.size)
+        for knot, side, w in self._ride:
+            sw[((b if side < 0 else a) == knot) & ~sub] = side * w
+        ride = sw != 0.0
+        if not (sub.any() or ride.any()):
             return _adaptive_cells(fvec, a, b, _QUAD_REL, group)
         r_min = self.r_min
         # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back to
@@ -543,20 +420,53 @@ class ManifoldModel:
         # sqrt(r - r_min) stays bounded as r -> r_min.
         r_floor = np.nextafter(r_min, np.inf)
 
-        def g(x, flag):
-            # flag is 1.0 on the nodes of the cells under u, 0.0 elsewhere.
+        def under_u(x, flag):
+            # radii and Jacobians of nodes x, under u where flag is 1.0.
             # Scaling by 2 is exact, so fvec(r) * (2 sqrt(r - r_min)) rounds
             # as fvec(r) * 2.0 * sqrt(r - r_min) does.
             u = flag != 0.0
             r = np.where(u, np.maximum(r_min + x * x, r_floor), x)
-            return fvec(r) * np.where(u, 2.0 * np.sqrt(r - r_min), 1.0)
+            return r, np.where(u, 2.0 * np.sqrt(r - r_min), 1.0)
 
-        # the two kinds keep apart in tolerance groups, as in runs of their own
+        # the two kinds under r and u keep apart in tolerance groups, as in
+        # runs of their own
         group = np.zeros(a.size, dtype=np.intp) if group is None else group
         group = np.where(sub, group + (int(group.max()) + 1), group)
-        return _adaptive_cells(g, np.where(sub, np.sqrt(a - r_min), a),
-                               np.where(sub, np.sqrt(b - r_min), b),
-                               _QUAD_REL, group, sub.astype(float))
+        lo = np.where(sub, np.sqrt(a - r_min), a)
+        hi = np.where(sub, np.sqrt(b - r_min), b)
+        if not ride.any():
+            def g(x, flag):
+                r, jac = under_u(x, flag)
+                return fvec(r) * jac
+
+            return _adaptive_cells(g, lo, hi, _QUAD_REL, group,
+                                   sub.astype(float))
+        k = self.dimension - 2
+        power = float(k)
+        # u at each ride cell's knot and other end, formed as the spline
+        # evaluator forms u from r; the cell runs over v in [0, asinh(d / w)]
+        u_k = np.where(sw < 0, b, a)[ride] ** power
+        u_end = np.where(sw < 0, a, b)[ride] ** power
+        lo[ride] = 0.0
+        hi[ride] = np.arcsinh(np.abs(u_end - u_k) / np.abs(sw[ride]))
+        q = np.zeros((a.size, 3))
+        q[:, 0] = sub
+        q[:, 1] = sw
+        q[ride, 2] = u_k
+
+        def g(x, q):
+            # q rows: (1.0 under u, signed w on ride cells, u_k)
+            on = q[:, 1] != 0.0
+            r, jac = under_u(np.where(on, r_min, x), q[:, 0])
+            sw, u_k = q[on, 1], q[on, 2]
+            r_on = (u_k + sw * np.sinh(x[on])) ** (1.0 / k)
+            # the offset from the rounded radius, as the gap reads it
+            u = r_on**power
+            r[on] = r_on
+            jac[on] = np.hypot(sw, u - u_k) * r_on / (k * u)
+            return fvec(r) * jac
+
+        return _adaptive_cells(g, lo, hi, _QUAD_REL, group, q)
 
     # -- cumulative queries ----------------------------------------------------
 

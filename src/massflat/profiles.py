@@ -189,11 +189,17 @@ class CubicSplinePiece(ProfilePiece):
     With ``gap_space=True`` the knot data describe g(u) = r^(m-2) - 2 m_H(r)
     instead, which keeps near-wall profiles exact; the power must then equal
     m - 2 (checked when the piece is attached to a profile).
+
+    ``ride_knots`` lists the interior knots of a gap-space piece where the
+    gap has a near-double root: u-slope 0, value g0 > 0, and a segment on
+    ``side`` (-1 left, +1 right) rising as g0 + A d^2 + O(d^3) in
+    d = |u - u_k|, A > 0.  Each entry is (knot, side, w) with
+    w = sqrt(g0 / A), the width in u of the 1/sqrt(gap) peak there.
     """
 
     kind = "cubic-spline"
     __slots__ = ("knots", "values", "slopes", "power", "gap_space",
-                 "_u_knots", "_value_table", "_slope_table")
+                 "ride_knots", "_u_knots", "_value_table", "_slope_table")
 
     def __init__(self, knots: Sequence[float], values: Sequence[float],
                  slopes: Sequence[float], power: float = 1.0,
@@ -228,32 +234,49 @@ class CubicSplinePiece(ProfilePiece):
                     "a knot at r=0 with power > 1 requires zero slope")
             dudr[0] = math.inf
         us = slopes / dudr
-        # per interval: its start and width in u, then the Bezier control
+        # per interval: its ends and width in u, then the Bezier control
         # points of the value and of h times its u-derivative
         h = uk[1:] - uk[:-1]
         v0, v1, s0, s1 = values[:-1], values[1:], us[:-1], us[1:]
         self._value_table = np.stack([
-            uk[:-1], h, v0, v0 + h * s0 / 3.0, v1 - h * s1 / 3.0, v1])
+            uk[:-1], uk[1:], h, v0, v0 + h * s0 / 3.0, v1 - h * s1 / 3.0, v1])
         self._slope_table = np.stack([
-            uk[:-1], h, h * s0, 3.0 * (v1 - v0) - h * (s0 + s1), h * s1])
+            uk[:-1], uk[1:], h, h * s0, 3.0 * (v1 - v0) - h * (s0 + s1),
+            h * s1])
+        ride = []
+        for i in range(1, knots.size - 1) if self.gap_space else ():
+            if us[i] != 0.0 or not values[i] > 0.0:
+                continue
+            # each neighbour segment's quadratic coefficient in d = |u - u_k|
+            # from its width, far value and far slope along d
+            for side, width, far, slope in (
+                    (-1, h[i - 1], values[i - 1], -us[i - 1]),
+                    (1, h[i], values[i + 1], us[i + 1])):
+                A = (3.0 * (far - values[i]) - width * slope) / width**2
+                if A > 0.0:
+                    ride.append((float(knots[i]), side,
+                                 math.sqrt(values[i] / A)))
+        self.ride_knots = tuple(ride)
 
     def _interval(self, r, table):
         """The columns of table for the interval holding each r, in one
-        gather, with the first row (the interval's start u_lo) turned into
-        the local coordinate t = (u - u_lo) / h of u = r^power."""
+        gather, with the first two rows (the interval's ends u_lo, u_hi)
+        turned into the weights t = (u - u_lo) / h and s = (u_hi - u) / h
+        of u = r^power.  s is not 1 - t: next to u_hi that difference would
+        keep only the absolute accuracy of t."""
         u = r**self.power
         # the interval index, clamped to the end intervals without a clip
         i = np.searchsorted(self._u_knots[1:-1], u, side="right")
         rows = table.take(i, axis=1)
-        u_lo, h = rows[0], rows[1]
+        u_lo, u_hi, h = rows[0], rows[1], rows[2]
         rows[0] = (u - u_lo) / h
+        rows[1] = (u_hi - u) / h
         return rows
 
     def mass_prime(self, r):
         # de Casteljau on the Bezier form of the quadratic h dv/du
         r = np.asarray(r, dtype=float)
-        t, h, q0, q1, q2 = self._interval(r, self._slope_table)
-        s = 1.0 - t
+        t, s, h, q0, q1, q2 = self._interval(r, self._slope_table)
         c0 = s * q0 + t * q1
         c1 = s * q1 + t * q2
         dv = (s * c0 + t * c1) / h
@@ -269,8 +292,7 @@ class CubicSplinePiece(ProfilePiece):
         # precision even where the cubic runs many orders of magnitude
         # below its coefficients (the near-wall regime of gap-space pieces)
         r = np.asarray(r, dtype=float)
-        t, _, b0, b1, b2, b3 = self._interval(r, self._value_table)
-        s = 1.0 - t
+        t, s, _, b0, b1, b2, b3 = self._interval(r, self._value_table)
         c0 = s * b0 + t * b1
         c1 = s * b1 + t * b2
         c2 = s * b2 + t * b3

@@ -1,25 +1,24 @@
-"""_adaptive_cells against the plain breadth-first bisection.
+"""_adaptive_cells keeps stacked rows and tolerance groups apart.
 
-tests/util.plain_adaptive_cells evaluates every pending cell once per
-bisection level, one integrand call per level.  _adaptive_cells also
-evaluates the chains of cascades and replays their levels, so it groups
-the levels into fewer calls; every value, error text and warning must stay
-the same, bit for bit, and the speculation must stay small.
+Each row of a stacked integrand and each tolerance group of a batch must
+give what it gives integrated alone, bit for bit, and fail alone with the
+error the whole run fails with; hypothesis draws peaks at cell ends and
+inside cells, jumps, values that turn non-finite at depth, stacked rows,
+groups and param rows.  The model's table pass must stay a few calls.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from massflat import geometry
 from massflat.errors import QuadratureError
 from massflat.geometry import _adaptive_cells
 from test_geometry import _BATCH_MODELS
-from util import plain_adaptive_cells
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -27,16 +26,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 def _run(integrate, f, *args):
-    """(outcome, integrand calls, nodes) of one integration.
+    """(outcome, integrand calls) of one integration.
 
     The outcome is the result's shape and bytes, or the class and text of
     the QuadratureError or warning it raised: warnings are errors here.
     """
-    work = [0, 0]
+    calls = []
 
     def counted(x, *p):
-        work[0] += 1
-        work[1] += x.size
+        calls.append(x.size)
         return f(x, *p)
 
     with warnings.catch_warnings():
@@ -44,8 +42,8 @@ def _run(integrate, f, *args):
         try:
             out = integrate(counted, *args)
         except (QuadratureError, RuntimeWarning) as exc:
-            return (type(exc).__name__, str(exc)), work[0], work[1]
-    return (out.shape, out.tobytes()), work[0], work[1]
+            return (type(exc).__name__, str(exc)), len(calls)
+    return (out.shape, out.tobytes()), len(calls)
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ class _Row:
         c, d, w = self.c, self.d, self.w
         with np.errstate(all="ignore"):
             if self.kind == "ends":  # 1/sqrt peaks at the cell ends c and
-                # d, cut off at soft (the cascade next to one ends near it)
+                # d, cut off at soft (the bisection towards one ends near it)
                 return (1.0 / np.sqrt(np.abs(x - c) + self.soft)
                         + w / np.sqrt(np.abs(x - d) + self.soft))
             if self.kind == "nan-end":  # non-finite once nodes come near c
@@ -126,72 +124,72 @@ def _integrations(draw):
             np.array(edges[1:]), rel, group, param)
 
 
+def _unify(outcome):
+    """An outcome without the count of cells the whole run would have
+    pending, the one part of an error text that counts every row and
+    group: the first failing cell, its value and its error estimate are
+    those of the row or group that fails alone."""
+    if isinstance(outcome[0], str):
+        return outcome[0], re.sub(r"; \d+ cells would be pending", "",
+                                  outcome[1])
+    return outcome
+
+
+def _parts_match(whole, parts, take):
+    """whole fails when a part fails alone, with that part's error;
+    otherwise each part equals its share of whole, bit for bit."""
+    errors = [_unify(part) for part in parts if isinstance(part[0], str)]
+    if errors:
+        assert _unify(whole) in errors
+        return
+    assert not isinstance(whole[0], str), whole
+    values = np.frombuffer(whole[1]).reshape(whole[0])
+    for k, (_, part) in enumerate(parts):
+        assert take(values, k).tobytes() == part
+
+
 @settings(max_examples=300)
 @given(_integrations())
-# a peak at each end of one cell, whose chains add to the same sum
-@example((_Integrand((_Row("interior", 1.0), _Row("ends", 0.5, 0.5, soft=1e-9),
-                      _Row("ends", 0.875, 2.0))),
-          np.array([0.5, 0.875]), np.array([0.875, 2.0]), 1e-8, None, None))
-# two rows accepting a chain's cells at different levels: a row stays dead
-# below a cell it accepted, though the cell's halves miss the tolerance
+# two rows accepting a cell at different levels: a row stays dead below a
+# cell it accepted, though the cell's halves miss the tolerance
 @example((_Integrand((_Row("jump", 0.01), _Row("interior", 0.0))),
           np.array([0.0]), np.array([2.0]), 1e-8, None, None))
-def test_chains_change_no_bit_and_no_error(case):
-    # end peaks (both ends of one cell too), interior peaks and jumps,
-    # stacked rows accepting at different depths, tolerance groups, param
-    # rows, a non-finite value met at depth, and the depth limit
-    plain, _, _ = _run(plain_adaptive_cells, *case)
-    chained, _, _ = _run(_adaptive_cells, *case)
-    assert chained == plain
+def test_stacked_rows_equal_their_runs_alone(case):
+    # end peaks, interior peaks and jumps, rows accepting at different
+    # depths, tolerance groups, param rows, a non-finite value met at
+    # depth, and the depth limit
+    f, a, b, rel, group, param = case
+    whole, _ = _run(_adaptive_cells, f, a, b, rel, group, param)
+    rows = [_run(_adaptive_cells, _Integrand((row,)), a, b, rel, group,
+                 param)[0] for row in f.rows]
+    _parts_match(whole, rows, lambda values, k: values[k]
+                 if len(f.rows) > 1 else values)
 
 
-def test_chains_keep_the_bisection_cap():
-    # an integrand that never converges doubles the pending cells until
-    # the cap stops both bisections at the same level with the same text
-    edges = np.linspace(0.0, 1.0, 1001)
-    case = (lambda x: np.sin(1e7 * x), edges[:-1], edges[1:], 1e-12)
-    plain, _, _ = _run(plain_adaptive_cells, *case)
-    chained, _, _ = _run(_adaptive_cells, *case)
-    assert chained == plain
-    assert "cells would be pending" in plain[1]
-
-
-def _peak(x):
-    return 1.0 / (1e-4 + (x - 0.3) ** 2)
-
-
-def _step(x):
-    return np.where(x < 0.4, 0.0, 1.0)
-
-
-_PEAK_CELLS = np.linspace(0.0, 2.0, 3 * (geometry._BLOCK // 24) + 6)
-
-
-@pytest.mark.parametrize("case", [
-    # the interior peak batch of test_block_splitting_does_not_change_bits
-    (_peak, _PEAK_CELLS[:-1], _PEAK_CELLS[1:], 1e-12,
-     np.arange(_PEAK_CELLS.size - 1)),
-    # a jump whose piece alternates sides two halvings at a time
-    (_step, [0.0], [1.0], 1e-13),
-], ids=["interior-peak", "step"])
-def test_speculation_is_bounded(case):
-    plain, plain_calls, plain_nodes = _run(plain_adaptive_cells, *case)
-    chained, calls, nodes = _run(_adaptive_cells, *case)
-    assert chained == plain
-    assert calls <= plain_calls
-    assert nodes <= 2 * plain_nodes
+@settings(max_examples=300)
+@given(_integrations())
+# a cliff in one group, whose scale would accept the other group's swing
+@example((_Integrand((_Row("interior", 0.5, w=0.5),)),
+          np.array([0.0, 1.0]), np.array([1.0, 4.0]), 1e-12,
+          np.array([0, 1]), np.array([[1.0, 0.0], [1e6, 0.0]])))
+def test_tolerance_groups_equal_their_runs_alone(case):
+    f, a, b, rel, group, param = case
+    labels = np.zeros(a.size, dtype=np.intp) if group is None else group
+    whole, _ = _run(_adaptive_cells, f, a, b, rel, group, param)
+    cells = [np.flatnonzero(labels == g) for g in np.unique(labels)]
+    groups = [_run(_adaptive_cells, f, a[c], b[c], rel, labels[c],
+                   None if param is None else param[c])[0] for c in cells]
+    _parts_match(whole, groups, lambda values, k: values[..., cells[k]])
 
 
 @pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
-def test_model_tables_take_no_more_calls(name, monkeypatch):
-    # both tables in one pass, over the model's own knots
+def test_model_tables_take_no_more_calls(name):
+    # both tables in one pass over the model's own knots, one integrand
+    # call per bisection level: the ride substitution keeps the deep
+    # wells' peaks from adding levels
     model = _BATCH_MODELS[name]()
-    a, b = model.knots[:-1], model.knots[1:]
-    runs = []
-    for integrate in (plain_adaptive_cells, _adaptive_cells):
-        monkeypatch.setattr(geometry, "_adaptive_cells", integrate)
-        runs.append(_run(lambda f, *args: model._integrate_cells(f, *args),
-                         model._slopes, a, b))
-    (plain, plain_calls, _), (chained, calls, _) = runs
-    assert chained == plain
-    assert calls <= plain_calls
+    outcome, calls = _run(
+        lambda f, *args: model._integrate_cells(f, *args), model._slopes,
+        model.knots[:-1], model.knots[1:])
+    assert not isinstance(outcome[0], str), outcome
+    assert calls <= 4

@@ -364,11 +364,8 @@ def test_adaptive_cells_raises_at_the_depth_limit():
                        match=r"did not converge on \[0\.0, 1\.0\] within 50 "
                              r"bisections \(piece \[0\.3999"):
         _adaptive_cells(step, [0.0], [1.0], 1e-13)
-    # 0.4 is 0.0110 0110... in binary: the piece takes two halvings on each
-    # side in turn, so from level 2 on a call evaluates one level and the
-    # chain of its same-side half, whose first level replays and whose
-    # second breaks (one call per level would make 51)
-    assert len(calls) == 27
+    # one call per level: level 0 and the 50 below it
+    assert len(calls) == 51
 
 
 def _spline_model(seed):
@@ -522,9 +519,15 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
     # the cells under u = sqrt(r - r_min) share one _adaptive_cells run with
     # the rest, in tolerance groups of their own: the table pass, reads that
     # straddle _sub_edge and the window volumes equal the split into two
-    # runs bit for bit, in one run each
+    # runs bit for bit, in one run each.  The deep wells' ride cells run
+    # under their own substitution, which the split lacks: there the two
+    # agree to 1e-11.  The split bisects in r towards the peak at r_w0 and
+    # reads the table cell ending there 5.8e-12 off a 40-digit mpmath value
+    # on deep-well-small; the one run reads it 5e-17 off.
     model = _BATCH_MODELS[name]()
     assert model._singular
+    ride = name.startswith("deep-well")
+    assert bool(model._ride) == ride
     rng = np.random.default_rng(14)
     edge, knots = model._sub_edge, model.knots
     rs = np.concatenate([
@@ -567,16 +570,20 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
         assert len(runs) == 2, what
         monkeypatch.setattr(ManifoldModel, "_integrate_cells", integrate)
         runs.clear()
-        np.testing.assert_array_equal(query(), reference, what)
+        if ride:
+            np.testing.assert_allclose(query(), reference, rtol=1e-11,
+                                       atol=0, err_msg=what)
+        else:
+            np.testing.assert_array_equal(query(), reference, what)
         assert len(runs) == 1, what
 
 
 def test_deep_well_build_evaluates_the_profile_once_per_call(monkeypatch):
-    # the 1/sqrt peaks at the ride knots of a delta = 1e-6 well force about
-    # twenty bisection levels; an integrand call evaluates m_H and the wall
-    # gap together, once, for both tables.  Only the calls made inside the
-    # quadrature count: validation and the boundary gap also read the
-    # profile, one radius each.
+    # the 1/sqrt peaks at the ride knots of a delta = 1e-6 well, about
+    # 6e-15 wide in u, take one ride cell each; an integrand call evaluates
+    # m_H and the wall gap together, once, for both tables.  Only the calls
+    # made inside the quadrature count: validation and the boundary gap
+    # also read the profile, one radius each.
     cells, evaluations, inside = [], [], [False]
     panel = geometry._panel_integrals
     mass_and_gap = HawkingProfile.mass_and_gap
@@ -598,12 +605,92 @@ def test_deep_well_build_evaluates_the_profile_once_per_call(monkeypatch):
     monkeypatch.setattr(HawkingProfile, "mass_and_gap", counted_mass_and_gap)
     ManifoldModel(deep_well(3, 1e-6, math.pi / 100, 10.0), 0.4)
     per_call = geometry._BLOCK // 24
-    # chains replay most levels of the cascades at the peaks (one call per
-    # level would make 24)
-    assert len(evaluations) <= 8
+    # one call per level; bisecting towards the peaks in r made 24
+    assert len(evaluations) == 4
     assert len(evaluations) == sum(-(-n // per_call) for n in cells)
     # every call after the first of each integration fits in one block
     assert len(evaluations) <= len(cells) + 2
+
+
+def test_deep_well_batch_across_the_core_equals_the_per_point_loop():
+    # 2,001 radii across the core of a delta = 1e-6 well answer as a batch,
+    # each as it answers alone.  Bisecting towards the ride knots in r once
+    # took this batch past the bisection cap, which no radius alone reached.
+    profile = deep_well(3, 1e-6, math.pi / 100, 10.0)
+    core = next(p for p in profile.pieces if p.kind == "cubic-spline"
+                and p.gap_space)
+    model = ManifoldModel(profile, 1.0)
+    rs = np.linspace(core.knots[0], core.knots[-1], 2001)
+    np.testing.assert_array_equal(
+        model.s(rs), np.array([model.s(float(r)) for r in rs]))
+
+
+def _exact_arclength(mpmath, piece, i, a, b):
+    """s(b) - s(a) to 40 digits for a < b in segment i of a gap-space piece
+    whose segment ends in a ride knot.
+
+    It integrates s' = sqrt(u / g(u)) dr over u = r^k, from the u of a to
+    the u of b as the piece forms them, with g the exact Hermite cubic of
+    the segment.  The peak of 1/sqrt(g) at the ride knot u_k is smoothed
+    for mpmath.quad by u = u_k +- w sinh(v), with w from the cubic.
+    """
+    mpf = mpmath.mpf
+    k = int(piece.power)
+    with mpmath.workdps(40):
+        u_lo, u_hi = (mpf(x) for x in piece._u_knots[i:i + 2])
+        h = u_hi - u_lo
+        v0, v1 = (mpf(x) for x in piece.values[i:i + 2])
+        s0, s1 = (mpf(s) / (k * mpf(x) ** (k - 1)) for x, s in
+                  zip(piece.knots[i:i + 2], piece.slopes[i:i + 2]))
+
+        def g(u):
+            t = (u - u_lo) / h
+            return ((2 * t**3 - 3 * t**2 + 1) * v0 + (t**3 - 2 * t**2 + t) * h
+                    * s0 + (3 * t**2 - 2 * t**3) * v1 + (t**3 - t**2) * h * s1)
+
+        if s1 == 0:
+            u_k, side, A = u_hi, -1, (3 * (v0 - v1) + h * s0) / h**2
+        else:
+            u_k, side, A = u_lo, 1, (3 * (v1 - v0) - h * s1) / h**2
+        w = mpmath.sqrt(g(u_k) / A)
+
+        def f(v):
+            u = u_k + side * w * mpmath.sinh(v)
+            return (mpmath.sqrt(u / g(u)) * u ** (mpf(1) / k - 1) / k
+                    * w * mpmath.cosh(v))
+
+        ends = [mpmath.asinh(side * (mpf(float(u)) - u_k) / w)
+                for u in np.array([a, b]) ** piece.power]
+        return abs(mpmath.quad(f, sorted(ends)))
+
+
+_RIDE_WELLS = {"3d-1e-2": (3, 1e-2), "3d-1e-4": (3, 1e-4),
+               "3d-1e-6": (3, 1e-6), "4d-1e-4": (4, 1e-4)}
+
+
+@pytest.mark.parametrize("name", sorted(_RIDE_WELLS))
+def test_ride_cells_against_mpmath(name):
+    # the descent into the ride knot r_w0, the release from r_r, and cells
+    # ending at r_w0 from 1e-4 down to 1e-12 (relative) below it.  A cell
+    # integral holds 1e-14 relative; a difference of s reads, which rounds
+    # like s(b) itself, 1e-14 relative or 4 ulps of s(b).
+    mpmath = pytest.importorskip("mpmath")
+    m, delta = _RIDE_WELLS[name]
+    profile = deep_well(m, delta, math.pi / 100, 10.0)
+    core = next(p for p in profile.pieces if p.kind == "cubic-spline"
+                and p.gap_space)
+    r_p, r_w0, r_r, r_t = core.knots
+    assert [e[:2] for e in core.ride_knots] == [(r_w0, -1), (r_r, 1)]
+    model = ManifoldModel(profile, 1.0)
+    cells = [(0, r_p, r_w0), (2, r_r, r_t)] + [
+        (0, r_w0 * (1.0 - 10.0**-j), r_w0) for j in (4, 6, 9, 12)]
+    for i, a, b in cells:
+        exact = _exact_arclength(mpmath, core, i, a, b)
+        cell = model._integrate_cells(model.s_prime, [a], [b])[0]
+        assert abs(mpmath.mpf(cell) - exact) <= 1e-14 * exact, (a, b)
+        s_a, s_b = model.s(a), model.s(b)
+        bound = max(1e-14 * exact, 4.0 * np.spacing(s_b))
+        assert abs(mpmath.mpf(s_b) - mpmath.mpf(s_a) - exact) <= bound, (a, b)
 
 
 def test_block_splitting_does_not_change_bits():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,8 +25,7 @@ from massflat.profiles import (
     validate,
 )
 from massflat.serialization import _PIECES
-from util import (hermite_mass_and_gap, hermite_mass_prime,
-                  random_spline_profile, summed_wall_gap)
+from util import random_spline_profile, summed_wall_gap
 
 
 def test_unit_sphere_area_known_values():
@@ -110,21 +110,68 @@ def _reference_spline_pieces():
     return out
 
 
+def _exact_spline(piece, r: float, m: int):
+    """m_H, the wall gap and m_H' of a spline piece at radius r from its
+    exact Hermite cubic, each as (value, scale) in Fractions.
+
+    u = r^power is formed as the piece forms it, and its knots in u are the
+    ones it stores; everything after that is exact.  The scale sums the
+    absolute terms behind each value, the size its rounding is relative to:
+    the value itself where the terms share a sign.
+    """
+    power = int(piece.power)
+    u = Fraction(float((np.array([r]) ** piece.power)[0]))
+    uk = piece._u_knots
+    i = int(np.searchsorted(uk[1:-1], float(u), side="right"))
+    lo, hi = Fraction(uk[i]), Fraction(uk[i + 1])
+    h = hi - lo
+
+    def u_slope(j):
+        x = Fraction(piece.knots[j])
+        return Fraction(0) if x == 0 else (
+            Fraction(piece.slopes[j]) / (power * x ** (power - 1)))
+
+    v0, v1, s0, s1 = (Fraction(piece.values[i]), Fraction(piece.values[i + 1]),
+                      u_slope(i), u_slope(i + 1))
+    t = (u - lo) / h
+    s = 1 - t
+    # the Bezier control points of the cubic and of h times its u-derivative
+    value = zip([v0, v0 + h * s0 / 3, v1 - h * s1 / 3, v1],
+                [s**3, 3 * s**2 * t, 3 * s * t**2, t**3])
+    slope = zip([h * s0, 3 * (v1 - v0) - h * (s0 + s1), h * s1],
+                [s**2, 2 * s * t, t**2])
+    v, v_abs = (sum(x) for x in zip(*((b * w, abs(b * w)) for b, w in value)))
+    dv, dv_abs = (sum(x) / h for x in zip(*((q * w, abs(q * w))
+                                            for q, w in slope)))
+    dudr = power * Fraction(r) ** (power - 1)
+    if piece.gap_space:
+        return ((u - v) / 2, (u + v_abs) / 2), (v, v_abs), (
+            dudr * (1 - dv) / 2, dudr * (1 + dv_abs) / 2)
+    xi = Fraction(float((np.array([r]) ** (m - 2))[0]))
+    return (v, v_abs), (xi - 2 * v, xi + 2 * v_abs), (dv * dudr,
+                                                      dv_abs * dudr)
+
+
 def test_spline_tables_equal_the_hermite_evaluation():
-    # one gather from the per-interval table and one 1 - t read the same
-    # bits as the Hermite data gathered value by value, at every knot (both
-    # ends included), next to every knot and between knots
+    # mass_and_gap and mass_prime read the exact Hermite cubic to within 8
+    # ulps of their scale (see _exact_spline) at every knot, next to every
+    # knot, between knots and up to 1e-12 below each right end, where a
+    # right-end weight of 1 - t would keep only the absolute accuracy of t
     rng = np.random.default_rng(21)
     for name, piece, m in _reference_spline_pieces():
         k = piece.knots
         rs = np.concatenate([
             k, np.nextafter(k[1:], -np.inf), np.nextafter(k[:-1], np.inf),
-            rng.uniform(k[0], k[-1], 200)])
-        for got, want in zip(piece.mass_and_gap(rs, m),
-                             hermite_mass_and_gap(piece, rs, m)):
-            np.testing.assert_array_equal(got, want, name)
-        np.testing.assert_array_equal(piece.mass_prime(rs),
-                                      hermite_mass_prime(piece, rs), name)
+            (k[1:, None] * (1.0 - np.geomspace(1e-16, 1e-12, 5))).ravel(),
+            rng.uniform(k[0], k[-1], 100)])
+        rs = rs[(rs >= k[0]) & (rs <= k[-1])]
+        got = np.stack([*piece.mass_and_gap(rs, m), piece.mass_prime(rs)])
+        for r, values in zip(rs.tolist(), got.T.tolist()):
+            exact = _exact_spline(piece, r, m)
+            for what, x, (want, scale) in zip(("m_H", "gap", "m_H'"),
+                                              values, exact):
+                assert abs(Fraction(x) - want) <= 8 * 2.0**-52 * scale, (
+                    name, what, r)
         assert piece.r_lo == k[0] and piece.r_hi == k[-1]
 
 
