@@ -12,12 +12,10 @@ blocked inner disk, and the exact intrinsic distance of the tube itself.
 The tube r >= r_in of a reconstruction is the warped product
 ds^2 + r(s)^2 dtheta^2, whose geodesics keep Clairaut's constant
 c = r^2 dtheta/dt (do Carmo, Differential Geometry of Curves and Surfaces,
-sec. 4-4).  tube_distance shoots on c: each step is one batched adaptive
-quadrature of the swept angle, through the same primitive as every other
-integral of the package, over one or two outward legs in r whose cells end
-where the model's own cells do.  metric_embedding_check compares these
-distances with the ambient product's on seeded pairs of nodes of an
-(s, theta) lattice over the window.
+sec. 4-4).  tube_distance shoots on c, adding up the swept angle of each
+path from its outward legs, which the model integrates.
+metric_embedding_check compares these distances with the ambient product's
+on seeded pairs of nodes of an (s, theta) lattice over the window.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, QuadratureError, checked_range, positive
-from .geometry import _QUAD_REL, _adaptive_cells
 
 __all__ = [
     "q_slope",
@@ -177,78 +174,19 @@ def annulus_distance(r_in, r1, theta1, r2, theta2):
 
 def _path_integrals(model, r1, r2, c, turning, length: bool):
     """Swept angle, or length, of the geodesics with Clairaut constants c
-    from radius r1 to radius r2 >= r1, turning once at radius c where
-    ``turning``.
-
-    A path is integrated as outward legs: c -> r1 plus c -> r2 where it
-    turns, r1 -> r2 where it does not.  On a leg, with v = sqrt(r^2 - c^2),
-    the length is the integral of s'(r) dv and the angle that of
-    c s'(r) / r^2 dv = s'(r) dalpha, alpha = arctan(v / c) being the angle
-    the straight segment with Clairaut constant c sweeps in the plane; the
-    angle's integrand stays bounded as c -> 0, where c / r^2 dv peaks.  Both
-    integrands are even in v and in alpha, so the legs of a turning path
-    add up to the integral through its turning point.  A leg's cells end at
-    the model's cut radii.  On a singular model, below its substitution
-    edge, where s' ~ (r - r_min)^(-1/2), a cell runs under w with
-    r = max(c, r_min) + |c - r_min| sinh(w)^2, which leaves the bounded
-    integrands 2 s' sqrt(r - r_min) r / sqrt(r + c) dw (length) and c / r^2
-    times it (angle), again even in w.  The angle diverges as c -> r_min on
-    a path that reaches r_min; such a path reads +inf.  Each path is its own
-    tolerance group, so its value does not depend on the batch.
+    from radius r1 to radius r2 >= r1: the sum of the outward legs c -> r1
+    and c -> r2 where ``turning`` (both integrands are even about the
+    turning point), else r1 -> r2 (see ManifoldModel._leg_integrals).  A
+    path spiralling into a minimal boundary sphere has a leg of +inf.  The
+    legs of a path share its tolerance group, so its value does not depend
+    on the batch.
     """
-    n = r1.size
-    r_min = model.r_min
     t = np.nonzero(turning)[0]
-    path = np.concatenate([np.arange(n), t])
+    path = np.concatenate([np.arange(r1.size), t])
     lo = np.concatenate([np.where(turning, c, r1), c[t]])
     hi = np.concatenate([np.where(turning, r1, r2), r2[t]])
-    out = np.zeros(n)
-    diverge = model._singular & (c == r_min) & (lo[:n] == r_min) & (r2 > r_min)
-    out[diverge] = np.inf
-    # each leg's cells, ascending; empty ones are dropped
-    edges = np.column_stack([lo, np.clip(model._cuts, lo[:, None],
-                                         hi[:, None]), hi])
-    live = (edges[:, :-1] < edges[:, 1:]) & ~diverge[path][:, None]
-    owner = np.broadcast_to(path[:, None], live.shape)[live]
-    if owner.size == 0:
-        return out
-    cc = c[owner]
-    eps = cc - r_min
-    a, b = edges[:, :-1][live], edges[:, 1:][live]
-    sub = (b <= model._sub_edge) & (eps != 0.0)
-
-    def coordinate(r):
-        x = np.sqrt((r - cc) * (r + cc))
-        if not length:
-            x = np.arctan2(x, cc)
-        x[sub] = np.arcsinh(np.sqrt(
-            (r[sub] - np.maximum(cc[sub], r_min)) / np.abs(eps[sub])))
-        return x
-
-    r_floor = np.nextafter(r_min, np.inf)
-
-    def plain(x, c):  # in v (length) or alpha (angle)
-        return model.s_prime(np.hypot(x, c) if length else c / np.cos(x))
-
-    def absorbed(x, c):  # in w
-        r = np.maximum(np.maximum(c, r_min)
-                       + np.abs(c - r_min) * np.sinh(x) ** 2, r_floor)
-        dl = 2.0 * model.s_prime(r) * np.sqrt(r - r_min) * r / np.sqrt(r + c)
-        return dl * (1.0 if length else c / (r * r))
-
-    def integrand(x, p):
-        c, w = p[:, 0], p[:, 1] > 0.0
-        if not np.any(w):
-            return plain(x, c)
-        y = np.empty_like(x)
-        y[w] = absorbed(x[w], c[w])
-        y[~w] = plain(x[~w], c[~w])
-        return y
-
-    vals = _adaptive_cells(integrand, coordinate(a), coordinate(b),
-                           _QUAD_REL, owner, np.column_stack([cc, sub]))
-    out += np.bincount(owner, weights=vals, minlength=n)
-    return out
+    legs = model._leg_integrals(lo, hi, c[path], not length, path)
+    return np.bincount(path, legs, minlength=r1.size)
 
 
 def tube_distance(model, r_in: float, r1, theta1, r2, theta2):

@@ -10,15 +10,17 @@ The model tabulates F and s over a knot set aligned with the profile pieces,
 answers queries by integrating from the nearest knot, and inverts s by a
 safeguarded Newton iteration.  Queries take arrays: a batch of radii costs
 one adaptive integration, and each value is the same as that of the query
-made alone.  Two integrand peaks are removed by a substitution, chosen per
-cell within one run, so one integrand call evaluates every kind of node.
-When the profile starts on a minimal boundary sphere the integrands carry a
-(r - r_min)^(-1/2) singularity, removed exactly by u = sqrt(r - r_min) on
-the cells of the first knot interval.  Next to a ride knot of a gap-space
-spline, where the gap is g0 + A (u - u_k)^2 + O((u - u_k)^3) in u = r^(m-2)
-with g0 tiny (the deep well's wall), they carry a 1/sqrt(gap) peak of width
-w = sqrt(g0 / A) in u, far narrower than a cell; u = u_k +- w sinh(v)
-turns it into a smooth integrand on the cell beside the knot.
+made alone.  Each cell runs in the coordinate of its kind, chosen per cell
+within one run, so one integrand call evaluates every node: r; on a minimal
+boundary sphere, where the integrands carry a (r - r_min)^(-1/2)
+singularity, u = sqrt(r - r_min) on the first knot interval; and beside a
+ride knot of a gap-space spline, where the gap is g0 + A (u - u_k)^2 +
+O((u - u_k)^3) in u = r^(m-2) with g0 tiny (the deep well's wall) and the
+integrands peak as 1/sqrt(gap), w = sqrt(g0 / A) wide in u and far narrower
+than a cell, u = u_k +- w sinh(t).  A geodesic leg with Clairaut constant c
+(see embedding.tube_distance) runs in v = sqrt(r^2 - c^2) for its length and
+alpha = arctan(v / c), or -arctan(c / v) past pi/4, for its angle, in charts
+of its own at the boundary and beside a ride knot.
 
 Every integral goes through ManifoldModel._integrate_cells, which runs
 vectorized 16-point Gauss-Legendre panels with an embedded 8-point error
@@ -385,88 +387,148 @@ class ManifoldModel:
 
     # -- the integration primitive ---------------------------------------------
 
-    def _integrate_cells(self, fvec: Callable, a, b, group=None) -> np.ndarray:
+    def _integrate_cells(self, fvec: Callable, a, b, group=None, c=None,
+                         angle: bool = False) -> np.ndarray:
         """Integrals of fvec over cells [a_i, b_i], each inside one knot interval.
 
-        One _adaptive_cells run over every cell, of three kinds, chosen per
-        cell by a ``param`` row; one fvec call takes the nodes of all kinds.
-        Cells below _sub_edge run under u = sqrt(r - r_min), in group labels
-        offset past the others', so they keep the tolerance scales they
-        would have in a run of their own.  A ride cell, which ends on a ride
-        knot u_k (see CubicSplinePiece) on the side where the gap rises, runs
-        under u = u_k +- w sinh(v) with u = r^(m-2), which turns the
-        1/sqrt(g0 + A (u - u_k)^2) peak there into a smooth integrand; it
-        keeps its caller's group.  The rest run under r.  A batch without
-        cells under u or ride cells calls fvec on its plain nodes.  A query
-        with a ``group`` label of its own (see _adaptive_cells) gets the same
-        value whatever else is in its batch.  An fvec returning a (k, n)
-        stack gives (k, cells) integrals, each row equal to its integrand's
-        alone.
+        One _adaptive_cells run over every cell, each in its kind's coordinate
+        chosen by a ``param`` row, so one fvec call takes the nodes of all
+        kinds: plain cells run in r; boundary cells, below _sub_edge, under u,
+        r = r_min + u^2, in group labels offset past the others' to keep the
+        tolerance scales of a run of their own; ride cells, which end on a ride
+        knot u_k (see CubicSplinePiece) on the side where the gap rises, under
+        u = u_k +- w sinh(t) with u = r^(m-2).
+
+        An array ``c`` of Clairaut constants puts the cells on geodesic legs
+        (see _leg_integrals): fvec, one row, is integrated over
+        x = v = sqrt(r^2 - c^2), or with ``angle`` alpha = arctan(v / c), or
+        -beta = -arctan(c / v) where the far end has alpha > pi/4, as
+        c / cos(alpha) resolves r only to about 2.2e-16 r / c there.  Boundary
+        cells with c != r_min run under r = max(c, r_min) + |c - r_min|
+        sinh(u)^2; a ride cell's Jacobian gains dx/dr, and one that also
+        carries the leg's (r - c)^(-1/2) end is split at its midpoint, the
+        half at the knot riding, the other in x.
+
+        A batch without boundary or ride cells calls fvec on its plain nodes.
+        A query with a ``group`` label of its own (see _adaptive_cells) gets
+        the same value whatever else is in its batch.  An fvec returning a
+        (k, n) stack gives (k, cells) integrals, each row equal to its
+        integrand's alone.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
+        n, r_min, leg = a.size, self.r_min, c is not None
+        group = np.zeros(n, dtype=np.intp) if group is None else group
         sub = b <= self._sub_edge
+        if leg:
+            sub &= c != r_min
         # the signed peak width, -w on a cell left of its knot, w right of it
-        sw = np.zeros(a.size)
+        sw = np.zeros(n)
         for knot, side, w in self._ride:
             sw[((b if side < 0 else a) == knot) & ~sub] = side * w
+        if not (leg or sub.any() or sw.any()):
+            return _adaptive_cells(fvec, a, b, _QUAD_REL, group)
+        if leg:
+            split = np.nonzero((sw < 0.0) & (a - c < b - a))[0]
+            a, b = np.append(a, a[split]), np.append(b, 0.5 * (a + b)[split])
+            a[split] = b[n:]
+            c, sub, sw, group = (np.append(x, y[split]) for x, y in (
+                (c, c), (sub, sub), (sw, np.zeros(n)), (group, group)))
+            # c, signed negative on the plain cells under -beta
+            cs = np.where(angle & (c > 0.0) & (b * b > 2.0 * c * c) & ~sub
+                          & (sw == 0.0), -c, c)
+
+            def radius(x, cs):  # r at nodes x of the plain leg cells
+                if not angle:
+                    return np.hypot(x, cs)
+                # one sine per node, cos(alpha) = sin(alpha + pi/2) to 3.2e-16
+                return cs / np.sin(x + (cs > 0.0) * (0.5 * np.pi))
+
+        def ends(r):  # each cell's coordinate of the radii r
+            if not leg:
+                return np.where(sub, np.sqrt(r - r_min), r)
+            x = np.sqrt((r - c) * (r + c))
+            if angle:
+                x = np.where(cs < 0.0, -np.arctan2(c, x), np.arctan2(x, c))
+            x[sub] = np.arcsinh(np.sqrt((r[sub] - np.maximum(c[sub], r_min))
+                                        / np.abs(c[sub] - r_min)))
+            return x
+
+        lo, hi = ends(a), ends(b)
         ride = sw != 0.0
         if not (sub.any() or ride.any()):
-            return _adaptive_cells(fvec, a, b, _QUAD_REL, group)
-        r_min = self.r_min
+            return _adaptive_cells(lambda x, cs: fvec(radius(x, cs)), lo, hi,
+                                   _QUAD_REL, group, cs)
+        k = self.dimension - 2
+        power = float(k)
+        # u at each ride cell's knot and other end, formed as the spline
+        # evaluator forms u from r; the cell runs over t in [0, asinh(d / w)]
+        u_k = np.where(sw < 0, b, a)[ride] ** power
+        u_end = np.where(sw < 0, a, b)[ride] ** power
+        lo[ride] = 0.0
+        hi[ride] = np.arcsinh(np.abs(u_end - u_k) / np.abs(sw[ride]))
+        q = np.column_stack([sub, sw, np.zeros(a.size)]
+                            + ([cs] if leg else []))
+        q[ride, 2] = u_k
         # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back to
         # r_min where fvec diverges, so the offset is re-derived from the
         # rounded radius (floored one step above r_min); fvec(r) *
         # sqrt(r - r_min) stays bounded as r -> r_min.
         r_floor = np.nextafter(r_min, np.inf)
 
-        def under_u(x, flag):
-            # radii and Jacobians of nodes x, under u where flag is 1.0.
+        def g(x, q):
+            # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c])
+            bnd, on = q[:, 0] != 0.0, q[:, 1] != 0.0
+            r = radius(x, q[:, 3]) if leg else x.copy()
+            jac = np.ones(x.size)
+            xb, cb = x[bnd], q[bnd, -1]
+            r[bnd] = np.maximum(np.maximum(cb, r_min) + np.abs(cb - r_min)
+                                * np.sinh(xb) ** 2 if leg else r_min + xb * xb,
+                                r_floor)
             # Scaling by 2 is exact, so fvec(r) * (2 sqrt(r - r_min)) rounds
             # as fvec(r) * 2.0 * sqrt(r - r_min) does.
-            u = flag != 0.0
-            r = np.where(u, np.maximum(r_min + x * x, r_floor), x)
-            return r, np.where(u, 2.0 * np.sqrt(r - r_min), 1.0)
-
-        # the two kinds under r and u keep apart in tolerance groups, as in
-        # runs of their own
-        group = np.zeros(a.size, dtype=np.intp) if group is None else group
-        group = np.where(sub, group + (int(group.max()) + 1), group)
-        lo = np.where(sub, np.sqrt(a - r_min), a)
-        hi = np.where(sub, np.sqrt(b - r_min), b)
-        if not ride.any():
-            def g(x, flag):
-                r, jac = under_u(x, flag)
-                return fvec(r) * jac
-
-            return _adaptive_cells(g, lo, hi, _QUAD_REL, group,
-                                   sub.astype(float))
-        k = self.dimension - 2
-        power = float(k)
-        # u at each ride cell's knot and other end, formed as the spline
-        # evaluator forms u from r; the cell runs over v in [0, asinh(d / w)]
-        u_k = np.where(sw < 0, b, a)[ride] ** power
-        u_end = np.where(sw < 0, a, b)[ride] ** power
-        lo[ride] = 0.0
-        hi[ride] = np.arcsinh(np.abs(u_end - u_k) / np.abs(sw[ride]))
-        q = np.zeros((a.size, 3))
-        q[:, 0] = sub
-        q[:, 1] = sw
-        q[ride, 2] = u_k
-
-        def g(x, q):
-            # q rows: (1.0 under u, signed w on ride cells, u_k)
-            on = q[:, 1] != 0.0
-            r, jac = under_u(np.where(on, r_min, x), q[:, 0])
-            sw, u_k = q[on, 1], q[on, 2]
-            r_on = (u_k + sw * np.sinh(x[on])) ** (1.0 / k)
+            jac[bnd] = 2.0 * np.sqrt(r[bnd] - r_min)
+            u_k, d = q[on, 2], q[on, 1] * np.sinh(x[on])
+            r_on = (u_k + d) ** (1.0 / k)
             # the offset from the rounded radius, as the gap reads it
             u = r_on**power
             r[on] = r_on
-            jac[on] = np.hypot(sw, u - u_k) * r_on / (k * u)
+            jac[on] = np.hypot(q[on, 1], u - u_k) * r_on / (k * u)
+            if leg:
+                # dx/dr, whose 1/sqrt(r - c) a boundary chart's dr/du cancels
+                m = bnd | on
+                jac[m] *= r[m] / np.sqrt(r[m] + q[m, 3]) * (
+                    q[m, 3] / (r[m] * r[m]) if angle else 1.0)
+                # r - c from the offset d, whose digits r_on has rounded off
+                r_k = u_k ** (1.0 / k)
+                jac[on] /= np.sqrt(r_k - q[on, 3]
+                                   + r_k * np.expm1(np.log1p(d / u_k) / k))
             return fvec(r) * jac
 
-        return _adaptive_cells(g, lo, hi, _QUAD_REL, group, q)
+        # the kinds under r and under u keep apart in tolerance groups, as
+        # in runs of their own
+        group = np.where(sub, group + (int(group.max()) + 1), group)
+        y = _adaptive_cells(g, lo, hi, _QUAD_REL, group, q)
+        if leg:
+            y[split] += y[n:]
+        return y[..., :n]
+
+    def _leg_integrals(self, lo, hi, c, angle: bool, group) -> np.ndarray:
+        """Lengths, or with ``angle`` swept angles, of the geodesic legs with
+        Clairaut constants c from radius lo up to hi, c <= lo <= hi, in cells
+        that end at the model's cut radii (see _integrate_cells).  A leg from
+        r_min with c = r_min on a singular model spirals into the boundary
+        sphere and reads +inf.  Legs sharing a ``group`` label share their
+        tolerance scales (see _adaptive_cells)."""
+        diverge = self._singular & (c == self.r_min) & (lo == c) & (hi > c)
+        edges = np.column_stack([lo, np.clip(self._cuts, lo[:, None],
+                                             hi[:, None]), hi])
+        live = (edges[:, :-1] < edges[:, 1:]) & ~diverge[:, None]
+        owner = np.broadcast_to(np.arange(lo.size)[:, None], live.shape)[live]
+        return np.where(diverge, np.inf, 0.0) + np.bincount(
+            owner, self._integrate_cells(
+                self.s_prime, edges[:, :-1][live], edges[:, 1:][live],
+                group[owner], c[owner], angle), minlength=lo.size)
 
     # -- cumulative queries ----------------------------------------------------
 

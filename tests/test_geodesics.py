@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from massflat import geometry
-from massflat.embedding import (annulus_distance, metric_embedding_check,
-                                tube_distance)
+from massflat.embedding import (_path_integrals, annulus_distance,
+                                metric_embedding_check, tube_distance)
 from massflat.errors import DomainError, RangeError
 from massflat.geometry import ManifoldModel, tubular_window
 from massflat.profiles import (ConstantPiece, HawkingProfile, PowerLawPiece,
                                deep_well, flat, schwarzschild)
+
+from util import count_panels
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,7 +104,9 @@ def test_radial_pairs_read_the_arclength():
     (lambda: schwarzschild(3, 0.1), 0.2, 2.0),
     (lambda: schwarzschild(3, 0.1), 0.5, 2.0),
     (lambda: deep_well(3, 0.2, 4.0 * math.pi, 1.0), 0.24, 0.9),
-], ids=["horizon", "schwarzschild", "deep-well"])
+    # from the descent segment [r_p, r_w0] of the core past both ride knots
+    (lambda: deep_well(3, 1e-5, math.pi / 100, 10.0), 3.0128e-6, 1.6875e-5),
+], ids=["horizon", "schwarzschild", "deep-well", "deep-well-core"])
 def test_distance_is_symmetric_and_batch_independent(profile, r_in, r_hi):
     model = ManifoldModel(profile(), 8.0)
     r1, t1, r2, t2 = _random_pairs(3, r_in, r_hi, 40)
@@ -117,6 +121,41 @@ def test_distance_is_symmetric_and_batch_independent(profile, r_in, r_hi):
                          r2[None, :], t2[None, :])
     assert grid.shape == (40, 40)
     assert np.diag(grid).tolist() == batch.tolist()
+
+
+@pytest.mark.parametrize("u", [1e-9, 1e-7, 1e-5, 1e-3])
+def test_paths_with_small_clairaut_constants_match_the_radial_integral(u):
+    # the straight segment sweeping u between r1 and r2 on one side of the
+    # origin has c << r, where alpha = arctan(v / c) lies within c / r of
+    # pi/2 and resolves r only to 2.2e-16 r / c: such cells run in -beta.
+    # Both integrals of the non-turning path equal their integrals in r.
+    model = ManifoldModel(deep_well(3, 1e-5, math.pi / 100, 10.0), 40.0)
+    r1, r2 = 3.0128e-6, 1.6875e-5
+    # c as tube_distance forms it for u
+    chord = math.hypot(r2 - r1, 2.0 * math.sqrt(r1 * r2) * math.sin(0.5 * u))
+    c = r1 * r2 * math.sin(u) / chord
+    assert r1 < r2 * math.cos(u) and c < 0.01 * r1
+    for length, dx_dr in ((True, lambda r: r), (False, lambda r: c / r)):
+        got = _path_integrals(model, np.array([r1]), np.array([r2]),
+                              np.array([c]), np.array([False]), length)[0]
+        want = model._range_integrals(
+            lambda r: model.s_prime(r) * dx_dr(r) / np.sqrt((r - c) * (r + c)),
+            [(r1, r2)])[0, 0]
+        assert abs(got - want) <= 1e-13 * want, length
+
+
+def test_deep_well_tube_check_takes_few_quadrature_nodes(monkeypatch):
+    # a tube of the delta = 1e-5 well that reaches through the core: its
+    # legs run under the model's ride substitution beside the ride knots,
+    # where bisecting in r towards the knots needs over 20 M nodes
+    model = ManifoldModel(deep_well(3, 1e-5, math.pi / 100, 10.0), 40.0)
+    window = tubular_window(model, math.pi / 100, 15.0)
+    assert window.r_minus < 8.75e-6 < window.r_plus  # the release knot r_r
+    panels = count_panels(monkeypatch)
+    rep = metric_embedding_check(model, window, mesh_h=0.05, seed=1,
+                                 n_pairs=32, S=1.0)
+    assert rep["n_pairs"] == 32
+    assert panels.nodes <= 1_000_000
 
 
 def test_batches_spanning_several_integrand_calls_match_each_pair():

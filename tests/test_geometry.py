@@ -31,7 +31,7 @@ from massflat.profiles import (
     unit_sphere_area,
     validate,
 )
-from util import random_spline_profile, two_run_integrate_cells
+from util import count_panels, random_spline_profile, two_run_integrate_cells
 
 
 def _schwarzschild_model(mass=0.1, r_cap=12.0):
@@ -584,32 +584,23 @@ def test_deep_well_build_evaluates_the_profile_once_per_call(monkeypatch):
     # m_H and the wall gap together, once, for both tables.  Only the calls
     # made inside the quadrature count: validation and the boundary gap
     # also read the profile, one radius each.
-    cells, evaluations, inside = [], [], [False]
-    panel = geometry._panel_integrals
+    evaluations = []
+    panels = count_panels(monkeypatch)
     mass_and_gap = HawkingProfile.mass_and_gap
 
-    def counted_panel(f, a, b, param=None):
-        cells.append(a.size)
-        inside[0] = True
-        try:
-            return panel(f, a, b, param)
-        finally:
-            inside[0] = False
-
     def counted_mass_and_gap(self, r):
-        if inside[0]:
+        if panels.inside:
             evaluations.append(np.size(r))
         return mass_and_gap(self, r)
 
-    monkeypatch.setattr(geometry, "_panel_integrals", counted_panel)
     monkeypatch.setattr(HawkingProfile, "mass_and_gap", counted_mass_and_gap)
     ManifoldModel(deep_well(3, 1e-6, math.pi / 100, 10.0), 0.4)
     per_call = geometry._BLOCK // 24
     # one call per level; bisecting towards the peaks in r made 24
     assert len(evaluations) == 4
-    assert len(evaluations) == sum(-(-n // per_call) for n in cells)
+    assert len(evaluations) == sum(-(-n // per_call) for n in panels.cells)
     # every call after the first of each integration fits in one block
-    assert len(evaluations) <= len(cells) + 2
+    assert len(evaluations) <= panels.passes + 2
 
 
 def test_deep_well_batch_across_the_core_equals_the_per_point_loop():
@@ -625,14 +616,19 @@ def test_deep_well_batch_across_the_core_equals_the_per_point_loop():
         model.s(rs), np.array([model.s(float(r)) for r in rs]))
 
 
-def _exact_arclength(mpmath, piece, i, a, b):
+def _exact_arclength(mpmath, piece, i, a, b, c=0.0, angle=False):
     """s(b) - s(a) to 40 digits for a < b in segment i of a gap-space piece
-    whose segment ends in a ride knot.
+    whose segment ends in a ride knot; with a Clairaut constant c > 0
+    (c <= a), the length of the geodesic leg with constant c from a to b
+    instead, or with ``angle`` the angle it sweeps.
 
     It integrates s' = sqrt(u / g(u)) dr over u = r^k, from the u of a to
     the u of b as the piece forms them, with g the exact Hermite cubic of
-    the segment.  The peak of 1/sqrt(g) at the ride knot u_k is smoothed
-    for mpmath.quad by u = u_k +- w sinh(v), with w from the cubic.
+    the segment, times dx/dr on a leg: r / sqrt(r^2 - c^2), or
+    c / (r sqrt(r^2 - c^2)) for the angle.  The peak of 1/sqrt(g) at the
+    ride knot u_k is smoothed for mpmath.quad by u = u_k +- w sinh(v), with
+    w from the cubic.  On a leg the half of [a, b] away from the knot runs
+    in v = sqrt(r^2 - c^2) instead, which absorbs the leg's 1/sqrt(r - c).
     """
     mpf = mpmath.mpf
     k = int(piece.power)
@@ -653,15 +649,36 @@ def _exact_arclength(mpmath, piece, i, a, b):
         else:
             u_k, side, A = u_lo, 1, (3 * (v1 - v0) - h * s1) / h**2
         w = mpmath.sqrt(g(u_k) / A)
+        c = mpf(c)
+
+        def dx(r):  # dx/dr along the leg
+            if c == 0:
+                return 1
+            return (c if angle else r * r) / (r * mpmath.sqrt(r * r - c * c))
 
         def f(v):
             u = u_k + side * w * mpmath.sinh(v)
-            return (mpmath.sqrt(u / g(u)) * u ** (mpf(1) / k - 1) / k
-                    * w * mpmath.cosh(v))
+            r = u ** (mpf(1) / k)
+            return (mpmath.sqrt(u / g(u)) * r / (k * u) * w * mpmath.cosh(v)
+                    * dx(r))
 
-        ends = [mpmath.asinh(side * (mpf(float(u)) - u_k) / w)
-                for u in np.array([a, b]) ** piece.power]
-        return abs(mpmath.quad(f, sorted(ends)))
+        us = [mpf(float(u)) for u in np.array([a, b]) ** piece.power]
+        far = 0.0
+        if c > 0:
+            far_end = 0 if side < 0 else 1
+            mid = np.float64(0.5 * (a + b)) ** piece.power
+            u_far, us[far_end] = us[far_end], mpf(float(mid))
+
+            def in_v(v):
+                r = mpmath.sqrt(c * c + v * v)
+                return mpmath.sqrt(r**k / g(r**k)) * (c / (r * r) if angle
+                                                     else 1)
+
+            far = mpmath.quad(in_v, sorted(
+                mpmath.sqrt(u ** (mpf(2) / k) - c * c)
+                for u in (u_far, us[far_end])))
+        ends = [mpmath.asinh(side * (u - u_k) / w) for u in us]
+        return far + abs(mpmath.quad(f, sorted(ends)))
 
 
 _RIDE_WELLS = {"3d-1e-2": (3, 1e-2), "3d-1e-4": (3, 1e-4),
@@ -691,6 +708,27 @@ def test_ride_cells_against_mpmath(name):
         s_a, s_b = model.s(a), model.s(b)
         bound = max(1e-14 * exact, 4.0 * np.spacing(s_b))
         assert abs(mpmath.mpf(s_b) - mpmath.mpf(s_a) - exact) <= bound, (a, b)
+
+
+@pytest.mark.parametrize("grazing", [False, True], ids=["turning", "grazing"])
+def test_legs_into_a_descent_ride_knot_against_mpmath(grazing):
+    # a geodesic leg turning at c in the descent segment [r_p, r_w0], or
+    # grazing c from r1 = c (1 + 1e-9), carries its 1/sqrt(r - c) end and
+    # the ride peak at r_w0 in one cell: split at its midpoint, the knot
+    # half rides.  Length and angle hold 1e-13 relative.
+    mpmath = pytest.importorskip("mpmath")
+    profile = deep_well(3, 1e-5, math.pi / 100, 10.0)
+    core = next(p for p in profile.pieces if p.kind == "cubic-spline"
+                and p.gap_space)
+    r_p, r_w0 = core.knots[:2]
+    model = ManifoldModel(profile, 40.0)
+    for c in (r_p, 3.5e-6, 0.5 * (r_p + r_w0)):
+        lo = c * (1.0 + 1e-9) if grazing else c
+        for angle in (False, True):
+            got = model._leg_integrals(np.array([lo]), np.array([r_w0]),
+                                       np.array([c]), angle, np.zeros(1, int))
+            exact = _exact_arclength(mpmath, core, 0, lo, r_w0, c, angle)
+            assert abs(mpmath.mpf(got[0]) - exact) <= 1e-13 * exact, (c, angle)
 
 
 def test_block_splitting_does_not_change_bits():

@@ -1,11 +1,12 @@
-"""Shared helpers for the test suite: random admissible profiles, and the
-plain forms the optimized code must reproduce: the two-run split of
-ManifoldModel._integrate_cells and the summed wall gap of a constant piece
-on the wall."""
+"""Shared helpers for the test suite: random admissible profiles, a count
+of the quadrature's work, and the plain forms the optimized code must
+reproduce: the two-run split of ManifoldModel._integrate_cells and the
+summed wall gap of a constant piece on the wall."""
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, List
 
 import numpy as np
 
@@ -65,6 +66,39 @@ def random_spline_profile(rng: np.random.Generator,
     ]
     return HawkingProfile(dimension=m, r_min=float(r_min),
                           pieces=tuple(pieces))
+
+
+@dataclass
+class PanelCounts:
+    """The geometry._panel_integrals passes seen by count_panels."""
+
+    cells: List[int] = field(default_factory=list)  # the cells of each pass
+    inside: bool = False  # true while a pass runs
+
+    @property
+    def passes(self) -> int:
+        return len(self.cells)
+
+    @property
+    def nodes(self) -> int:
+        return geometry._GL_X.size * sum(self.cells)
+
+
+def count_panels(monkeypatch) -> PanelCounts:
+    """Count every geometry._panel_integrals pass made from now on."""
+    counts = PanelCounts()
+    panel = geometry._panel_integrals
+
+    def counted(f, a, b, param=None):
+        counts.cells.append(a.size)
+        counts.inside = True
+        try:
+            return panel(f, a, b, param)
+        finally:
+            counts.inside = False
+
+    monkeypatch.setattr(geometry, "_panel_integrals", counted)
+    return counts
 
 
 # The reference for ManifoldModel._integrate_cells: the cells under
