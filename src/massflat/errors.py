@@ -11,6 +11,17 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "MassflatError",
+    "DomainError",
+    "RangeError",
+    "ProfileFormatError",
+    "InvalidProfileError",
+    "WindowOverflowError",
+    "QuadratureError",
+    "CertificateError",
+]
+
 
 class MassflatError(Exception):
     """Base class for all package errors."""

@@ -104,12 +104,6 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
     # a non-finite integrand is reported by the caller as a QuadratureError.
     # Row-wise sums, not a matrix product: BLAS rounds a row differently
     # depending on how many rows share the call.
-    if a.size <= step:
-        y = values(slice(None))
-        with np.errstate(invalid="ignore", over="ignore"):
-            i16 = (y[..., :16] * _GL16_W).sum(axis=-1) * half
-            i8 = (y[..., 16:] * _GL8_W).sum(axis=-1) * half
-            return i16, np.abs(i16 - i8)
     i16 = i8 = None
     for start in range(0, a.size, step):
         cells = slice(start, start + step)
@@ -179,18 +173,11 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                 f"{float(err[j, c])!r})")
         if depth == 0:
             n_groups = int(labels.max()) + 1
-            if n_groups == 1:
-                # (rows, 1): broadcasts over every level's cells
-                scale = np.maximum(np.abs(i16).max(axis=1, keepdims=True),
-                                   _TINY)
-            else:
-                top = np.zeros(n_rows * n_groups)
-                np.maximum.at(top, (n_groups * np.arange(n_rows)[:, None]
-                                    + labels).ravel(), np.abs(i16).ravel())
-                scale = np.maximum(top, _TINY).reshape(
-                    n_rows, n_groups)[:, labels]
-        ok = err <= rel * (np.abs(i16) + 1e-4 * (
-            scale if n_groups == 1 else scale[:, idx]))
+            top = np.zeros(n_rows * n_groups)
+            np.maximum.at(top, (n_groups * np.arange(n_rows)[:, None]
+                                + labels).ravel(), np.abs(i16).ravel())
+            scale = np.maximum(top, _TINY).reshape(n_rows, n_groups)[:, labels]
+        ok = err <= rel * (np.abs(i16) + 1e-4 * scale[:, idx])
         # cells narrower than a few ulps cannot be split further
         ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
         if depth == 0:
@@ -205,7 +192,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         ok &= live
         np.add.at(out, (base + idx)[ok], i16[ok])
         live &= ~ok
-        pending = live[0] if n_rows == 1 else live.any(axis=0)
+        pending = live.any(axis=0)
         if not pending.any():
             out = out.reshape(n_rows, a0.size)
             return out if stacked else out[0]

@@ -285,6 +285,24 @@ class CubicSplinePiece(ProfilePiece):
             return 0.5 * dudr * (1.0 - dv)
         return dv * dudr
 
+    def _slope_extremes(self):
+        """(r, m_H') at the knots and at each segment's interior vertex.
+
+        On a segment h dv/du is the quadratic with Bezier points q0, q1, q2,
+        so its extremes lie at the ends or at its vertex
+        t* = (q0 - q1) / (q0 - 2 q1 + q2).  These points hold the least
+        dv/du of a value-space piece and the greatest dg/du of a gap-space
+        one, where m_H' = du/dr (1 - dg/du) / 2; as du/dr > 0, they show
+        whether m_H' turns negative anywhere on the piece.
+        """
+        u_lo, _, h, q0, q1, q2 = self._slope_table
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (q0 - q1) / (q0 - 2.0 * q1 + q2)
+        inside = (t > 0.0) & (t < 1.0)
+        u = u_lo[inside] + t[inside] * h[inside]
+        r = np.concatenate([self.knots, u ** (1.0 / self.power)])
+        return r, self.mass_prime(r)
+
     def mass_and_gap(self, r, dimension):
         # de Casteljau on the Bezier form of the cubic: monotone Hermite
         # data between positive values have positive control points, so
@@ -559,11 +577,16 @@ def validate(profile: HawkingProfile) -> ValidationReport:
         if abs(sl - sr) > rel * scale_s:
             add("joint/slope", rj, f"m_H' jumps from {sl!r} to {sr!r}")
 
-    # per-piece sampling
+    # per-piece sampling; a spline's slope is also read at its exact
+    # per-segment extremes.  A non-finite value is reported, not warned of.
     for piece in pieces:
         xs = _piece_samples(piece, profile, 1024)
-        mh, gap = piece.mass_and_gap(xs, m)
-        mp = piece.mass_prime(xs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mh, gap = piece.mass_and_gap(xs, m)
+            mp_r, mp = xs, piece.mass_prime(xs)
+            if isinstance(piece, CubicSplinePiece):
+                r_x, mp_x = piece._slope_extremes()
+                mp_r, mp = np.concatenate([xs, r_x]), np.concatenate([mp, mp_x])
         if not (np.all(np.isfinite(mh)) and np.all(np.isfinite(mp))):
             add("numeric/nonfinite", piece.r_lo,
                 f"{piece.kind} piece produced a non-finite value")
@@ -571,7 +594,7 @@ def validate(profile: HawkingProfile) -> ValidationReport:
         neg = mp < -_MONOTONE_SLACK * np.max(np.abs(mp), initial=0.0)
         if np.any(neg):
             k = int(np.argmin(mp))
-            add("monotone/negative-slope", float(xs[k]),
+            add("monotone/negative-slope", float(mp_r[k]),
                 f"m_H'={float(mp[k])!r} below the monotone slack")
         interior = xs > profile.r_min
         bad = interior & (gap <= 0.0)
@@ -719,37 +742,26 @@ def deep_well(dimension: int, delta: float, alpha0: float, L: float,
             power=k,
         )
         pieces = (head, rise, core, tail)
-        profile = HawkingProfile(m, r_min, pieces)
     else:
+        # the head m_H = c xi meets a Hermite fillet in xi on [xi_f, xi_p],
+        # xi_f = 3/4 xi_p, with end slopes c and 1 and secant c.  As g_p =
+        # xi_w0/8, xi_p = 3/4 xi_w0 + 2 g0 and 0 < g0 <= xi_w0/4, c = v_p/xi_p
+        # lies in (5/12, 9/20], inside the Fritsch-Carlson box.  The fillet
+        # is c xi - h (1 - c) t^2 (1 - t) <= c xi, with h = xi_p - xi_f and
+        # t = (xi - xi_f)/h, so its wall gap is at least (1 - 2c) xi_f.
+        r_min = 0.0
         c = v_p / xi_p
-        shrink = 0.75
-        while True:
-            xi_f = shrink * xi_p
-            r_f = radius(xi_f)
-            width = xi_p - xi_f
-            v_f = c * xi_f
-            ok = _fc_monotone_ok(v_f, v_p, c, 1.0, width)
-            if ok:
-                # numeric wall-margin check on the fillet itself
-                fillet = CubicSplinePiece(
-                    knots=[r_f, r_p],
-                    values=[v_f, v_p],
-                    slopes=[c * k * r_f ** (k - 1), 1.0 * k * r_p ** (k - 1)],
-                    power=k,
-                )
-                rs = np.linspace(r_f, r_p, 257)
-                gap = fillet.mass_and_gap(rs, m)[1]
-                if np.all(gap > 0.2 * (1.0 - 2.0 * c) * xi_f):
-                    break
-            shrink = 0.5 * (shrink + 1.0)
-            if 1.0 - shrink < 1e-6:
-                raise DomainError("deep well construction failed to place "
-                                  "its origin fillet")
+        xi_f = 0.75 * xi_p
+        r_f = radius(xi_f)
+        fillet = CubicSplinePiece(
+            knots=[r_f, r_p],
+            values=[c * xi_f, v_p],
+            slopes=[c * k * r_f ** (k - 1), 1.0 * k * r_p ** (k - 1)],
+            power=k,
+        )
         head = PowerLawPiece(0.0, r_f, c, k)
         pieces = (head, fillet, core, tail)
-        profile = HawkingProfile(m, 0.0, pieces)
-
-    return profile
+    return HawkingProfile(m, r_min, pieces)
 
 
 def stripes(radii: Iterable[float], delta: float,

@@ -25,3 +25,15 @@ def test_readme_api_names_are_exported():
 
 def test_every_exported_name_resolves():
     assert [n for n in massflat.__all__ if not hasattr(massflat, n)] == []
+
+
+def test_the_package_exports_the_union_of_the_module_lists():
+    modules = (massflat.certificates, massflat.embedding, massflat.errors,
+               massflat.geometry, massflat.ghdist, massflat.profiles,
+               massflat.serialization, massflat.sweeps)
+    union = set().union(*(module.__all__ for module in modules))
+    assert massflat.__all__ == sorted(union)
+    # errors lists its exception classes and not its two input gates
+    assert sorted(massflat.errors.__all__) == sorted(
+        name for name, value in vars(massflat.errors).items()
+        if isinstance(value, type) and issubclass(value, Exception))

@@ -77,6 +77,26 @@ def test_validate_reports_issues(tmp_path, capsys):
     assert "boundary/horizon-mismatch" in codes
 
 
+def test_validate_reports_a_non_finite_slope_on_stdout_only(tmp_path):
+    # m_H' = 0.05 r^(-1/2) is infinite at r = 0: the report names it, and
+    # numpy's divide warning neither prints nor, under -W error, crashes
+    doc = {"dimension": 3, "r_min": 0.0, "pieces": [
+        {"kind": "power-law", "from": 0.0, "to": 1.0,
+         "params": {"coefficient": 0.1, "exponent": 0.5}},
+        {"kind": "constant", "from": 1.0, "to": "inf",
+         "params": {"value": 0.1}}]}
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "massflat.cli", "validate",
+         str(path)], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    codes = {issue["code"] for issue in json.loads(proc.stdout)["issues"]}
+    assert "numeric/nonfinite" in codes
+
+
 def test_validate_format_error_is_usage(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

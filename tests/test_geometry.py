@@ -732,14 +732,11 @@ def test_legs_into_a_descent_ride_knot_against_mpmath(grazing):
 
 
 def test_block_splitting_does_not_change_bits():
-    # a batch spanning several integrand calls equals its cells integrated
-    # a few at a time, with and without param; every cell is its own
-    # tolerance group, so only the split differs
+    # a batch spanning several integrand calls, or filling exactly one, or
+    # one cell more, equals its cells integrated a few at a time, with and
+    # without param; every cell is its own tolerance group, so only the
+    # split differs
     per_call = geometry._BLOCK // 24
-    n = 3 * per_call + 5
-    edges = np.linspace(0.0, 2.0, n + 1)
-    a, b = edges[:-1], edges[1:]
-    c = np.linspace(1.0, 3.0, n)
 
     def peak(x):  # only the cells near 0.3 need bisection
         return 1.0 / (1e-4 + (x - 0.3) ** 2)
@@ -750,21 +747,26 @@ def test_block_splitting_does_not_change_bits():
     def stacked(x):
         return np.stack([peak(x), np.sin(3.0 * x)])
 
-    whole = _adaptive_cells(peak, a, b, 1e-12, np.arange(n))
-    whole_p = _adaptive_cells(wave, a, b, 1e-12, np.arange(n), c)
-    rows = _adaptive_cells(stacked, a, b, 1e-12, np.arange(n))
-    chunks = [slice(i, i + 7) for i in range(0, n, 7)]
-    np.testing.assert_array_equal(whole, np.concatenate([
-        _adaptive_cells(peak, a[k], b[k], 1e-12, np.arange(a[k].size))
-        for k in chunks]))
-    np.testing.assert_array_equal(whole_p, np.concatenate([
-        _adaptive_cells(wave, a[k], b[k], 1e-12, np.arange(a[k].size), c[k])
-        for k in chunks]))
-    # a row that accepts every cell on the first pass still equals itself
-    # alone while the other row bisects
-    np.testing.assert_array_equal(rows[0], whole)
-    np.testing.assert_array_equal(rows[1], _adaptive_cells(
-        lambda x: np.sin(3.0 * x), a, b, 1e-12, np.arange(n)))
+    for n in (3 * per_call + 5, per_call, per_call + 1):
+        edges = np.linspace(0.0, 2.0, n + 1)
+        a, b = edges[:-1], edges[1:]
+        c = np.linspace(1.0, 3.0, n)
+        whole = _adaptive_cells(peak, a, b, 1e-12, np.arange(n))
+        whole_p = _adaptive_cells(wave, a, b, 1e-12, np.arange(n), c)
+        rows = _adaptive_cells(stacked, a, b, 1e-12, np.arange(n))
+        chunks = [slice(i, i + 7) for i in range(0, n, 7)]
+        np.testing.assert_array_equal(whole, np.concatenate([
+            _adaptive_cells(peak, a[k], b[k], 1e-12, np.arange(a[k].size))
+            for k in chunks]))
+        np.testing.assert_array_equal(whole_p, np.concatenate([
+            _adaptive_cells(wave, a[k], b[k], 1e-12, np.arange(a[k].size),
+                            c[k])
+            for k in chunks]))
+        # a row that accepts every cell on the first pass still equals
+        # itself alone while the other row bisects
+        np.testing.assert_array_equal(rows[0], whole)
+        np.testing.assert_array_equal(rows[1], _adaptive_cells(
+            lambda x: np.sin(3.0 * x), a, b, 1e-12, np.arange(n)))
 
 
 @pytest.mark.parametrize("name", sorted(_KNOT_MODELS))

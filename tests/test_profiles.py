@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 
 from massflat.certificates import delta_budget, well_cut
-from massflat.errors import DomainError, RangeError
+from massflat.errors import DomainError, InvalidProfileError, RangeError
+from massflat.geometry import ManifoldModel
 from massflat.profiles import (
     ConstantPiece,
     CubicSplinePiece,
     HawkingProfile,
     PowerLawPiece,
+    _fc_monotone_ok,
     deep_well,
     deep_well_parameters,
     flat,
@@ -337,6 +340,9 @@ _SCALE_FREE_DEFECTS = {
         CubicSplinePiece([1.0, 2.0, 3.0, 4.0], [0.0, 0.3, 0.3 - 5e-9, 0.6],
                          [0.0] * 4),
         ConstantPiece(4.0, math.inf, 0.6))),
+    # the first piece runs past the start of the second
+    "structure/overlap": HawkingProfile(3, 0.5, (
+        ConstantPiece(0.5, 1.2, 0.25), ConstantPiece(1.0, math.inf, 0.25))),
 }
 
 
@@ -347,6 +353,45 @@ def test_validate_flags_defects_at_every_scale(code, lam):
     # flagged at one scale is flagged at every scale
     rep = validate(_SCALE_FREE_DEFECTS[code].scale(lam))
     assert [i.code for i in rep.issues] == [code]
+
+
+def test_validate_flags_an_osculating_horizon_and_an_origin_mass():
+    # m_H' = r leaves the boundary sphere r = 1 at the wall's slope (m = 4)
+    osculating = HawkingProfile(4, 1.0, (
+        PowerLawPiece(1.0, 2.0, 0.5, 2.0), ConstantPiece(2.0, math.inf, 2.0)))
+    assert "boundary/osculating-horizon" in [
+        i.code for i in validate(osculating).issues]
+    # a boundaryless profile must start at m_H(0) = 0
+    origin = HawkingProfile(3, 0.0, (ConstantPiece(0.0, math.inf, 0.1),))
+    assert "boundary/origin-mass" in [i.code for i in validate(origin).issues]
+
+
+def test_validate_reads_spline_slopes_at_their_exact_extremes():
+    # 300 segments of secant 0.01; segment 150 has end slopes of 3.0001
+    # secants, so m_H' dips to -5e-7 at its midpoint r = 1.50167, about
+    # 1.7e-5 of its largest value and between the 1,024 samples
+    knots = np.linspace(1.0, 2.0, 301)
+    slopes = np.full(301, 0.01)
+    slopes[[0, -1]] = 0.0
+    slopes[[150, 151]] = 0.030001
+    profile = HawkingProfile(3, 0.5, (
+        ConstantPiece(0.5, 1.0, 0.25),
+        CubicSplinePiece(knots, 0.25 + 0.01 * (knots - 1.0), slopes),
+        ConstantPiece(2.0, math.inf, 0.26)))
+    rep = validate(profile)
+    assert [i.code for i in rep.issues] == ["monotone/negative-slope"]
+    assert rep.issues[0].where == pytest.approx(1.5 + 0.5 / 300, rel=1e-12)
+    assert "m_H'=-5.0000000" in rep.issues[0].detail
+    with pytest.raises(InvalidProfileError):
+        ManifoldModel(profile, 4.0)
+
+
+def test_validate_reports_a_non_finite_slope_without_a_warning():
+    # m_H' = 0.05 r^(-1/2) is infinite at the origin; numpy's divide
+    # warning is an error under the suite's warning filter
+    profile = HawkingProfile(3, 0.0, (
+        PowerLawPiece(0.0, 1.0, 0.1, 0.5), ConstantPiece(1.0, math.inf, 0.1)))
+    assert "numeric/nonfinite" in [i.code for i in validate(profile).issues]
 
 
 def test_monotone_slopes_match_pchip_and_stay_nonnegative():
@@ -405,6 +450,30 @@ def test_deep_well_parameters_and_profile():
         assert (p.r_min > 0.0) == with_boundary
     with pytest.raises(DomainError):
         deep_well(3, 0.0, 4.0 * math.pi, 5.0)
+
+
+def test_boundaryless_deep_well_fillet_is_monotone_and_clear_of_the_wall():
+    # deep_well builds its origin fillet once, on the argument in its
+    # comment: c in (5/12, 9/20], so the Fritsch-Carlson box holds and the
+    # wall gap is at least (1 - 2c) xi_f.  Checked over a grid of inputs.
+    built = 0
+    for m, delta, alpha0, L in itertools.product(
+            (3, 4, 5, 7, 10), (1e-12, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 10.0),
+            (math.pi / 100, 4.0 * math.pi, 100.0), (0.1, 1.0, 10.0, 1e3)):
+        try:
+            profile = deep_well(m, delta, alpha0, L, with_boundary=False)
+        except DomainError:
+            continue
+        built += 1
+        head, fillet = profile.pieces[:2]
+        c = head.coefficient
+        assert 1.0 / 3.0 < c < 0.5
+        xi_f, xi_p = fillet.knots ** (m - 2)
+        assert _fc_monotone_ok(*fillet.values, c, 1.0, xi_p - xi_f)
+        rs = np.linspace(fillet.r_lo, fillet.r_hi, 257)
+        gap = fillet.mass_and_gap(rs, m)[1]
+        assert np.all(gap >= (1.0 - 1e-12) * (1.0 - 2.0 * c) * xi_f)
+    assert built == 377
 
 
 def test_deep_well_scales_with_delta():

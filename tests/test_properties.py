@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,13 @@ import pytest
 from massflat.embedding import annulus_distance, tube_distance
 from massflat.errors import RangeError
 from massflat.geometry import ManifoldModel
-from massflat.profiles import deep_well, flat, schwarzschild, stripes
+from massflat.profiles import (CubicSplinePiece, deep_well, flat,
+                               schwarzschild, stripes)
 from massflat.serialization import dumps_profile, loads_profile
 from util import random_spline_profile
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 _PROFILES = {
     "schwarzschild": lambda: (schwarzschild(3, 0.05), 8.0),
@@ -157,6 +159,41 @@ def test_tube_distances_lie_between_the_ambient_one_and_explicit_paths(
     assert np.all(ambient <= d + slack), np.max(ambient - d)
     assert np.all(np.abs(s2 - s1) <= d + slack)
     assert np.all(d <= paths + slack), np.max(d - paths)
+
+
+@settings(max_examples=200)
+@given(st.floats(0.5, 2.0), st.floats(1e-3, 1.0), st.floats(0.0, 1.0),
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), st.booleans())
+def test_spline_slope_extremes_hold_the_least_slope_of_a_segment(
+        r0, width, m0, slopes, gap_space):
+    # the least m_H' over the points _slope_extremes returns on a Hermite
+    # segment equals the exact minimum of the derivative quadratic, here in
+    # rationals from the piece's own data (power 1, so u = r and m_H' is
+    # dv/du, or (1 - dg/du)/2 in gap space)
+    secant, a0, a1 = slopes
+    assume(max(abs(secant), abs(a0), abs(a1)) >= 0.05)
+    r1, m1 = r0 + width, m0 + secant * width
+    if gap_space:
+        data = [r0 - 2.0 * m0, r1 - 2.0 * m1], [1.0 - 2.0 * a0, 1.0 - 2.0 * a1]
+    else:
+        data = [m0, m1], [a0, a1]
+    piece = CubicSplinePiece([r0, r1], *data, gap_space=gap_space)
+    least = Fraction(float(piece._slope_extremes()[1].min()))
+
+    x0, x1, v0, v1, s0, s1 = map(Fraction, (*piece.knots, *piece.values,
+                                            *piece.slopes))
+    h = x1 - x0
+    q0, q1, q2 = h * s0, 3 * (v1 - v0) - h * (s0 + s1), h * s1
+
+    def mass_prime(t):
+        dv = ((1 - t) ** 2 * q0 + 2 * t * (1 - t) * q1 + t**2 * q2) / h
+        return (1 - dv) / 2 if gap_space else dv
+
+    ts = [Fraction(0), Fraction(1)]
+    if q0 - 2 * q1 + q2 != 0:
+        ts.append(min(max((q0 - q1) / (q0 - 2 * q1 + q2), ts[0]), ts[1]))
+    exact = [mass_prime(t) for t in ts]
+    assert abs(least - min(exact)) <= Fraction(1e-12) * max(map(abs, exact))
 
 
 def test_a_failing_property_test_leaves_the_session_running(tmp_path):
