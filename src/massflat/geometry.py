@@ -287,13 +287,14 @@ class ManifoldModel:
                     float(np.sqrt(r0**k / gap)[0]))
 
     def _slopes(self, r) -> np.ndarray:
-        """F'(r) and s'(r) as the two rows of one array.
+        """F'(r) and s'(r) as the two rows of one array, at radii in range
+        (unchecked: quadrature nodes, or radii a public method checked).
 
         One profile evaluation serves both, so the two tables are built by
         one integration with this integrand.
         """
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        mh, gap = self.profile.mass_and_gap(arr)
+        mh, gap = self.profile._mass_and_gap(arr)
         xi = arr ** (self.dimension - 2)
         out = np.full((2,) + arr.shape, np.inf)
         fp, sp = out
@@ -317,18 +318,28 @@ class ManifoldModel:
 
     def f_prime(self, r):
         """Exact graph slope F'(r); +inf on a minimal boundary sphere."""
-        out = self._slopes(r)[0]
-        return float(out[0]) if np.ndim(r) == 0 else out
+        arr, scalar = checked_range(r, self.r_min, math.inf, "radius")
+        out = self._f_prime(arr)
+        return float(out[0]) if scalar else out
 
     def s_prime(self, r):
         """Exact arclength density sqrt(1 + F'(r)^2)."""
+        arr, scalar = checked_range(r, self.r_min, math.inf, "radius")
+        out = self._s_prime(arr)
+        return float(out[0]) if scalar else out
+
+    def _f_prime(self, r: np.ndarray) -> np.ndarray:
+        """F' on a 1-D array of radii in range, unchecked: an integrand."""
+        return self._slopes(r)[0]
+
+    def _s_prime(self, r: np.ndarray) -> np.ndarray:
+        """s' on a 1-D array of radii in range, unchecked: an integrand."""
         # skips F' (the profile still evaluates m_H next to the gap):
         # geodesic lengths call this on large batches
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.full(arr.shape, np.inf)
-        self._fill_s_prime(out, arr ** (self.dimension - 2),
-                           self.profile.wall_gap(arr))
-        return float(out[0]) if np.ndim(r) == 0 else out
+        out = np.full(r.shape, np.inf)
+        self._fill_s_prime(out, r ** (self.dimension - 2),
+                           self.profile._mass_and_gap(r)[1])
+        return out
 
     # -- tabulation ----------------------------------------------------------
 
@@ -426,10 +437,13 @@ class ManifoldModel:
                           & (sw == 0.0), -c, c)
 
             def radius(x, cs):  # r at nodes x of the plain leg cells
+                # a node the chart's round trip puts below r_min reads
+                # r_min, as the profile's range check would clip it
                 if not angle:
-                    return np.hypot(x, cs)
+                    return np.maximum(np.hypot(x, cs), r_min)
                 # one sine per node, cos(alpha) = sin(alpha + pi/2) to 3.2e-16
-                return cs / np.sin(x + (cs > 0.0) * (0.5 * np.pi))
+                return np.maximum(
+                    cs / np.sin(x + (cs > 0.0) * (0.5 * np.pi)), r_min)
 
         def ends(r):  # each cell's coordinate of the radii r
             if not leg:
@@ -514,7 +528,7 @@ class ManifoldModel:
         owner = np.broadcast_to(np.arange(lo.size)[:, None], live.shape)[live]
         return np.where(diverge, np.inf, 0.0) + np.bincount(
             owner, self._integrate_cells(
-                self.s_prime, edges[:, :-1][live], edges[:, 1:][live],
+                self._s_prime, edges[:, :-1][live], edges[:, 1:][live],
                 group[owner], c[owner], angle), minlength=lo.size)
 
     # -- cumulative queries ----------------------------------------------------
@@ -553,11 +567,11 @@ class ManifoldModel:
 
     def F(self, r):
         """Graph height F(r), normalized to F(r_min) = 0."""
-        return self._cumulative_at(r, self._F_knots, self.f_prime)
+        return self._cumulative_at(r, self._F_knots, self._f_prime)
 
     def s(self, r):
         """Radial arclength from the inner boundary to the sphere at r."""
-        return self._cumulative_at(r, self._s_knots, self.s_prime)
+        return self._cumulative_at(r, self._s_knots, self._s_prime)
 
     def _F_and_s(self, r):
         """F(r) and s(r) from one quadrature pass over (F', s').
@@ -602,7 +616,7 @@ class ManifoldModel:
                     break
                 hi = np.where(active & (g > 0), r, hi)
                 lo = np.where(active & ~(g > 0), r, lo)
-                sp = self.s_prime(r)
+                sp = self._s_prime(r)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     step = r - g / sp
                 newton = np.isfinite(sp) & (sp > 0) & (lo < step) & (step < hi)
@@ -654,7 +668,7 @@ class ManifoldModel:
         if r_b < r_a:
             raise RangeError("shell_volume needs r_a <= r_b")
         return float(self._range_integrals(
-            lambda r: self._shell_density(r, self.s_prime(r)),
+            lambda r: self._shell_density(r, self._s_prime(r)),
             [(r_a, r_b)])[0, 0])
 
     def graph_excess(self, r_a: float, r_b: float) -> float:
@@ -667,7 +681,7 @@ class ManifoldModel:
             raise RangeError("graph_excess needs r_a <= r_b")
         cap = r_b**self.dimension
         return float(self._range_integrals(
-            lambda t: self._excess_density(t, self.f_prime(t), cap),
+            lambda t: self._excess_density(t, self._f_prime(t), cap),
             [(r_a, r_b)])[0, 0])
 
     def _window_volumes(self, r_deep: float, r_a: float,
@@ -754,8 +768,8 @@ class ManifoldModel:
             raise RangeError(f"quantities requires r > r_min = {self.r_min!r}"
                              f", got {float(np.min(x))!r}")
         m = self.dimension
-        mh, gap = self.profile.mass_and_gap(x)
-        mp = self.profile.mass_prime(x)
+        mh, gap = self.profile._mass_and_gap(x)
+        (mp,) = self.profile._mass_prime(x)
         area = self.omega * x ** (m - 1)
         # a graph this close to flat has zero slope in double precision
         curved = 2.0 * mh > 1e-280 * x ** (m - 2)

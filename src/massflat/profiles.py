@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# _BLOSSOM_B[i, j]: whether argument i of the blossom that gives a cubic's
+# control point j on [u_a, u_b] is u_b (j of its three are)
+_BLOSSOM_B = (np.arange(3)[:, None] >= 3 - np.arange(4))[:, :, None]
 
 
 def unit_sphere_area(dimension: int) -> float:
@@ -107,6 +110,14 @@ class ProfilePiece:
     def scaled(self, lam: float, dimension: int) -> "ProfilePiece":
         raise NotImplementedError
 
+    def _cell_bounds(self, a: np.ndarray, b: np.ndarray, dimension: int):
+        """Rigorous bounds over each cell [a_i, b_i] inside the piece (inside
+        one knot interval of a spline): an upper bound on m_H, a lower bound
+        on the wall gap, and whether the gap provably rises across the cell
+        (its slope bound, m-2 times r^(m-3) minus twice an upper bound on
+        m_H', is positive)."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}([{self.r_lo:g}, {self.r_hi:g}])"
 
@@ -144,6 +155,11 @@ class ConstantPiece(ProfilePiece):
             return mh, (r - lo) * poly
         return mh, r**k - 2.0 * mh
 
+    def _cell_bounds(self, a, b, dimension):
+        # m_H is constant and the gap rises with r: the left end is least
+        return (np.full_like(a, self.value), self.mass_and_gap(a, dimension)[1],
+                np.ones(a.shape, dtype=bool))
+
     def scaled(self, lam, dimension):
         return ConstantPiece(self.r_lo * lam, self.r_hi * lam, self.value * lam ** (dimension - 2))
 
@@ -176,6 +192,18 @@ class PowerLawPiece(ProfilePiece):
             # the near-wall case; (1 - 2c) keeps full precision as c -> 1/2
             return self.coefficient * rp, (1.0 - 2.0 * self.coefficient) * xi
         return self.coefficient * rp, xi - 2.0 * self.coefficient * rp
+
+    def _cell_bounds(self, a, b, dimension):
+        k = dimension - 2
+        c, p = self.coefficient, self.exponent
+        if c == 0.0:
+            return np.zeros_like(a), a**k, np.ones(a.shape, dtype=bool)
+        # the gap is r^k (1 - 2c r^(p-k)) and its slope r^(k-1) (k - 2cp
+        # r^(p-k)); each bracket is monotone in r, so least at an end
+        t = np.stack([a, b]) ** (p - k)
+        sign = (1.0 - 2.0 * c * t).min(axis=0)
+        gap_lo = np.where(sign > 0.0, a**k, b**k) * sign
+        return c * b**p, gap_lo, (k - 2.0 * c * p * t).min(axis=0) > 0.0
 
     def scaled(self, lam, dimension):
         c = self.coefficient * lam ** (dimension - 2 - self.exponent)
@@ -286,22 +314,81 @@ class CubicSplinePiece(ProfilePiece):
         return dv * dudr
 
     def _slope_extremes(self):
-        """(r, m_H') at the knots and at each segment's interior vertex.
+        """The radii of the knots and of each segment's interior vertex.
 
         On a segment h dv/du is the quadratic with Bezier points q0, q1, q2,
         so its extremes lie at the ends or at its vertex
         t* = (q0 - q1) / (q0 - 2 q1 + q2).  These points hold the least
         dv/du of a value-space piece and the greatest dg/du of a gap-space
-        one, where m_H' = du/dr (1 - dg/du) / 2; as du/dr > 0, they show
-        whether m_H' turns negative anywhere on the piece.
+        one, where m_H' = du/dr (1 - dg/du) / 2; as du/dr > 0, m_H' read
+        there shows whether it turns negative anywhere on the piece.
         """
         u_lo, _, h, q0, q1, q2 = self._slope_table
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (q0 - q1) / (q0 - 2.0 * q1 + q2)
         inside = (t > 0.0) & (t < 1.0)
         u = u_lo[inside] + t[inside] * h[inside]
-        r = np.concatenate([self.knots, u ** (1.0 / self.power)])
-        return r, self.mass_prime(r)
+        return np.concatenate([self.knots, u ** (1.0 / self.power)])
+
+    def _cell_control(self, u_a, u_b):
+        """The Bezier control points of the cubic on each cell [u_a, u_b]
+        (in u, inside one knot interval), as four rows.
+
+        They are its blossom at (t_a^(3-j), t_b^j), from de Casteljau steps
+        at t_a and t_b; the convex weights keep positive points positive.
+        Whole knot intervals read the table.
+        """
+        i = np.searchsorted(self._u_knots[1:-1], 0.5 * (u_a + u_b),
+                            side="right")
+        rows = self._value_table.take(i, axis=1)
+        u_lo, u_hi, h, ctrl = rows[0], rows[1], rows[2], rows[3:]
+        if (u_a == u_lo).all() and (u_b == u_hi).all():
+            return ctrl
+        ta, sa = (u_a - u_lo) / h, (u_hi - u_a) / h
+        tb, sb = (u_b - u_lo) / h, (u_hi - u_b) / h
+        A = sa * ctrl[:-1] + ta * ctrl[1:]
+        B = sb * ctrl[:-1] + tb * ctrl[1:]
+        AA = sa * A[:-1] + ta * A[1:]
+        AB = sb * A[:-1] + tb * A[1:]
+        BB = sb * B[:-1] + tb * B[1:]
+        return np.stack([sa * AA[0] + ta * AA[1], sb * AA[0] + tb * AA[1],
+                         sb * AB[0] + tb * AB[1], sb * BB[0] + tb * BB[1]])
+
+    def _cell_bounds(self, a, b, dimension):
+        u_a, u_b = a**self.power, b**self.power
+        c = self._cell_control(u_a, u_b)
+        w = u_b - u_a
+        # w times the control points of the cell's u-slope
+        q = 3.0 * (c[1:] - c[:-1])
+        # a cubic's control point j on the cell is its blossom at
+        # (u_a^(3-j), u_b^j); for u itself, their mean
+        x = np.where(_BLOSSOM_B, u_b, u_a)
+        u = x.sum(axis=0) / 3.0
+        if self.gap_space:
+            # g is its own hull, and m_H = (u - g)/2
+            mass = 0.5 * (u - c)
+            return mass.max(axis=0), c.min(axis=0), q.min(axis=0) > 0.0
+        # for e = 1, 2, 3 the wall r^(m-2) = u^e is a cubic too, whose
+        # control points are the e-th elementary symmetric means of the
+        # blossom's arguments, so the gap's own are exact
+        e = (dimension - 2) / self.power
+        if e == 1.0:
+            wall = u
+        elif e == 2.0:
+            wall = (x[0] * x[1] + x[0] * x[2] + x[1] * x[2]) / 3.0
+        elif e == 3.0:
+            wall = x.prod(axis=0)
+        else:
+            # the wall lies above a line: its tangent at u_a where convex
+            # (e > 1), its chord where concave
+            wall_a = u_a**e
+            slope = (e * u_a ** (e - 1.0) if e > 1.0
+                     else (u_b**e - wall_a) / w)
+            wall = wall_a + slope * (u - u_a)
+        # the wall's least slope on the cell, at u_a or at u_b
+        least = e * (u_a if e >= 1.0 else u_b) ** (e - 1.0)
+        return (c.max(axis=0), (wall - 2.0 * c).min(axis=0),
+                least * w > 2.0 * q.max(axis=0))
 
     def mass_and_gap(self, r, dimension):
         # de Casteljau on the Bezier form of the cubic: monotone Hermite
@@ -411,21 +498,21 @@ class HawkingProfile:
     def _starts(self) -> np.ndarray:
         return np.array([p.r_lo for p in self.pieces])
 
-    def _dispatch(self, r, rows: int, evaluate):
-        """Evaluate at each radius by the piece holding it.
+    def _dispatch(self, arr: np.ndarray, rows: int, evaluate):
+        """Evaluate at each radius of a 1-D float array by the piece holding
+        it, with no range check: the public methods check their radii, and
+        quadrature nodes lie in range by construction.
 
         ``evaluate(piece, radii)`` returns a tuple of ``rows`` arrays; the
-        result is the tuple of those rows over all of r (floats for a
-        scalar r).  A radius below the first piece reads that piece.
+        result is the tuple of those rows over all of arr.  A radius below
+        the first piece reads that piece.
         """
-        arr, scalar = checked_range(r, self.r_min, math.inf, "radius")
         starts = self._starts[1:]
         first = np.searchsorted(starts, arr.min(initial=math.inf), side="right")
         if first == np.searchsorted(starts, arr.max(initial=-math.inf),
                                     side="right"):
             # one piece holds every radius: no masks, gathers or scatters
-            out = evaluate(self.pieces[first], arr)
-            return tuple(float(v[0]) for v in out) if scalar else tuple(out)
+            return tuple(evaluate(self.pieces[first], arr))
         out = np.empty((rows,) + arr.shape)
         idx = np.searchsorted(starts, arr, side="right")
         for k, piece in enumerate(self.pieces):
@@ -434,13 +521,27 @@ class HawkingProfile:
                 # row by row: a masked write into a 2-D array is slower
                 for row, v in zip(out, evaluate(piece, arr[sel])):
                     row[sel] = v
-        return tuple(float(v[0]) for v in out) if scalar else tuple(out)
+        return tuple(out)
+
+    def _checked(self, r, evaluate):
+        """evaluate(radii) on r after the range check; floats for a scalar r."""
+        arr, scalar = checked_range(r, self.r_min, math.inf, "radius")
+        out = evaluate(arr)
+        return tuple(float(v[0]) for v in out) if scalar else out
+
+    def _mass_and_gap(self, r: np.ndarray):
+        """mass_and_gap on a 1-D float array of radii in range, unchecked."""
+        m = self.dimension
+        return self._dispatch(r, 2, lambda piece, x: piece.mass_and_gap(x, m))
+
+    def _mass_prime(self, r: np.ndarray):
+        """(m_H',) on a 1-D float array of radii in range, unchecked."""
+        return self._dispatch(r, 1, lambda piece, x: (piece.mass_prime(x),))
 
     def mass_and_gap(self, r):
         """m_H(r) and the wall gap r^(m-2) - 2 m_H(r), cancellation-free,
         from one pass over the pieces."""
-        m = self.dimension
-        return self._dispatch(r, 2, lambda piece, x: piece.mass_and_gap(x, m))
+        return self._checked(r, self._mass_and_gap)
 
     def mass(self, r):
         """Hawking mass m_H(r)."""
@@ -452,7 +553,7 @@ class HawkingProfile:
 
     def mass_prime(self, r):
         """Radial derivative m_H'(r)."""
-        return self._dispatch(r, 1, lambda piece, x: (piece.mass_prime(x),))[0]
+        return self._checked(r, self._mass_prime)[0]
 
     def scale(self, lam: float) -> "HawkingProfile":
         """Rescaled profile: m_H -> lam^(m-2) m_H(r/lam) on radii lam*r."""
@@ -499,27 +600,111 @@ _IDENTITY_REL = 1e-9
 _MONOTONE_SLACK = 1e-12
 
 
-def _piece_samples(piece: ProfilePiece, profile: HawkingProfile, n: int) -> np.ndarray:
-    a = piece.r_lo
-    b = piece.r_hi
-    if math.isinf(b):
-        # admissibility on a constant tail is worst at its left end; a short
-        # stretch is enough to catch a tail placed above the wall
-        b = a + max(a, 1.0, 2.0 * profile.r_min)
-    xs = [np.linspace(a, b, n)]
-    if a > 0 and b / a > 10.0:
-        xs.append(np.geomspace(a, b, n // 2))
-    elif a == 0.0:
-        xs.append(b * np.linspace(0.0, 1.0, n // 2) ** 2)
-    if a == profile.r_min:
-        # cluster near the boundary where admissibility is tight
-        xs.append(a + (b - a) * np.linspace(0.0, 1.0, n // 4) ** 2)
-    out = np.unique(np.concatenate(xs))
-    return out
+# the wall and exceeds-adm rules halve a piece's undecided cells at most
+# _SPLITS times, with at most _CELLS of them pending at once
+_SPLITS = 60
+_CELLS = 4096
+
+
+def _own_points(profile: HawkingProfile, i: int, at_min: int) -> np.ndarray:
+    """Where piece i is read: first its start, the radius where the next
+    piece takes over (or the start again), r_min on the piece that reads it
+    (or the start again); then its end, its knots and its slope vertices.
+    A constant tail ends a short stretch past its start: its gap rises
+    with r, so the stretch holds its least gap."""
+    pieces = profile.pieces
+    piece = pieces[i]
+    lo, hi = piece.r_lo, piece.r_hi
+    joint = min(pieces[i + 1].r_lo, hi) if i + 1 < len(pieces) else lo
+    if math.isinf(hi):
+        hi = lo + max(lo, 1.0, 2.0 * profile.r_min)
+    x = [lo, joint, profile.r_min if i == at_min else lo, hi]
+    if isinstance(piece, CubicSplinePiece):
+        return np.concatenate([x, piece._slope_extremes()])
+    return np.array(x)
+
+
+def _cell_issues(piece: ProfilePiece, profile: HawkingProfile, x, mh, gap):
+    """The wall and exceeds-adm issues of one piece, from the closed-form
+    bounds of its cells, given its reads (radii x, m_H, gap) at its own
+    points.
+
+    The cells start as the piece's knot intervals (its own span for other
+    kinds); each round splits every undecided cell at its midpoint and
+    reads the piece there.  An issue is reported only where a read value
+    breaks the rule, or at a cell still undecided after _SPLITS halvings or
+    with more than _CELLS pending.  A cell from r_min on may start on the
+    wall: a gap that rises across it clears it, provided the gap at the
+    piece's start meets the boundary identity's tolerance.
+    """
+    m = profile.dimension
+    r_min = profile.r_min
+    rel = _IDENTITY_REL
+    cap = profile.adm_mass * (1.0 + rel) + _TINY
+    knots = piece.knots if isinstance(piece, CubicSplinePiece) else x[[0, 3]]
+    a, b = knots[:-1], knots[1:]
+    on_wall = gap[0] >= -rel * piece.r_lo ** (m - 2)
+    wall = over = None
+    for level in range(_SPLITS + 1):
+        if wall is None and not gap.min() > 0.0:
+            live = x > r_min
+            if (live & (gap <= 0.0)).any():
+                j = int(np.argmin(np.where(live, gap, np.inf)))
+                wall = ValidationIssue(
+                    "admissible/wall", float(x[j]),
+                    f"m_H meets or exceeds r^(m-2)/2 (gap={float(gap[j])!r})")
+        if over is None and mh.max() > cap:
+            j = int(np.argmax(mh))
+            over = ValidationIssue(
+                "admissible/exceeds-adm", float(x[j]),
+                f"m_H={float(mh[j])!r} exceeds the ADM mass "
+                f"{profile.adm_mass!r}")
+        if wall is not None and over is not None:
+            break
+        mass_hi, gap_lo, rising = piece._cell_bounds(a, b, m)
+        if ((wall is not None or gap_lo.min() > 0.0)
+                and (over is not None or mass_hi.max() <= cap)):
+            break
+        wall_open = over_open = np.zeros(a.shape, dtype=bool)
+        if wall is None:
+            wall_open = ~((gap_lo > 0.0) | (rising & ((a > r_min) | on_wall)))
+        if over is None:
+            over_open = ~(mass_hi <= cap)
+        pending = wall_open | over_open
+        if not pending.any():
+            break
+        if level == _SPLITS or np.count_nonzero(pending) > _CELLS:
+            if wall_open.any():
+                j = int(np.argmin(np.where(wall_open, gap_lo, np.inf)))
+                wall = ValidationIssue(
+                    "admissible/wall", float(a[j]),
+                    f"the wall gap is not shown positive on "
+                    f"[{float(a[j])!r}, {float(b[j])!r}] (its bound reads "
+                    f"{float(gap_lo[j])!r})")
+            if over_open.any():
+                j = int(np.argmax(np.where(over_open, mass_hi, -np.inf)))
+                over = ValidationIssue(
+                    "admissible/exceeds-adm", float(a[j]),
+                    f"m_H is not shown at most the ADM mass "
+                    f"{profile.adm_mass!r} on [{float(a[j])!r}, "
+                    f"{float(b[j])!r}] (its bound reads "
+                    f"{float(mass_hi[j])!r})")
+            break
+        a, b = a[pending], b[pending]
+        x = 0.5 * (a + b)
+        mh, gap = piece.mass_and_gap(x, m)
+        a, b = np.concatenate([a, x]), np.concatenate([x, b])
+    return [i for i in (wall, over) if i is not None]
 
 
 def validate(profile: HawkingProfile) -> ValidationReport:
-    """Check admissibility of a profile; returns a report of all violations."""
+    """Check admissibility of a profile; returns a report of all violations.
+
+    Every piece is read once at its own points (see _own_points), which
+    serve the boundary identities, the joints and the monotone rule; the
+    wall and exceeds-adm rules bound the piece on cells in closed form
+    (see _cell_issues).  A non-finite value is reported, not warned of.
+    """
     rel = _IDENTITY_REL
     m = profile.dimension
     adm = profile.adm_mass
@@ -543,70 +728,61 @@ def validate(profile: HawkingProfile) -> ValidationReport:
         elif b < a - slack:
             add("structure/overlap", b, f"pieces overlap on [{b}, {a}]")
 
-    # boundary condition
+    # one read per piece, (radii, m_H, gap, m_H') at its own points; r_min
+    # is read by the piece HawkingProfile._dispatch gives it
+    at_min = int(np.searchsorted(profile._starts[1:], profile.r_min,
+                                 side="right"))
+    reads = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, piece in enumerate(pieces):
+            x = _own_points(profile, i, at_min)
+            reads.append((x, *piece.mass_and_gap(x, m), piece.mass_prime(x)))
+
+    # boundary condition, read at slot 2 of the piece holding r_min
+    _, mh, _, mp = reads[at_min]
+    v0 = float(mh[2])
     if profile.r_min > 0.0:
-        v0 = float(profile.mass(profile.r_min))
         w0 = 0.5 * profile.r_min ** (m - 2)
         if abs(v0 - w0) > rel * max(w0, _TINY):
             add("boundary/horizon-mismatch", profile.r_min,
                 f"m_H(r_min)={v0!r} but the minimal-sphere condition needs {w0!r}")
         else:
-            s0 = float(profile.mass_prime(profile.r_min))
             cap = 0.5 * (m - 2) * profile.r_min ** (m - 3)
-            if s0 >= (1.0 - 1e-9) * cap:
+            if float(mp[2]) >= (1.0 - 1e-9) * cap:
                 add("boundary/osculating-horizon", profile.r_min,
                     "m_H' at the boundary equals the wall slope; the graph "
                     "function would not be integrable")
-    else:
-        v0 = float(profile.mass(0.0))
-        if abs(v0) > rel * adm:
-            add("boundary/origin-mass", 0.0,
-                f"m_H(0)={v0!r}, expected 0 for a boundaryless profile")
+    elif abs(v0) > rel * adm:
+        add("boundary/origin-mass", 0.0,
+            f"m_H(0)={v0!r}, expected 0 for a boundaryless profile")
 
-    # C1 joints
-    for left, right in zip(pieces, pieces[1:]):
+    # C1 joints: the left piece's slot 1 against the right piece's start
+    for (_, mh_l, _, mp_l), (_, mh_r, _, mp_r), right in zip(
+            reads, reads[1:], pieces[1:]):
         rj = right.r_lo
-        vl = float(left.mass_and_gap(np.array([min(rj, left.r_hi)]), m)[0][0])
-        vr = float(right.mass_and_gap(np.array([rj]), m)[0][0])
+        vl, vr = float(mh_l[1]), float(mh_r[0])
         scale_v = max(abs(vl), abs(vr), adm, _TINY)
         if abs(vl - vr) > rel * scale_v:
             add("joint/value", rj, f"m_H jumps from {vl!r} to {vr!r}")
-        sl = float(left.mass_prime(np.array([min(rj, left.r_hi)]))[0])
-        sr = float(right.mass_prime(np.array([rj]))[0])
+        sl, sr = float(mp_l[1]), float(mp_r[0])
         scale_s = max(abs(sl), abs(sr), adm / max(rj, _TINY), _TINY)
         if abs(sl - sr) > rel * scale_s:
             add("joint/slope", rj, f"m_H' jumps from {sl!r} to {sr!r}")
 
-    # per-piece sampling; a spline's slope is also read at its exact
-    # per-segment extremes.  A non-finite value is reported, not warned of.
-    for piece in pieces:
-        xs = _piece_samples(piece, profile, 1024)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mh, gap = piece.mass_and_gap(xs, m)
-            mp_r, mp = xs, piece.mass_prime(xs)
-            if isinstance(piece, CubicSplinePiece):
-                r_x, mp_x = piece._slope_extremes()
-                mp_r, mp = np.concatenate([xs, r_x]), np.concatenate([mp, mp_x])
-        if not (np.all(np.isfinite(mh)) and np.all(np.isfinite(mp))):
-            add("numeric/nonfinite", piece.r_lo,
-                f"{piece.kind} piece produced a non-finite value")
-            continue
-        neg = mp < -_MONOTONE_SLACK * np.max(np.abs(mp), initial=0.0)
-        if np.any(neg):
-            k = int(np.argmin(mp))
-            add("monotone/negative-slope", float(mp_r[k]),
-                f"m_H'={float(mp[k])!r} below the monotone slack")
-        interior = xs > profile.r_min
-        bad = interior & (gap <= 0.0)
-        if np.any(bad):
-            k = int(np.argmin(np.where(interior, gap, np.inf)))
-            add("admissible/wall", float(xs[k]),
-                f"m_H meets or exceeds r^(m-2)/2 (gap={float(gap[k])!r})")
-        over = mh > adm * (1.0 + rel) + _TINY
-        if np.any(over):
-            k = int(np.argmax(mh))
-            add("admissible/exceeds-adm", float(xs[k]),
-                f"m_H={float(mh[k])!r} exceeds the ADM mass {adm!r}")
+    # per piece: m_H' at the own points, which hold a spline's exact slope
+    # extremes, then the cells
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for piece, (x, mh, gap, mp) in zip(pieces, reads):
+            if not (np.isfinite(mh).all() and np.isfinite(mp).all()):
+                add("numeric/nonfinite", piece.r_lo,
+                    f"{piece.kind} piece produced a non-finite value")
+                continue
+            least = mp.min()
+            if least < 0.0 and least < -_MONOTONE_SLACK * np.abs(mp).max():
+                k = int(np.argmin(mp))
+                add("monotone/negative-slope", float(x[k]),
+                    f"m_H'={float(mp[k])!r} below the monotone slack")
+            issues.extend(_cell_issues(piece, profile, x, mh, gap))
 
     return ValidationReport(tuple(issues))
 
@@ -637,7 +813,9 @@ def deep_well_parameters(dimension: int, delta: float, alpha0: float,
     All breakpoints live in the substituted variable xi = r^(m-2), where the
     admissibility wall xi/2 is affine.  The steep wall is a constant-gap ride
     xi - 2 m_H = g0 between xi_w0 and xi_r; g0 = eps^2 xi_w0 with eps chosen
-    so the ride alone is at least 2.1 L deep.
+    so the ride alone is at least 2.1 L deep.  A shallow well, with
+    eps^2 >= 1/8 (L at most sqrt(7) r_eps / 4.2), would ride at a gap g0 no
+    below the descent's g_p = xi_w0/8 and is refused.
     """
     m = _dimension(dimension)
     delta = positive(delta, "delta")
@@ -655,6 +833,11 @@ def deep_well_parameters(dimension: int, delta: float, alpha0: float,
     g0 = eps * eps * xi_w0
 
     g_p = xi_w0 / 8.0
+    if not g0 < g_p:
+        raise DomainError(
+            f"deep well too shallow: delta={delta!r}, L={L!r} and "
+            f"r_eps={r_r!r} give eps^2={eps * eps!r} >= 1/8; L must exceed "
+            f"sqrt(7) r_eps / 4.2 = {math.sqrt(7.0) * r_r / 4.2!r}")
     w_b = 2.0 * (g_p - g0)
     xi_p = xi_w0 - w_b
     xi_t = 4.0 * delta_prime + 2.0 * g0 - xi_r

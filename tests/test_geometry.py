@@ -586,14 +586,15 @@ def test_deep_well_build_evaluates_the_profile_once_per_call(monkeypatch):
     # also read the profile, one radius each.
     evaluations = []
     panels = count_panels(monkeypatch)
-    mass_and_gap = HawkingProfile.mass_and_gap
+    mass_and_gap = HawkingProfile._mass_and_gap
 
     def counted_mass_and_gap(self, r):
         if panels.inside:
             evaluations.append(np.size(r))
         return mass_and_gap(self, r)
 
-    monkeypatch.setattr(HawkingProfile, "mass_and_gap", counted_mass_and_gap)
+    # the integrands read the profile through its unchecked evaluator
+    monkeypatch.setattr(HawkingProfile, "_mass_and_gap", counted_mass_and_gap)
     ManifoldModel(deep_well(3, 1e-6, math.pi / 100, 10.0), 0.4)
     per_call = geometry._BLOCK // 24
     # one call per level; bisecting towards the peaks in r made 24

@@ -28,7 +28,8 @@ from massflat.profiles import (
     validate,
 )
 from massflat.serialization import _PIECES
-from util import random_spline_profile, summed_wall_gap
+from util import (count_piece_evaluations, random_spline_profile,
+                  summed_wall_gap)
 
 
 def test_unit_sphere_area_known_values():
@@ -343,6 +344,18 @@ _SCALE_FREE_DEFECTS = {
     # the first piece runs past the start of the second
     "structure/overlap": HawkingProfile(3, 0.5, (
         ConstantPiece(0.5, 1.2, 0.25), ConstantPiece(1.0, math.inf, 0.25))),
+    # a monotone spline crosses the wall, reaching 1.01 where r/2 = 1
+    "admissible/wall": HawkingProfile(3, 0.5, (
+        ConstantPiece(0.5, 1.0, 0.25),
+        CubicSplinePiece([1.0, 2.0, 3.0], [0.25, 1.01, 1.2], [0.0, 0.3, 0.0]),
+        ConstantPiece(3.0, math.inf, 1.2))),
+    # m_H peaks 5e-10 above the ADM mass at r = 1.01, then sinks back to it
+    # with m_H' of -7.5e-12, inside the 1e-12 monotone slack of the rise
+    "admissible/exceeds-adm": HawkingProfile(3, 0.0, (
+        ConstantPiece(0.0, 1.0, 0.0),
+        CubicSplinePiece([1.0, 1.01, 101.0], [0.0, 0.1 + 5e-10, 0.1],
+                         [0.0] * 3),
+        ConstantPiece(101.0, math.inf, 0.1))),
 }
 
 
@@ -392,6 +405,93 @@ def test_validate_reports_a_non_finite_slope_without_a_warning():
     profile = HawkingProfile(3, 0.0, (
         PowerLawPiece(0.0, 1.0, 0.1, 0.5), ConstantPiece(1.0, math.inf, 0.1)))
     assert "numeric/nonfinite" in [i.code for i in validate(profile).issues]
+
+
+def _crossing_profile(bump: float):
+    """A monotone 3-D spline that runs 1e-8 below the wall m_H = r/2 into
+    r = 1.5, then on [1.5, 1.5 + 1e-6] bows bump * 1e-6 / 8 above its
+    chord, which is parallel to the wall; the whole segment lies strictly
+    between two points of a 1,024-point grid on [1, 2]."""
+    eps, w = 1e-8, 1e-6
+    return HawkingProfile(3, 0.0, (
+        PowerLawPiece(0.0, 1.0, 0.4, 1.0),
+        CubicSplinePiece([1.0, 1.5, 1.5 + w, 2.0],
+                         [0.4, 0.75 - eps, 0.75 + w / 2 - eps, 0.9],
+                         [0.4, 0.5 + bump / 2, 0.5 - bump / 2, 0.0]),
+        ConstantPiece(2.0, math.inf, 0.9)))
+
+
+def test_validate_finds_a_wall_crossing_between_sample_points():
+    # bowed by 1.25e-7 over a 1e-8 gap: the gap reads -1.15e-7 at the
+    # segment's midpoint, the least gap of the segment
+    rep = validate(_crossing_profile(1.0))
+    assert [i.code for i in rep.issues] == ["admissible/wall"]
+    where = rep.issues[0].where
+    assert where == pytest.approx(1.5 + 5e-7, rel=1e-15)
+    assert _crossing_profile(1.0).wall_gap(where) <= 0.0
+    with pytest.raises(InvalidProfileError):
+        ManifoldModel(_crossing_profile(1.0), 4.0)
+    # bowed by 1.25e-9, the same segment clears the wall
+    assert validate(_crossing_profile(0.01)).ok
+
+
+def test_validate_finds_an_overshoot_between_sample_points():
+    # on the 1e-6 wide segment [1.5, 1.5 + 1e-6] the end slopes +-0.1 lift
+    # m_H 2.5e-8 above its end values, which equal the ADM mass
+    w = 1e-6
+    profile = HawkingProfile(3, 0.0, (
+        ConstantPiece(0.0, 1.0, 0.0),
+        CubicSplinePiece([1.0, 1.5, 1.5 + w, 2.0], [0.0, 0.1, 0.1, 0.1],
+                         [0.0, 0.1, -0.1, 0.0]),
+        ConstantPiece(2.0, math.inf, 0.1)))
+    rep = validate(profile)
+    assert [i.code for i in rep.issues] == ["monotone/negative-slope",
+                                            "admissible/exceeds-adm"]
+    where = rep.issues[1].where
+    assert 1.5 < where < 1.5 + w
+    assert profile.mass(where) > 0.1 * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_validate_accepts_a_spline_leaving_the_boundary_on_the_wall(m):
+    # the spline starts at r_min on the wall, with m_H' half the wall's
+    # slope there; its gap is 0 at r_min and rises, so only the sign of
+    # the gap's slope can clear the first cell
+    r_min, r1 = 1.0, 2.0
+    k = m - 2
+    v0, v1 = 0.5 * r_min**k, 0.5 * (0.5 * r_min**k + 0.5 * r1**k)
+    profile = HawkingProfile(m, r_min, (
+        CubicSplinePiece([r_min, r1], [v0, v1], [0.25 * k, 0.0]),
+        ConstantPiece(r1, math.inf, v1)))
+    assert profile.wall_gap(r_min) == 0.0
+    assert validate(profile).ok
+    assert validate(profile.scale(1e-3)).ok
+
+
+_CERTIFY_FAMILIES = {
+    "schwarzschild": lambda: schwarzschild(3, 0.005),
+    "deep-well": lambda: deep_well(3, 0.009, 8.0 * math.pi, 10.0),
+    "stripes": lambda: stripes((1.0, 2.0), 0.01),
+    **{f"spline-{seed}": (lambda seed=seed: random_spline_profile(
+        np.random.default_rng(seed), 3 + seed % 3)) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFY_FAMILIES))
+def test_validate_reads_pieces_at_their_own_points(name, monkeypatch):
+    # one read per piece at its ends, knots, slope vertices and joints,
+    # and cells that resolve without halving: no sample grid
+    profile = _CERTIFY_FAMILIES[name]()
+    evaluations = count_piece_evaluations(monkeypatch)
+    assert validate(profile).ok
+    knots = sum(p.knots.size if isinstance(p, CubicSplinePiece) else 2
+                for p in profile.pieces)
+    for (kind, method), calls in evaluations.calls.items():
+        pieces = sum(p.kind == kind for p in profile.pieces)
+        # a constant piece bounds its cells from one more gap read
+        assert calls <= (2 if method == "mass_and_gap" else 1) * pieces
+    assert sum(evaluations.radii.values()) <= 2 * (2 * knots
+                                                   + 3 * len(profile.pieces))
 
 
 def test_monotone_slopes_match_pchip_and_stay_nonnegative():
@@ -474,6 +574,33 @@ def test_boundaryless_deep_well_fillet_is_monotone_and_clear_of_the_wall():
         gap = fillet.mass_and_gap(rs, m)[1]
         assert np.all(gap >= (1.0 - 1e-12) * (1.0 - 2.0 * c) * xi_f)
     assert built == 377
+
+
+def test_deep_well_refuses_a_shallow_well_by_name():
+    # eps^2 >= 1/8, that is L <= sqrt(7) r_eps / 4.2, would ride at a gap
+    # g0 no below the descent's g_p; both generators refuse it and name
+    # the inputs and the least depth that builds
+    with pytest.raises(DomainError, match=(
+            r"deep well too shallow: delta=0.5, L=0.1 and r_eps=0.4375 give "
+            r"eps\^2=0.25 >= 1/8; L must exceed sqrt\(7\) r_eps / 4.2 = ")):
+        deep_well(3, 0.5, 4.0 * math.pi, 0.1)
+    refused = 0
+    for m, delta, alpha0, L in itertools.product(
+            (3, 4, 5, 7, 10), (1e-12, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 10.0),
+            (math.pi / 100, 4.0 * math.pi, 100.0), (0.1, 1.0, 10.0, 1e3)):
+        try:
+            pars = deep_well_parameters(m, delta, alpha0, L)
+        except DomainError as exc:
+            refused += 1
+            least = float(str(exc).rsplit("= ", 1)[1])
+            assert L <= least * (1.0 + 1e-12)
+            for with_boundary in (True, False):
+                with pytest.raises(DomainError, match="too shallow"):
+                    deep_well(m, delta, alpha0, L, with_boundary)
+            continue
+        assert pars["eps"] ** 2 < 0.125
+        assert L > math.sqrt(7.0) * pars["r_eps"] / 4.2
+    assert refused == 43
 
 
 def test_deep_well_scales_with_delta():

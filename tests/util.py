@@ -1,10 +1,12 @@
-"""Shared helpers for the test suite: random admissible profiles, a count
-of the quadrature's work, and the plain forms the optimized code must
-reproduce: the two-run split of ManifoldModel._integrate_cells and the
-summed wall gap of a constant piece on the wall."""
+"""Shared helpers for the test suite: random admissible profiles, counts
+of the quadrature's work and of the piece evaluations, and the plain forms
+the optimized code must reproduce: the two-run split of
+ManifoldModel._integrate_cells and the summed wall gap of a constant piece
+on the wall."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, List
 
@@ -16,6 +18,7 @@ from massflat.profiles import (
     ConstantPiece,
     CubicSplinePiece,
     HawkingProfile,
+    PowerLawPiece,
     monotone_slopes,
 )
 
@@ -98,6 +101,30 @@ def count_panels(monkeypatch) -> PanelCounts:
             counts.inside = False
 
     monkeypatch.setattr(geometry, "_panel_integrals", counted)
+    return counts
+
+
+@dataclass
+class PieceEvaluations:
+    """The piece evaluations seen by count_piece_evaluations, keyed by
+    (piece kind, method): calls, and radii over all calls."""
+
+    calls: Counter = field(default_factory=Counter)
+    radii: Counter = field(default_factory=Counter)
+
+
+def count_piece_evaluations(monkeypatch) -> PieceEvaluations:
+    """Count every mass_and_gap and mass_prime call on a piece from now on."""
+    counts = PieceEvaluations()
+    for cls in (ConstantPiece, PowerLawPiece, CubicSplinePiece):
+        for name in ("mass_and_gap", "mass_prime"):
+            def counted(self, r, *args, method=getattr(cls, name),
+                        key=(cls.kind, name)):
+                counts.calls[key] += 1
+                counts.radii[key] += np.size(r)
+                return method(self, r, *args)
+
+            monkeypatch.setattr(cls, name, counted)
     return counts
 
 
