@@ -16,12 +16,10 @@ import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
-import numpy as np
-
-from .embedding import _budget_distortion, embedding_constant_bound, q_slope
+from .embedding import _budget_distortion, _measured_constants, q_slope
 from .errors import CertificateError, positive
 from .geometry import (ManifoldModel, TubularWindow, euclidean_annulus_volume,
-                       tubular_window, window_bracket)
+                       tubular_window)
 from .profiles import _dimension, sphere_radius, unit_sphere_area
 
 __all__ = [
@@ -111,38 +109,30 @@ def _delta_eff(adm: float, xi_eps: float) -> Optional[float]:
 
 def flat_certificate(model: ManifoldModel, alpha0: float, D: float,
                      epsilon: float) -> FlatCertificate:
-    """Assemble the flat-distance certificate for the (alpha0, D) tube."""
+    """Assemble the flat-distance certificate for the (alpha0, D) tube.
+
+    The window's radii come from tubular_window; every integral the
+    certificate reads comes from one quadrature pass over the window
+    (ManifoldModel._window_volumes): the region volumes, and the rise of F
+    and the strip length behind the embedding constants, which equal
+    embedding_constant_bound(model, r_eps, r_plus) bit for bit.
+    """
     epsilon = positive(epsilon, "epsilon")
     m = model.dimension
     omega = model.omega
-    # On a horizon s' is infinite, so the guard runs before the window's
-    # quadrature.  The bracket is at most 2 D wide; on the test and benchmark
-    # models it is at most 1.6 times as wide as the window's (r_eps, r_plus],
-    # so 128 samples keep the spacing below (r_plus - r_eps) / 64.
-    _, r_lo, r_hi = window_bracket(model, alpha0, D)
-    xs = np.linspace(r_lo, r_hi, 129)[1:]
-    gap = model.profile.wall_gap(xs)
-    if np.any(gap <= 0):
-        k = int(np.argmax(gap <= 0))
-        raise CertificateError(
-            "horizon inside the certificate window: "
-            f"wall_gap({float(xs[k])!r}) = {float(gap[k])!r} <= 0 in the "
-            f"radius bracket ({r_lo!r}, {r_hi!r}]; the profile cannot be "
-            "admissible")
     window = tubular_window(model, alpha0, D)
     cut = well_cut(epsilon, D, alpha0, m)
     deep = cut.r_eps_prime > window.r_minus
     r_eps = max(cut.r_eps_prime, window.r_minus)
     r_plus = window.r_plus
 
-    consts = embedding_constant_bound(model, r_eps, r_plus)
-    s_m, c_m = consts.S_M, consts.C_M_bound
-
     inner = max(window.r0 - D, 0.0)
     # one quadrature pass; the deep shell [r_minus, r_eps] is empty unless
     # the cut lies inside the window
-    shell, vol_b1, vol_a1 = model._window_volumes(window.r_minus, r_eps,
-                                                  r_plus)
+    shell, vol_b1, vol_a1, rise, strip = model._window_volumes(
+        window.r_minus, r_eps, r_plus)
+    consts = _measured_constants(model, r_eps, r_plus, rise, strip)
+    s_m, c_m = consts.S_M, consts.C_M_bound
     vol_a2 = euclidean_annulus_volume(m, inner, r_eps)
     vol_a0 = euclidean_annulus_volume(m, r_plus, window.r0 + D)
     vol_b2 = s_m * shell

@@ -82,32 +82,44 @@ def embedding_constant_bound(model, r_a, r_b: float) -> EmbeddingConstants:
     a knot or an end of the range; between knots it can read low.
     S_M = sqrt(C (diam_M + C)) where diam_M is bounded by
     diam_W sqrt(1 + sup_grad^2) plus the graph height.  An array of left
-    ends r_a sharing r_b gives constants whose fields are arrays.  F and s
-    at every end come from one stacked read (ManifoldModel._F_and_s).
+    ends r_a sharing r_b gives constants whose fields are arrays.  The strip
+    length s(r_b) - s(r_a) and the rise F(r_b) - F(r_a) are the integrals
+    of s' and F' over [r_a, r_b], one pass for every range
+    (ManifoldModel._range_integrals); flat_certificate reads the same
+    integrals from its volume pass, bit for bit.
     """
-    scalar = np.ndim(r_a) == 0
-    r_a = np.atleast_1d(np.asarray(r_a, dtype=float))
-    fields = _measured_fields(model, r_a, r_b,
-                              *model._F_and_s(np.append(r_a, r_b)))
-    if scalar:
+    ends = np.atleast_1d(np.asarray(r_a, dtype=float))
+    rise, strip = model._range_integrals(model._slopes,
+                                         [(r, r_b) for r in ends])
+    return _measured_constants(model, r_a, r_b, rise, strip)
+
+
+def _measured_constants(model, r_a, r_b: float, rise,
+                        strip) -> EmbeddingConstants:
+    """embedding_constant_bound from the rise of F and the strip length
+    over each [r_a, r_b]: float fields for a scalar r_a, arrays for an
+    array."""
+    fields = _measured_fields(
+        model, np.atleast_1d(np.asarray(r_a, dtype=float)), r_b,
+        np.atleast_1d(rise), np.atleast_1d(strip))
+    if np.ndim(r_a) == 0:
         fields = {k: float(v[0]) for k, v in fields.items()}
     return EmbeddingConstants(mode="measured", **fields)
 
 
-def _measured_fields(model, r_a: np.ndarray, r_b: float, f_ends: np.ndarray,
-                     s_ends: np.ndarray) -> dict:
+def _measured_fields(model, r_a: np.ndarray, r_b: float, rise: np.ndarray,
+                     strip: np.ndarray) -> dict:
     """embedding_constant_bound's fields, as arrays over the left ends r_a,
-    from F and s read at r_a and then r_b (the last entry of each)."""
+    from F(r_b) - F(r_a) (rise) and s(r_b) - s(r_a) (strip)."""
     sup_grad = model.sup_grad(r_a, r_b)
-    diam_W_bound = (s_ends[-1] - s_ends[:-1]) + math.pi * r_b
-    delta_f = f_ends[-1] - f_ends[:-1]
+    diam_W_bound = strip + math.pi * r_b
     # sup_grad is infinite only on a boundary sphere, where diam_W > 0, so
     # the infinity carries through to diam_M, C and S
-    diam_M = diam_W_bound * np.sqrt(1.0 + sup_grad**2) + delta_f
+    diam_M = diam_W_bound * np.sqrt(1.0 + sup_grad**2) + rise
     C = 2.0 * diam_W_bound * sup_grad
     return {"C_M_bound": C, "S_M": np.sqrt(C * (diam_M + C)),
             "diam_W_bound": diam_W_bound,
-            "diam_M_bound": diam_M, "sup_grad": sup_grad, "delta_F": delta_f}
+            "diam_M_bound": diam_M, "sup_grad": sup_grad, "delta_F": rise}
 
 
 def budget_embedding_constants(D: float, r0: float,

@@ -13,12 +13,14 @@ one adaptive integration, and each value is the same as that of the query
 made alone.  Each cell runs in the coordinate of its kind, chosen per cell
 within one run, so one integrand call evaluates every node: r; on a minimal
 boundary sphere, where the integrands carry a (r - r_min)^(-1/2)
-singularity, u = sqrt(r - r_min) on the first knot interval; and beside a
-ride knot of a gap-space spline, where the gap is g0 + A (u - u_k)^2 +
-O((u - u_k)^3) in u = r^(m-2) with g0 tiny (the deep well's wall) and the
-integrands peak as 1/sqrt(gap), w = sqrt(g0 / A) wide in u and far narrower
-than a cell, u = u_k +- w sinh(t).  A geodesic leg with Clairaut constant c
-(see embedding.tube_distance) runs in v = sqrt(r^2 - c^2) for its length and
+singularity, u = sqrt(r - r_min) below _sub_edge, the end of the last cell
+of the first piece that lies nearer r_min than its width, so that every
+table cell converges on its first panel; and beside a ride knot of a
+gap-space spline, where the gap is g0 + A (u - u_k)^2 + O((u - u_k)^3) in
+u = r^(m-2) with g0 tiny (the deep well's wall) and the integrands peak as
+1/sqrt(gap), w = sqrt(g0 / A) wide in u and far narrower than a cell,
+u = u_k +- w sinh(t).  A geodesic leg with Clairaut constant c (see
+embedding.tube_distance) runs in v = sqrt(r^2 - c^2) for its length and
 alpha = arctan(v / c), or -arctan(c / v) past pi/4, for its angle, in charts
 of its own at the boundary and beside a ride knot.
 
@@ -27,19 +29,22 @@ vectorized 16-point Gauss-Legendre panels with an embedded 8-point error
 estimate and bisects the panels that miss the tolerance, breadth-first:
 each level holds the left halves, then the right halves, of the cells the
 level above did not accept, and each cell sums its accepted panels in level
-order.  One integrand call evaluates the GL16 and GL8 nodes of a level's
-cells, in calls of at most _BLOCK nodes of whole cells.  An integrand may
-return a stack of rows; each row keeps its own acceptance and equals the
-row integrated alone, so one pass over (F', s') builds both tables.  The
-same stacking serves the readers that need several integrals at once:
-_F_and_s reads F and s at a batch of radii in one pass, and _window_volumes
-integrates a certificate window's shell, graph excess and deep shell in one
-pass from one profile evaluation per node.  Each value equals the one its
-single query gives, bit for bit.  A panel whose value is not finite, one
-still unconverged after 50 bisections, or a batch whose pending cells (over
-all rows) bisection would grow by more than 200,000 raises QuadratureError.
-A model whose r^(m-2) or wall gap overflows at r_cap is refused before any
-quadrature runs.
+order.  The integrand sees cells, not loose nodes: it is called as f(x, p)
+on a (cells, 24) block of GL16 and GL8 nodes with one param row p per cell,
+in calls of at most _BLOCK nodes of whole cells, and the chart function of
+_integrate_cells maps only the rows of boundary, ride and leg cells to
+radii.  An integrand may return a stack of rows; each row keeps its own
+acceptance and equals the row integrated alone, so one pass over (F', s')
+builds both tables.  The same stacking serves the readers that need several
+integrals at once: _F_and_s reads F and s at a batch of radii in one pass,
+and _window_volumes integrates a certificate window's shell, graph excess,
+deep shell and the rise of F and s across it in one pass from one profile
+evaluation per node.  Each value equals the one its single query gives, bit
+for bit.  A panel whose value is not finite, one still unconverged after 50
+bisections, or a batch whose pending cells (over all rows) bisection would
+grow by more than 200,000 raises QuadratureError, which names the failing
+interval in radii.  A model whose r^(m-2) or wall gap overflows at r_cap is
+refused before any quadrature runs.
 """
 
 from __future__ import annotations
@@ -67,8 +72,9 @@ __all__ = [
 _TINY = 1e-300
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-# the nodes of one cell: GL16, then GL8
+# the nodes of one cell, GL16 then GL8, and their weights
 _GL_X = np.concatenate([_GL16_X, _GL8_X])
+_GL_W = np.concatenate([_GL16_W, _GL8_W])
 # most nodes per integrand call.  Larger calls ran slower per node: their
 # temporaries outgrow the allocator's reuse and fault in fresh pages (a
 # 2,048-path tube_distance batch took over twice the page faults at 16,384)
@@ -84,42 +90,38 @@ _SOLVE_REL = 1e-10
 def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
     """GL16 integrals over the cells [a_i, b_i] plus GL16-GL8 error gauges.
 
-    The 16 + 8 nodes of a run of cells go to f in one call, at most _BLOCK
-    nodes of whole cells at a time, so the temporaries of a pass stay
-    cache-sized however many cells it holds.  f may return one value per
-    node or a (k, n) stack of k integrands, which gives (k, cells) results.
-    With a per-cell ``param``, f is called as f(x, p), each node getting
-    its cell's row of param.
+    f takes a (cells, 24) block of nodes, each row the 16 GL16 and then the
+    8 GL8 nodes of one cell, and returns values of the block's shape, or a
+    (k, cells, 24) stack of k integrands, which gives (k, cells) results.
+    The cells go to f in blocks of at most _BLOCK nodes, so the temporaries
+    of a pass stay cache-sized however many cells it holds.  With a
+    per-cell ``param``, f is called as f(x, p), p holding one row of param
+    per row of x.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     step = _BLOCK // _GL_X.size
-
-    def values(cells):
-        x = (mid[cells, None] + half[cells, None] * _GL_X).reshape(-1)
-        y = f(x) if param is None else f(
-            x, np.repeat(param[cells], _GL_X.size, axis=0))
-        return y.reshape(y.shape[:-1] + (-1, _GL_X.size))
-
     # a non-finite integrand is reported by the caller as a QuadratureError.
     # Row-wise sums, not a matrix product: BLAS rounds a row differently
     # depending on how many rows share the call.
-    i16 = i8 = None
+    i16 = err = None
     for start in range(0, a.size, step):
         cells = slice(start, start + step)
-        y = values(cells)
+        x = mid[cells, None] + half[cells, None] * _GL_X
+        y = f(x) if param is None else f(x, param[cells])
         if i16 is None:
             i16 = np.empty(y.shape[:-2] + a.shape)
-            i8 = np.empty_like(i16)
+            err = np.empty_like(i16)
         with np.errstate(invalid="ignore", over="ignore"):
-            i16[..., cells] = (y[..., :16] * _GL16_W).sum(axis=-1) * half[cells]
-            i8[..., cells] = (y[..., 16:] * _GL8_W).sum(axis=-1) * half[cells]
-    with np.errstate(invalid="ignore", over="ignore"):
-        return i16, np.abs(i16 - i8)
+            y = y * _GL_W
+            i16[..., cells] = y[..., :16].sum(axis=-1) * half[cells]
+            err[..., cells] = np.abs(i16[..., cells]
+                                     - y[..., 16:].sum(axis=-1) * half[cells])
+    return i16, err
 
 
 def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
-                    group=None, param=None) -> np.ndarray:
+                    group=None, param=None, span=None) -> np.ndarray:
     """Adaptive panel integration of f over each cell, returned per cell.
 
     Bisection runs breadth-first, one _panel_integrals pass per level.
@@ -130,8 +132,10 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     of its cell's group: the largest level-0 value among the cells sharing
     its ``group`` label (one group by default).  A cell's result therefore
     depends only on the cells of its own group; it sums the accepted panels
-    in level order.  ``param`` (one entry or row per cell) is passed to f
-    as f(x, p), and the halves of a bisected cell inherit it.
+    in level order.  ``param`` (one row per cell) is passed to f as
+    f(x, p) (see _panel_integrals), and the halves of a bisected cell
+    inherit it.  Errors name an interval [lo, hi] of cell i's coordinate
+    as ``span(i, lo, hi)``, by default the plain "[lo, hi]".
 
     An f returning a (k, n) stack integrates k integrands at once and gives
     a (k, cells) result.  Each row has its own group scales and acceptance
@@ -151,6 +155,9 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     if a.size == 0:
         return np.zeros(0)
     labels = np.zeros(a.size, dtype=np.intp) if group is None else group
+    if span is None:
+        def span(i, lo, hi):
+            return f"[{float(lo)!r}, {float(hi)!r}]"
     idx = np.arange(a.size)
     p = None if param is None else np.asarray(param, dtype=float)
     # every level halves all pending cells, so they share one depth
@@ -168,7 +175,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         if bad.any():
             j, c = _first_cell(bad)
             raise QuadratureError(
-                f"non-finite integrand on [{float(a[c])!r}, {float(b[c])!r}] "
+                f"non-finite integrand on {span(idx[c], a[c], b[c])} "
                 f"(panel value {float(i16[j, c])!r}, error estimate "
                 f"{float(err[j, c])!r})")
         if depth == 0:
@@ -199,12 +206,12 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         n_next = 2 * int(np.count_nonzero(pending))
         if depth == _MAX_DEPTH or n_next > a0.size + _MAX_EXTRA_CELLS:
             j, c = _first_cell(live)
+            i = idx[c]
             raise QuadratureError(
                 f"adaptive quadrature did not converge on "
-                f"[{float(a0[idx[c]])!r}, {float(b0[idx[c]])!r}] within "
-                f"{depth} bisections (piece [{float(a[c])!r}, "
-                f"{float(b[c])!r}], error estimate {float(err[j, c])!r}; "
-                f"{n_next} cells would be pending)")
+                f"{span(i, a0[i], b0[i])} within {depth} bisections (piece "
+                f"{span(i, a[c], b[c])}, error estimate "
+                f"{float(err[j, c])!r}; {n_next} cells would be pending)")
         a2, b2 = a[pending], b[pending]
         mid = 0.5 * (a2 + b2)
         idx2 = idx[pending]
@@ -257,7 +264,7 @@ class ManifoldModel:
             if not report.ok:
                 raise InvalidProfileError(
                     "profile failed validation:\n" + str(report))
-        self.profile = profile
+        self._profile = profile
         self.r_cap = float(r_cap)
         self.dimension = profile.dimension
         self.r_min = profile.r_min
@@ -267,6 +274,12 @@ class ManifoldModel:
         self._singular = (profile.r_min > 0
                           and gap0 <= 1e-9 * profile.r_min ** (self.dimension - 2))
         self._build_tables()
+
+    @property
+    def profile(self) -> HawkingProfile:
+        """The profile the tables were built from; read-only, so the tables
+        and every check made at construction keep describing it."""
+        return self._profile
 
     # -- exact pointwise data ------------------------------------------------
 
@@ -350,6 +363,8 @@ class ManifoldModel:
         breaks = []
         # (knot, side, w) of the ride knots inside the model
         self._ride = []
+        # per piece inside the model: its graded knots and its ride knots
+        graded, rides = [], []
         for k, piece in enumerate(profile.pieces):
             a = max(piece.r_lo, self.r_min)
             b = min(piece.r_hi, self.r_cap)
@@ -357,24 +372,43 @@ class ManifoldModel:
                 continue
             breaks += [a, b]
             pts.append(np.linspace(a, b, 49))
-            if a > 0 and b / a > 6.0:
-                pts.append(np.geomspace(a, b, 33))
-            elif a == 0.0:
-                pts.append(b * np.linspace(0.0, 1.0, 33) ** 2)
+            graded.append(np.geomspace(a, b, 33) if a > 0 and b / a > 6.0
+                          else b * np.linspace(0.0, 1.0, 33) ** 2
+                          if a == 0.0 else np.zeros(0))
+            pts.append(graded[-1])
             if k == 0 and self._singular:
                 # sqrt grading resolves the boundary singularity profile
                 pts.append(a + (b - a) * np.linspace(0.0, 1.0, 49) ** 2)
+            rides.append([])
             if isinstance(piece, CubicSplinePiece):
                 breaks += [x for x in piece.knots if a < x < b]
-                self._ride += [e for e in piece.ride_knots if a < e[0] < b]
+                rides[-1] = [e for e in piece.ride_knots if a < e[0] < b]
+                self._ride += rides[-1]
         knots = np.unique(np.concatenate(pts + [breaks]))
         knots = knots[(knots >= self.r_min) & (knots <= self.r_cap)]
         self.knots = knots
-        # below this edge a singular model integrates under u = sqrt(r - r_min)
-        self._sub_edge = knots[1] if self._singular else -math.inf
+        # below this edge a singular model integrates under u = sqrt(r - r_min):
+        # the end of the last cell of the first piece that lies nearer r_min
+        # than its width.  The (r - r_min)^(-1/2) of the integrands converges
+        # on one panel in r only from about a width away.
+        self._sub_edge = -math.inf
+        if self._singular:
+            head = knots[knots <= min(x for x in breaks if x > self.r_min)]
+            near = np.flatnonzero(head[:-1] - self.r_min < np.diff(head))
+            self._sub_edge = head[near[-1] + 1]
         # every integral's cells end at these radii
         cuts = np.unique(np.append(breaks, self._sub_edge))
         self._cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
+        # A leg's length also ends at the graded knots of the pieces beside
+        # one with ride knots.  The gap runs close to the wall there, and s'
+        # falls off a near-root just past the piece, which a leg cell
+        # reaching far beyond it would bisect towards level by level.  The
+        # angle chart squeezes those radii into its cell's end, r = c / beta,
+        # and converges on the cuts alone.
+        beside = [graded[j] for k, ride in enumerate(rides) if ride
+                  for j in (k - 1, k + 1) if 0 <= j < len(graded)]
+        cuts = np.unique(np.concatenate([self._cuts] + beside))
+        self._length_cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
         # one pass builds both tables, each row its own tolerance group,
         # scaled by its largest increment
         self._Fs_knots = np.stack([
@@ -387,15 +421,20 @@ class ManifoldModel:
 
     def _integrate_cells(self, fvec: Callable, a, b, group=None, c=None,
                          angle: bool = False) -> np.ndarray:
-        """Integrals of fvec over cells [a_i, b_i], each inside one knot interval.
+        """Integrals of fvec over cells [a_i, b_i], each inside one knot
+        interval, or below _sub_edge.
 
-        One _adaptive_cells run over every cell, each in its kind's coordinate
-        chosen by a ``param`` row, so one fvec call takes the nodes of all
-        kinds: plain cells run in r; boundary cells, below _sub_edge, under u,
-        r = r_min + u^2, in group labels offset past the others' to keep the
-        tolerance scales of a run of their own; ride cells, which end on a ride
-        knot u_k (see CubicSplinePiece) on the side where the gap rises, under
-        u = u_k +- w sinh(t) with u = r^(m-2).
+        One _adaptive_cells run over every cell, each in its kind's
+        coordinate chosen by a ``param`` row, so one fvec call takes the nodes
+        of all kinds.  fvec takes a 1-D array of radii.  The chart function
+        takes a (cells, 24) block of nodes with one param row per cell and
+        transforms only the rows of cells whose coordinate is not r:
+        boundary cells, below _sub_edge, under u, r = r_min + u^2, in group
+        labels offset past the others' to keep the tolerance scales of a run
+        of their own; ride cells, which end on a ride knot u_k (see
+        CubicSplinePiece) on the side where the gap rises, under
+        u = u_k +- w sinh(t) with u = r^(m-2); and the cells of geodesic
+        legs.  A batch of cells that all run in r needs no chart.
 
         An array ``c`` of Clairaut constants puts the cells on geodesic legs
         (see _leg_integrals): fvec, one row, is integrated over
@@ -407,11 +446,11 @@ class ManifoldModel:
         carries the leg's (r - c)^(-1/2) end is split at its midpoint, the
         half at the knot riding, the other in x.
 
-        A batch without boundary or ride cells calls fvec on its plain nodes.
-        A query with a ``group`` label of its own (see _adaptive_cells) gets
-        the same value whatever else is in its batch.  An fvec returning a
-        (k, n) stack gives (k, cells) integrals, each row equal to its
-        integrand's alone.
+        A QuadratureError names radii: the chart maps the failing interval
+        back to r.  A query with a ``group`` label of its own (see
+        _adaptive_cells) gets the same value whatever else is in its batch.
+        An fvec returning a (k, n) stack gives (k, cells) integrals, each row
+        equal to its integrand's alone.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -424,8 +463,14 @@ class ManifoldModel:
         sw = np.zeros(n)
         for knot, side, w in self._ride:
             sw[((b if side < 0 else a) == knot) & ~sub] = side * w
+
+        def nodewise(r):  # fvec at a block of radii, in the block's shape
+            y = fvec(r.reshape(-1))
+            return y.reshape(y.shape[:-1] + r.shape)
+
         if not (leg or sub.any() or sw.any()):
-            return _adaptive_cells(fvec, a, b, _QUAD_REL, group)
+            # every cell runs in r: no chart
+            return _adaptive_cells(nodewise, a, b, _QUAD_REL, group)
         if leg:
             split = np.nonzero((sw < 0.0) & (a - c < b - a))[0]
             a, b = np.append(a, a[split]), np.append(b, 0.5 * (a + b)[split])
@@ -457,9 +502,7 @@ class ManifoldModel:
 
         lo, hi = ends(a), ends(b)
         ride = sw != 0.0
-        if not (sub.any() or ride.any()):
-            return _adaptive_cells(lambda x, cs: fvec(radius(x, cs)), lo, hi,
-                                   _QUAD_REL, group, cs)
+        special = sub.any() or ride.any()
         k = self.dimension - 2
         power = float(k)
         # u at each ride cell's knot and other end, formed as the spline
@@ -477,39 +520,70 @@ class ManifoldModel:
         # sqrt(r - r_min) stays bounded as r -> r_min.
         r_floor = np.nextafter(r_min, np.inf)
 
-        def g(x, q):
-            # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c])
+        def dx_dr(r, c):
+            # whose 1/sqrt(r - c) a boundary chart's dr/du cancels
+            return r / np.sqrt(r + c) * (c / (r * r) if angle else 1.0)
+
+        def chart(x, q):
+            # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c]).
+            # The radii at the nodes x, and (rows, Jacobian) of each chart
+            # that scales the integrand: the boundary's, the ride's
+            if not special:  # legs in their plain charts only
+                return radius(x, q[:, 3:]), []
             bnd, on = q[:, 0] != 0.0, q[:, 1] != 0.0
-            r = radius(x, q[:, 3]) if leg else x.copy()
-            jac = np.ones(x.size)
-            xb, cb = x[bnd], q[bnd, -1]
-            r[bnd] = np.maximum(np.maximum(cb, r_min) + np.abs(cb - r_min)
-                                * np.sinh(xb) ** 2 if leg else r_min + xb * xb,
-                                r_floor)
-            # Scaling by 2 is exact, so fvec(r) * (2 sqrt(r - r_min)) rounds
-            # as fvec(r) * 2.0 * sqrt(r - r_min) does.
-            jac[bnd] = 2.0 * np.sqrt(r[bnd] - r_min)
-            u_k, d = q[on, 2], q[on, 1] * np.sinh(x[on])
-            r_on = (u_k + d) ** (1.0 / k)
-            # the offset from the rounded radius, as the gap reads it
-            u = r_on**power
-            r[on] = r_on
-            jac[on] = np.hypot(q[on, 1], u - u_k) * r_on / (k * u)
+            scaled = []
             if leg:
-                # dx/dr, whose 1/sqrt(r - c) a boundary chart's dr/du cancels
-                m = bnd | on
-                jac[m] *= r[m] / np.sqrt(r[m] + q[m, 3]) * (
-                    q[m, 3] / (r[m] * r[m]) if angle else 1.0)
-                # r - c from the offset d, whose digits r_on has rounded off
-                r_k = u_k ** (1.0 / k)
-                jac[on] /= np.sqrt(r_k - q[on, 3]
+                r = np.empty_like(x)
+                plain = ~(bnd | on)
+                r[plain] = radius(x[plain], q[plain, 3:])
+            else:
+                r = x.copy()
+            if bnd.any():
+                xb, cb = x[bnd], q[bnd, -1:]
+                r[bnd] = np.maximum(np.maximum(cb, r_min) + np.abs(cb - r_min)
+                                    * np.sinh(xb) ** 2 if leg
+                                    else r_min + xb * xb, r_floor)
+                # Scaling by 2 is exact, so fvec(r) * (2 sqrt(r - r_min))
+                # rounds as fvec(r) * 2.0 * sqrt(r - r_min) does.
+                jac = 2.0 * np.sqrt(r[bnd] - r_min)
+                if leg:
+                    jac *= dx_dr(r[bnd], cb)
+                scaled.append((bnd, jac))
+            if on.any():
+                u_k, w = q[on, 2:3], q[on, 1:2]
+                d = w * np.sinh(x[on])
+                r[on] = (u_k + d) ** (1.0 / k)
+                # the offset from the rounded radius, as the gap reads it
+                u = r[on] ** power
+                jac = np.hypot(w, u - u_k) * r[on] / (k * u)
+                if leg:
+                    jac *= dx_dr(r[on], q[on, 3:])
+                    # r - c from the offset d, whose digits r has rounded off
+                    r_k = u_k ** (1.0 / k)
+                    jac /= np.sqrt(r_k - q[on, 3:]
                                    + r_k * np.expm1(np.log1p(d / u_k) / k))
-            return fvec(r) * jac
+                scaled.append((on, jac))
+            return r, scaled
+
+        def g(x, q):
+            r, scaled = chart(x, q)
+            y = nodewise(r)
+            for mask, jac in scaled:
+                y[..., mask, :] *= jac
+            return y
+
+        def span(i, x_lo, x_hi):  # an interval of cell i's chart, in radii
+            # the Jacobians, unused, may divide by 0 at a cell end
+            with np.errstate(all="ignore"):
+                r = chart(np.array([[x_lo, x_hi]]), q[i:i + 1])[0]
+            r = np.clip(r, a[i], b[i])
+            return f"r in [{float(r.min())!r}, {float(r.max())!r}]"
 
         # the kinds under r and under u keep apart in tolerance groups, as
         # in runs of their own
-        group = np.where(sub, group + (int(group.max()) + 1), group)
-        y = _adaptive_cells(g, lo, hi, _QUAD_REL, group, q)
+        if sub.any():
+            group = np.where(sub, group + (int(group.max()) + 1), group)
+        y = _adaptive_cells(g, lo, hi, _QUAD_REL, group, q, span)
         if leg:
             y[split] += y[n:]
         return y[..., :n]
@@ -522,8 +596,9 @@ class ManifoldModel:
         sphere and reads +inf.  Legs sharing a ``group`` label share their
         tolerance scales (see _adaptive_cells)."""
         diverge = self._singular & (c == self.r_min) & (lo == c) & (hi > c)
-        edges = np.column_stack([lo, np.clip(self._cuts, lo[:, None],
-                                             hi[:, None]), hi])
+        cuts = self._cuts if angle else self._length_cuts
+        edges = np.column_stack([lo, np.clip(cuts, lo[:, None], hi[:, None]),
+                                 hi])
         live = (edges[:, :-1] < edges[:, 1:]) & ~diverge[:, None]
         owner = np.broadcast_to(np.arange(lo.size)[:, None], live.shape)[live]
         return np.where(diverge, np.inf, 0.0) + np.bincount(
@@ -555,7 +630,10 @@ class ManifoldModel:
         if np.any(off):
             x, i = arr[off], i[off]
             j = np.where(x - knots[i - 1] <= knots[i] - x, i - 1, i)
-            j = np.where(x < self._sub_edge, 0, j)
+            # the first interval reads from r_min, which keeps the relative
+            # accuracy of s and F close to the boundary sphere.  Farther
+            # below _sub_edge a cell from r_min would span decades of r.
+            j = np.where(self._singular & (x < knots[1]), 0, j)
             anchor = knots[j]
             inc = self._integrate_cells(fvec, np.minimum(anchor, x),
                                         np.maximum(anchor, x),
@@ -685,26 +763,32 @@ class ManifoldModel:
             [(r_a, r_b)])[0, 0])
 
     def _window_volumes(self, r_deep: float, r_a: float,
-                        r_b: float) -> Tuple[float, float, float]:
-        """shell_volume(r_a, r_b), graph_excess(r_a, r_b) and
-        shell_volume(r_deep, r_a) from one pass, each bit-equal to its call.
+                        r_b: float) -> Tuple[float, float, float, float, float]:
+        """shell_volume(r_a, r_b), graph_excess(r_a, r_b),
+        shell_volume(r_deep, r_a), and the rise F(r_b) - F(r_a) and strip
+        length s(r_b) - s(r_a) as the integrals of F' and s' over [r_a, r_b],
+        from one pass.  Each equals its range integrated alone
+        (_range_integrals) bit for bit.
 
-        One _slopes evaluation feeds both densities; the deep range is its
-        own tolerance group.  Its graph-excess row is not wanted, so it reads
-        0 on the deep range's nodes, which lie below r_a, and accepts every
-        cell at once instead of holding the deep cells in bisection.
+        One _slopes evaluation feeds every row; the deep range is its own
+        tolerance group.  The rows over [r_a, r_b] alone read 0 on the deep
+        range's nodes, which lie below r_a, and accept every deep cell at
+        once instead of holding it in bisection.
         """
         cap = r_b**self.dimension
 
         def densities(r):
             fp, sp = self._slopes(r)
+            below = r < r_a
             return np.stack([
                 self._shell_density(r, sp),
-                np.where(r < r_a, 0.0, self._excess_density(r, fp, cap))])
+                np.where(below, 0.0, self._excess_density(r, fp, cap)),
+                np.where(below, 0.0, fp), np.where(below, 0.0, sp)])
 
-        (shell, deep), (excess, _) = self._range_integrals(
-            densities, [(r_a, r_b), (r_deep, r_a)])
-        return float(shell), float(excess), float(deep)
+        (shell, deep), (excess, _), (rise, _), (strip, _) = \
+            self._range_integrals(densities, [(r_a, r_b), (r_deep, r_a)])
+        return (float(shell), float(excess), float(deep), float(rise),
+                float(strip))
 
     def sup_grad(self, r_a, r_b: float):
         """Largest F' at the model's knots inside [r_a, r_b] and at both ends.

@@ -55,8 +55,9 @@ def _gh_terms(model: ManifoldModel, window: TubularWindow,
     """
     f_ends, s_ends = model._F_and_s(
         np.append(r_eps, [window.r_plus, window.r_minus]))
-    consts = _measured_fields(model, r_eps, window.r_plus, f_ends[:-1],
-                              s_ends[:-1])
+    consts = _measured_fields(model, r_eps, window.r_plus,
+                              f_ends[-2] - f_ends[:-2],
+                              s_ends[-2] - s_ends[:-2])
     s_m, delta_f = consts["S_M"], consts["delta_F"]
     excess_1 = s_ends[:-2] - s_ends[-1]
     excess_2 = r_eps - max(window.r0 - window.D, 0.0)

@@ -76,15 +76,16 @@ class _Row:
 
 @dataclass(frozen=True)
 class _Integrand:
-    """Its rows stacked (one row alone is not); with param rows p, each
-    value becomes value * p[0] + p[1] sin(x)."""
+    """Its rows stacked (one row alone is not); with param rows p, one per
+    row of the (cells, nodes) block x, each value becomes
+    value * p[0] + p[1] sin(x)."""
 
     rows: tuple
 
     def __call__(self, x, p=None):
         y = self.rows[0](x) if len(self.rows) == 1 else np.stack(
             [row(x) for row in self.rows])
-        return y if p is None else y * p[:, 0] + p[:, 1] * np.sin(x)
+        return y if p is None else y * p[:, :1] + p[:, 1:] * np.sin(x)
 
 
 _KINDS = ("ends", "nan-end", "interior", "jump", "smooth")

@@ -18,8 +18,8 @@ from massflat.certificates import (
     switch_bounds,
     well_cut,
 )
-from massflat import geometry
-from massflat.embedding import budget_embedding_constants, q_slope
+from massflat.embedding import (budget_embedding_constants,
+                                embedding_constant_bound, q_slope)
 from massflat.errors import CertificateError, DomainError
 from massflat.geometry import ManifoldModel, tubular_window
 from massflat.profiles import (
@@ -33,6 +33,7 @@ from massflat.profiles import (
     unit_sphere_area,
 )
 from test_acceptance import LATTICE_AREAS, LATTICE_EPSILONS, LATTICE_WIDTHS
+from util import count_panels
 
 
 def _cut_oracle(epsilon, D, alpha0, m):
@@ -136,29 +137,45 @@ _VOLUME_WINDOWS = {
     "deep-from-r-min": (schwarzschild(3, 5e-20), 12.0, 4.0 * math.pi, 1.5,
                         0.5, "deep"),
 }
-# most integrand calls a window's volume pass may take
-_VOLUME_PASS_CALLS = {"deep-from-r-min": 2}
+# most quadrature passes a window's volume pass may take
+_VOLUME_PASSES = {"deep-from-r-min": 2}
 
 
 @pytest.mark.parametrize("name", sorted(_VOLUME_WINDOWS))
-def test_one_volume_pass_equals_each_volume_alone(name):
-    # the shell, the graph excess and the deep shell share one pass, each
-    # range its own tolerance group: every volume reads what it reads alone
+def test_one_volume_pass_equals_each_volume_alone(name, monkeypatch):
+    # the shell, the graph excess, the deep shell and the rise of F and s
+    # over [r_eps, r_plus] share one pass, each range its own tolerance
+    # group: every integral reads what it reads alone
     profile, r_cap, alpha0, D, epsilon, variant = _VOLUME_WINDOWS[name]
     model = ManifoldModel(profile, r_cap)
     cert = flat_certificate(model, alpha0, D, epsilon)
     assert cert.a2_variant == variant
     r_minus, r_eps, r_plus = cert.r_minus, cert.r_eps, cert.r_plus
-    slopes, calls = model._slopes, []
-    model._slopes = lambda r: calls.append(r.size) or slopes(r)
-    shell, excess, deep = model._window_volumes(r_minus, r_eps, r_plus)
-    del model._slopes
-    assert len(calls) <= _VOLUME_PASS_CALLS.get(name, math.inf)
+    panels = count_panels(monkeypatch)
+    shell, excess, deep, rise, strip = model._window_volumes(r_minus, r_eps,
+                                                             r_plus)
+    assert panels.passes <= _VOLUME_PASSES.get(name, math.inf)
     assert shell == model.shell_volume(r_eps, r_plus)
     assert cert.vol_B2 == cert.S_M * shell
     assert excess == model.graph_excess(r_eps, r_plus) == cert.vol_B1
     assert deep == model.shell_volume(r_minus, r_eps) == cert.vol_A1
     assert (deep > 0.0) == (variant == "deep")
+    ranges = model._range_integrals(model._slopes, [(r_eps, r_plus)])
+    assert (rise, strip) == tuple(ranges[:, 0])
+
+
+@pytest.mark.parametrize("name", sorted(_VOLUME_WINDOWS))
+def test_certificate_constants_equal_embedding_constant_bound(name):
+    # the certificate reads the rise of F and the strip length from its
+    # volume pass, embedding_constant_bound from range integrals over the
+    # same cells: the constants agree bit for bit
+    profile, r_cap, alpha0, D, epsilon, _ = _VOLUME_WINDOWS[name]
+    model = ManifoldModel(profile, r_cap)
+    cert = flat_certificate(model, alpha0, D, epsilon)
+    consts = embedding_constant_bound(model, cert.r_eps, cert.r_plus)
+    assert (cert.C_M, cert.S_M) == (consts.C_M_bound, consts.S_M)
+    m = cert.dimension
+    assert cert.vol_A33 == model.omega * cert.r_plus ** (m - 1) * consts.delta_F
 
 
 _SWEEP_ALPHA0 = math.pi / 100.0
@@ -172,19 +189,15 @@ _SWEEP_R_CAP = 4.0 * (math.sqrt(_SWEEP_ALPHA0 / (4.0 * math.pi)) + 0.05)
 ], ids=["schwarzschild", "deep-well-sweep"])
 def test_flat_certificate_quadrature_passes(profile, r_cap, alpha0, D,
                                             epsilon, monkeypatch):
-    # the window's Newton steps, one stacked F/s read for the embedding
-    # constants and one pass for every volume (7 and 8 passes before)
+    # the window's Newton steps and one pass for every volume and for the
+    # embedding constants' ends: no end read of its own (8, 7, then 5
+    # passes before)
     model = ManifoldModel(profile, r_cap)
-    calls = []
-    integrate = ManifoldModel._integrate_cells
-
-    def counted(self, *args):
-        calls.append(args)
-        return integrate(self, *args)
-
-    monkeypatch.setattr(ManifoldModel, "_integrate_cells", counted)
+    panels = count_panels(monkeypatch)
+    tubular_window(model, alpha0, D)
+    window = panels.passes
     flat_certificate(model, alpha0, D, epsilon)
-    assert len(calls) <= 5
+    assert panels.passes == 2 * window + 1
 
 
 def test_certificate_volume_bounds_dominate_measured():
@@ -199,35 +212,17 @@ def test_certificate_volume_bounds_dominate_measured():
         assert measured <= b[key] * (1.0 + 1e-9) + 1e-12, key
 
 
-def test_certificate_rejects_horizon_in_window():
-    # swap in a wall-violating profile after the tables are built so the
-    # certificate's own guard is what fires, not the model constructor
-    model = ManifoldModel(flat(3), 8.0)
-    model.profile = HawkingProfile(3, 0.0, (
-        PowerLawPiece(0.0, 1.2, 0.6, 1.0),
-        ConstantPiece(1.2, math.inf, 0.72),
-    ))
-    with pytest.raises(CertificateError, match="horizon"):
-        flat_certificate(model, 4.0 * math.pi, 0.5, 0.5)
-
-
-def test_certificate_rejects_horizon_before_any_quadrature(monkeypatch):
-    # s0 - D is no table knot here, so building the window first would run
-    # Newton over the wall-violating integrand on every toolchain
-    model = ManifoldModel(flat(3), 8.0)
-    model.profile = HawkingProfile(3, 0.0, (
-        PowerLawPiece(0.0, 1.2, 0.6, 1.0),
-        ConstantPiece(1.2, math.inf, 0.72),
-    ))
-
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("quadrature ran before the horizon guard")
-
-    monkeypatch.setattr(geometry, "_adaptive_cells", no_quadrature)
-    for D in (0.3, 0.45):
-        with pytest.raises(CertificateError, match="horizon") as exc:
-            flat_certificate(model, 4.0 * math.pi, D, 0.5)
-        assert "wall_gap(" in str(exc.value)
+def test_model_profile_is_read_only():
+    # the tables, the validation and the singularity test describe the
+    # profile given at construction, so it cannot be swapped afterwards
+    profile = flat(3)
+    model = ManifoldModel(profile, 8.0)
+    with pytest.raises(AttributeError):
+        model.profile = HawkingProfile(3, 0.0, (
+            PowerLawPiece(0.0, 1.2, 0.6, 1.0),
+            ConstantPiece(1.2, math.inf, 0.72),
+        ))
+    assert model.profile is profile
 
 
 def test_tiny_mass_window_starts_exactly_at_r0_minus_D():

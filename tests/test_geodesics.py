@@ -156,6 +156,32 @@ def test_deep_well_tube_check_takes_few_quadrature_nodes(monkeypatch):
                                  n_pairs=32, S=1.0)
     assert rep["n_pairs"] == 32
     assert panels.nodes <= 1_000_000
+    # the lengths' cells also end at the tail's graded knots beside the
+    # release end r_t: the last length run bisected 24 levels towards the
+    # near-root of the tail's gap at 2 delta' when legs ended only at cuts
+    # (48 passes in all), it now takes 3 (29 in all)
+    assert max(panels.runs) <= 4
+    assert panels.passes <= 30
+
+
+def test_deep_well_tube_check_default_allowance_finds_no_violation():
+    model = ManifoldModel(deep_well(3, 1e-5, math.pi / 100, 10.0), 40.0)
+    window = tubular_window(model, math.pi / 100, 15.0)
+    rep = metric_embedding_check(model, window, mesh_h=0.05, seed=1,
+                                 n_pairs=32)
+    assert rep["violations"] == 0
+
+
+def test_leg_cells_end_at_graded_knots_only_beside_ride_pieces():
+    # the lengths of legs on a deep well also end at the tail's graded
+    # knots; Schwarzschild has no ride knots and keeps its legs' cells
+    well = ManifoldModel(deep_well(3, 1e-5, math.pi / 100, 10.0), 40.0)
+    r_t = well.profile.pieces[-1].r_lo
+    tail = well._length_cuts[well._length_cuts > r_t]
+    assert tail.size > 20 and np.isin(tail, well.knots).all()
+    assert np.isin(well._cuts, well._length_cuts).all()
+    plain = ManifoldModel(schwarzschild(3, 0.1), 8.0)
+    np.testing.assert_array_equal(plain._length_cuts, plain._cuts)
 
 
 def test_batches_spanning_several_integrand_calls_match_each_pair():

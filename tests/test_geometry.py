@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from scipy.stats import qmc
 
 from massflat import geometry
+from massflat.embedding import tube_distance
 from massflat.errors import (DomainError, QuadratureError, RangeError,
                              WindowOverflowError)
 from massflat.geometry import (
@@ -519,33 +521,37 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
     # the cells under u = sqrt(r - r_min) share one _adaptive_cells run with
     # the rest, in tolerance groups of their own: the table pass, reads that
     # straddle _sub_edge and the window volumes equal the split into two
-    # runs bit for bit, in one run each.  The deep wells' ride cells run
-    # under their own substitution, which the split lacks: there the two
-    # agree to 1e-11.  The split bisects in r towards the peak at r_w0 and
-    # reads the table cell ending there 5.8e-12 off a 40-digit mpmath value
-    # on deep-well-small; the one run reads it 5e-17 off.
+    # runs bit for bit, in one run each, which bisects as deep as the
+    # deeper of the two.  The deep wells' ride cells run under their own
+    # substitution, which the split lacks: there the two agree to 1e-11.
+    # The split bisects in r towards the peak at r_w0 and reads the table
+    # cell ending there 5.8e-12 off a 40-digit mpmath value on
+    # deep-well-small; the one run reads it 5e-17 off.
     model = _BATCH_MODELS[name]()
     assert model._singular
     ride = name.startswith("deep-well")
     assert bool(model._ride) == ride
     rng = np.random.default_rng(14)
     edge, knots = model._sub_edge, model.knots
+    e = int(np.searchsorted(knots, edge))
+    assert knots[e] == edge
     rs = np.concatenate([
         model.r_min + (edge - model.r_min) * rng.random(6), [edge],
         rng.uniform(edge, model.r_cap, 30)])
-    r_a = 0.5 * (knots[3] + knots[4])
+    r_a = 0.5 * (knots[e + 3] + knots[e + 4])
     r_b = 0.5 * (r_a + model.r_cap)
-    width = edge - model.r_min
+    below = knots[e - 1]
+    width = edge - below
 
     def swing_and_cliff(r):
-        # a few periods below the edge, which their own tolerance scale
-        # bisects, and a cliff above it, whose scale would accept them
-        return np.where(r > edge, 1e12,
-                        np.sin(8.0 * (r - model.r_min) / width))
+        # a few periods in the cell below the edge, which their own
+        # tolerance scale bisects, and a cliff above it, whose scale would
+        # accept them
+        return np.where(r > edge, 1e12, np.sin(8.0 * (r - below) / width))
 
     queries = {
         "groups": lambda: model._integrate_cells(
-            swing_and_cliff, knots[:2], knots[1:3]),
+            swing_and_cliff, knots[e - 1:e + 1], knots[e:e + 2]),
         "tables": lambda: ManifoldModel(model.profile, model.r_cap,
                                         check=False)._Fs_knots,
         "s": lambda: model.s(rs),
@@ -554,28 +560,83 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
         "volumes": lambda: model._window_volumes(model.r_min, r_a, r_b),
     }
     integrate = ManifoldModel._integrate_cells
-    adaptive = geometry._adaptive_cells
-    runs = []
-
-    def counted(*args, **kwargs):
-        runs.append(args[1])
-        return adaptive(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "_adaptive_cells", counted)
+    panels = count_panels(monkeypatch)
     for what, query in queries.items():
         monkeypatch.setattr(ManifoldModel, "_integrate_cells",
                             two_run_integrate_cells)
-        runs.clear()
+        start = len(panels.runs)
         reference = query()
-        assert len(runs) == 2, what
+        split = panels.runs[start:]
+        assert len(split) == 2, what
         monkeypatch.setattr(ManifoldModel, "_integrate_cells", integrate)
-        runs.clear()
+        start = len(panels.runs)
         if ride:
             np.testing.assert_allclose(query(), reference, rtol=1e-11,
                                        atol=0, err_msg=what)
+            assert len(panels.runs[start:]) == 1, what
         else:
             np.testing.assert_array_equal(query(), reference, what)
-        assert len(runs) == 1, what
+            assert panels.runs[start:] == [max(split)], what
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_singular_tables_build_in_one_pass(m, monkeypatch):
+    # the u chart reaches to the last cell nearer r_min than its width, so
+    # every table cell converges on its first panel.  With the chart on the
+    # first knot interval only, the cells next to it bisected: 3-D
+    # Schwarzschild at mass 1e-17 took passes of 123, 54 and 24 cells, the
+    # boundary-sphere splines 221, 4 and 2
+    models = [(schwarzschild(m, mass), r_cap)
+              for mass in (1e-17, 1e-8, 1e-3, 0.05, 0.15)
+              for r_cap in (6.0, 8.0, 20.0)]
+    if m < 5:
+        for seed in (3, 5, 6, 8, 9):
+            p = random_spline_profile(np.random.default_rng(seed), m)
+            models.append((p, float(p.pieces[1].knots[-1] + 3.0)))
+    panels = count_panels(monkeypatch)
+    for profile, r_cap in models:
+        start = panels.passes
+        model = ManifoldModel(profile, r_cap)
+        assert model._singular
+        assert panels.passes == start + 1, (profile, r_cap, panels.cells)
+
+
+def test_quadrature_errors_name_radii():
+    # a non-finite integrand on a cell under u = sqrt(r - r_min) is named
+    # by its radii, not by u
+    model = _schwarzschild_model(0.1, 8.0)
+    edge, knots = model._sub_edge, model.knots
+    bad = 0.5 * (knots[1] + knots[2])
+    assert bad < edge
+
+    def nan_below(r):
+        return np.where(r < bad, np.nan, 1.0)
+
+    with pytest.raises(QuadratureError,
+                       match=r"non-finite integrand on r in \[") as exc:
+        model._integrate_cells(nan_below, knots[:-1], knots[1:])
+    lo, hi = map(float, re.search(r"r in \[(\S+), (\S+)\]",
+                                  str(exc.value)).groups())
+    assert lo == pytest.approx(model.r_min, rel=1e-14)
+    assert hi == pytest.approx(knots[1], rel=1e-14)
+
+
+def test_unconverged_geodesic_leg_names_radii():
+    # a leg turning on the release ride knot of this well does not converge
+    # (its (r - c)^(-1/2) end meets the ride peak); the error names radii
+    # inside the model, not the leg's chart coordinates
+    profile = deep_well(3, 1e-5, math.pi / 100, 10.0)
+    model = ManifoldModel(profile, 40.0)
+    r_r = next(p for p in profile.pieces if p.kind == "cubic-spline"
+               and p.gap_space).knots[2]
+    for r_in in (r_r, r_r * (1.0 + 1e-9)):
+        try:
+            tube_distance(model, r_in, 2e-5, 0.0, 2e-5, 3.0)
+        except QuadratureError as exc:
+            spans = re.findall(r"r in \[(\S+), (\S+)\]", str(exc))
+            assert spans, str(exc)
+            for lo, hi in spans:
+                assert model.r_min <= float(lo) <= float(hi) <= model.r_cap
 
 
 def test_deep_well_build_evaluates_the_profile_once_per_call(monkeypatch):
@@ -743,7 +804,7 @@ def test_block_splitting_does_not_change_bits():
         return 1.0 / (1e-4 + (x - 0.3) ** 2)
 
     def wave(x, p):
-        return np.cos(p * x) * peak(x)
+        return np.cos(p[:, None] * x) * peak(x)  # one p per cell
 
     def stacked(x):
         return np.stack([peak(x), np.sin(3.0 * x)])
@@ -787,10 +848,11 @@ def test_profile_breaks_are_model_knots(name):
     missing = np.setdiff1d(inside, model.knots)
     assert missing.size == 0, missing
     # the cells of the geodesic integrals end at the same breaks inside the
-    # model, and at the edge of the boundary substitution
+    # model, and at the edge of the boundary substitution, itself a knot
     cuts = breaks[(breaks > model.r_min) & (breaks < model.r_cap)]
     if model._singular:
-        cuts = np.append(cuts, model.knots[1])
+        assert model._sub_edge in model.knots
+        cuts = np.append(cuts, model._sub_edge)
     np.testing.assert_array_equal(model._cuts, np.unique(cuts))
 
 
@@ -850,7 +912,7 @@ def test_adaptive_cells_caps_what_bisection_adds():
     with pytest.raises(QuadratureError,
                        match=r"did not converge on \[0\.0, 0\.001\] within "
                              r"7 bisections .* 256000 cells would be pending"):
-        _adaptive_cells(lambda x: rng.random(x.size), edges[:-1], edges[1:],
+        _adaptive_cells(lambda x: rng.random(x.shape), edges[:-1], edges[1:],
                         1e-12)
 
 

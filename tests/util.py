@@ -73,9 +73,11 @@ def random_spline_profile(rng: np.random.Generator,
 
 @dataclass
 class PanelCounts:
-    """The geometry._panel_integrals passes seen by count_panels."""
+    """The quadrature work seen by count_panels: geometry._panel_integrals
+    passes, and the geometry._adaptive_cells runs they belong to."""
 
     cells: List[int] = field(default_factory=list)  # the cells of each pass
+    runs: List[int] = field(default_factory=list)  # the passes of each run
     inside: bool = False  # true while a pass runs
 
     @property
@@ -88,19 +90,27 @@ class PanelCounts:
 
 
 def count_panels(monkeypatch) -> PanelCounts:
-    """Count every geometry._panel_integrals pass made from now on."""
+    """Count every geometry._panel_integrals pass, and every
+    geometry._adaptive_cells run, made from now on."""
     counts = PanelCounts()
-    panel = geometry._panel_integrals
+    panel, adaptive = geometry._panel_integrals, geometry._adaptive_cells
 
     def counted(f, a, b, param=None):
         counts.cells.append(a.size)
+        if counts.runs:
+            counts.runs[-1] += 1
         counts.inside = True
         try:
             return panel(f, a, b, param)
         finally:
             counts.inside = False
 
+    def counted_run(*args, **kwargs):
+        counts.runs.append(0)
+        return adaptive(*args, **kwargs)
+
     monkeypatch.setattr(geometry, "_panel_integrals", counted)
+    monkeypatch.setattr(geometry, "_adaptive_cells", counted_run)
     return counts
 
 
