@@ -25,26 +25,27 @@ alpha = arctan(v / c), or -arctan(c / v) past pi/4, for its angle, in charts
 of its own at the boundary and beside a ride knot.
 
 Every integral goes through ManifoldModel._integrate_cells, which runs
-vectorized 16-point Gauss-Legendre panels with an embedded 8-point error
-estimate and bisects the panels that miss the tolerance, breadth-first:
-each level holds the left halves, then the right halves, of the cells the
-level above did not accept, and each cell sums its accepted panels in level
-order.  The integrand sees cells, not loose nodes: it is called as f(x, p)
-on a (cells, 24) block of GL16 and GL8 nodes with one param row p per cell,
-in calls of at most _BLOCK nodes of whole cells, and the chart function of
-_integrate_cells maps only the rows of boundary, ride and leg cells to
-radii.  An integrand may return a stack of rows; each row keeps its own
-acceptance and equals the row integrated alone, so one pass over (F', s')
-builds both tables.  The same stacking serves the readers that need several
-integrals at once: _F_and_s reads F and s at a batch of radii in one pass,
-and _window_volumes integrates a certificate window's shell, graph excess,
-deep shell and the rise of F and s across it in one pass from one profile
-evaluation per node.  Each value equals the one its single query gives, bit
-for bit.  A panel whose value is not finite, one still unconverged after 50
-bisections, or a batch whose pending cells (over all rows) bisection would
-grow by more than 200,000 raises QuadratureError, which names the failing
-interval in radii.  A model whose r^(m-2) or wall gap overflows at r_cap is
-refused before any quadrature runs.
+vectorized 21-point Gauss-Kronrod panels (QUADPACK's QK21: the value is the
+Kronrod rule K21, the error gauge its gap to the 10-point Gauss rule G10 on
+10 of the same nodes) and bisects the panels that miss the tolerance,
+breadth-first: each level holds the left halves, then the right halves, of
+the cells the level above did not accept, and each cell sums its accepted
+panels in level order.  The integrand sees cells, not loose nodes: it is
+called as f(x, p) on a (cells, 21) block of nodes with one param row p per
+cell, in calls of at most _BLOCK nodes of whole cells, and the chart
+function of _integrate_cells maps only the rows of boundary, ride and leg
+cells to radii.  An integrand may return a stack of rows; each row keeps
+its own acceptance and equals the row integrated alone, so one pass over
+(F', s') builds both tables.  The same stacking serves the readers that
+need several integrals at once: _F_and_s reads F and s at a batch of radii
+in one pass, and _window_volumes integrates a certificate window's shell,
+graph excess, deep shell and the rise of F and s across it in one pass
+from one profile evaluation per node.  Each value equals the one its
+single query gives, bit for bit.  A panel whose value is not finite, one
+still unconverged after 50 bisections, or a batch whose pending cells (over
+all rows) bisection would grow by more than 200,000 raises QuadratureError,
+which names the failing interval in radii.  A model whose r^(m-2) or wall
+gap overflows at r_cap is refused before any quadrature runs.
 """
 
 from __future__ import annotations
@@ -70,11 +71,40 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-# the nodes of one cell, GL16 then GL8, and their weights
-_GL_X = np.concatenate([_GL16_X, _GL8_X])
-_GL_W = np.concatenate([_GL16_W, _GL8_W])
+# QUADPACK's QK21 rule on [-1, 1] (Piessens et al. 1983): the 10-point
+# Gauss rule G10 and its 21-point Kronrod extension K21, which reuses the
+# Gauss nodes.  Each row gives a node x > 0, standing for +-x, its K21
+# weight and, for a Gauss node, its G10 weight; _KRONROD_NODES lists the
+# nodes K21 adds, its centre node 0 apart.
+_G10_NODES = (
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651338),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657697),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+)
+_KRONROD_NODES = (
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580),
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192),
+)
+_K21_CENTRE_W = 0.149445554002916905664936468389821
+_G10_X, _G10_KW, _G10_GW = np.array(_G10_NODES).T
+_KR_X, _KR_KW = np.array(_KRONROD_NODES).T
+# the nodes of one cell, the 10 Gauss nodes first, so that G10 reads the
+# slice [:10], then the 11 Kronrod nodes, each set in increasing order;
+# the K21 weights of all 21 and the G10 weights of the first 10
+_GL_X = np.concatenate([-_G10_X[::-1], _G10_X, -_KR_X[::-1], [0.0], _KR_X])
+_K21_W = np.concatenate([_G10_KW[::-1], _G10_KW, _KR_KW[::-1],
+                         [_K21_CENTRE_W], _KR_KW])
+_G10_W = np.concatenate([_G10_GW[::-1], _G10_GW])
 # most nodes per integrand call.  Larger calls ran slower per node: their
 # temporaries outgrow the allocator's reuse and fault in fresh pages (a
 # 2,048-path tube_distance batch took over twice the page faults at 16,384)
@@ -88,15 +118,16 @@ _SOLVE_REL = 1e-10
 
 
 def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
-    """GL16 integrals over the cells [a_i, b_i] plus GL16-GL8 error gauges.
+    """K21 integrals over the cells [a_i, b_i] plus |K21 - G10| error gauges.
 
-    f takes a (cells, 24) block of nodes, each row the 16 GL16 and then the
-    8 GL8 nodes of one cell, and returns values of the block's shape, or a
-    (k, cells, 24) stack of k integrands, which gives (k, cells) results.
-    The cells go to f in blocks of at most _BLOCK nodes, so the temporaries
-    of a pass stay cache-sized however many cells it holds.  With a
-    per-cell ``param``, f is called as f(x, p), p holding one row of param
-    per row of x.
+    f takes a (cells, 21) block of nodes, each row the 10 G10 and then the
+    11 further K21 nodes of one cell (_GL_X), and returns values of the
+    block's shape, or a (k, cells, 21) stack of k integrands, which gives
+    (k, cells) results.  K21 is exact for polynomials of degree 31, G10 for
+    degree 19.  The cells go to f in blocks of at most _BLOCK nodes, so the
+    temporaries of a pass stay cache-sized however many cells it holds.
+    With a per-cell ``param``, f is called as f(x, p), p holding one row of
+    param per row of x.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -104,20 +135,20 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
     # a non-finite integrand is reported by the caller as a QuadratureError.
     # Row-wise sums, not a matrix product: BLAS rounds a row differently
     # depending on how many rows share the call.
-    i16 = err = None
+    k21 = err = None
     for start in range(0, a.size, step):
         cells = slice(start, start + step)
         x = mid[cells, None] + half[cells, None] * _GL_X
         y = f(x) if param is None else f(x, param[cells])
-        if i16 is None:
-            i16 = np.empty(y.shape[:-2] + a.shape)
-            err = np.empty_like(i16)
+        if k21 is None:
+            k21 = np.empty(y.shape[:-2] + a.shape)
+            err = np.empty_like(k21)
         with np.errstate(invalid="ignore", over="ignore"):
-            y = y * _GL_W
-            i16[..., cells] = y[..., :16].sum(axis=-1) * half[cells]
-            err[..., cells] = np.abs(i16[..., cells]
-                                     - y[..., 16:].sum(axis=-1) * half[cells])
-    return i16, err
+            k21[..., cells] = (y * _K21_W).sum(axis=-1) * half[cells]
+            err[..., cells] = np.abs(
+                k21[..., cells]
+                - (y[..., :10] * _G10_W).sum(axis=-1) * half[cells])
+    return k21, err
 
 
 def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
@@ -128,7 +159,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     Level 0 is the given cells; level d + 1 holds the halves of the cells
     level d does not accept, the left halves and then the right halves,
     each in the order of their parents.  A panel is accepted when its
-    GL16-GL8 gap is at most rel times its value plus 1e-4 times the scale
+    K21-G10 gap is at most rel times its value plus 1e-4 times the scale
     of its cell's group: the largest level-0 value among the cells sharing
     its ``group`` label (one group by default).  A cell's result therefore
     depends only on the cells of its own group; it sums the accepted panels
@@ -146,9 +177,9 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     pending cells.
 
     f must be smooth on each cell.  A jump between a cell end and the
-    outermost GL16 and GL8 nodes is invisible to both rules, so the gap
-    reads 0 and the cell is accepted with the wrong value; the model puts
-    every piece boundary and spline knot at a cell end for this reason.
+    outermost node is invisible to both rules, so the gap reads 0 and the
+    cell is accepted with the wrong value; the model puts every piece
+    boundary and spline knot at a cell end for this reason.
     """
     a = a0 = np.asarray(a_arr, dtype=float)
     b = b0 = np.asarray(b_arr, dtype=float)
@@ -162,42 +193,42 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     p = None if param is None else np.asarray(param, dtype=float)
     # every level halves all pending cells, so they share one depth
     for depth in range(_MAX_DEPTH + 1):
-        i16, err = _panel_integrals(f, a, b, p)
-        stacked = i16.ndim == 2
-        i16, err = np.atleast_2d(i16), np.atleast_2d(err)
-        n_rows = i16.shape[0]
+        k21, err = _panel_integrals(f, a, b, p)
+        stacked = k21.ndim == 2
+        k21, err = np.atleast_2d(k21), np.atleast_2d(err)
+        n_rows = k21.shape[0]
         if depth == 0:
-            live = np.ones(i16.shape, dtype=bool)
-        # the GL nodes are interior, so halving a panel cannot make a
+            live = np.ones(k21.shape, dtype=bool)
+        # the nodes are interior, so halving a panel cannot make a
         # non-finite integrand finite: fail on the first one.  err =
-        # |i16 - i8| is finite only where i16 is.
+        # |k21 - g10| is finite only where k21 is.
         bad = live & ~np.isfinite(err)
         if bad.any():
             j, c = _first_cell(bad)
             raise QuadratureError(
                 f"non-finite integrand on {span(idx[c], a[c], b[c])} "
-                f"(panel value {float(i16[j, c])!r}, error estimate "
+                f"(panel value {float(k21[j, c])!r}, error estimate "
                 f"{float(err[j, c])!r})")
         if depth == 0:
             n_groups = int(labels.max()) + 1
             top = np.zeros(n_rows * n_groups)
             np.maximum.at(top, (n_groups * np.arange(n_rows)[:, None]
-                                + labels).ravel(), np.abs(i16).ravel())
+                                + labels).ravel(), np.abs(k21).ravel())
             scale = np.maximum(top, _TINY).reshape(n_rows, n_groups)[:, labels]
-        ok = err <= rel * (np.abs(i16) + 1e-4 * scale[:, idx])
+        ok = err <= rel * (np.abs(k21) + 1e-4 * scale[:, idx])
         # cells narrower than a few ulps cannot be split further
         ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
         if depth == 0:
             if ok.all():
                 # every row accepts every cell at level 0: summing into
-                # zeros would give i16 + 0.0, which turns -0.0 into 0.0
-                return i16 + 0.0 if stacked else i16[0] + 0.0
+                # zeros would give k21 + 0.0, which turns -0.0 into 0.0
+                return k21 + 0.0 if stacked else k21[0] + 0.0
             # per-row accumulators, indexed flat: ufunc.at is much slower
             # with a tuple of index arrays
             out = np.zeros(n_rows * a0.size)
             base = a0.size * np.arange(n_rows)[:, None]
         ok &= live
-        np.add.at(out, (base + idx)[ok], i16[ok])
+        np.add.at(out, (base + idx)[ok], k21[ok])
         live &= ~ok
         pending = live.any(axis=0)
         if not pending.any():
@@ -427,7 +458,7 @@ class ManifoldModel:
         One _adaptive_cells run over every cell, each in its kind's
         coordinate chosen by a ``param`` row, so one fvec call takes the nodes
         of all kinds.  fvec takes a 1-D array of radii.  The chart function
-        takes a (cells, 24) block of nodes with one param row per cell and
+        takes a (cells, 21) block of nodes with one param row per cell and
         transforms only the rows of cells whose coordinate is not r:
         boundary cells, below _sub_edge, under u, r = r_min + u^2, in group
         labels offset past the others' to keep the tolerance scales of a run

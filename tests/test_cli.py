@@ -450,7 +450,8 @@ def test_each_command_takes_only_the_options_it_reads(schwarz_path, capsys):
 
 def test_start_up_imports_no_scipy(schwarz_path):
     # scipy is a test reference only: no command imports it, the sampled
-    # embedding check included
+    # embedding check included.  Nor does any import numpy.polynomial: the
+    # quadrature rule is a hard-coded table
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     sampled = ["certificate", schwarz_path, "--alpha0", str(4.0 * math.pi),
@@ -468,6 +469,8 @@ def test_start_up_imports_no_scipy(schwarz_path):
                  if line.startswith("import time:")]
         assert "massflat.geometry" in names
         assert [n for n in names if n.split(".")[0] == "scipy"] == []
+        assert [n for n in names
+                if n.split(".")[:2] == ["numpy", "polynomial"]] == []
 
 
 def test_no_module_of_the_package_imports_scipy():

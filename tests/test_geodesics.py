@@ -164,6 +164,20 @@ def test_deep_well_tube_check_takes_few_quadrature_nodes(monkeypatch):
     assert panels.passes <= 30
 
 
+def test_tube_check_quadrature_work(monkeypatch):
+    # the oracle's integrals on a Schwarzschild tube.  Gauged by K21
+    # against G10, the final length run bisects 818 of its 3,554 level-0
+    # cells once (377,580 nodes in all); a 16-point rule gauged by an
+    # 8-point one bisected 1,600 of them, some twice (485,808 nodes)
+    model = ManifoldModel(schwarzschild(3, 0.1), 8.0)
+    window = tubular_window(model, 4.0 * math.pi, 0.5)
+    panels = count_panels(monkeypatch)
+    rep = metric_embedding_check(model, window, mesh_h=0.02, seed=1)
+    assert rep["violations"] == 0
+    assert max(panels.runs) <= 2
+    assert panels.nodes <= 400_000
+
+
 def test_deep_well_tube_check_default_allowance_finds_no_violation():
     model = ManifoldModel(deep_well(3, 1e-5, math.pi / 100, 10.0), 40.0)
     window = tubular_window(model, math.pi / 100, 15.0)
@@ -188,8 +202,8 @@ def test_batches_spanning_several_integrand_calls_match_each_pair():
     # every path is its own tolerance group, so how its cells fall into the
     # quadrature's integrand calls cannot change its value
     model = ManifoldModel(schwarzschild(3, 0.1), 8.0)
-    r1, t1, r2, t2 = _random_pairs(5, 0.5, 2.0,
-                                   2 * (geometry._BLOCK // 24) + 3)
+    per_call = geometry._BLOCK // geometry._GL_X.size
+    r1, t1, r2, t2 = _random_pairs(5, 0.5, 2.0, 2 * per_call + 3)
     batch = tube_distance(model, 0.5, r1, t1, r2, t2)
     alone = [tube_distance(model, 0.5, *args) for args in zip(r1, t1, r2, t2)]
     assert batch.tolist() == alone

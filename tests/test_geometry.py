@@ -335,6 +335,26 @@ def test_validate_runs_inside_model_build():
     assert model.dimension == 4
 
 
+def test_kronrod_rule_constants():
+    # K21 (all 21 nodes) integrates x^k on [-1, 1] exactly for k <= 31, the
+    # Gauss rule G10 on the first 10 nodes for k <= 19
+    x, k21, g10 = geometry._GL_X, geometry._K21_W, geometry._G10_W
+    assert x.shape == k21.shape == (21,) and g10.shape == (10,)
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(k21 * x**k) - exact) <= 1e-15, k
+        if k <= 19:
+            assert abs(np.sum(g10 * x[:10]**k) - exact) <= 1e-15, k
+    # the first 10 of the 21 nodes carry the 10-point Gauss-Legendre rule;
+    # the other 11 are new nodes
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(np.sort(x[:10]), gauss_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(g10[np.argsort(x[:10])], gauss_w, rtol=0,
+                               atol=1e-15)
+    assert np.unique(x).size == 21
+    assert abs(k21.sum() - 2.0) <= 1e-15 and abs(g10.sum() - 2.0) <= 1e-15
+
+
 def test_adaptive_cells_fails_fast_on_non_finite_panel():
     # an infinite integrand on one cell and a zero-width cell, where the
     # panel product is inf * 0; bisection cannot cure either
@@ -349,8 +369,8 @@ def test_adaptive_cells_fails_fast_on_non_finite_panel():
         with pytest.raises(QuadratureError,
                            match=r"on \[0\.25, 0\.75\] \(panel value inf"):
             _adaptive_cells(diverging, [0.25, 0.5], [0.75, 0.5], 1e-12)
-    # the first pass only: one call over both cells' GL16 and GL8 nodes
-    assert sizes == [48]
+    # the first pass only: one call over both cells' nodes
+    assert sizes == [2 * geometry._GL_X.size]
 
 
 def test_adaptive_cells_raises_at_the_depth_limit():
@@ -657,9 +677,10 @@ def test_deep_well_build_evaluates_the_profile_once_per_call(monkeypatch):
     # the integrands read the profile through its unchecked evaluator
     monkeypatch.setattr(HawkingProfile, "_mass_and_gap", counted_mass_and_gap)
     ManifoldModel(deep_well(3, 1e-6, math.pi / 100, 10.0), 0.4)
-    per_call = geometry._BLOCK // 24
-    # one call per level; bisecting towards the peaks in r made 24
-    assert len(evaluations) == 4
+    per_call = geometry._BLOCK // geometry._GL_X.size
+    # one call per block of a level: two levels, the first of 269 cells in
+    # two blocks; bisecting towards the peaks in r made 24 levels
+    assert len(evaluations) == 3
     assert len(evaluations) == sum(-(-n // per_call) for n in panels.cells)
     # every call after the first of each integration fits in one block
     assert len(evaluations) <= panels.passes + 2
@@ -798,7 +819,7 @@ def test_block_splitting_does_not_change_bits():
     # one cell more, equals its cells integrated a few at a time, with and
     # without param; every cell is its own tolerance group, so only the
     # split differs
-    per_call = geometry._BLOCK // 24
+    per_call = geometry._BLOCK // geometry._GL_X.size
 
     def peak(x):  # only the cells near 0.3 need bisection
         return 1.0 / (1e-4 + (x - 0.3) ** 2)
