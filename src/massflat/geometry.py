@@ -6,20 +6,26 @@ as a graph over Euclidean space: the graph function F satisfies
     F'(r) = sqrt(2 m_H(r) / (r^(m-2) - 2 m_H(r))),    F(r_min) = 0,
 
 and the radial arclength is s'(r) = sqrt(r^(m-2) / (r^(m-2) - 2 m_H(r))).
-The model tabulates F and s over a knot set aligned with the profile pieces,
-answers queries by integrating from the nearest knot, and inverts s by a
-safeguarded Newton iteration.  Queries take arrays: a batch of radii costs
-one adaptive integration, and each value is the same as that of the query
-made alone.  Each cell runs in the coordinate of its kind, chosen per cell
-within one run, so one integrand call evaluates every node: r; on a minimal
-boundary sphere, where the integrands carry a (r - r_min)^(-1/2)
+The model tabulates F and s over a knot set aligned with the profile pieces
+and keeps the table pass's panels: every table cell is one accepted panel
+(a knot cell the pass bisected becomes one table cell per panel), with its
+chart and the integrand at its 21 nodes and both chart ends.  A read off
+the table's ends adds to the table the integral of the cell's interpolant
+through those 23 values from the cell's start, and r_of_s inverts s by a
+safeguarded Newton iteration on the same panel, so neither runs any
+quadrature.  Queries take arrays, and each value is the same as that of the
+query made alone.  Each cell runs in the coordinate of its kind, chosen per
+cell within one run, so one integrand call evaluates every node: r; on a
+minimal boundary sphere, where the integrands carry a (r - r_min)^(-1/2)
 singularity, u = sqrt(r - r_min) below _sub_edge, the end of the last cell
 of the first piece that lies nearer r_min than its width, so that every
-table cell converges on its first panel; and beside a ride knot of a
+knot cell converges on its first panel; and beside a ride knot of a
 gap-space spline, where the gap is g0 + A (u - u_k)^2 + O((u - u_k)^3) in
 u = r^(m-2) with g0 tiny (the deep well's wall) and the integrands peak as
 1/sqrt(gap), w = sqrt(g0 / A) wide in u and far narrower than a cell,
-u = u_k +- w sinh(t).  A geodesic leg with Clairaut constant c (see
+u = u_k +- w sinh(t).  The charts are rows of a table: _chart_x maps radii
+to a row's coordinate and _chart_r maps nodes back, for the integration and
+the reads alike.  A geodesic leg with Clairaut constant c (see
 embedding.tube_distance) runs in v = sqrt(r^2 - c^2) for its length and
 alpha = arctan(v / c), or -arctan(c / v) past pi/4, for its angle, in charts
 of its own at the boundary and beside a ride knot.
@@ -36,12 +42,11 @@ cell, in calls of at most _BLOCK nodes of whole cells, and the chart
 function of _integrate_cells maps only the rows of boundary, ride and leg
 cells to radii.  An integrand may return a stack of rows; each row keeps
 its own acceptance and equals the row integrated alone, so one pass over
-(F', s') builds both tables.  The same stacking serves the readers that
-need several integrals at once: _F_and_s reads F and s at a batch of radii
-in one pass, and _window_volumes integrates a certificate window's shell,
-graph excess, deep shell and the rise of F and s across it in one pass
-from one profile evaluation per node.  Each value equals the one its
-single query gives, bit for bit.  A panel whose value is not finite, one
+(F', s') builds both tables.  The same stacking serves _window_volumes,
+which integrates a certificate window's shell, graph excess, deep shell
+and the rise of F and s across it in one pass from one profile evaluation
+per node; each value equals the one its single query gives, bit for bit.
+A panel whose value is not finite, one
 still unconverged after 50 bisections, or a batch whose pending cells (over
 all rows) bisection would grow by more than 200,000 raises QuadratureError,
 which names the failing interval in radii.  A model whose r^(m-2) or wall
@@ -105,6 +110,45 @@ _GL_X = np.concatenate([-_G10_X[::-1], _G10_X, -_KR_X[::-1], [0.0], _KR_X])
 _K21_W = np.concatenate([_G10_KW[::-1], _G10_KW, _KR_KW[::-1],
                          [_K21_CENTRE_W], _KR_KW])
 _G10_W = np.concatenate([_G10_GW[::-1], _G10_GW])
+# A table cell keeps its integrand at its 21 nodes and at both chart ends,
+# _TABLE_X on [-1, 1]; their interpolant p has degree 22.  In the fraction
+# f of the cell from its start, the integral of p from the start is
+#     P(f) = f (p(0) + f R(f)),
+# with R of degree 21.  A read evaluates R from its values at the 22
+# Chebyshev points _CHEB_F inside (0, 1) (_TO_CHEBYSHEV maps a cell's 23
+# values to them), in barycentric form with weights _CHEB_W, and keeps its
+# relative accuracy next to the start, also where p(0) = 0.
+_TABLE_X = np.append(_GL_X, [-1.0, 1.0])
+_START = _GL_X.size
+# the permutation that mirrors the nodes, x -> -x
+_MIRROR = np.array([np.flatnonzero(_TABLE_X == -x)[0] for x in _TABLE_X])
+_CHEB_F = (1.0 - np.cos(np.pi * (np.arange(22) + 0.5) / 22)) / 2.0
+_CHEB_W = (-1.0) ** np.arange(22) * np.sin(np.pi * (np.arange(22) + 0.5) / 22)
+
+
+def _to_chebyshev() -> np.ndarray:
+    """The (22, 23) map from a cell's values at _TABLE_X to R at _CHEB_F.
+
+    With t_j = (x_j + 1) / 2 and the Lagrange basis l_j of those points,
+    R_j(f) = int_0^1 s D_j(f s) ds, D_j(t) = (l_j(t) - l_j(0)) / t, which
+    K21 integrates exactly.  Off the start, barycentric weights w give
+    D_j(t) = (w_j / (t - t_j)) / (w_0 + t sum_{k != 0} w_k / (t - t_k)),
+    with 0 the start, free of cancellation; D_0 is minus the others' sum,
+    as the l_j sum to 1.
+    """
+    t = (_TABLE_X + 1.0) / 2.0
+    w = 1.0 / np.prod(t[:, None] - t + np.eye(t.size), axis=1)
+    s, g = (_GL_X + 1.0) / 2.0, _K21_W / 2.0
+    tau = _CHEB_F[:, None] * s
+    d = tau[..., None] - t
+    d[..., _START] = np.inf  # the start's own term leaves the sums
+    terms = w / d
+    D = terms / (w[_START] + tau * terms.sum(axis=-1))[..., None]
+    D[..., _START] = -D.sum(axis=-1)
+    return (D * (g * s)[:, None]).sum(axis=1)
+
+
+_TO_CHEBYSHEV = _to_chebyshev()
 # most nodes per integrand call.  Larger calls ran slower per node: their
 # temporaries outgrow the allocator's reuse and fault in fresh pages (a
 # 2,048-path tube_distance batch took over twice the page faults at 16,384)
@@ -152,7 +196,8 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
 
 
 def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
-                    group=None, param=None, span=None) -> np.ndarray:
+                    group=None, param=None, span=None,
+                    leaves=None) -> np.ndarray:
     """Adaptive panel integration of f over each cell, returned per cell.
 
     Bisection runs breadth-first, one _panel_integrals pass per level.
@@ -166,7 +211,12 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     in level order.  ``param`` (one row per cell) is passed to f as
     f(x, p) (see _panel_integrals), and the halves of a bisected cell
     inherit it.  Errors name an interval [lo, hi] of cell i's coordinate
-    as ``span(i, lo, hi)``, by default the plain "[lo, hi]".
+    as ``span(i, lo, hi)``, by default the plain "[lo, hi]".  A ``leaves``
+    list receives, per level, the panels no row bisects further, as
+    (cell, a, b, param, values, node values): their cells, ends and param
+    rows, their (k, panels) values and the (k, panels, 23) block of f at
+    their 21 nodes and their two ends, which f then evaluates in the same
+    calls.  They partition the cells, one accepted panel each.
 
     An f returning a (k, n) stack integrates k integrands at once and gives
     a (k, cells) result.  Each row has its own group scales and acceptance
@@ -191,6 +241,23 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
             return f"[{float(lo)!r}, {float(hi)!r}]"
     idx = np.arange(a.size)
     p = None if param is None else np.asarray(param, dtype=float)
+    if leaves is not None:
+        blocks = []
+
+        def f(x, *q, f=f):  # also at both ends of each cell, in one call
+            done = sum(y.shape[-2] for y in blocks)
+            cells = slice(done, done + x.shape[0])
+            y = f(np.concatenate([x, a[cells, None], b[cells, None]], axis=1),
+                  *q)
+            blocks.append(y)
+            return y[..., :-2]
+
+        def keep(done):
+            y = np.concatenate(blocks, axis=-2)
+            blocks.clear()
+            leaves.append((idx[done], a[done], b[done],
+                           None if p is None else p[done], k21[:, done],
+                           y[..., done, :]))
     # every level halves all pending cells, so they share one depth
     for depth in range(_MAX_DEPTH + 1):
         k21, err = _panel_integrals(f, a, b, p)
@@ -220,6 +287,8 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
         if depth == 0:
             if ok.all():
+                if leaves is not None:
+                    keep(slice(None))
                 # every row accepts every cell at level 0: summing into
                 # zeros would give k21 + 0.0, which turns -0.0 into 0.0
                 return k21 + 0.0 if stacked else k21[0] + 0.0
@@ -231,6 +300,8 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         np.add.at(out, (base + idx)[ok], k21[ok])
         live &= ~ok
         pending = live.any(axis=0)
+        if leaves is not None:
+            keep(~pending)
         if not pending.any():
             out = out.reshape(n_rows, a0.size)
             return out if stacked else out[0]
@@ -281,10 +352,12 @@ class ManifoldModel:
                 f"r_cap must be finite, positive and above 2 r_min, got {r_cap}")
         m = profile.dimension
         # the integrands read r^(m-2), largest at r_cap, and the wall gap:
-        # a double that overflows there would surface as a QuadratureError
+        # a double that overflows there would surface as a QuadratureError.
+        # One profile evaluation gives the gaps at r_cap and at r_min.
         with np.errstate(over="ignore", invalid="ignore"):
             xi_cap = float(np.float64(r_cap) ** (m - 2))
-            gap_cap = float(profile.wall_gap(r_cap))
+            gap_cap, gap0 = profile._mass_and_gap(
+                np.array([r_cap, profile.r_min]))[1].tolist()
         for name, value in (("r^(m-2)", xi_cap), ("the wall gap", gap_cap)):
             if not math.isfinite(value):
                 raise DomainError(
@@ -301,7 +374,6 @@ class ManifoldModel:
         self.r_min = profile.r_min
         self.adm_mass = profile.adm_mass
         self.omega = unit_sphere_area(profile.dimension)
-        gap0 = float(profile.wall_gap(profile.r_min)) if profile.r_min > 0 else 0.0
         self._singular = (profile.r_min > 0
                           and gap0 <= 1e-9 * profile.r_min ** (self.dimension - 2))
         self._build_tables()
@@ -442,30 +514,169 @@ class ManifoldModel:
         self._length_cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
         # one pass builds both tables, each row its own tolerance group,
         # scaled by its largest increment
+        leaves = []
         self._Fs_knots = np.stack([
             np.concatenate([[0.0], np.cumsum(row)])
             for row in self._integrate_cells(self._slopes, knots[:-1],
-                                             knots[1:])])
+                                             knots[1:], leaves=leaves)])
         self._F_knots, self._s_knots = self._Fs_knots
+        # The pass's accepted panels are the table cells, in order of r: a
+        # knot cell the pass bisected becomes one table cell per panel.
+        # Each keeps its chart, its K21 values and the integrand at its
+        # nodes and both chart ends, which give its integral from its start
+        # (see _TO_CHEBYSHEV), in a frame that starts at its smaller radius:
+        # a ride chart left of its knot runs against r, and its values are
+        # mirrored.
+        owner, lo, hi, q, inc, y = leaves[0] if len(leaves) == 1 else (
+            np.concatenate(part, axis=axis) if part[0] is not None else None
+            for part, axis in zip(zip(*leaves), (0, 0, 0, 0, 1, 1)))
+        if q is None:
+            q = np.zeros((owner.size, 3))
+        dec = q[:, 1] < 0.0
+        ends, table = knots, self._Fs_knots
+        if len(leaves) > 1:
+            # the pass bisected: each knot cell's panels, in order of r,
+            # start where the one before them ends
+            order = np.lexsort((np.where(dec, -lo, lo), owner))
+            owner, lo, hi, q, dec = (v[order] for v in (owner, lo, hi, q, dec))
+            inc, y = inc[:, order], y[:, order]
+            ends, table = knots[owner], self._Fs_knots[:, owner]
+            later = np.flatnonzero(owner[1:] == owner[:-1]) + 1
+            ends[later] = self._chart_r(np.where(dec, hi, lo)[later, None],
+                                        q[later])[0][:, 0]
+            for k in later:
+                table[:, k] = table[:, k - 1] + inc[:, k - 1]
+            ends = np.append(ends, knots[-1])
+            table = np.concatenate([table, self._Fs_knots[:, -1:]], axis=1)
+        if dec.any():
+            y[:, dec] = y[:, dec][..., _MIRROR]
+        self._ends, self._Fs_ends, self._inc, self._nodes = ends, table, inc, y
+        # R at _CHEB_F of each cell, filled at the cell's first read
+        self._chebyshev = np.full(y.shape[:-1] + _CHEB_F.shape, np.nan)
+        # chart coordinate at the start, signed chart width, chart row
+        self._cells = (np.where(dec, hi, lo), np.where(dec, lo - hi, hi - lo),
+                       q)
 
     # -- the integration primitive ---------------------------------------------
 
+    def _chart_x(self, r, q, angle: bool = False) -> np.ndarray:
+        """The chart coordinate of radii r, each in the chart of its q row
+        (see _integrate_cells): r on plain radial cells, u = sqrt(r - r_min)
+        on boundary cells, t = asinh(|r^(m-2) - u_k| / w) on ride cells,
+        and on geodesic legs, whose rows carry a fourth column, the signed
+        Clairaut constant, their leg coordinates.  A ride chart runs from
+        t = 0 at its knot, so it decreases in r left of the knot."""
+        r_min = self.r_min
+        bnd, sw = q[:, 0] != 0.0, q[:, 1]
+        if q.shape[1] > 3:
+            cs = q[:, 3]
+            c = np.abs(cs)
+            x = np.sqrt((r - c) * (r + c))
+            if angle:
+                x = np.where(cs < 0.0, -np.arctan2(c, x), np.arctan2(x, c))
+            x[bnd] = np.arcsinh(np.sqrt((r[bnd] - np.maximum(c[bnd], r_min))
+                                        / np.abs(c[bnd] - r_min)))
+        else:
+            x = r.copy()
+            if bnd.any():
+                x[bnd] = np.sqrt(r[bnd] - r_min)
+        on = sw != 0.0
+        if on.any():
+            x[on] = np.arcsinh(np.abs(r[on] ** float(self.dimension - 2)
+                                      - q[on, 2]) / np.abs(sw[on]))
+        return x
+
+    def _leg_radius(self, x, cs, angle: bool) -> np.ndarray:
+        """r at nodes x of plain geodesic-leg cells with signed Clairaut
+        constants cs (see _integrate_cells)."""
+        # a node the chart's round trip puts below r_min reads r_min, as
+        # the profile's range check would clip it
+        if not angle:
+            return np.maximum(np.hypot(x, cs), self.r_min)
+        # one sine per node, cos(alpha) = sin(alpha + pi/2) to 3.2e-16
+        return np.maximum(cs / np.sin(x + (cs > 0.0) * (0.5 * np.pi)),
+                          self.r_min)
+
+    def _chart_r(self, x, q, angle: bool = False):
+        """The node map of _chart_x: the radii at a (cells, nodes) block x,
+        one q row per cell, and the (rows, Jacobian) of each chart that
+        scales the integrand there: the boundary's, the ride's."""
+        r_min, k = self.r_min, self.dimension - 2
+        leg = q.shape[1] > 3
+        bnd, on = q[:, 0] != 0.0, q[:, 1] != 0.0
+
+        def dx_dr(r, c):
+            # whose 1/sqrt(r - c) a boundary chart's dr/du cancels
+            return r / np.sqrt(r + c) * (c / (r * r) if angle else 1.0)
+
+        scaled = []
+        if leg:
+            r = np.empty_like(x)
+            plain = ~(bnd | on)
+            r[plain] = self._leg_radius(x[plain], q[plain, 3:], angle)
+        else:
+            r = x.copy()
+        if bnd.any():
+            # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back
+            # to r_min where the integrand diverges, so the offset is
+            # re-derived from the rounded radius (floored one step above
+            # r_min); fvec(r) * sqrt(r - r_min) stays bounded as r -> r_min.
+            xb, cb = x[bnd], q[bnd, -1:]
+            r[bnd] = np.maximum(np.maximum(cb, r_min) + np.abs(cb - r_min)
+                                * np.sinh(xb) ** 2 if leg
+                                else r_min + xb * xb,
+                                np.nextafter(r_min, np.inf))
+            # Scaling by 2 is exact, so fvec(r) * (2 sqrt(r - r_min))
+            # rounds as fvec(r) * 2.0 * sqrt(r - r_min) does.
+            jac = 2.0 * np.sqrt(r[bnd] - r_min)
+            if leg:
+                jac *= dx_dr(r[bnd], cb)
+            scaled.append((bnd, jac))
+        if on.any():
+            u_k, w = q[on, 2:3], q[on, 1:2]
+            d = w * np.sinh(x[on])
+            r[on] = (u_k + d) ** (1.0 / k)
+            # the offset from the rounded radius, as the gap reads it
+            u = r[on] ** float(k)
+            jac = np.hypot(w, u - u_k) * r[on] / (k * u)
+            if leg:
+                jac *= dx_dr(r[on], q[on, 3:])
+                # r - c from the offset d, whose digits r has rounded off
+                r_k = u_k ** (1.0 / k)
+                jac /= np.sqrt(r_k - q[on, 3:]
+                               + r_k * np.expm1(np.log1p(d / u_k) / k))
+            scaled.append((on, jac))
+        return r, scaled
+
+    def _chart_values(self, fvec: Callable, x, q, angle: bool = False):
+        """The integrand of fvec in the charts of the q rows at a (cells,
+        nodes) block x: fvec at the radii there, times each chart's
+        Jacobian, in the block's shape (with a leading axis for a stack)."""
+        r, scaled = self._chart_r(x, q, angle)
+        y = fvec(r.reshape(-1))
+        y = y.reshape(y.shape[:-1] + r.shape)
+        for mask, jac in scaled:
+            y[..., mask, :] *= jac
+        return y
+
     def _integrate_cells(self, fvec: Callable, a, b, group=None, c=None,
-                         angle: bool = False) -> np.ndarray:
+                         angle: bool = False, leaves=None) -> np.ndarray:
         """Integrals of fvec over cells [a_i, b_i], each inside one knot
         interval, or below _sub_edge.
 
         One _adaptive_cells run over every cell, each in its kind's
         coordinate chosen by a ``param`` row, so one fvec call takes the nodes
-        of all kinds.  fvec takes a 1-D array of radii.  The chart function
-        takes a (cells, 21) block of nodes with one param row per cell and
-        transforms only the rows of cells whose coordinate is not r:
-        boundary cells, below _sub_edge, under u, r = r_min + u^2, in group
-        labels offset past the others' to keep the tolerance scales of a run
-        of their own; ride cells, which end on a ride knot u_k (see
+        of all kinds.  fvec takes a 1-D array of radii.  The param rows form
+        a table of charts: _chart_x maps radii to a row's coordinate, and
+        _chart_r maps a (cells, 21) block of nodes back to radii and
+        Jacobians, transforming only the rows of cells whose coordinate is
+        not r: boundary cells, below _sub_edge, under u, r = r_min + u^2, in
+        group labels offset past the others' to keep the tolerance scales of
+        a run of their own; ride cells, which end on a ride knot u_k (see
         CubicSplinePiece) on the side where the gap rises, under
         u = u_k +- w sinh(t) with u = r^(m-2); and the cells of geodesic
-        legs.  A batch of cells that all run in r needs no chart.
+        legs.  A batch of cells that all run in r needs no chart, and its
+        ``leaves`` (see _adaptive_cells) carry no param rows.
 
         An array ``c`` of Clairaut constants puts the cells on geodesic legs
         (see _leg_integrals): fvec, one row, is integrated over
@@ -485,11 +696,11 @@ class ManifoldModel:
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        n, r_min, leg = a.size, self.r_min, c is not None
+        n, leg = a.size, c is not None
         group = np.zeros(n, dtype=np.intp) if group is None else group
         sub = b <= self._sub_edge
         if leg:
-            sub &= c != r_min
+            sub &= c != self.r_min
         # the signed peak width, -w on a cell left of its knot, w right of it
         sw = np.zeros(n)
         for knot, side, w in self._ride:
@@ -501,7 +712,9 @@ class ManifoldModel:
 
         if not (leg or sub.any() or sw.any()):
             # every cell runs in r: no chart
-            return _adaptive_cells(nodewise, a, b, _QUAD_REL, group)
+            return _adaptive_cells(nodewise, a, b, _QUAD_REL, group,
+                                   leaves=leaves)
+        cols = [sub, sw, np.zeros(a.size)]
         if leg:
             split = np.nonzero((sw < 0.0) & (a - c < b - a))[0]
             a, b = np.append(a, a[split]), np.append(b, 0.5 * (a + b)[split])
@@ -509,104 +722,29 @@ class ManifoldModel:
             c, sub, sw, group = (np.append(x, y[split]) for x, y in (
                 (c, c), (sub, sub), (sw, np.zeros(n)), (group, group)))
             # c, signed negative on the plain cells under -beta
-            cs = np.where(angle & (c > 0.0) & (b * b > 2.0 * c * c) & ~sub
-                          & (sw == 0.0), -c, c)
-
-            def radius(x, cs):  # r at nodes x of the plain leg cells
-                # a node the chart's round trip puts below r_min reads
-                # r_min, as the profile's range check would clip it
-                if not angle:
-                    return np.maximum(np.hypot(x, cs), r_min)
-                # one sine per node, cos(alpha) = sin(alpha + pi/2) to 3.2e-16
-                return np.maximum(
-                    cs / np.sin(x + (cs > 0.0) * (0.5 * np.pi)), r_min)
-
-        def ends(r):  # each cell's coordinate of the radii r
-            if not leg:
-                return np.where(sub, np.sqrt(r - r_min), r)
-            x = np.sqrt((r - c) * (r + c))
-            if angle:
-                x = np.where(cs < 0.0, -np.arctan2(c, x), np.arctan2(x, c))
-            x[sub] = np.arcsinh(np.sqrt((r[sub] - np.maximum(c[sub], r_min))
-                                        / np.abs(c[sub] - r_min)))
-            return x
-
-        lo, hi = ends(a), ends(b)
+            cols = [sub, sw, np.zeros(a.size),
+                    np.where(angle & (c > 0.0) & (b * b > 2.0 * c * c) & ~sub
+                             & (sw == 0.0), -c, c)]
+        # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c])
+        q = np.column_stack(cols)
         ride = sw != 0.0
+        # u at each ride cell's knot, formed as the spline evaluator forms u
+        # from r; the cell runs over t in [0, asinh(d / w)]
+        q[ride, 2] = np.where(sw < 0, b, a)[ride] ** float(self.dimension - 2)
+        lo, hi = self._chart_x(a, q, angle), self._chart_x(b, q, angle)
+        lo[sw < 0.0], hi[sw < 0.0] = hi[sw < 0.0], lo[sw < 0.0]
         special = sub.any() or ride.any()
-        k = self.dimension - 2
-        power = float(k)
-        # u at each ride cell's knot and other end, formed as the spline
-        # evaluator forms u from r; the cell runs over t in [0, asinh(d / w)]
-        u_k = np.where(sw < 0, b, a)[ride] ** power
-        u_end = np.where(sw < 0, a, b)[ride] ** power
-        lo[ride] = 0.0
-        hi[ride] = np.arcsinh(np.abs(u_end - u_k) / np.abs(sw[ride]))
-        q = np.column_stack([sub, sw, np.zeros(a.size)]
-                            + ([cs] if leg else []))
-        q[ride, 2] = u_k
-        # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back to
-        # r_min where fvec diverges, so the offset is re-derived from the
-        # rounded radius (floored one step above r_min); fvec(r) *
-        # sqrt(r - r_min) stays bounded as r -> r_min.
-        r_floor = np.nextafter(r_min, np.inf)
-
-        def dx_dr(r, c):
-            # whose 1/sqrt(r - c) a boundary chart's dr/du cancels
-            return r / np.sqrt(r + c) * (c / (r * r) if angle else 1.0)
-
-        def chart(x, q):
-            # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c]).
-            # The radii at the nodes x, and (rows, Jacobian) of each chart
-            # that scales the integrand: the boundary's, the ride's
-            if not special:  # legs in their plain charts only
-                return radius(x, q[:, 3:]), []
-            bnd, on = q[:, 0] != 0.0, q[:, 1] != 0.0
-            scaled = []
-            if leg:
-                r = np.empty_like(x)
-                plain = ~(bnd | on)
-                r[plain] = radius(x[plain], q[plain, 3:])
-            else:
-                r = x.copy()
-            if bnd.any():
-                xb, cb = x[bnd], q[bnd, -1:]
-                r[bnd] = np.maximum(np.maximum(cb, r_min) + np.abs(cb - r_min)
-                                    * np.sinh(xb) ** 2 if leg
-                                    else r_min + xb * xb, r_floor)
-                # Scaling by 2 is exact, so fvec(r) * (2 sqrt(r - r_min))
-                # rounds as fvec(r) * 2.0 * sqrt(r - r_min) does.
-                jac = 2.0 * np.sqrt(r[bnd] - r_min)
-                if leg:
-                    jac *= dx_dr(r[bnd], cb)
-                scaled.append((bnd, jac))
-            if on.any():
-                u_k, w = q[on, 2:3], q[on, 1:2]
-                d = w * np.sinh(x[on])
-                r[on] = (u_k + d) ** (1.0 / k)
-                # the offset from the rounded radius, as the gap reads it
-                u = r[on] ** power
-                jac = np.hypot(w, u - u_k) * r[on] / (k * u)
-                if leg:
-                    jac *= dx_dr(r[on], q[on, 3:])
-                    # r - c from the offset d, whose digits r has rounded off
-                    r_k = u_k ** (1.0 / k)
-                    jac /= np.sqrt(r_k - q[on, 3:]
-                                   + r_k * np.expm1(np.log1p(d / u_k) / k))
-                scaled.append((on, jac))
-            return r, scaled
 
         def g(x, q):
-            r, scaled = chart(x, q)
-            y = nodewise(r)
-            for mask, jac in scaled:
-                y[..., mask, :] *= jac
-            return y
+            if not special:  # plain leg charts only
+                return nodewise(self._leg_radius(x, q[:, 3:], angle))
+            return self._chart_values(fvec, x, q, angle)
 
         def span(i, x_lo, x_hi):  # an interval of cell i's chart, in radii
             # the Jacobians, unused, may divide by 0 at a cell end
             with np.errstate(all="ignore"):
-                r = chart(np.array([[x_lo, x_hi]]), q[i:i + 1])[0]
+                r = self._chart_r(np.array([[x_lo, x_hi]]), q[i:i + 1],
+                                  angle)[0]
             r = np.clip(r, a[i], b[i])
             return f"r in [{float(r.min())!r}, {float(r.max())!r}]"
 
@@ -614,7 +752,7 @@ class ManifoldModel:
         # in runs of their own
         if sub.any():
             group = np.where(sub, group + (int(group.max()) + 1), group)
-        y = _adaptive_cells(g, lo, hi, _QUAD_REL, group, q, span)
+        y = _adaptive_cells(g, lo, hi, _QUAD_REL, group, q, span, leaves)
         if leg:
             y[split] += y[n:]
         return y[..., :n]
@@ -643,52 +781,118 @@ class ManifoldModel:
         """checked_range over the model's radii [r_min, r_cap]."""
         return checked_range(r, self.r_min, self.r_cap, "radius")
 
-    def _cumulative_at(self, r, table: np.ndarray, fvec: Callable):
-        """Tabulated integral of fvec from r_min to each radius in r.
+    def _fraction(self, cell, r) -> np.ndarray:
+        """Where radii r lie in their table cells, as fractions of the
+        chart from the cell's start, its smaller radius."""
+        x0, width, q = self._cells
+        x = self._chart_x(r, q[cell])
+        return np.minimum(np.maximum((x - x0[cell]) / width[cell], 0.0), 1.0)
 
-        A knot reads the table; any other radius adds the integral from the
-        nearer knot (from r_min in the first interval of a singular model).
-        Each radius is its own tolerance group, so its value does not depend
-        on the batch.  A (k, knots) table with an fvec returning k rows
-        gives k rows, each equal to its row read alone (a scalar r gives k
-        floats).
+    def _panel_partials(self, cell, f, rows):
+        """Integrals over r of rows of (F', s') from the start of each table
+        cell to the fraction f of its chart, P(f) = f (p(0) + f R(f)) times
+        the chart's width (see _TO_CHEBYSHEV), and their derivatives in f,
+        from R(f) and R'(f) in barycentric form (Schneider and Werner).  A
+        cell's R at _CHEB_F is computed at its first read and kept.  The
+        points go in blocks, so the temporaries stay small however many a
+        read holds.
+        """
+        fresh = np.isnan(self._chebyshev[0, cell, 0])
+        if fresh.any():
+            # R at _CHEB_F, 0 for a constant p; row-wise sums, so that a
+            # cell's values do not depend on the read that fills them
+            new = np.unique(cell[fresh])
+            y = self._nodes[:, new]
+            self._chebyshev[:, new] = (((y - y[..., _START, None])
+                                        [..., None, :] * _TO_CHEBYSHEV)
+                                       .sum(axis=-1))
+        start = self._nodes[rows][..., cell, _START]
+        rf, drf = np.empty(start.shape), np.empty(start.shape)
+        for lo in range(0, f.size, _BLOCK):
+            part = slice(lo, lo + _BLOCK)
+            values = self._chebyshev[rows][..., cell[part], :]
+            d = f[part, None] - _CHEB_F
+            # a point on a Chebyshev point, or too close to one to weigh,
+            # reads its value (that point's weight alone, divided by
+            # itself) and a derivative of 0
+            hit = np.abs(d) < 1e-200
+            if hit.any():
+                at = hit.any(axis=-1)
+                d[at] = np.where(hit[at], _CHEB_W, np.inf)
+            w = _CHEB_W / d
+            total = w.sum(axis=-1)
+            # row-wise sums, so that a point reads the same in any batch
+            rf[..., part] = (w * values).sum(axis=-1) / total
+            drf[..., part] = ((w * (rf[..., part, None] - values) / d)
+                              .sum(axis=-1) / total)
+        width = np.abs(self._cells[1][cell])
+        return (width * f * (start + f * rf),
+                width * (start + f * (2.0 * rf + f * drf)))
+
+    def _cumulative_at(self, r, rows):
+        """Rows of the (F, s) table at each radius in r, in the same shape.
+
+        A table end reads the table; any other radius adds the panel
+        partial (_panel_partials) from the start of its table cell.  No
+        quadrature runs, and each radius reads the same in any batch.  A
+        scalar r gives a float for one row, a tuple for both.
         """
         arr, scalar = self._radii(r)
-        knots = self.knots
-        i = np.searchsorted(knots, arr)
-        out = table[..., i]
-        off = knots[i] != arr
+        ends = self._ends
+        i = np.searchsorted(ends, arr)
+        out = self._Fs_ends[rows][..., i]
+        off = ends[i] != arr
         if np.any(off):
-            x, i = arr[off], i[off]
-            j = np.where(x - knots[i - 1] <= knots[i] - x, i - 1, i)
-            # the first interval reads from r_min, which keeps the relative
-            # accuracy of s and F close to the boundary sphere.  Farther
-            # below _sub_edge a cell from r_min would span decades of r.
-            j = np.where(self._singular & (x < knots[1]), 0, j)
-            anchor = knots[j]
-            inc = self._integrate_cells(fvec, np.minimum(anchor, x),
-                                        np.maximum(anchor, x),
-                                        np.arange(x.size))
-            out[..., off] = table[..., j] + np.where(anchor <= x, inc, -inc)
+            cell = i[off] - 1
+            out[..., off] = self._Fs_ends[rows][..., cell] + self._panel_partials(
+                cell, self._fraction(cell, arr[off]), rows)[0]
         if not scalar:
             return out
         return float(out[0]) if out.ndim == 1 else tuple(out[:, 0].tolist())
 
     def F(self, r):
         """Graph height F(r), normalized to F(r_min) = 0."""
-        return self._cumulative_at(r, self._F_knots, self._f_prime)
+        return self._cumulative_at(r, 0)
 
     def s(self, r):
         """Radial arclength from the inner boundary to the sphere at r."""
-        return self._cumulative_at(r, self._s_knots, self._s_prime)
+        return self._cumulative_at(r, 1)
 
     def _F_and_s(self, r):
-        """F(r) and s(r) from one quadrature pass over (F', s').
+        """F(r) and s(r) from one read of the table.
 
         Rows of a (2, n) array, or two floats for a scalar r; each row is
         bit-equal to F or s queried alone.
         """
-        return self._cumulative_at(r, self._Fs_knots, self._slopes)
+        return self._cumulative_at(r, slice(None))
+
+    def _F_and_s_rises(self, r_a, r_b: float) -> np.ndarray:
+        """F(r_b) - F(r_a) and s(r_b) - s(r_a) for each r_a <= r_b, the
+        rows of a (2, n) array, from the table without differencing two
+        cumulative values: the increments of the table cells between, summed
+        from r_b's cell down, plus the panel partials at both ends (r_a's
+        cell's increment less the part below r_a)."""
+        ras, _ = self._radii(r_a)
+        r_b = float(self._radii(r_b)[0][0])
+        if np.max(ras, initial=r_b) > r_b:
+            raise RangeError(f"rises need r_a <= r_b, got "
+                             f"{float(np.max(ras))!r} > {r_b!r}")
+        ends = self._ends
+        last = self._inc.shape[1] - 1
+        cb = min(int(np.searchsorted(ends, r_b, side="right")) - 1, last)
+        ca = np.minimum(np.searchsorted(ends, ras, side="right") - 1, last)
+        cells = np.append(ca, cb)
+        part = self._panel_partials(
+            cells, self._fraction(cells, np.append(ras, r_b)), slice(None))[0]
+        head, part = part[:, -1:], part[:, :-1]
+        same = ca == cb
+        # between[:, c]: the increments of the cells c + 1 .. cb - 1
+        between = np.zeros((2, cb + 1))
+        if cb > 1:
+            between[:, :cb - 1] = np.cumsum(self._inc[:, cb - 1:0:-1],
+                                            axis=1)[:, ::-1]
+        return np.where(same, head - part,
+                        self._inc[:, ca] - part + between[:, ca] + head)
 
     @property
     def s_cap(self) -> float:
@@ -697,42 +901,49 @@ class ManifoldModel:
     def r_of_s(self, s):
         """Invert the arclength: the radius whose sphere lies at arclength s.
 
-        An arclength within 4 ulps of a tabulated one reads its knot; the
-        rest run one safeguarded Newton iteration over the whole array, each
-        point in its own bracket and frozen once s(r) matches its target to
-        _SOLVE_REL relative, which keeps the inverse accurate at any scale.
+        An arclength within 4 ulps of a tabulated one reads its table end;
+        the rest run one safeguarded Newton iteration over the whole array
+        on their table cells' panels (see _panel_partials), each point in
+        its own cell and frozen once s(r) matches its target to _SOLVE_REL
+        relative, which keeps the inverse accurate at any scale.
         """
         arr, scalar = checked_range(s, 0.0, self.s_cap, "arclength")
-        table = self._s_knots
-        knots = self.knots
+        table = self._Fs_ends[1]
+        ends = self._ends
         i = np.searchsorted(table, arr)
         # the cumulative sum rounds by a few ulps, so an exact-match rule
         # would depend on how it rounded
         j = np.where((i > 0) & (arr - table[i - 1] < table[i] - arr), i - 1, i)
-        out = knots[j]
+        out = ends[j]
         off = np.abs(table[j] - arr) > 4.0 * np.spacing(arr)
         if np.any(off):
-            target, i = arr[off], i[off]
-            lo, hi = knots[i - 1], knots[i]
-            s_lo, s_hi = table[i - 1], table[i]
-            r = lo + (hi - lo) * (target - s_lo) / (s_hi - s_lo)
+            target, cell = arr[off], i[off] - 1
+            x0, width, q = (v[cell] for v in self._cells)
+            base = table[cell]
+            # the Newton variable is the fraction f of the cell's chart from
+            # its start, along which s rises
+            f = (target - base) / (table[cell + 1] - base)
+            f_min, f_max = np.zeros(f.size), np.ones(f.size)
             tol = _SOLVE_REL * target
-            active = np.ones(r.size, dtype=bool)
+            active = np.ones(f.size, dtype=bool)
             for _ in range(80):
-                g = self.s(r) - target
+                part, slope = self._panel_partials(cell, f, 1)
+                g = base + part - target
                 active &= ~(np.abs(g) <= tol)
                 if not np.any(active):
                     break
-                hi = np.where(active & (g > 0), r, hi)
-                lo = np.where(active & ~(g > 0), r, lo)
-                sp = self._s_prime(r)
+                # the bracket of a point that stopped no longer matters
+                above = g > 0
+                f_max = np.where(above, f, f_max)
+                f_min = np.where(above, f_min, f)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    step = r - g / sp
-                newton = np.isfinite(sp) & (sp > 0) & (lo < step) & (step < hi)
-                step = np.where(newton, step, 0.5 * (lo + hi))
-                active &= step != r
-                r = np.where(active, step, r)
-            out[off] = r
+                    step = f - g / slope
+                newton = (slope > 0) & (f_min < step) & (step < f_max)
+                step = np.where(newton, step, 0.5 * (f_min + f_max))
+                active &= step != f
+                f = np.where(active, step, f)
+            r = self._chart_r((x0 + f * width)[:, None], q)[0][:, 0]
+            out[off] = np.clip(r, ends[cell], ends[cell + 1])
         return float(out[0]) if scalar else out
 
     # -- integrals over radial ranges -----------------------------------------
@@ -836,7 +1047,7 @@ class ManifoldModel:
                              f"{float(np.max(ras))!r} > {r_b!r}")
         knots = self.knots
         inner = knots[(knots > np.min(ras, initial=r_b)) & (knots < r_b)]
-        vals = self.f_prime(np.concatenate([ras, inner, [r_b]]))
+        vals = self._f_prime(np.concatenate([ras, inner, [r_b]]))
         at_knots = vals[ras.size:-1]
         # tail[k] = max F' over inner[k:]; the -inf entry is an empty tail
         tail = np.append(np.maximum.accumulate(at_knots[::-1])[::-1], -np.inf)

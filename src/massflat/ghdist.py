@@ -48,18 +48,19 @@ def _gh_terms(model: ManifoldModel, window: TubularWindow,
               r_eps: np.ndarray) -> dict:
     """Every GHBound field, as an array over the cuts r_eps.
 
-    F and s at the cuts, r_plus and r_minus come from one stacked read
-    (ManifoldModel._F_and_s), each value the same as read alone; the
-    embedding constants take the cuts and r_plus, the well excess the
-    arclengths of the cuts and r_minus.
+    The embedding constants take the rise of F and the strip length over
+    each [cut, r_plus] from the model's table (ManifoldModel._F_and_s_rises:
+    no quadrature, and no difference of two cumulative values, which would
+    lose the digits of a small rise where F is large); the well excess
+    s(cut) - s(r_minus) is the strip from r_minus less the strip from the
+    cut, read in the same batch.  Each cut's row is the same in any batch.
     """
-    f_ends, s_ends = model._F_and_s(
-        np.append(r_eps, [window.r_plus, window.r_minus]))
-    consts = _measured_fields(model, r_eps, window.r_plus,
-                              f_ends[-2] - f_ends[:-2],
-                              s_ends[-2] - s_ends[:-2])
+    rise, strip = model._F_and_s_rises(np.append(r_eps, window.r_minus),
+                                       window.r_plus)
+    consts = _measured_fields(model, r_eps, window.r_plus, rise[:-1],
+                              strip[:-1])
     s_m, delta_f = consts["S_M"], consts["delta_F"]
-    excess_1 = s_ends[:-2] - s_ends[-1]
+    excess_1 = strip[-1] - strip[:-1]
     excess_2 = r_eps - max(window.r0 - window.D, 0.0)
     # the second space is flat: its defect S_M2 is 0
     total = s_m + 0.0 + delta_f + excess_1 + excess_2

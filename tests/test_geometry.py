@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -355,6 +356,35 @@ def test_kronrod_rule_constants():
     assert abs(k21.sum() - 2.0) <= 1e-15 and abs(g10.sum() - 2.0) <= 1e-15
 
 
+def test_panel_partials_integrate_polynomials_exactly():
+    # a table cell's partial from its start, f (p(0) + f R(f)) with R read
+    # at the 22 Chebyshev points, is the integral of the polynomial p of
+    # degree <= 22 through its 23 values to 4e-15 relative, next to the
+    # start as well, where p(0) or p'(0) is nonzero; its slope is p to 1e-12
+    t = (geometry._TABLE_X + 1.0) / 2.0
+    start = geometry._START
+    assert t[start] == 0.0 and np.isfinite(geometry._TO_CHEBYSHEV).all()
+    # p = p0 + c f + f^k, one cell each, read at fractions f
+    cases = [(k, p0, 1.0 - p0) for k in range(23) for p0 in (0.0, 1.0)]
+    cells = SimpleNamespace(
+        _nodes=np.array([[p0 + c * t + t**k for k, p0, c in cases]]),
+        _chebyshev=np.full((1, len(cases), geometry._CHEB_F.size), np.nan),
+        _cells=(None, np.ones(len(cases)), None))
+    f = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12, 1.0],
+                        np.linspace(0.01, 0.99, 9), geometry._CHEB_F])
+    cell = np.repeat(np.arange(len(cases)), f.size)
+    f = np.tile(f, len(cases))
+    got, slope = ManifoldModel._panel_partials(cells, cell, f, 0)
+    k, p0, c = np.array(cases)[cell].T
+    want = p0 * f + c * f**2 / 2.0 + f ** (k + 1) / (k + 1)
+    assert np.all(np.abs(got - want) <= 4e-15 * want), np.max(
+        np.abs(got - want) / np.maximum(want, 1e-300))
+    # off the Chebyshev points, which read R' as 0 (Newton's slope only)
+    off = ~np.isin(f, geometry._CHEB_F)
+    want = p0 + c * f + f**k
+    assert np.all(np.abs(slope - want)[off] <= 1e-12 * want[off])
+
+
 def test_adaptive_cells_fails_fast_on_non_finite_panel():
     # an infinite integrand on one cell and a zero-width cell, where the
     # panel product is inf * 0; bisection cannot cure either
@@ -539,14 +569,15 @@ _SINGULAR_MODELS = ("deep-well", "deep-well-small", "schwarzschild",
 @pytest.mark.parametrize("name", _SINGULAR_MODELS)
 def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
     # the cells under u = sqrt(r - r_min) share one _adaptive_cells run with
-    # the rest, in tolerance groups of their own: the table pass, reads that
-    # straddle _sub_edge and the window volumes equal the split into two
-    # runs bit for bit, in one run each, which bisects as deep as the
-    # deeper of the two.  The deep wells' ride cells run under their own
-    # substitution, which the split lacks: there the two agree to 1e-11.
-    # The split bisects in r towards the peak at r_w0 and reads the table
-    # cell ending there 5.8e-12 off a 40-digit mpmath value on
-    # deep-well-small; the one run reads it 5e-17 off.
+    # the rest, in tolerance groups of their own: the table pass and the
+    # window volumes equal the split into two runs bit for bit, in one run
+    # each, which bisects as deep as the deeper of the two.  The deep
+    # wells' ride cells run under their own substitution, which the split
+    # lacks: there the two agree to 1e-11.  The split bisects in r towards
+    # the peak at r_w0 and reads the table cell ending there 5.8e-12 off a
+    # 40-digit mpmath value on deep-well-small; the one run reads it 5e-17
+    # off.  Reads that straddle _sub_edge run no quadrature at all: they
+    # read the table's panels.
     model = _BATCH_MODELS[name]()
     assert model._singular
     ride = name.startswith("deep-well")
@@ -572,15 +603,17 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
     queries = {
         "groups": lambda: model._integrate_cells(
             swing_and_cliff, knots[e - 1:e + 1], knots[e:e + 2]),
-        "tables": lambda: ManifoldModel(model.profile, model.r_cap,
-                                        check=False)._Fs_knots,
-        "s": lambda: model.s(rs),
-        "F": lambda: model.F(rs),
-        "F_and_s": lambda: model._F_and_s(rs),
+        # the table pass, summed into the tables at the knots
+        # (test_one_pass_over_both_slopes_equals_each_alone)
+        "tables": lambda: np.cumsum(model._integrate_cells(
+            model._slopes, knots[:-1], knots[1:]), axis=1),
         "volumes": lambda: model._window_volumes(model.r_min, r_a, r_b),
     }
     integrate = ManifoldModel._integrate_cells
     panels = count_panels(monkeypatch)
+    model.s(rs), model.F(rs), model._F_and_s(rs)
+    model.r_of_s(rng.uniform(0.0, model.s_cap, 30))
+    assert panels.passes == 0
     for what, query in queries.items():
         monkeypatch.setattr(ManifoldModel, "_integrate_cells",
                             two_run_integrate_cells)
@@ -597,6 +630,67 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
         else:
             np.testing.assert_array_equal(query(), reference, what)
             assert panels.runs[start:] == [max(split)], what
+
+
+# _BATCH_MODELS and a deep well with cells on both sides of its ride knots
+_PANEL_MODELS = {**_BATCH_MODELS, "deep-well-rides": lambda: ManifoldModel(
+    deep_well(3, 1e-5, math.pi / 100, 10.0), 40.0)}
+
+
+@pytest.mark.parametrize("name", sorted(_PANEL_MODELS))
+def test_panel_reads_agree_with_quadrature_from_the_cell_start(name):
+    # F and s off the table's ends read the table plus the panel partial of
+    # their table cell; they agree with adaptive quadrature from the start
+    # of the chart of their knot cell (the ride knot, on a ride cell left of
+    # it) to 1e-13, in every table cell: boundary charts on
+    # schwarzschild-tiny, both ride charts on deep-well-rides.  The
+    # quadrature's own nodes round to ulps of r, which moves it by up to a
+    # few slope * ulp(r) where a read lies next to a cell start.
+    model = _PANEL_MODELS[name]()
+    ends, knots = model._ends, model.knots
+    width, q = model._cells[1:]
+    if name == "deep-well-rides":
+        assert (q[:, 1] < 0.0).any() and (q[:, 1] > 0.0).any()
+    if name == "schwarzschild-tiny":
+        assert (q[:, 0] != 0.0).any()
+    rng = np.random.default_rng(21)
+    fractions = np.concatenate([rng.random(ends.size - 1),
+                                10.0 ** rng.uniform(-12.0, -1.0,
+                                                    ends.size - 1)])
+    cell = np.tile(np.arange(ends.size - 1), 2)
+    r = np.minimum(ends[cell] + fractions * (ends[cell + 1] - ends[cell]),
+                   ends[cell + 1])
+    k = np.minimum(np.searchsorted(knots, r, side="right"), knots.size - 1)
+    back = width[cell] < 0.0  # the chart starts at the knot above
+    a = np.where(back, r, knots[k - 1])
+    b = np.where(back, knots[k], r)
+    part = model._integrate_cells(model._slopes, a, b, np.arange(r.size))
+    want = np.where(back, model._Fs_knots[:, k] - part,
+                    model._Fs_knots[:, k - 1] + part)
+    err = np.abs(model._F_and_s(r) - want)
+    assert np.all(err <= 1e-13 * np.abs(want)
+                  + 4.0 * model._slopes(r) * np.spacing(r)), err.max()
+
+
+@pytest.mark.parametrize("name", sorted(_PANEL_MODELS))
+def test_every_table_cell_is_one_accepted_panel(name, monkeypatch):
+    # the table pass's accepted panels are the table cells: integrated
+    # again in their charts, each is accepted on its first panel, with the
+    # increment the table keeps
+    model = _PANEL_MODELS[name]()
+    x0, width, q = model._cells
+    panels = count_panels(monkeypatch)
+    inc = _adaptive_cells(
+        lambda x, p: model._chart_values(model._slopes, x, p),
+        np.minimum(x0, x0 + width), np.maximum(x0, x0 + width),
+        geometry._QUAD_REL, (q[:, 0] != 0.0).astype(np.intp), q)
+    assert panels.passes == 1
+    np.testing.assert_array_equal(inc, model._inc)
+    # a bisected knot cell gives a table cell per panel, all in r order
+    assert np.all(np.diff(model._ends) > 0.0)
+    assert np.isin(model.knots, model._ends).all()
+    assert (model._ends.size > model.knots.size) == name.startswith(
+        "deep-well")
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from massflat.embedding import embedding_constant_bound
+from massflat.certificates import delta_budget, flat_certificate
+from massflat.embedding import _measured_constants, embedding_constant_bound
 from massflat.errors import RangeError
 from massflat.geometry import ManifoldModel, tubular_window
 from massflat.ghdist import (_cut_candidates, best_gh_bound, gh_bound,
@@ -104,16 +105,24 @@ def test_segment_limit_default_and_explicit_cut():
     # below the window here, so only the two radii are reported
     r_def = math.sqrt(2.0 * 0.05 * window.r0)
     assert r_def < window.r_minus
-    consts = embedding_constant_bound(model, r_def, window.r_plus)
+    # the rise and the strip come from the table (ManifoldModel.
+    # _F_and_s_rises), within 1e-12 of embedding_constant_bound's
+    # quadrature over the same range
+    rise, strip = model._F_and_s_rises([r_def], window.r_plus)[:, 0]
+    consts = _measured_constants(model, r_def, window.r_plus, rise, strip)
     reach = consts.delta_F + consts.S_M
     assert out.rho == max(reach, math.pi * r_def)
     assert out.rho_prime == max(r_def, reach)
+    quadrature = embedding_constant_bound(model, r_def, window.r_plus)
+    assert reach == pytest.approx(quadrature.delta_F + quadrature.S_M,
+                                  rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("call", [best_gh_bound, segment_limit_bound])
 def test_one_embedding_constant_pass_per_bound(call, monkeypatch):
-    # F and s at every cut, r_plus and r_minus come from one stacked read:
-    # one quadrature pass per bound (three before: F, s, then s again)
+    # the rise of F and the strip over [cut, r_plus], and s at every cut
+    # and r_minus, come from the table: no quadrature pass at all (one
+    # stacked read before, and three before that: F, s, then s again)
     model = ManifoldModel(schwarzschild(3, 0.05), 8.0)
     window = tubular_window(model, 4.0 * math.pi, 0.5)
     calls = []
@@ -125,4 +134,30 @@ def test_one_embedding_constant_pass_per_bound(call, monkeypatch):
 
     monkeypatch.setattr(ManifoldModel, "_integrate_cells", counted)
     call(model, window)
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+# the four (epsilon, D, alpha0) budget points of one certify op, whose deep
+# wells have masses 1.4e-18 to 1.7e-21 under F ~ 28 at r_eps
+@pytest.mark.parametrize("epsilon, D, alpha0", [
+    (0.6461719548801922, 0.8869478201448215, 22.168687433745653),
+    (0.7384796010890997, 1.6223883565597195, 49.52034022210898),
+    (0.7151028561701925, 1.7294664543979166, 15.02073129763819),
+    (0.6067539445640314, 1.769997601361779, 47.94670660411658),
+])
+def test_gh_rise_keeps_its_digits_where_F_is_large(epsilon, D, alpha0):
+    # the rise of F over [r_eps, r_plus] is summed from the table's
+    # increments, not taken as F(r_plus) - F(r_eps): it agrees with
+    # embedding_constant_bound's quadrature over the range to 1e-12 (the
+    # difference of reads was 3.1e-5 off on the last point)
+    delta = delta_budget(epsilon, D, alpha0, 3).delta
+    r0 = math.sqrt(alpha0 / (4.0 * math.pi))
+    model = ManifoldModel(deep_well(3, 0.9 * delta, alpha0, 10.0),
+                          4.0 * (r0 + D))
+    window = tubular_window(model, alpha0, D)
+    r_eps = flat_certificate(model, alpha0, D, epsilon).r_eps
+    out = gh_bound(model, window, r_eps)
+    consts = embedding_constant_bound(model, r_eps, window.r_plus)
+    assert float(model.F(r_eps)) > 1e9 * out.hausdorff_ambient
+    assert out.hausdorff_ambient == pytest.approx(consts.delta_F, rel=1e-12,
+                                                  abs=0.0)

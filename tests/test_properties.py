@@ -27,7 +27,8 @@ from massflat.serialization import dumps_profile, loads_profile
 from util import random_spline_profile
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import (assume, example, given, settings,  # noqa: E402
+                        strategies as st)
 
 _PROFILES = {
     "schwarzschild": lambda: (schwarzschild(3, 0.05), 8.0),
@@ -95,6 +96,11 @@ def test_arclength_grows_at_least_as_fast_as_radius(name, lam, fracs):
 
 @settings(max_examples=30)
 @given(names, scales, fractions)
+# radii next to r = 0, where a table read is its first cell's panel partial
+@example("deep-well-no-boundary", 1745.6699097631758,
+         [0.0, 4.073513041934609e-28])
+@example("stripes", 10.0, [0.0, 7.737349872484958e-23])
+@example("deep-well-no-boundary", 1.0, [0.0, 1.1125369292536007e-308])
 def test_s_and_F_are_scale_covariant(name, lam, fracs):
     base = _base(name)
     model = _scaled(name, lam)
