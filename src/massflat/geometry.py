@@ -8,14 +8,16 @@ as a graph over Euclidean space: the graph function F satisfies
 and the radial arclength is s'(r) = sqrt(r^(m-2) / (r^(m-2) - 2 m_H(r))).
 The model tabulates F and s over a knot set aligned with the profile pieces
 and keeps the table pass's panels: every table cell is one accepted panel
-(a knot cell the pass bisected becomes one table cell per panel), with its
-chart and the integrand at its 21 nodes and both chart ends.  A read off
-the table's ends adds to the table the integral of the cell's interpolant
-through those 23 values from the cell's start, and r_of_s inverts s by a
-safeguarded Newton iteration on the same panel, so neither runs any
-quadrature.  Queries take arrays, and each value is the same as that of the
-query made alone.  Each cell runs in the coordinate of its kind, chosen per
-cell within one run, so one integrand call evaluates every node: r; on a
+(a knot cell the pass bisected becomes one table cell per panel, scaled so
+that the panels sum to each row's value of the cell), with its chart and
+the integrand at its 21 nodes and both chart ends, which the build checks
+are finite.  A read off the table's ends adds to the table the integral of
+the cell's interpolant through those 23 values from the cell's start, and
+r_of_s inverts s by a safeguarded Newton iteration on the same panel, so
+neither runs any quadrature.  Queries take arrays, and each value is the
+same as that of the query made alone.  Each cell runs in the coordinate of
+its kind, chosen per cell within one run, so one integrand call evaluates
+every node: r; on a
 minimal boundary sphere, where the integrands carry a (r - r_min)^(-1/2)
 singularity, u = sqrt(r - r_min) below _sub_edge, the end of the last cell
 of the first piece that lies nearer r_min than its width, so that every
@@ -149,6 +151,11 @@ def _to_chebyshev() -> np.ndarray:
 
 
 _TO_CHEBYSHEV = _to_chebyshev()
+# P(1) = p(0) + R(1), the integral of p over the cell, from its 23 values:
+# R's barycentric weights at f = 1 through the map, plus p(0)
+_AT_ONE = _CHEB_W / (1.0 - _CHEB_F)
+_WHOLE = _AT_ONE / _AT_ONE.sum() @ _TO_CHEBYSHEV
+_WHOLE[_START] += 1.0 - _WHOLE.sum()
 # most nodes per integrand call.  Larger calls ran slower per node: their
 # temporaries outgrow the allocator's reuse and fault in fresh pages (a
 # 2,048-path tube_distance batch took over twice the page faults at 16,384)
@@ -212,11 +219,12 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     f(x, p) (see _panel_integrals), and the halves of a bisected cell
     inherit it.  Errors name an interval [lo, hi] of cell i's coordinate
     as ``span(i, lo, hi)``, by default the plain "[lo, hi]".  A ``leaves``
-    list receives, per level, the panels no row bisects further, as
-    (cell, a, b, param, values, node values): their cells, ends and param
-    rows, their (k, panels) values and the (k, panels, 23) block of f at
-    their 21 nodes and their two ends, which f then evaluates in the same
-    calls.  They partition the cells, one accepted panel each.
+    list receives, per level, (cell, a, b, param, values, node values,
+    done): the level's cells, ends and param rows, their (k, panels)
+    values, the (k, panels, 23) block of f at their 21 nodes and their two
+    ends, which f then evaluates in the same calls, and the mask of the
+    panels no row bisects further (None for all).  Those panels partition
+    the cells; each row accepts each panel, or an ancestor of it.
 
     An f returning a (k, n) stack integrates k integrands at once and gives
     a (k, cells) result.  Each row has its own group scales and acceptance
@@ -253,11 +261,10 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
             return y[..., :-2]
 
         def keep(done):
-            y = np.concatenate(blocks, axis=-2)
+            y = blocks[0] if len(blocks) == 1 else np.concatenate(blocks,
+                                                                  axis=-2)
             blocks.clear()
-            leaves.append((idx[done], a[done], b[done],
-                           None if p is None else p[done], k21[:, done],
-                           y[..., done, :]))
+            leaves.append((idx, a, b, p, k21, y, done))
     # every level halves all pending cells, so they share one depth
     for depth in range(_MAX_DEPTH + 1):
         k21, err = _panel_integrals(f, a, b, p)
@@ -288,7 +295,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         if depth == 0:
             if ok.all():
                 if leaves is not None:
-                    keep(slice(None))
+                    keep(None)
                 # every row accepts every cell at level 0: summing into
                 # zeros would give k21 + 0.0, which turns -0.0 into 0.0
                 return k21 + 0.0 if stacked else k21[0] + 0.0
@@ -515,10 +522,10 @@ class ManifoldModel:
         # one pass builds both tables, each row its own tolerance group,
         # scaled by its largest increment
         leaves = []
-        self._Fs_knots = np.stack([
-            np.concatenate([[0.0], np.cumsum(row)])
-            for row in self._integrate_cells(self._slopes, knots[:-1],
-                                             knots[1:], leaves=leaves)])
+        cellwise = self._integrate_cells(self._slopes, knots[:-1], knots[1:],
+                                         leaves=leaves)
+        self._Fs_knots = np.stack([np.concatenate([[0.0], np.cumsum(row)])
+                                   for row in cellwise])
         self._F_knots, self._s_knots = self._Fs_knots
         # The pass's accepted panels are the table cells, in order of r: a
         # knot cell the pass bisected becomes one table cell per panel.
@@ -527,21 +534,34 @@ class ManifoldModel:
         # (see _TO_CHEBYSHEV), in a frame that starts at its smaller radius:
         # a ride chart left of its knot runs against r, and its values are
         # mirrored.
-        owner, lo, hi, q, inc, y = leaves[0] if len(leaves) == 1 else (
+        owner, lo, hi, q, inc, y, done = leaves[0] if len(leaves) == 1 else (
             np.concatenate(part, axis=axis) if part[0] is not None else None
-            for part, axis in zip(zip(*leaves), (0, 0, 0, 0, 1, 1)))
+            for part, axis in zip(zip(*leaves), (0, 0, 0, 0, 1, 1, 0)))
         if q is None:
             q = np.zeros((owner.size, 3))
         dec = q[:, 1] < 0.0
         ends, table = knots, self._Fs_knots
-        if len(leaves) > 1:
+        if done is not None:
             # the pass bisected: each knot cell's panels, in order of r,
             # start where the one before them ends
-            order = np.lexsort((np.where(dec, -lo, lo), owner))
+            order = np.lexsort((np.where(dec, -lo, lo), owner, ~done))
+            order = order[:np.count_nonzero(done)]
             owner, lo, hi, q, dec = (v[order] for v in (owner, lo, hi, q, dec))
             inc, y = inc[:, order], y[:, order]
+            same = owner[1:] == owner[:-1]
+            later = np.flatnonzero(same) + 1
+            # A row may accept a knot cell whole where the other bisects
+            # it, so that its panels need not sum to the row's value of the
+            # cell: each knot cell's panels are scaled to it, and F and s
+            # run on from a bisected cell's last panel into the next knot's
+            # table value.  A cell that is one panel scales by x / x = 1.
+            sums = np.add.reduceat(inc, np.flatnonzero(np.append(True, ~same)),
+                                   axis=1)
+            ratio = np.divide(cellwise, sums, out=np.ones(sums.shape),
+                              where=sums != 0.0)[:, owner]
+            inc *= ratio
+            y *= ratio[..., None]
             ends, table = knots[owner], self._Fs_knots[:, owner]
-            later = np.flatnonzero(owner[1:] == owner[:-1]) + 1
             ends[later] = self._chart_r(np.where(dec, hi, lo)[later, None],
                                         q[later])[0][:, 0]
             for k in later:
@@ -551,11 +571,26 @@ class ManifoldModel:
         if dec.any():
             y[:, dec] = y[:, dec][..., _MIRROR]
         self._ends, self._Fs_ends, self._inc, self._nodes = ends, table, inc, y
-        # R at _CHEB_F of each cell, filled at the cell's first read
-        self._chebyshev = np.full(y.shape[:-1] + _CHEB_F.shape, np.nan)
         # chart coordinate at the start, signed chart width, chart row
         self._cells = (np.where(dec, hi, lo), np.where(dec, lo - hi, hi - lo),
                        q)
+        # Each cell's panel integrates to P(1) times its width, which is its
+        # K21 value in exact arithmetic: a non-finite value at a chart end,
+        # which no K21 node sees, or a map that rounds badly fails the
+        # pass's acceptance rule here.  No value is kept, so a matrix
+        # product, whose rounding depends on the batch, may form P(1).
+        with np.errstate(invalid="ignore", over="ignore"):
+            whole = (y @ _WHOLE) * np.abs(self._cells[1])
+            size = np.abs(inc)
+            bad = ~(np.abs(whole - inc) <= _QUAD_REL * (
+                size + 1e-4 * size.max(axis=1, keepdims=True)))
+        if bad.any():
+            j, c = _first_cell(bad)
+            raise QuadratureError(
+                f"table cell r in [{float(ends[c])!r}, {float(ends[c + 1])!r}]"
+                f" integrates to {float(whole[j, c])!r} on its panel's "
+                f"interpolant, against its K21 value {float(inc[j, c])!r}; "
+                f"values at its chart ends {y[j, c, _START:].tolist()!r}")
 
     # -- the integration primitive ---------------------------------------------
 
@@ -788,29 +823,35 @@ class ManifoldModel:
         x = self._chart_x(r, q[cell])
         return np.minimum(np.maximum((x - x0[cell]) / width[cell], 0.0), 1.0)
 
-    def _panel_partials(self, cell, f, rows):
-        """Integrals over r of rows of (F', s') from the start of each table
-        cell to the fraction f of its chart, P(f) = f (p(0) + f R(f)) times
-        the chart's width (see _TO_CHEBYSHEV), and their derivatives in f,
-        from R(f) and R'(f) in barycentric form (Schneider and Werner).  A
-        cell's R at _CHEB_F is computed at its first read and kept.  The
-        points go in blocks, so the temporaries stay small however many a
-        read holds.
+    def _panels(self, cell, rows):
+        """The panels of table cells, one per point, for _panel_partials:
+        rows of (F', s') at each cell's start, p(0), and of R at _CHEB_F
+        (see _TO_CHEBYSHEV), and the chart's width.  The points go in
+        blocks, so the temporaries stay small however many a read holds.
         """
-        fresh = np.isnan(self._chebyshev[0, cell, 0])
-        if fresh.any():
-            # R at _CHEB_F, 0 for a constant p; row-wise sums, so that a
-            # cell's values do not depend on the read that fills them
-            new = np.unique(cell[fresh])
-            y = self._nodes[:, new]
-            self._chebyshev[:, new] = (((y - y[..., _START, None])
-                                        [..., None, :] * _TO_CHEBYSHEV)
-                                       .sum(axis=-1))
-        start = self._nodes[rows][..., cell, _START]
+        nodes = self._nodes[rows][..., cell, :]
+        start = nodes[..., _START]
+        values = np.empty(start.shape + _CHEB_F.shape)
+        step = _BLOCK // _CHEB_F.size
+        for lo in range(0, cell.size, step):
+            part = slice(lo, lo + step)
+            # 0 for a constant p; row-wise sums, so that a point reads the
+            # same in any batch
+            values[..., part, :] = (
+                ((nodes[..., part, :] - start[..., part, None])[..., None, :]
+                 * _TO_CHEBYSHEV).sum(axis=-1))
+        return start, values, np.abs(self._cells[1][cell])
+
+    @staticmethod
+    def _panel_partials(panels, f):
+        """Integrals over r from the start of each point's panel (see
+        _panels) to the fraction f of its chart, P(f) = f (p(0) + f R(f))
+        times the chart's width, and their derivatives in f, from R(f) and
+        R'(f) in barycentric form (Schneider and Werner)."""
+        start, values, width = panels
         rf, drf = np.empty(start.shape), np.empty(start.shape)
         for lo in range(0, f.size, _BLOCK):
             part = slice(lo, lo + _BLOCK)
-            values = self._chebyshev[rows][..., cell[part], :]
             d = f[part, None] - _CHEB_F
             # a point on a Chebyshev point, or too close to one to weigh,
             # reads its value (that point's weight alone, divided by
@@ -821,11 +862,9 @@ class ManifoldModel:
                 d[at] = np.where(hit[at], _CHEB_W, np.inf)
             w = _CHEB_W / d
             total = w.sum(axis=-1)
-            # row-wise sums, so that a point reads the same in any batch
-            rf[..., part] = (w * values).sum(axis=-1) / total
-            drf[..., part] = ((w * (rf[..., part, None] - values) / d)
-                              .sum(axis=-1) / total)
-        width = np.abs(self._cells[1][cell])
+            rf[..., part] = (w * values[..., part, :]).sum(axis=-1) / total
+            drf[..., part] = ((w * (rf[..., part, None] - values[..., part, :])
+                               / d).sum(axis=-1) / total)
         return (width * f * (start + f * rf),
                 width * (start + f * (2.0 * rf + f * drf)))
 
@@ -833,7 +872,7 @@ class ManifoldModel:
         """Rows of the (F, s) table at each radius in r, in the same shape.
 
         A table end reads the table; any other radius adds the panel
-        partial (_panel_partials) from the start of its table cell.  No
+        partial (see _panel_partials) from the start of its table cell.  No
         quadrature runs, and each radius reads the same in any batch.  A
         scalar r gives a float for one row, a tuple for both.
         """
@@ -845,7 +884,7 @@ class ManifoldModel:
         if np.any(off):
             cell = i[off] - 1
             out[..., off] = self._Fs_ends[rows][..., cell] + self._panel_partials(
-                cell, self._fraction(cell, arr[off]), rows)[0]
+                self._panels(cell, rows), self._fraction(cell, arr[off]))[0]
         if not scalar:
             return out
         return float(out[0]) if out.ndim == 1 else tuple(out[:, 0].tolist())
@@ -883,7 +922,8 @@ class ManifoldModel:
         ca = np.minimum(np.searchsorted(ends, ras, side="right") - 1, last)
         cells = np.append(ca, cb)
         part = self._panel_partials(
-            cells, self._fraction(cells, np.append(ras, r_b)), slice(None))[0]
+            self._panels(cells, slice(None)),
+            self._fraction(cells, np.append(ras, r_b)))[0]
         head, part = part[:, -1:], part[:, :-1]
         same = ca == cb
         # between[:, c]: the increments of the cells c + 1 .. cb - 1
@@ -924,10 +964,12 @@ class ManifoldModel:
             # its start, along which s rises
             f = (target - base) / (table[cell + 1] - base)
             f_min, f_max = np.zeros(f.size), np.ones(f.size)
+            # each point stays in its cell, so its panel is read once
+            panels = self._panels(cell, 1)
             tol = _SOLVE_REL * target
             active = np.ones(f.size, dtype=bool)
             for _ in range(80):
-                part, slope = self._panel_partials(cell, f, 1)
+                part, slope = self._panel_partials(panels, f)
                 g = base + part - target
                 active &= ~(np.abs(g) <= tol)
                 if not np.any(active):

@@ -368,13 +368,13 @@ def test_panel_partials_integrate_polynomials_exactly():
     cases = [(k, p0, 1.0 - p0) for k in range(23) for p0 in (0.0, 1.0)]
     cells = SimpleNamespace(
         _nodes=np.array([[p0 + c * t + t**k for k, p0, c in cases]]),
-        _chebyshev=np.full((1, len(cases), geometry._CHEB_F.size), np.nan),
         _cells=(None, np.ones(len(cases)), None))
     f = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12, 1.0],
                         np.linspace(0.01, 0.99, 9), geometry._CHEB_F])
     cell = np.repeat(np.arange(len(cases)), f.size)
     f = np.tile(f, len(cases))
-    got, slope = ManifoldModel._panel_partials(cells, cell, f, 0)
+    got, slope = ManifoldModel._panel_partials(
+        ManifoldModel._panels(cells, cell, 0), f)
     k, p0, c = np.array(cases)[cell].T
     want = p0 * f + c * f**2 / 2.0 + f ** (k + 1) / (k + 1)
     assert np.all(np.abs(got - want) <= 4e-15 * want), np.max(
@@ -672,11 +672,29 @@ def test_panel_reads_agree_with_quadrature_from_the_cell_start(name):
                   + 4.0 * model._slopes(r) * np.spacing(r)), err.max()
 
 
+def _table_runs_on(model):
+    """The table cells that lie inside a bisected knot cell, after checking
+    that F and s run on from each table cell into the next: its table value
+    plus its increment is the next one, exactly where the cumulative sum
+    adds the increment, to the few ulps the sum over a bisected cell's
+    panels rounds off where its last panel meets the next knot."""
+    ends = model._ends
+    assert np.all(np.diff(ends) > 0.0) and np.isin(model.knots, ends).all()
+    knot = np.isin(ends, model.knots)
+    split = ~(knot[:-1] & knot[1:])
+    table = model._Fs_ends
+    gap = np.abs(table[:, 1:] - (table[:, :-1] + model._inc))
+    assert np.all(gap[:, ~split] == 0.0)
+    assert np.all(gap <= 4.0 * np.spacing(table[:, 1:])), gap.max()
+    return split
+
+
 @pytest.mark.parametrize("name", sorted(_PANEL_MODELS))
 def test_every_table_cell_is_one_accepted_panel(name, monkeypatch):
     # the table pass's accepted panels are the table cells: integrated
     # again in their charts, each is accepted on its first panel, with the
-    # increment the table keeps
+    # increment the table keeps (to 1e-11 in a bisected knot cell, whose
+    # panels are scaled to sum to each row's value of the knot cell)
     model = _PANEL_MODELS[name]()
     x0, width, q = model._cells
     panels = count_panels(monkeypatch)
@@ -685,12 +703,61 @@ def test_every_table_cell_is_one_accepted_panel(name, monkeypatch):
         np.minimum(x0, x0 + width), np.maximum(x0, x0 + width),
         geometry._QUAD_REL, (q[:, 0] != 0.0).astype(np.intp), q)
     assert panels.passes == 1
-    np.testing.assert_array_equal(inc, model._inc)
     # a bisected knot cell gives a table cell per panel, all in r order
-    assert np.all(np.diff(model._ends) > 0.0)
-    assert np.isin(model.knots, model._ends).all()
-    assert (model._ends.size > model.knots.size) == name.startswith(
-        "deep-well")
+    split = _table_runs_on(model)
+    assert split.any() == name.startswith("deep-well")
+    np.testing.assert_array_equal(inc[:, ~split], model._inc[:, ~split])
+    np.testing.assert_allclose(inc[:, split], model._inc[:, split],
+                               rtol=1e-11, atol=0)
+
+
+class _BumpedModel(ManifoldModel):
+    """A model whose F' carries a narrow bump inside one knot cell, which
+    the F row of the table pass bisects while the s row accepts the cell
+    whole."""
+
+    def _slopes(self, r):
+        out = super()._slopes(r)
+        out[0] += 0.01 * np.exp(-((np.asarray(r) - 2.5) / 0.002) ** 2)
+        return out
+
+
+def test_a_knot_cell_one_row_bisects_runs_on_into_the_next_knot():
+    model = _BumpedModel(stripes((1.0, 2.0, 3.0, 4.0), 0.1), 8.0)
+    a, b = model.knots[:-1], model.knots[1:]
+    # s' is untouched: the s row reads each knot cell as the model does
+    both = model._integrate_cells(model._slopes, a, b)
+    plain = ManifoldModel(model.profile, 8.0)
+    np.testing.assert_array_equal(
+        both[1], plain._integrate_cells(plain._slopes, a, b)[1])
+    np.testing.assert_array_equal(model._Fs_knots[:, 1:],
+                                  np.cumsum(both, axis=1))
+    split = _table_runs_on(model)
+    assert split.sum() > 1
+    # reads inside the bisected cell agree with quadrature from its knot
+    r = np.linspace(model._ends[:-1][split][0], model._ends[1:][split][-1], 41)
+    k = np.searchsorted(model.knots, r, side="right") - 1
+    k = np.minimum(k, model.knots.size - 2)
+    want = model._Fs_knots[:, k] + model._integrate_cells(
+        model._slopes, model.knots[k], r, np.arange(r.size))
+    np.testing.assert_allclose(model._F_and_s(r), want, rtol=1e-13, atol=0)
+
+
+def test_a_non_finite_value_at_a_table_cell_end_is_refused():
+    # no K21 node sees a cell's chart ends, so their values are checked at
+    # build: an integrand infinite at one knot alone fails the build
+    profile = stripes((1.0, 2.0, 3.0, 4.0), 0.1)
+    knot = float(ManifoldModel(profile, 8.0).knots[20])
+
+    class Blown(ManifoldModel):
+        def _slopes(self, r):
+            out = super()._slopes(r)
+            out[1, np.asarray(r) == knot] = np.inf
+            return out
+
+    with pytest.raises(QuadratureError,
+                       match=rf"table cell r in \[.*{knot!r}.*\binf\b"):
+        Blown(profile, 8.0)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
