@@ -25,12 +25,22 @@ knot cell converges on its first panel; and beside a ride knot of a
 gap-space spline, where the gap is g0 + A (u - u_k)^2 + O((u - u_k)^3) in
 u = r^(m-2) with g0 tiny (the deep well's wall) and the integrands peak as
 1/sqrt(gap), w = sqrt(g0 / A) wide in u and far narrower than a cell,
-u = u_k +- w sinh(t).  The charts are rows of a table: _chart_x maps radii
-to a row's coordinate and _chart_r maps nodes back, for the integration and
-the reads alike.  A geodesic leg with Clairaut constant c (see
-embedding.tube_distance) runs in v = sqrt(r^2 - c^2) for its length and
-alpha = arctan(v / c), or -arctan(c / v) past pi/4, for its angle, in charts
-of its own at the boundary and beside a ride knot.
+u = u_k +- w sinh(t).  A radial cell takes that chart across the knot's
+span: the cells on the side where the gap rises, as far as the last one
+that lies nearer the knot than its width, as at a boundary sphere.  The
+span takes knots at t_e - 4 * 2^j, graded towards its far end t_e, where
+the cubic term of the gap bends the integrand.  A constant piece that
+starts nearer the root of its wall gap than its first cell is wide takes
+knots graded geometrically towards that root, each cell as wide as it lies
+from the root (the deep well's tail).  So the deep wells' table cells
+converge on their first panel too.  The charts are rows of a table:
+_chart_x maps radii to a row's coordinate and _chart_r maps nodes back, for
+the integration and the reads alike.  A geodesic leg with Clairaut
+constant c (see embedding.tube_distance) runs in v = sqrt(r^2 - c^2) for
+its length and alpha = arctan(v / c), or -arctan(c / v) past pi/4, for its
+angle, in charts of its own at the boundary and on a cell that ends on a
+ride knot; its cells end at the model's cuts (see _leg_integrals), not at
+the knots that ride spans and wall roots add.
 
 Every integral goes through ManifoldModel._integrate_cells, which runs
 vectorized 21-point Gauss-Kronrod panels (QUADPACK's QK21: the value is the
@@ -66,8 +76,8 @@ import numpy as np
 
 from .errors import (DomainError, InvalidProfileError, QuadratureError,
                      RangeError, WindowOverflowError, checked_range, positive)
-from .profiles import (CubicSplinePiece, HawkingProfile, sphere_radius,
-                       unit_sphere_area, validate)
+from .profiles import (ConstantPiece, CubicSplinePiece, HawkingProfile,
+                       sphere_radius, unit_sphere_area, validate)
 
 __all__ = [
     "ManifoldModel",
@@ -166,6 +176,12 @@ _MAX_EXTRA_CELLS = 200000
 # relative targets of the quadrature panels and of the arclength inversion
 _QUAD_REL = 1e-12
 _SOLVE_REL = 1e-10
+# the first step of a ride span's knots in t = asinh(|u - u_k| / w), back
+# from the span's far end (see ManifoldModel._build_tables).  On the 3-, 4-
+# and 5-D deep wells from delta 1e-2 to 1e-30 every ride cell then held a
+# K21-G10 gap of at most 4.7e-16 of its value; 3.2e-14 at a first step of
+# 6, and 1.3e-12, past the relative target, at 8
+_RIDE_STEP = 4.0
 
 
 def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
@@ -332,6 +348,39 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
             p = np.concatenate([p[pending], p[pending]])
 
 
+# np.linspace(0, 48, 49), and the squares of np.linspace(0, 1, n): the
+# steps of a piece's even knots and of its quadratic gradings
+_STEPS = np.arange(49.0)
+_SQUARES = {n: np.linspace(0.0, 1.0, n) ** 2 for n in (33, 49)}
+
+
+def _graded(a: float, b: float) -> np.ndarray:
+    """Knots graded towards the start of a piece [a, b]: 33 geometric ones
+    on a piece spanning more than a factor 6 in r, 33 quadratic ones on a
+    piece from r = 0, none otherwise."""
+    if a > 0 and b / a > 6.0:
+        return np.geomspace(a, b, 33)
+    if a == 0.0:
+        return b * _SQUARES[33]
+    return np.zeros(0)
+
+
+def _doubling(origin: float, step: float, end: float) -> list:
+    """origin + step 2^j for j = 0, 1, ... strictly short of end: points
+    graded geometrically away from origin, each cell between two of them as
+    wide as it lies from origin."""
+    x = (origin + step * 2.0 ** j for j in range(
+        max(int(math.log2((end - origin) / step)) + 1, 0)))
+    return [v for v in x if abs(v - origin) < abs(end - origin)]
+
+
+def _near_edge(grid: np.ndarray, origin: float):
+    """The far end of the last cell of grid, whose points run away from
+    origin, that lies nearer origin than its own width."""
+    near = np.abs(grid[:-1] - origin) < np.abs(grid[1:] - grid[:-1])
+    return grid[near.nonzero()[0][-1] + 1]
+
+
 def _first_cell(mask: np.ndarray) -> Tuple[int, int]:
     """(row, cell) of a (rows, cells) mask: the first cell holding a True
     entry, and the first row true there."""
@@ -466,36 +515,76 @@ class ManifoldModel:
 
     # -- tabulation ----------------------------------------------------------
 
+    def _pieces_inside(self):
+        """(index, piece, a, b) for each profile piece that overlaps the
+        model, [a, b] its part inside [r_min, r_cap]."""
+        for k, piece in enumerate(self.profile.pieces):
+            a = max(piece.r_lo, self.r_min)
+            b = min(piece.r_hi, self.r_cap)
+            if b > a:
+                yield k, piece, a, b
+
     def _build_tables(self):
-        profile = self.profile
+        k = self.dimension - 2
         pts = [np.array([self.r_min, self.r_cap])]
         # piece ends and spline knots: where s' may be unsmooth
         breaks = []
-        # (knot, side, w) of the ride knots inside the model
-        self._ride = []
-        # per piece inside the model: its graded knots and its ride knots
-        graded, rides = [], []
-        for k, piece in enumerate(profile.pieces):
-            a = max(piece.r_lo, self.r_min)
-            b = min(piece.r_hi, self.r_cap)
-            if not b > a:
-                continue
+        # (knot, side, w) of the ride knots inside the model; (piece, a) of
+        # the constant pieces that do not start on the boundary sphere
+        rides, constant = [], []
+        inside = list(self._pieces_inside())
+        lo, hi = np.array([x[2:] for x in inside]).T
+        # 49 even knots per piece, as np.linspace(lo, hi, 49) forms them,
+        # for every piece at once
+        even = _STEPS * ((hi - lo) / 48)[:, None] + lo[:, None]
+        even[:, -1] = hi
+        pts.append(even.ravel())
+        for i, piece, a, b in inside:
             breaks += [a, b]
-            pts.append(np.linspace(a, b, 49))
-            graded.append(np.geomspace(a, b, 33) if a > 0 and b / a > 6.0
-                          else b * np.linspace(0.0, 1.0, 33) ** 2
-                          if a == 0.0 else np.zeros(0))
-            pts.append(graded[-1])
-            if k == 0 and self._singular:
+            pts.append(_graded(a, b))
+            if i == 0 and self._singular:
                 # sqrt grading resolves the boundary singularity profile
-                pts.append(a + (b - a) * np.linspace(0.0, 1.0, 49) ** 2)
-            rides.append([])
+                pts.append(a + (b - a) * _SQUARES[49])
+            elif isinstance(piece, ConstantPiece):
+                constant.append((piece, a))
             if isinstance(piece, CubicSplinePiece):
                 breaks += [x for x in piece.knots if a < x < b]
-                rides[-1] = [e for e in piece.ride_knots if a < e[0] < b]
-                self._ride += rides[-1]
+                rides += [e for e in piece.ride_knots if a < e[0] < b]
         knots = np.unique(np.concatenate(pts + [breaks]))
         knots = knots[(knots >= self.r_min) & (knots <= self.r_cap)]
+        # A constant piece whose wall gap r^k - 2 m has its root rho nearer
+        # the piece's start than the first cell is wide bisects that cell
+        # towards rho, as the singularity on a boundary sphere would: it
+        # takes knots at rho + (a - rho) 2^j, each cell as wide as it lies
+        # from rho.
+        graded = []
+        for piece, a in constant:
+            rho = (2.0 * piece.value) ** (1.0 / k)
+            first = knots[np.searchsorted(knots, a, side="right")]
+            if rho < a and a - rho < first - a:
+                graded.append(_doubling(rho, a - rho, first))
+        # A ride knot's chart runs across its span: the cells on its rising
+        # side, up to the next break, as far as the last one that lies
+        # nearer the knot than its width.  The 1/sqrt(gap) peak there reads
+        # like the singularity on a boundary sphere, and converges on one
+        # panel in r only from about a width away.  In t = asinh(|u - u_k|
+        # / w) the integrand is flat near the knot and bends where the
+        # cubic term of the gap takes over, past the span's far end t_e:
+        # the span takes knots at t_e - _RIDE_STEP 2^j, each cell as wide
+        # as it lies from t_e.  _ride keeps (knot, side, w, span's far end).
+        self._ride = []
+        for knot, side, w in rides:
+            lo, hi = ((knot, min(x for x in breaks if x > knot)) if side > 0
+                      else (max(x for x in breaks if x < knot), knot))
+            grid = knots[(knots >= lo) & (knots <= hi)]
+            edge = float(_near_edge(grid if side > 0 else grid[::-1], knot))
+            u_k = knot ** float(k)
+            t = _doubling(math.asinh(abs(edge ** float(k) - u_k) / w),
+                          -_RIDE_STEP, 0.0)
+            graded.append((u_k + side * w * np.sinh(t)) ** (1.0 / k))
+            self._ride.append((knot, side, w, edge))
+        if graded:
+            knots = np.unique(np.concatenate([knots] + graded))
         self.knots = knots
         # below this edge a singular model integrates under u = sqrt(r - r_min):
         # the end of the last cell of the first piece that lies nearer r_min
@@ -503,22 +592,12 @@ class ManifoldModel:
         # on one panel in r only from about a width away.
         self._sub_edge = -math.inf
         if self._singular:
-            head = knots[knots <= min(x for x in breaks if x > self.r_min)]
-            near = np.flatnonzero(head[:-1] - self.r_min < np.diff(head))
-            self._sub_edge = head[near[-1] + 1]
+            self._sub_edge = _near_edge(
+                knots[knots <= min(x for x in breaks if x > self.r_min)],
+                self.r_min)
         # every integral's cells end at these radii
         cuts = np.unique(np.append(breaks, self._sub_edge))
         self._cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
-        # A leg's length also ends at the graded knots of the pieces beside
-        # one with ride knots.  The gap runs close to the wall there, and s'
-        # falls off a near-root just past the piece, which a leg cell
-        # reaching far beyond it would bisect towards level by level.  The
-        # angle chart squeezes those radii into its cell's end, r = c / beta,
-        # and converges on the cuts alone.
-        beside = [graded[j] for k, ride in enumerate(rides) if ride
-                  for j in (k - 1, k + 1) if 0 <= j < len(graded)]
-        cuts = np.unique(np.concatenate([self._cuts] + beside))
-        self._length_cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
         # one pass builds both tables, each row its own tolerance group,
         # scaled by its largest increment
         leaves = []
@@ -591,6 +670,24 @@ class ManifoldModel:
                 f" integrates to {float(whole[j, c])!r} on its panel's "
                 f"interpolant, against its K21 value {float(inc[j, c])!r}; "
                 f"values at its chart ends {y[j, c, _START:].tolist()!r}")
+
+    @cached_property
+    def _length_cuts(self) -> np.ndarray:
+        """The cuts of a leg's length: _cuts, and the graded knots of the
+        pieces beside one with ride knots.
+
+        The gap runs close to the wall there, and s' falls off a near-root
+        just past the piece, which a leg cell reaching far beyond it would
+        bisect towards level by level.  The angle chart squeezes those radii
+        into its cell's end, r = c / beta, and converges on the cuts alone.
+        """
+        inside = [(piece, a, b) for _, piece, a, b in self._pieces_inside()]
+        rides = [isinstance(piece, CubicSplinePiece) and any(
+            a < e[0] < b for e in piece.ride_knots) for piece, a, b in inside]
+        beside = [_graded(*inside[j][1:]) for k, ride in enumerate(rides)
+                  if ride for j in (k - 1, k + 1) if 0 <= j < len(inside)]
+        cuts = np.unique(np.concatenate([self._cuts] + beside))
+        return cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
 
     # -- the integration primitive ---------------------------------------------
 
@@ -708,9 +805,9 @@ class ManifoldModel:
         not r: boundary cells, below _sub_edge, under u, r = r_min + u^2, in
         group labels offset past the others' to keep the tolerance scales of
         a run of their own; ride cells, which end on a ride knot u_k (see
-        CubicSplinePiece) on the side where the gap rises, under
-        u = u_k +- w sinh(t) with u = r^(m-2); and the cells of geodesic
-        legs.  A batch of cells that all run in r needs no chart, and its
+        CubicSplinePiece) on the side where the gap rises, or, off a leg,
+        lie in its span (see _build_tables), under u = u_k +- w sinh(t)
+        with u = r^(m-2); and the cells of geodesic legs.  A batch of cells that all run in r needs no chart, and its
         ``leaves`` (see _adaptive_cells) carry no param rows.
 
         An array ``c`` of Clairaut constants puts the cells on geodesic legs
@@ -736,10 +833,18 @@ class ManifoldModel:
         sub = b <= self._sub_edge
         if leg:
             sub &= c != self.r_min
-        # the signed peak width, -w on a cell left of its knot, w right of it
-        sw = np.zeros(n)
-        for knot, side, w in self._ride:
-            sw[((b if side < 0 else a) == knot) & ~sub] = side * w
+        # the signed peak width, -w on a cell left of its knot, w right of
+        # it, and u at the knot, formed as the spline evaluator forms u from
+        # r: on a cell that ends on the knot, and on a radial cell inside
+        # the knot's span; the cell runs over t in [asinh(d_a / w),
+        # asinh(d_b / w)], d the distance from the knot in u
+        sw, u_k = np.zeros(n), np.zeros(n)
+        for knot, side, w, edge in self._ride:
+            on = (b if side < 0 else a) == knot
+            if not leg:
+                on |= (min(knot, edge) <= a) & (b <= max(knot, edge))
+            on &= ~sub
+            sw[on], u_k[on] = side * w, knot ** float(self.dimension - 2)
 
         def nodewise(r):  # fvec at a block of radii, in the block's shape
             y = fvec(r.reshape(-1))
@@ -749,23 +854,21 @@ class ManifoldModel:
             # every cell runs in r: no chart
             return _adaptive_cells(nodewise, a, b, _QUAD_REL, group,
                                    leaves=leaves)
-        cols = [sub, sw, np.zeros(a.size)]
+        cols = [sub, sw, u_k]
         if leg:
             split = np.nonzero((sw < 0.0) & (a - c < b - a))[0]
             a, b = np.append(a, a[split]), np.append(b, 0.5 * (a + b)[split])
             a[split] = b[n:]
-            c, sub, sw, group = (np.append(x, y[split]) for x, y in (
-                (c, c), (sub, sub), (sw, np.zeros(n)), (group, group)))
+            c, sub, sw, u_k, group = (np.append(x, y[split]) for x, y in (
+                (c, c), (sub, sub), (sw, np.zeros(n)), (u_k, np.zeros(n)),
+                (group, group)))
             # c, signed negative on the plain cells under -beta
-            cols = [sub, sw, np.zeros(a.size),
+            cols = [sub, sw, u_k,
                     np.where(angle & (c > 0.0) & (b * b > 2.0 * c * c) & ~sub
                              & (sw == 0.0), -c, c)]
         # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c])
         q = np.column_stack(cols)
         ride = sw != 0.0
-        # u at each ride cell's knot, formed as the spline evaluator forms u
-        # from r; the cell runs over t in [0, asinh(d / w)]
-        q[ride, 2] = np.where(sw < 0, b, a)[ride] ** float(self.dimension - 2)
         lo, hi = self._chart_x(a, q, angle), self._chart_x(b, q, angle)
         lo[sw < 0.0], hi[sw < 0.0] = hi[sw < 0.0], lo[sw < 0.0]
         special = sub.any() or ride.any()
@@ -826,21 +929,27 @@ class ManifoldModel:
     def _panels(self, cell, rows):
         """The panels of table cells, one per point, for _panel_partials:
         rows of (F', s') at each cell's start, p(0), and of R at _CHEB_F
-        (see _TO_CHEBYSHEV), and the chart's width.  The points go in
-        blocks, so the temporaries stay small however many a read holds.
+        (see _TO_CHEBYSHEV), and the chart's width.  R is formed once per
+        distinct cell of the read, in blocks of cells, so the temporaries
+        stay small however many a read holds, and gathered to the points.
         """
-        nodes = self._nodes[rows][..., cell, :]
+        seen = np.zeros(self._nodes.shape[1], dtype=bool)
+        seen[cell] = True
+        cells = seen.nonzero()[0]
+        at = cells.searchsorted(cell)
+        nodes = self._nodes[rows][..., cells, :]
         start = nodes[..., _START]
         values = np.empty(start.shape + _CHEB_F.shape)
         step = _BLOCK // _CHEB_F.size
-        for lo in range(0, cell.size, step):
+        for lo in range(0, cells.size, step):
             part = slice(lo, lo + step)
-            # 0 for a constant p; row-wise sums, so that a point reads the
+            # 0 for a constant p; row-wise sums, so that a cell reads the
             # same in any batch
             values[..., part, :] = (
                 ((nodes[..., part, :] - start[..., part, None])[..., None, :]
                  * _TO_CHEBYSHEV).sum(axis=-1))
-        return start, values, np.abs(self._cells[1][cell])
+        return (start[..., at], values[..., at, :],
+                np.abs(self._cells[1][cell]))
 
     @staticmethod
     def _panel_partials(panels, f):
@@ -878,10 +987,10 @@ class ManifoldModel:
         """
         arr, scalar = self._radii(r)
         ends = self._ends
-        i = np.searchsorted(ends, arr)
+        i = ends.searchsorted(arr)
         out = self._Fs_ends[rows][..., i]
         off = ends[i] != arr
-        if np.any(off):
+        if off.any():
             cell = i[off] - 1
             out[..., off] = self._Fs_ends[rows][..., cell] + self._panel_partials(
                 self._panels(cell, rows), self._fraction(cell, arr[off]))[0]

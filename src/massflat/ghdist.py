@@ -10,7 +10,7 @@ these bounds stay pinned at the depth, which is the point of the contrast.
 The radii rho, rho_prime play the same game against the space with an
 interval glued on.  One batched pass, _gh_terms, computes every field of a
 bound over an array of cuts; gh_bound, best_gh_bound and segment_limit_bound
-each read rows of it.
+each read rows of it, and a sweep row reads the last two from one batch.
 """
 
 from __future__ import annotations
@@ -118,6 +118,15 @@ class SegmentBound(NamedTuple):
     rho_prime: float
 
 
+def _segment_cut(model: ManifoldModel, window: TubularWindow) -> float:
+    """The cut of segment_limit_bound: the geometric mean of 2 m_ADM and
+    r0^(m-2), taken in r^(m-2), kept in [r_min, r0)."""
+    m = model.dimension
+    xi_eps = math.sqrt(2.0 * model.adm_mass * window.r0 ** (m - 2))
+    return min(max(xi_eps ** (1.0 / (m - 2)), model.r_min),
+               window.r0 * (1.0 - 1e-9))
+
+
 def segment_limit_bound(model: ManifoldModel,
                         window: TubularWindow) -> SegmentBound:
     """GH radii against Euclidean space with a segment glued on.
@@ -127,9 +136,17 @@ def segment_limit_bound(model: ManifoldModel,
     well and below the window.  It can lie below r_minus, where the rest of
     a GHBound bounds nothing, so only the two radii are returned.
     """
-    m = model.dimension
-    xi_eps = math.sqrt(2.0 * model.adm_mass * window.r0 ** (m - 2))
-    r_eps = min(max(xi_eps ** (1.0 / (m - 2)), model.r_min),
-                window.r0 * (1.0 - 1e-9))
-    terms = _gh_terms(model, window, np.array([r_eps]))
+    terms = _gh_terms(model, window, np.array([_segment_cut(model, window)]))
     return SegmentBound(float(terms["rho"][0]), float(terms["rho_prime"][0]))
+
+
+def _best_and_segment_bounds(model: ManifoldModel, window: TubularWindow):
+    """best_gh_bound and segment_limit_bound from one _gh_terms batch: the
+    candidate cuts, then the segment cut, which the argmin leaves out.  A
+    cut's row does not depend on the batch, so each equals its own call."""
+    cuts = np.append(_cut_candidates(model, window),
+                     _segment_cut(model, window))
+    terms = _gh_terms(model, window, cuts)
+    return (_row(terms, int(np.argmin(terms["total"][:-1]))),
+            SegmentBound(float(terms["rho"][-1]),
+                         float(terms["rho_prime"][-1])))

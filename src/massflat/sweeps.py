@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from .certificates import flat_certificate
 from .errors import MassflatError, positive
 from .geometry import ManifoldModel, tubular_window
-from .ghdist import best_gh_bound, segment_limit_bound
+from .ghdist import _best_and_segment_bounds
 from .profiles import deep_well, schwarzschild, sphere_radius, stripes
 from .serialization import read_profile
 
@@ -65,8 +65,7 @@ def _sweep_row(family: str, value, dimension: int, alpha0: float, D: float,
         d_gh = 1.05 * s0
         model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh), check=False)
         window_gh = tubular_window(model_gh, alpha0, d_gh)
-        gh = best_gh_bound(model_gh, window_gh)
-        seg = segment_limit_bound(model_gh, window_gh)
+        gh, seg = _best_and_segment_bounds(model_gh, window_gh)
 
         row.update({
             "mass": profile.adm_mass,

@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from massflat import ghdist
 from massflat.certificates import delta_budget, flat_certificate
 from massflat.embedding import _measured_constants, embedding_constant_bound
 from massflat.errors import RangeError
 from massflat.geometry import ManifoldModel, tubular_window
-from massflat.ghdist import (_cut_candidates, best_gh_bound, gh_bound,
-                             segment_limit_bound)
+from massflat.ghdist import (_best_and_segment_bounds, _cut_candidates,
+                             best_gh_bound, gh_bound, segment_limit_bound)
 from massflat.profiles import deep_well, flat, schwarzschild
+from massflat.sweeps import run_sweep
 
 
 def test_gh_bound_flat_is_zero():
@@ -161,3 +163,32 @@ def test_gh_rise_keeps_its_digits_where_F_is_large(epsilon, D, alpha0):
     assert float(model.F(r_eps)) > 1e9 * out.hausdorff_ambient
     assert out.hausdorff_ambient == pytest.approx(consts.delta_F, rel=1e-12,
                                                   abs=0.0)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_sweep_reads_both_bounds_from_one_batch(delta, monkeypatch):
+    # a sweep row scores the best-cut candidates and the segment cut in one
+    # _gh_terms batch, the segment cut left out of the argmin; every row
+    # equals its call alone, bit for bit
+    alpha0, D = math.pi / 100, 0.05
+    r0 = math.sqrt(alpha0 / (4.0 * math.pi))
+    profile = deep_well(3, delta, alpha0, 10.0)
+    s0 = float(ManifoldModel(profile, 4.0 * (r0 + D)).s(r0))
+    model = ManifoldModel(profile, 4.0 * (r0 + 1.05 * s0), check=False)
+    window = tubular_window(model, alpha0, 1.05 * s0)
+    gh, seg = _best_and_segment_bounds(model, window)
+    assert gh == best_gh_bound(model, window)
+    assert seg == segment_limit_bound(model, window)
+    batches = []
+    terms = ghdist._gh_terms
+
+    def counted(*args):
+        batches.append(args[2].size)
+        return terms(*args)
+
+    monkeypatch.setattr(ghdist, "_gh_terms", counted)
+    (row,) = run_sweep("deep-well", [delta], alpha0=alpha0, D=D,
+                       epsilon=0.02)
+    assert batches == [_cut_candidates(model, window).size + 1]
+    assert (row["gh_total"], row["rho"], row["rho_prime"]) == (
+        gh.total, seg.rho, seg.rho_prime)

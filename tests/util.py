@@ -138,16 +138,22 @@ def count_piece_evaluations(monkeypatch) -> PieceEvaluations:
     return counts
 
 
+# the model's own integration, kept before a test patches it
+_integrate_cells = geometry.ManifoldModel._integrate_cells
+
+
 # The reference for ManifoldModel._integrate_cells: the cells under
 # u = sqrt(r - r_min) and the rest as two separate runs.
 def two_run_integrate_cells(model, fvec: Callable, a, b,
                             group=None) -> np.ndarray:
     """Integrals of fvec over cells [a_i, b_i], each inside one knot interval.
 
-    Cells below _sub_edge run under u = sqrt(r - r_min).  A query with a
-    ``group`` label of its own (see _adaptive_cells) gets the same value
-    whatever else is in its batch.  An fvec returning a (k, n) stack
-    gives (k, cells) integrals, each row equal to its integrand's alone.
+    Cells below _sub_edge run under u = sqrt(r - r_min), the rest in a run
+    of their own through the model's integration, which gives the cells
+    beside a ride knot their ride chart.  A query with a ``group`` label of
+    its own (see _adaptive_cells) gets the same value whatever else is in
+    its batch.  An fvec returning a (k, n) stack gives (k, cells)
+    integrals, each row equal to its integrand's alone.
     """
     _adaptive_cells = geometry._adaptive_cells
     a = np.asarray(a, dtype=float)
@@ -155,7 +161,7 @@ def two_run_integrate_cells(model, fvec: Callable, a, b,
     group = np.zeros(a.size, dtype=np.intp) if group is None else group
     sub = b <= model._sub_edge
     if not np.any(sub):
-        return _adaptive_cells(fvec, a, b, _QUAD_REL, group)
+        return _integrate_cells(model, fvec, a, b, group)
     r_min = model.r_min
     # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back to
     # r_min where fvec diverges, so the offset is re-derived from the
@@ -173,8 +179,8 @@ def two_run_integrate_cells(model, fvec: Callable, a, b,
         return inner
     out = np.empty(inner.shape[:-1] + a.shape)
     out[..., sub] = inner
-    out[..., ~sub] = _adaptive_cells(fvec, a[~sub], b[~sub], _QUAD_REL,
-                                     group[~sub])
+    out[..., ~sub] = _integrate_cells(model, fvec, a[~sub], b[~sub],
+                                      group[~sub])
     return out
 
 
