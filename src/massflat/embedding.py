@@ -366,8 +366,8 @@ def metric_embedding_check(model, window, mesh_h: float, seed: int,
     src = rng.choice(n_nodes, size=n_src, replace=False)
     tgt = rng.choice(n_nodes, size=n_tgt, replace=False)
     rows, cols = np.divmod(np.concatenate([src, tgt]), n_theta)
-    # the lattice lies in the window; clip what the inversion of s, good to
-    # 1e-10 relative, may overshoot by
+    # the lattice lies in the window; clip the few ulps the inversion of s
+    # may overshoot by
     r = np.clip(model.r_of_s(window.s_minus + (span / n_seg) * rows),
                 window.r_minus, window.r_plus)
     f = model.F(r)

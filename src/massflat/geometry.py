@@ -6,15 +6,15 @@ as a graph over Euclidean space: the graph function F satisfies
     F'(r) = sqrt(2 m_H(r) / (r^(m-2) - 2 m_H(r))),    F(r_min) = 0,
 
 and the radial arclength is s'(r) = sqrt(r^(m-2) / (r^(m-2) - 2 m_H(r))).
-The model tabulates F and s over a knot set aligned with the profile pieces
-and keeps the table pass's panels: every table cell is one accepted panel
-(a knot cell the pass bisected becomes one table cell per panel, scaled so
-that the panels sum to each row's value of the cell), with its chart and
-the integrand at its 21 nodes and both chart ends, which the build checks
-are finite.  A read off the table's ends adds to the table the integral of
-the cell's interpolant through those 23 values from the cell's start, and
-r_of_s inverts s by a safeguarded Newton iteration on the same panel, so
-neither runs any quadrature.  Queries take arrays, and each value is the
+The model tabulates F and s over a knot set aligned with the profile
+pieces, and every table cell is a knot cell that the table pass accepts on
+its first panel: a pass that bisects a cell halves it at the midpoint of
+its chart and runs again.  Each cell keeps its chart and the integrand at
+its 21 nodes and both chart ends, which the build checks are finite.  A
+read off the knots adds to the table the integral of the cell's
+interpolant through those 23 values from the cell's start, and r_of_s
+inverts s by a safeguarded Newton iteration on the same panel, to an ulp
+of its target, so neither runs any quadrature.  Queries take arrays, and each value is the
 same as that of the query made alone.  Each cell runs in the coordinate of
 its kind, chosen per cell within one run, so one integrand call evaluates
 every node: r; on a
@@ -173,9 +173,8 @@ _BLOCK = 4096
 _MAX_DEPTH = 50
 # cells bisection may add to a batch before it gives up
 _MAX_EXTRA_CELLS = 200000
-# relative targets of the quadrature panels and of the arclength inversion
+# relative target of the quadrature panels
 _QUAD_REL = 1e-12
-_SOLVE_REL = 1e-10
 # the first step of a ride span's knots in t = asinh(|u - u_k| / w), back
 # from the span's far end (see ManifoldModel._build_tables).  On the 3-, 4-
 # and 5-D deep wells from delta 1e-2 to 1e-30 every ride cell then held a
@@ -235,12 +234,10 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     f(x, p) (see _panel_integrals), and the halves of a bisected cell
     inherit it.  Errors name an interval [lo, hi] of cell i's coordinate
     as ``span(i, lo, hi)``, by default the plain "[lo, hi]".  A ``leaves``
-    list receives, per level, (cell, a, b, param, values, node values,
-    done): the level's cells, ends and param rows, their (k, panels)
-    values, the (k, panels, 23) block of f at their 21 nodes and their two
-    ends, which f then evaluates in the same calls, and the mask of the
-    panels no row bisects further (None for all).  Those panels partition
-    the cells; each row accepts each panel, or an ancestor of it.
+    list receives level 0 as (a, b, param, node values, accepted): the
+    cells' ends and param rows, the (k, cells, 23) block of f at their 21
+    nodes and their two ends, which f then evaluates in the same calls, and
+    the mask of the cells every row accepts on their first panel.
 
     An f returning a (k, n) stack integrates k integrands at once and gives
     a (k, cells) result.  Each row has its own group scales and acceptance
@@ -265,25 +262,20 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
             return f"[{float(lo)!r}, {float(hi)!r}]"
     idx = np.arange(a.size)
     p = None if param is None else np.asarray(param, dtype=float)
+    g = f
     if leaves is not None:
         blocks = []
 
-        def f(x, *q, f=f):  # also at both ends of each cell, in one call
+        def g(x, *q):  # level 0 also at both ends of each cell, in one call
             done = sum(y.shape[-2] for y in blocks)
             cells = slice(done, done + x.shape[0])
             y = f(np.concatenate([x, a[cells, None], b[cells, None]], axis=1),
                   *q)
             blocks.append(y)
             return y[..., :-2]
-
-        def keep(done):
-            y = blocks[0] if len(blocks) == 1 else np.concatenate(blocks,
-                                                                  axis=-2)
-            blocks.clear()
-            leaves.append((idx, a, b, p, k21, y, done))
     # every level halves all pending cells, so they share one depth
     for depth in range(_MAX_DEPTH + 1):
-        k21, err = _panel_integrals(f, a, b, p)
+        k21, err = _panel_integrals(g if depth == 0 else f, a, b, p)
         stacked = k21.ndim == 2
         k21, err = np.atleast_2d(k21), np.atleast_2d(err)
         n_rows = k21.shape[0]
@@ -309,9 +301,10 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         # cells narrower than a few ulps cannot be split further
         ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
         if depth == 0:
+            if leaves is not None:
+                leaves.append((a, b, p, np.concatenate(blocks, axis=-2),
+                               ok.all(axis=0)))
             if ok.all():
-                if leaves is not None:
-                    keep(None)
                 # every row accepts every cell at level 0: summing into
                 # zeros would give k21 + 0.0, which turns -0.0 into 0.0
                 return k21 + 0.0 if stacked else k21[0] + 0.0
@@ -323,8 +316,6 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         np.add.at(out, (base + idx)[ok], k21[ok])
         live &= ~ok
         pending = live.any(axis=0)
-        if leaves is not None:
-            keep(~pending)
         if not pending.any():
             out = out.reshape(n_rows, a0.size)
             return out if stacked else out[0]
@@ -585,7 +576,6 @@ class ManifoldModel:
             self._ride.append((knot, side, w, edge))
         if graded:
             knots = np.unique(np.concatenate([knots] + graded))
-        self.knots = knots
         # below this edge a singular model integrates under u = sqrt(r - r_min):
         # the end of the last cell of the first piece that lies nearer r_min
         # than its width.  The (r - r_min)^(-1/2) of the integrands converges
@@ -598,58 +588,41 @@ class ManifoldModel:
         # every integral's cells end at these radii
         cuts = np.unique(np.append(breaks, self._sub_edge))
         self._cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
-        # one pass builds both tables, each row its own tolerance group,
-        # scaled by its largest increment
-        leaves = []
-        cellwise = self._integrate_cells(self._slopes, knots[:-1], knots[1:],
-                                         leaves=leaves)
+        # One pass builds both tables, each row its own tolerance group,
+        # scaled by its largest increment.  A pass that bisects a knot cell
+        # halves it at the midpoint of its chart, which both halves keep,
+        # and runs again.
+        for depth in range(_MAX_DEPTH + 1):
+            leaves = []
+            inc = self._integrate_cells(self._slopes, knots[:-1], knots[1:],
+                                        leaves=leaves)
+            lo, hi, q, y, accepted = leaves[0]
+            if q is None:
+                q = np.zeros((lo.size, 3))
+            if accepted.all():
+                break
+            c = int(np.argmin(accepted))
+            if depth == _MAX_DEPTH:
+                raise QuadratureError(
+                    f"table cell r in [{float(knots[c])!r}, "
+                    f"{float(knots[c + 1])!r}] still bisects after "
+                    f"{depth} halvings")
+            mid = 0.5 * (lo + hi)[~accepted, None]
+            knots = np.unique(np.append(
+                knots, self._chart_r(mid, q[~accepted])[0][:, 0]))
+        self.knots = knots
+        self._inc = inc
         self._Fs_knots = np.stack([np.concatenate([[0.0], np.cumsum(row)])
-                                   for row in cellwise])
-        self._F_knots, self._s_knots = self._Fs_knots
-        # The pass's accepted panels are the table cells, in order of r: a
-        # knot cell the pass bisected becomes one table cell per panel.
-        # Each keeps its chart, its K21 values and the integrand at its
-        # nodes and both chart ends, which give its integral from its start
-        # (see _TO_CHEBYSHEV), in a frame that starts at its smaller radius:
-        # a ride chart left of its knot runs against r, and its values are
+                                   for row in inc])
+        # Each table cell keeps its chart and the integrand at its nodes and
+        # both chart ends, which give its integral from its start (see
+        # _TO_CHEBYSHEV), in a frame that starts at its smaller radius: a
+        # ride chart left of its knot runs against r, and its values are
         # mirrored.
-        owner, lo, hi, q, inc, y, done = leaves[0] if len(leaves) == 1 else (
-            np.concatenate(part, axis=axis) if part[0] is not None else None
-            for part, axis in zip(zip(*leaves), (0, 0, 0, 0, 1, 1, 0)))
-        if q is None:
-            q = np.zeros((owner.size, 3))
         dec = q[:, 1] < 0.0
-        ends, table = knots, self._Fs_knots
-        if done is not None:
-            # the pass bisected: each knot cell's panels, in order of r,
-            # start where the one before them ends
-            order = np.lexsort((np.where(dec, -lo, lo), owner, ~done))
-            order = order[:np.count_nonzero(done)]
-            owner, lo, hi, q, dec = (v[order] for v in (owner, lo, hi, q, dec))
-            inc, y = inc[:, order], y[:, order]
-            same = owner[1:] == owner[:-1]
-            later = np.flatnonzero(same) + 1
-            # A row may accept a knot cell whole where the other bisects
-            # it, so that its panels need not sum to the row's value of the
-            # cell: each knot cell's panels are scaled to it, and F and s
-            # run on from a bisected cell's last panel into the next knot's
-            # table value.  A cell that is one panel scales by x / x = 1.
-            sums = np.add.reduceat(inc, np.flatnonzero(np.append(True, ~same)),
-                                   axis=1)
-            ratio = np.divide(cellwise, sums, out=np.ones(sums.shape),
-                              where=sums != 0.0)[:, owner]
-            inc *= ratio
-            y *= ratio[..., None]
-            ends, table = knots[owner], self._Fs_knots[:, owner]
-            ends[later] = self._chart_r(np.where(dec, hi, lo)[later, None],
-                                        q[later])[0][:, 0]
-            for k in later:
-                table[:, k] = table[:, k - 1] + inc[:, k - 1]
-            ends = np.append(ends, knots[-1])
-            table = np.concatenate([table, self._Fs_knots[:, -1:]], axis=1)
         if dec.any():
             y[:, dec] = y[:, dec][..., _MIRROR]
-        self._ends, self._Fs_ends, self._inc, self._nodes = ends, table, inc, y
+        self._nodes = y
         # chart coordinate at the start, signed chart width, chart row
         self._cells = (np.where(dec, hi, lo), np.where(dec, lo - hi, hi - lo),
                        q)
@@ -666,8 +639,8 @@ class ManifoldModel:
         if bad.any():
             j, c = _first_cell(bad)
             raise QuadratureError(
-                f"table cell r in [{float(ends[c])!r}, {float(ends[c + 1])!r}]"
-                f" integrates to {float(whole[j, c])!r} on its panel's "
+                f"table cell r in [{float(knots[c])!r}, {float(knots[c + 1])!r}"
+                f"] integrates to {float(whole[j, c])!r} on its panel's "
                 f"interpolant, against its K21 value {float(inc[j, c])!r}; "
                 f"values at its chart ends {y[j, c, _START:].tolist()!r}")
 
@@ -980,19 +953,19 @@ class ManifoldModel:
     def _cumulative_at(self, r, rows):
         """Rows of the (F, s) table at each radius in r, in the same shape.
 
-        A table end reads the table; any other radius adds the panel
+        A knot reads the table; any other radius adds the panel
         partial (see _panel_partials) from the start of its table cell.  No
         quadrature runs, and each radius reads the same in any batch.  A
         scalar r gives a float for one row, a tuple for both.
         """
         arr, scalar = self._radii(r)
-        ends = self._ends
-        i = ends.searchsorted(arr)
-        out = self._Fs_ends[rows][..., i]
-        off = ends[i] != arr
+        knots = self.knots
+        i = knots.searchsorted(arr)
+        out = self._Fs_knots[rows][..., i]
+        off = knots[i] != arr
         if off.any():
             cell = i[off] - 1
-            out[..., off] = self._Fs_ends[rows][..., cell] + self._panel_partials(
+            out[..., off] = self._Fs_knots[rows][..., cell] + self._panel_partials(
                 self._panels(cell, rows), self._fraction(cell, arr[off]))[0]
         if not scalar:
             return out
@@ -1025,10 +998,10 @@ class ManifoldModel:
         if np.max(ras, initial=r_b) > r_b:
             raise RangeError(f"rises need r_a <= r_b, got "
                              f"{float(np.max(ras))!r} > {r_b!r}")
-        ends = self._ends
+        knots = self.knots
         last = self._inc.shape[1] - 1
-        cb = min(int(np.searchsorted(ends, r_b, side="right")) - 1, last)
-        ca = np.minimum(np.searchsorted(ends, ras, side="right") - 1, last)
+        cb = min(int(np.searchsorted(knots, r_b, side="right")) - 1, last)
+        ca = np.minimum(np.searchsorted(knots, ras, side="right") - 1, last)
         cells = np.append(ca, cb)
         part = self._panel_partials(
             self._panels(cells, slice(None)),
@@ -1045,25 +1018,26 @@ class ManifoldModel:
 
     @property
     def s_cap(self) -> float:
-        return float(self._s_knots[-1])
+        return float(self._Fs_knots[1, -1])
 
     def r_of_s(self, s):
         """Invert the arclength: the radius whose sphere lies at arclength s.
 
-        An arclength within 4 ulps of a tabulated one reads its table end;
+        An arclength within 4 ulps of a tabulated one reads its knot;
         the rest run one safeguarded Newton iteration over the whole array
         on their table cells' panels (see _panel_partials), each point in
-        its own cell and frozen once s(r) matches its target to _SOLVE_REL
-        relative, which keeps the inverse accurate at any scale.
+        its own cell and frozen once s(r) reads its target to an ulp, or
+        once a step no longer moves it, so the radius is the table's own
+        root at any scale.
         """
         arr, scalar = checked_range(s, 0.0, self.s_cap, "arclength")
-        table = self._Fs_ends[1]
-        ends = self._ends
+        table = self._Fs_knots[1]
+        knots = self.knots
         i = np.searchsorted(table, arr)
         # the cumulative sum rounds by a few ulps, so an exact-match rule
         # would depend on how it rounded
         j = np.where((i > 0) & (arr - table[i - 1] < table[i] - arr), i - 1, i)
-        out = ends[j]
+        out = knots[j]
         off = np.abs(table[j] - arr) > 4.0 * np.spacing(arr)
         if np.any(off):
             target, cell = arr[off], i[off] - 1
@@ -1075,7 +1049,7 @@ class ManifoldModel:
             f_min, f_max = np.zeros(f.size), np.ones(f.size)
             # each point stays in its cell, so its panel is read once
             panels = self._panels(cell, 1)
-            tol = _SOLVE_REL * target
+            tol = np.spacing(target)
             active = np.ones(f.size, dtype=bool)
             for _ in range(80):
                 part, slope = self._panel_partials(panels, f)
@@ -1094,7 +1068,7 @@ class ManifoldModel:
                 active &= step != f
                 f = np.where(active, step, f)
             r = self._chart_r((x0 + f * width)[:, None], q)[0][:, 0]
-            out[off] = np.clip(r, ends[cell], ends[cell + 1])
+            out[off] = np.clip(r, knots[cell], knots[cell + 1])
         return float(out[0]) if scalar else out
 
     # -- integrals over radial ranges -----------------------------------------

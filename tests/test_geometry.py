@@ -30,6 +30,7 @@ from massflat.profiles import (
     deep_well,
     flat,
     schwarzschild,
+    sphere_radius,
     stripes,
     unit_sphere_area,
     validate,
@@ -116,7 +117,49 @@ def test_arclength_inverse_round_trip():
         ss = np.array([float(model.s(r)) for r in rs])
         assert np.all(np.diff(ss) > 0.0)
         back = np.array([float(model.r_of_s(v)) for v in ss])
-        np.testing.assert_allclose(back, rs, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(back, rs, rtol=4e-15, atol=0)
+
+
+def _first_radius_reading(model, targets):
+    """The smallest double r with model.s(r) >= each target > 0, by
+    bisection over the doubles of [r_min, r_cap]."""
+    lo = np.full(targets.shape, model.r_min)
+    hi = np.full(targets.shape, model.r_cap)
+    while True:
+        open_ = np.nextafter(lo, hi) < hi
+        if not open_.any():
+            return hi
+        mid = 0.5 * (lo + hi)
+        up = model.s(mid) >= targets
+        hi = np.where(open_ & up, mid, hi)
+        lo = np.where(open_ & ~up, mid, lo)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_sweep_windows_end_on_a_root_of_s(delta):
+    # the README deep-well sweep's windows, the certificate's and the GH
+    # bounds', which starts on the boundary sphere: r_minus and
+    # r_plus read s at their targets to 2 ulps, so they lie between the
+    # bisection roots of s at target -+ 2 ulps.  A Newton iteration that
+    # stopped at 1e-10 relative read s up to 9e-11 off (r_plus at 1e-4),
+    # and moved with the table's layout
+    alpha0, D = 0.0314159265358979, 0.05
+    profile = deep_well(3, delta, alpha0, 10.0)
+    r0 = sphere_radius(alpha0, 3)
+    model = ManifoldModel(profile, 4.0 * (r0 + D))
+    d_gh = 1.05 * float(model.s(r0))
+    model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh), check=False)
+    for m, half_width in ((model, D), (model_gh, d_gh)):
+        w = tubular_window(m, alpha0, half_width)
+        assert w.clamped == (m is model_gh) and w.s_plus < m.s_cap
+        if w.clamped:
+            assert (w.s_minus, w.r_minus) == (0.0, m.r_min)
+        r = np.array([w.r_minus, w.r_plus])[w.clamped:]
+        t = np.array([w.s_minus, w.s_plus])[w.clamped:]
+        ulps = 2.0 * np.spacing(t)
+        assert np.all(_first_radius_reading(m, t - ulps) <= r), (t, r)
+        assert np.all(r < _first_radius_reading(
+            m, np.nextafter(t + ulps, np.inf))), (t, r)
 
 
 def test_hawking_mass_recovered_from_graph_slope():
@@ -458,7 +501,7 @@ def test_batched_queries_equal_the_per_point_loop(name):
     loop = [model.quantities(float(r)) for r in inner]
     for key, values in batch.items():
         np.testing.assert_array_equal(values, [q[key] for q in loop], key)
-    ss = np.concatenate([[0.0], model._s_knots, [model.s_cap],
+    ss = np.concatenate([[0.0], model._Fs_knots[1], [model.s_cap],
                          rng.uniform(0.0, model.s_cap, 40)])
     np.testing.assert_array_equal(
         model.r_of_s(ss), np.array([model.r_of_s(float(v)) for v in ss]))
@@ -557,8 +600,8 @@ def test_one_pass_over_both_slopes_equals_each_alone(name):
     assert both.shape == (2, a.size)
     for row, alone in zip(both, (model.f_prime, model.s_prime)):
         np.testing.assert_array_equal(row, model._integrate_cells(alone, a, b))
-    np.testing.assert_array_equal(model._F_knots[1:], np.cumsum(both[0]))
-    np.testing.assert_array_equal(model._s_knots[1:], np.cumsum(both[1]))
+    np.testing.assert_array_equal(model._Fs_knots[:, 1:],
+                                  np.cumsum(both, axis=1))
 
 
 # the _BATCH_MODELS whose profile starts on a minimal boundary sphere
@@ -624,34 +667,52 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
         assert panels.runs[start:] == [max(split)], what
 
 
-# _BATCH_MODELS and a deep well with cells on both sides of its ride knots
-_PANEL_MODELS = {**_BATCH_MODELS, "deep-well-rides": lambda: ManifoldModel(
-    deep_well(3, 1e-5, math.pi / 100, 10.0), 40.0)}
+class _BumpedModel(ManifoldModel):
+    """A model whose F' carries a narrow bump inside one knot cell of its
+    layout, which the F row of the table pass bisects while the s row
+    accepts the cell whole."""
+
+    def _slopes(self, r):
+        out = super()._slopes(r)
+        out[0] += 0.01 * np.exp(-((np.asarray(r) - 2.5) / 0.002) ** 2)
+        return out
+
+
+# _BATCH_MODELS, a deep well with cells on both sides of its ride knots and
+# the bumped model, whose table pass bisects
+_PANEL_MODELS = {
+    **_BATCH_MODELS,
+    "deep-well-rides": lambda: ManifoldModel(
+        deep_well(3, 1e-5, math.pi / 100, 10.0), 40.0),
+    "stripes-bumped": lambda: _BumpedModel(
+        stripes((1.0, 2.0, 3.0, 4.0), 0.1), 8.0),
+}
 
 
 @pytest.mark.parametrize("name", sorted(_PANEL_MODELS))
 def test_panel_reads_agree_with_quadrature_from_the_cell_start(name):
-    # F and s off the table's ends read the table plus the panel partial of
+    # F and s off the table's knots read the table plus the panel partial of
     # their table cell; they agree with adaptive quadrature from the start
-    # of the chart of their knot cell (the ride knot, on a ride cell left of
+    # of the chart of their cell (the ride knot, on a ride cell left of
     # it) to 1e-13, in every table cell: boundary charts on
-    # schwarzschild-tiny, both ride charts on deep-well-rides.  The
-    # quadrature's own nodes round to ulps of r, which moves it by up to a
-    # few slope * ulp(r) where a read lies next to a cell start.
+    # schwarzschild-tiny, both ride charts on deep-well-rides, the cells
+    # the table pass halved on stripes-bumped.  The quadrature's own nodes
+    # round to ulps of r, which moves it by up to a few slope * ulp(r)
+    # where a read lies next to a cell start.
     model = _PANEL_MODELS[name]()
-    ends, knots = model._ends, model.knots
+    knots = model.knots
     width, q = model._cells[1:]
     if name == "deep-well-rides":
         assert (q[:, 1] < 0.0).any() and (q[:, 1] > 0.0).any()
     if name == "schwarzschild-tiny":
         assert (q[:, 0] != 0.0).any()
     rng = np.random.default_rng(21)
-    fractions = np.concatenate([rng.random(ends.size - 1),
+    fractions = np.concatenate([rng.random(knots.size - 1),
                                 10.0 ** rng.uniform(-12.0, -1.0,
-                                                    ends.size - 1)])
-    cell = np.tile(np.arange(ends.size - 1), 2)
-    r = np.minimum(ends[cell] + fractions * (ends[cell + 1] - ends[cell]),
-                   ends[cell + 1])
+                                                    knots.size - 1)])
+    cell = np.tile(np.arange(knots.size - 1), 2)
+    r = np.minimum(knots[cell] + fractions * (knots[cell + 1] - knots[cell]),
+                   knots[cell + 1])
     k = np.minimum(np.searchsorted(knots, r, side="right"), knots.size - 1)
     back = width[cell] < 0.0  # the chart starts at the knot above
     a = np.where(back, r, knots[k - 1])
@@ -664,81 +725,45 @@ def test_panel_reads_agree_with_quadrature_from_the_cell_start(name):
                   + 4.0 * model._slopes(r) * np.spacing(r)), err.max()
 
 
-def _table_runs_on(model):
-    """The table cells that lie inside a bisected knot cell, after checking
-    that F and s run on from each table cell into the next: its table value
-    plus its increment is the next one, exactly where the cumulative sum
-    adds the increment, to the few ulps the sum over a bisected cell's
-    panels rounds off where its last panel meets the next knot."""
-    ends = model._ends
-    assert np.all(np.diff(ends) > 0.0) and np.isin(model.knots, ends).all()
-    knot = np.isin(ends, model.knots)
-    split = ~(knot[:-1] & knot[1:])
-    table = model._Fs_ends
-    gap = np.abs(table[:, 1:] - (table[:, :-1] + model._inc))
-    assert np.all(gap[:, ~split] == 0.0)
-    assert np.all(gap <= 4.0 * np.spacing(table[:, 1:])), gap.max()
-    return split
+def _seed_12_spline(m):
+    p = random_spline_profile(np.random.default_rng(12), m)
+    return ManifoldModel(p, float(p.pieces[1].knots[-1] + 3.0))
 
 
-class _BumpedModel(ManifoldModel):
-    """A model whose F' carries a narrow bump inside one knot cell, which
-    the F row of the table pass bisects while the s row accepts the cell
-    whole."""
-
-    def _slopes(self, r):
-        out = super()._slopes(r)
-        out[0] += 0.01 * np.exp(-((np.asarray(r) - 2.5) / 0.002) ** 2)
-        return out
+# the models whose table pass bisects a cell of their layout
+_HALVED_MODELS = {
+    "stripes-bumped": _PANEL_MODELS["stripes-bumped"],
+    **{f"spline-seed-12-m{m}": (lambda m=m: _seed_12_spline(m))
+       for m in (3, 4, 5)},
+}
 
 
-_BISECTED = "stripes-bumped"
+_TABLE_MODELS = {**_PANEL_MODELS, **_HALVED_MODELS}
 
 
-@pytest.mark.parametrize("name", sorted(_PANEL_MODELS) + [_BISECTED])
+@pytest.mark.parametrize("name", sorted(_TABLE_MODELS))
 def test_every_table_cell_is_one_accepted_panel(name, monkeypatch):
-    # the table pass's accepted panels are the table cells: integrated
-    # again in their charts, each is accepted on its first panel, with the
-    # increment the table keeps (to 1e-11 in a bisected knot cell, whose
-    # panels are scaled to sum to each row's value of the knot cell).  The
-    # panel models, deep wells included, converge on one pass; the bumped
-    # model bisects, which keeps the merge of bisected cells covered.
-    model = (_BumpedModel(stripes((1.0, 2.0, 3.0, 4.0), 0.1), 8.0)
-             if name == _BISECTED else _PANEL_MODELS[name]())
-    x0, width, q = model._cells
+    # every table cell is a knot cell that the table pass accepts on its
+    # first panel: integrated again in their charts, the cells converge on
+    # one pass, with the increments the table keeps bit for bit, and F and
+    # s run on from cell to cell exactly.  The panel models, deep wells
+    # included, build in one pass; the halved models split the cells the
+    # pass bisects at the midpoints of their charts and build in 2 to 4.
     panels = count_panels(monkeypatch)
+    model = _TABLE_MODELS[name]()
+    assert (1 < len(panels.runs) <= 4) == (name in _HALVED_MODELS), \
+        panels.runs
+    assert np.all(np.diff(model.knots) > 0.0)
+    np.testing.assert_array_equal(model._Fs_knots[:, 1:],
+                                  np.cumsum(model._inc, axis=1))
+    x0, width, q = model._cells
+    start = panels.passes
     inc = _adaptive_cells(
         lambda x, p: model._chart_values(model._slopes, x, p),
         np.minimum(x0, x0 + width), np.maximum(x0, x0 + width),
         geometry._QUAD_REL, (q[:, 0] != 0.0).astype(np.intp), q)
-    assert panels.passes == 1
-    # a bisected knot cell gives a table cell per panel, all in r order
-    split = _table_runs_on(model)
-    assert split.any() == (name == _BISECTED)
-    np.testing.assert_array_equal(inc[:, ~split], model._inc[:, ~split])
-    np.testing.assert_allclose(inc[:, split], model._inc[:, split],
-                               rtol=1e-11, atol=0)
-
-
-def test_a_knot_cell_one_row_bisects_runs_on_into_the_next_knot():
-    model = _BumpedModel(stripes((1.0, 2.0, 3.0, 4.0), 0.1), 8.0)
-    a, b = model.knots[:-1], model.knots[1:]
-    # s' is untouched: the s row reads each knot cell as the model does
-    both = model._integrate_cells(model._slopes, a, b)
-    plain = ManifoldModel(model.profile, 8.0)
-    np.testing.assert_array_equal(
-        both[1], plain._integrate_cells(plain._slopes, a, b)[1])
-    np.testing.assert_array_equal(model._Fs_knots[:, 1:],
-                                  np.cumsum(both, axis=1))
-    split = _table_runs_on(model)
-    assert split.sum() > 1
-    # reads inside the bisected cell agree with quadrature from its knot
-    r = np.linspace(model._ends[:-1][split][0], model._ends[1:][split][-1], 41)
-    k = np.searchsorted(model.knots, r, side="right") - 1
-    k = np.minimum(k, model.knots.size - 2)
-    want = model._Fs_knots[:, k] + model._integrate_cells(
-        model._slopes, model.knots[k], r, np.arange(r.size))
-    np.testing.assert_allclose(model._F_and_s(r), want, rtol=1e-13, atol=0)
+    assert panels.passes == start + 1
+    np.testing.assert_array_equal(inc, model._inc)
 
 
 def test_a_non_finite_value_at_a_table_cell_end_is_refused():
@@ -756,6 +781,26 @@ def test_a_non_finite_value_at_a_table_cell_end_is_refused():
     with pytest.raises(QuadratureError,
                        match=rf"table cell r in \[.*{knot!r}.*\binf\b"):
         Blown(profile, 8.0)
+
+
+def test_a_table_still_bisecting_at_the_cap_names_its_cell(monkeypatch):
+    # a table pass that keeps bisecting is refused after _MAX_DEPTH
+    # halvings, naming in radii the first cell it would halve again
+    profile = stripes((1.0, 2.0, 3.0, 4.0), 0.1)
+    lo, hi = ManifoldModel(profile, 8.0).knots[:2].tolist()
+
+    class Stuck(ManifoldModel):
+        def _integrate_cells(self, *args, leaves=None, **kwargs):
+            out = super()._integrate_cells(*args, leaves=leaves, **kwargs)
+            if leaves:  # no cell is ever accepted whole
+                leaves[0] = leaves[0][:4] + (np.zeros_like(leaves[0][4]),)
+            return out
+
+    monkeypatch.setattr(geometry, "_MAX_DEPTH", 3)
+    with pytest.raises(QuadratureError, match=re.escape(
+            f"table cell r in [{lo!r}, {lo + (hi - lo) / 8.0!r}] still "
+            "bisects after 3 halvings")):
+        Stuck(profile, 8.0)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -792,7 +837,6 @@ def test_deep_well_tables_build_in_one_pass(r_cap, monkeypatch):
         start = panels.passes
         model = ManifoldModel(deep_well(3, delta, math.pi / 100, 10.0), r_cap)
         assert panels.passes == start + 1, (delta, panels.cells[start:])
-        assert np.array_equal(model._ends, model.knots)
         # the tail's first cell, which bisected towards the root of the
         # wall gap, lies no nearer that root than it is wide now
         tail = model.profile.pieces[-1]
@@ -1085,12 +1129,12 @@ def test_arclength_inverse_and_window_are_scale_covariant(lam):
         0.1 + np.geomspace(1e-9, 1e-2, 7),
         np.linspace(0.1, 8.0, 41)[1:-1] + 0.0123])
     back = model.r_of_s(model.s(rs))
-    np.testing.assert_allclose(back, rs, rtol=2e-10, atol=0)
+    np.testing.assert_allclose(back, rs, rtol=4e-15, atol=0)
     w1 = tubular_window(base, 4.0 * math.pi, 0.5)
     w = tubular_window(model, 4.0 * math.pi * lam**2, 0.5 * lam)
     for name in ("r0", "r_minus", "r_plus", "s0", "s_minus", "s_plus"):
         assert getattr(w, name) / lam == pytest.approx(
-            getattr(w1, name), rel=2e-10), name
+            getattr(w1, name), rel=4e-15), name
 
 
 @pytest.mark.parametrize("mass", [1e-17, 0.05, 0.1, 1.0])
