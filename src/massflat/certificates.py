@@ -3,7 +3,7 @@
 The tubular neighborhood of the alpha0 sphere is compared with the same tube
 in flat space by cutting away a small-area core (the well cut), filling the
 region between the graph and the annulus, and collecting the volumes of every
-excess region.  The certificate stores the exact quadrature volume of each
+excess region.  The certificate stores the table-read volume of each
 region together with the coarser closed-form over-bounds, and the budget
 solver inverts the construction: given a target epsilon it produces a delta
 such that any admissible profile with ADM mass below delta certifies at
@@ -111,11 +111,11 @@ def flat_certificate(model: ManifoldModel, alpha0: float, D: float,
                      epsilon: float) -> FlatCertificate:
     """Assemble the flat-distance certificate for the (alpha0, D) tube.
 
-    The window's radii come from tubular_window; every integral the
-    certificate reads comes from one quadrature pass over the window
-    (ManifoldModel._window_volumes): the region volumes, and the rise of F
-    and the strip length behind the embedding constants, which equal
-    embedding_constant_bound(model, r_eps, r_plus) bit for bit.
+    The window's radii come from tubular_window, and every integral the
+    certificate reads from one read of the model's table, with no
+    quadrature (ManifoldModel._window_volumes): the region volumes, and the
+    rise of F and the strip length behind the embedding constants, which
+    equal embedding_constant_bound(model, r_eps, r_plus) bit for bit.
     """
     epsilon = positive(epsilon, "epsilon")
     m = model.dimension
@@ -127,8 +127,8 @@ def flat_certificate(model: ManifoldModel, alpha0: float, D: float,
     r_plus = window.r_plus
 
     inner = max(window.r0 - D, 0.0)
-    # one quadrature pass; the deep shell [r_minus, r_eps] is empty unless
-    # the cut lies inside the window
+    # one table read; the deep shell [r_minus, r_eps] is empty unless the
+    # cut lies inside the window
     shell, vol_b1, vol_a1, rise, strip = model._window_volumes(
         window.r_minus, r_eps, r_plus)
     consts = _measured_constants(model, r_eps, r_plus, rise, strip)

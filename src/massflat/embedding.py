@@ -83,14 +83,11 @@ def embedding_constant_bound(model, r_a, r_b: float) -> EmbeddingConstants:
     S_M = sqrt(C (diam_M + C)) where diam_M is bounded by
     diam_W sqrt(1 + sup_grad^2) plus the graph height.  An array of left
     ends r_a sharing r_b gives constants whose fields are arrays.  The strip
-    length s(r_b) - s(r_a) and the rise F(r_b) - F(r_a) are the integrals
-    of s' and F' over [r_a, r_b], one pass for every range
-    (ManifoldModel._range_integrals); flat_certificate reads the same
-    integrals from its volume pass, bit for bit.
+    length s(r_b) - s(r_a) and the rise F(r_b) - F(r_a) are read off the
+    model's table, with no quadrature (ManifoldModel._F_and_s_rises), as
+    flat_certificate and the GH bounds read them, bit for bit.
     """
-    ends = np.atleast_1d(np.asarray(r_a, dtype=float))
-    rise, strip = model._range_integrals(model._slopes,
-                                         [(r, r_b) for r in ends])
+    rise, strip = model._F_and_s_rises(r_a, r_b)
     return _measured_constants(model, r_a, r_b, rise, strip)
 
 

@@ -14,11 +14,12 @@ its 21 nodes and both chart ends, which the build checks are finite.  A
 read off the knots adds to the table the integral of the cell's
 interpolant through those 23 values from the cell's start, and r_of_s
 inverts s by a safeguarded Newton iteration on the same panel, to an ulp
-of its target, so neither runs any quadrature.  Queries take arrays, and each value is the
-same as that of the query made alone.  Each cell runs in the coordinate of
-its kind, chosen per cell within one run, so one integrand call evaluates
-every node: r; on a
-minimal boundary sphere, where the integrands carry a (r - r_min)^(-1/2)
+of its target; a window's volumes weigh the same values (see
+_window_volumes).  None of them runs any quadrature.  Queries take arrays,
+and each value is the same as that of the query made alone.  Each cell
+runs in the coordinate of its kind, chosen per cell within one run, so one
+integrand call evaluates every node: r; on a minimal boundary sphere,
+where the integrands carry a (r - r_min)^(-1/2)
 singularity, u = sqrt(r - r_min) below _sub_edge, the end of the last cell
 of the first piece that lies nearer r_min than its width, so that every
 knot cell converges on its first panel; and beside a ride knot of a
@@ -42,27 +43,25 @@ angle, in charts of its own at the boundary and on a cell that ends on a
 ride knot; its cells end at the model's cuts (see _leg_integrals), not at
 the knots that ride spans and wall roots add.
 
-Every integral goes through ManifoldModel._integrate_cells, which runs
-vectorized 21-point Gauss-Kronrod panels (QUADPACK's QK21: the value is the
-Kronrod rule K21, the error gauge its gap to the 10-point Gauss rule G10 on
-10 of the same nodes) and bisects the panels that miss the tolerance,
-breadth-first: each level holds the left halves, then the right halves, of
-the cells the level above did not accept, and each cell sums its accepted
-panels in level order.  The integrand sees cells, not loose nodes: it is
-called as f(x, p) on a (cells, 21) block of nodes with one param row p per
-cell, in calls of at most _BLOCK nodes of whole cells, and the chart
-function of _integrate_cells maps only the rows of boundary, ride and leg
-cells to radii.  An integrand may return a stack of rows; each row keeps
-its own acceptance and equals the row integrated alone, so one pass over
-(F', s') builds both tables.  The same stacking serves _window_volumes,
-which integrates a certificate window's shell, graph excess, deep shell
-and the rise of F and s across it in one pass from one profile evaluation
-per node; each value equals the one its single query gives, bit for bit.
-A panel whose value is not finite, one
-still unconverged after 50 bisections, or a batch whose pending cells (over
-all rows) bisection would grow by more than 200,000 raises QuadratureError,
-which names the failing interval in radii.  A model whose r^(m-2) or wall
-gap overflows at r_cap is refused before any quadrature runs.
+The table and the geodesic legs integrate through
+ManifoldModel._integrate_cells, which runs vectorized 21-point
+Gauss-Kronrod panels (QUADPACK's QK21: the value is the Kronrod rule K21,
+the error gauge its gap to the 10-point Gauss rule G10 on 10 of the same
+nodes) and bisects the panels that miss the tolerance, breadth-first: each
+level holds the left halves, then the right halves, of the cells the level
+above did not accept, and each cell sums its accepted panels in level
+order.  The integrand sees cells, not loose nodes: it is called as f(x, p)
+on a (cells, 21) block of nodes with one param row p per cell, in calls of
+at most _BLOCK nodes of whole cells, and the chart function of
+_integrate_cells maps only the rows of boundary, ride and leg cells to
+radii.  An integrand may return a stack of rows; each row keeps its own
+acceptance and equals the row integrated alone, so one pass over (F', s')
+builds both tables.  A panel whose value is not finite, one still
+unconverged after 50 bisections, or a batch whose pending cells (over all
+rows) bisection would grow by more than 200,000 raises QuadratureError,
+which names the integral (the table, a leg's length or angle) and the
+failing interval in radii.  A model whose r^(m-2) or wall gap overflows at
+r_cap is refused before any quadrature runs.
 """
 
 from __future__ import annotations
@@ -219,7 +218,7 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
 
 def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                     group=None, param=None, span=None,
-                    leaves=None) -> np.ndarray:
+                    leaves=None, label=None) -> np.ndarray:
     """Adaptive panel integration of f over each cell, returned per cell.
 
     Bisection runs breadth-first, one _panel_integrals pass per level.
@@ -230,10 +229,11 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     of its cell's group: the largest level-0 value among the cells sharing
     its ``group`` label (one group by default).  A cell's result therefore
     depends only on the cells of its own group; it sums the accepted panels
-    in level order.  ``param`` (one row per cell) is passed to f as
-    f(x, p) (see _panel_integrals), and the halves of a bisected cell
-    inherit it.  Errors name an interval [lo, hi] of cell i's coordinate
-    as ``span(i, lo, hi)``, by default the plain "[lo, hi]".  A ``leaves``
+    in level order (of the model's integrals, only legs pass groups).
+    ``param`` (one row per cell) is passed to f as f(x, p) (see
+    _panel_integrals), and the halves of a bisected cell inherit it.
+    Errors name the ``label`` and an interval [lo, hi] of cell i's
+    coordinate as ``span(i, lo, hi)``, by default "[lo, hi]".  A ``leaves``
     list receives level 0 as (a, b, param, node values, accepted): the
     cells' ends and param rows, the (k, cells, 23) block of f at their 21
     nodes and their two ends, which f then evaluates in the same calls, and
@@ -260,6 +260,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     if span is None:
         def span(i, lo, hi):
             return f"[{float(lo)!r}, {float(hi)!r}]"
+    what = "" if label is None else f"{label}: "
     idx = np.arange(a.size)
     p = None if param is None else np.asarray(param, dtype=float)
     g = f
@@ -288,7 +289,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
         if bad.any():
             j, c = _first_cell(bad)
             raise QuadratureError(
-                f"non-finite integrand on {span(idx[c], a[c], b[c])} "
+                f"{what}non-finite integrand on {span(idx[c], a[c], b[c])} "
                 f"(panel value {float(k21[j, c])!r}, error estimate "
                 f"{float(err[j, c])!r})")
         if depth == 0:
@@ -324,7 +325,7 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
             j, c = _first_cell(live)
             i = idx[c]
             raise QuadratureError(
-                f"adaptive quadrature did not converge on "
+                f"{what}adaptive quadrature did not converge on "
                 f"{span(i, a0[i], b0[i])} within {depth} bisections (piece "
                 f"{span(i, a[c], b[c])}, error estimate "
                 f"{float(err[j, c])!r}; {n_next} cells would be pending)")
@@ -370,6 +371,42 @@ def _near_edge(grid: np.ndarray, origin: float):
     origin, that lies nearer origin than its own width."""
     near = np.abs(grid[:-1] - origin) < np.abs(grid[1:] - grid[:-1])
     return grid[near.nonzero()[0][-1] + 1]
+
+
+def _panels(cell, nodes, width):
+    """For _panel_partials, one per point: rows of p(0) and of R at _CHEB_F
+    (see _TO_CHEBYSHEV) of its cell in a (..., cells, 23) block of values
+    at _TABLE_X, formed once per distinct cell, and its chart's width."""
+    seen = np.zeros(nodes.shape[-2], dtype=bool)
+    seen[cell] = True
+    cells = seen.nonzero()[0]
+    at = cells.searchsorted(cell)
+    nodes = nodes[..., cells, :]
+    start = nodes[..., _START]
+    values = np.empty(start.shape + _CHEB_F.shape)
+    step = _BLOCK // _CHEB_F.size
+    for lo in range(0, cells.size, step):
+        part = slice(lo, lo + step)
+        # 0 for a constant p; row-wise sums, so that a cell reads the
+        # same in any batch
+        values[..., part, :] = (
+            ((nodes[..., part, :] - start[..., part, None])[..., None, :]
+             * _TO_CHEBYSHEV).sum(axis=-1))
+    return start[..., at], values[..., at, :], np.abs(width[cell])
+
+
+def _rises(whole, ca, cb, head, tail):
+    """Rows of sums of cell values ``whole`` from a point in cell ca to one
+    in cell cb >= ca: ca's value less its part ``head`` below the first,
+    the cells between, summed from cb down, and cb's part ``tail`` below
+    the second; tail - head where ca == cb."""
+    # between[..., c]: the values of the cells c + 1 .. cb - 1
+    between = np.zeros(whole.shape[:-1] + (cb + 1,))
+    if cb > 1:
+        between[..., :cb - 1] = np.cumsum(whole[..., cb - 1:0:-1],
+                                          axis=-1)[..., ::-1]
+    return np.where(ca == cb, tail - head,
+                    whole[..., ca] - head + between[..., ca] + tail)
 
 
 def _first_cell(mask: np.ndarray) -> Tuple[int, int]:
@@ -595,7 +632,7 @@ class ManifoldModel:
         for depth in range(_MAX_DEPTH + 1):
             leaves = []
             inc = self._integrate_cells(self._slopes, knots[:-1], knots[1:],
-                                        leaves=leaves)
+                                        leaves=leaves, label="table")
             lo, hi, q, y, accepted = leaves[0]
             if q is None:
                 q = np.zeros((lo.size, 3))
@@ -765,7 +802,8 @@ class ManifoldModel:
         return y
 
     def _integrate_cells(self, fvec: Callable, a, b, group=None, c=None,
-                         angle: bool = False, leaves=None) -> np.ndarray:
+                         angle: bool = False, label=None,
+                         leaves=None) -> np.ndarray:
         """Integrals of fvec over cells [a_i, b_i], each inside one knot
         interval, or below _sub_edge.
 
@@ -793,11 +831,12 @@ class ManifoldModel:
         carries the leg's (r - c)^(-1/2) end is split at its midpoint, the
         half at the knot riding, the other in x.
 
-        A QuadratureError names radii: the chart maps the failing interval
-        back to r.  A query with a ``group`` label of its own (see
-        _adaptive_cells) gets the same value whatever else is in its batch.
-        An fvec returning a (k, n) stack gives (k, cells) integrals, each row
-        equal to its integrand's alone.
+        A QuadratureError names the integral's ``label`` and radii: the
+        chart maps the failing interval back to r.  A query with a
+        ``group`` label of its own (see _adaptive_cells) gets the same
+        value whatever else is in its batch.  An fvec returning a (k, n)
+        stack gives (k, cells) integrals, each row equal to its integrand's
+        alone.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -826,7 +865,7 @@ class ManifoldModel:
         if not (leg or sub.any() or sw.any()):
             # every cell runs in r: no chart
             return _adaptive_cells(nodewise, a, b, _QUAD_REL, group,
-                                   leaves=leaves)
+                                   leaves=leaves, label=label)
         cols = [sub, sw, u_k]
         if leg:
             split = np.nonzero((sw < 0.0) & (a - c < b - a))[0]
@@ -863,7 +902,8 @@ class ManifoldModel:
         # in runs of their own
         if sub.any():
             group = np.where(sub, group + (int(group.max()) + 1), group)
-        y = _adaptive_cells(g, lo, hi, _QUAD_REL, group, q, span, leaves)
+        y = _adaptive_cells(g, lo, hi, _QUAD_REL, group, q, span, leaves,
+                            label)
         if leg:
             y[split] += y[n:]
         return y[..., :n]
@@ -884,7 +924,8 @@ class ManifoldModel:
         return np.where(diverge, np.inf, 0.0) + np.bincount(
             owner, self._integrate_cells(
                 self._s_prime, edges[:, :-1][live], edges[:, 1:][live],
-                group[owner], c[owner], angle), minlength=lo.size)
+                group[owner], c[owner], angle,
+                "leg angle" if angle else "leg length"), minlength=lo.size)
 
     # -- cumulative queries ----------------------------------------------------
 
@@ -899,37 +940,13 @@ class ManifoldModel:
         x = self._chart_x(r, q[cell])
         return np.minimum(np.maximum((x - x0[cell]) / width[cell], 0.0), 1.0)
 
-    def _panels(self, cell, rows):
-        """The panels of table cells, one per point, for _panel_partials:
-        rows of (F', s') at each cell's start, p(0), and of R at _CHEB_F
-        (see _TO_CHEBYSHEV), and the chart's width.  R is formed once per
-        distinct cell of the read, in blocks of cells, so the temporaries
-        stay small however many a read holds, and gathered to the points.
-        """
-        seen = np.zeros(self._nodes.shape[1], dtype=bool)
-        seen[cell] = True
-        cells = seen.nonzero()[0]
-        at = cells.searchsorted(cell)
-        nodes = self._nodes[rows][..., cells, :]
-        start = nodes[..., _START]
-        values = np.empty(start.shape + _CHEB_F.shape)
-        step = _BLOCK // _CHEB_F.size
-        for lo in range(0, cells.size, step):
-            part = slice(lo, lo + step)
-            # 0 for a constant p; row-wise sums, so that a cell reads the
-            # same in any batch
-            values[..., part, :] = (
-                ((nodes[..., part, :] - start[..., part, None])[..., None, :]
-                 * _TO_CHEBYSHEV).sum(axis=-1))
-        return (start[..., at], values[..., at, :],
-                np.abs(self._cells[1][cell]))
-
     @staticmethod
-    def _panel_partials(panels, f):
+    def _panel_partials(panels, f, slope: bool = False):
         """Integrals over r from the start of each point's panel (see
         _panels) to the fraction f of its chart, P(f) = f (p(0) + f R(f))
-        times the chart's width, and their derivatives in f, from R(f) and
-        R'(f) in barycentric form (Schneider and Werner)."""
+        times the chart's width, and with ``slope`` their derivatives in f
+        too, from R(f) and R'(f) in barycentric form (Schneider and
+        Werner)."""
         start, values, width = panels
         rf, drf = np.empty(start.shape), np.empty(start.shape)
         for lo in range(0, f.size, _BLOCK):
@@ -945,10 +962,12 @@ class ManifoldModel:
             w = _CHEB_W / d
             total = w.sum(axis=-1)
             rf[..., part] = (w * values[..., part, :]).sum(axis=-1) / total
-            drf[..., part] = ((w * (rf[..., part, None] - values[..., part, :])
-                               / d).sum(axis=-1) / total)
-        return (width * f * (start + f * rf),
-                width * (start + f * (2.0 * rf + f * drf)))
+            if slope:
+                dv = rf[..., part, None] - values[..., part, :]
+                drf[..., part] = (w * dv / d).sum(axis=-1) / total
+        value = width * f * (start + f * rf)
+        return ((value, width * (start + f * (2.0 * rf + f * drf))) if slope
+                else value)
 
     def _cumulative_at(self, r, rows):
         """Rows of the (F, s) table at each radius in r, in the same shape.
@@ -966,7 +985,8 @@ class ManifoldModel:
         if off.any():
             cell = i[off] - 1
             out[..., off] = self._Fs_knots[rows][..., cell] + self._panel_partials(
-                self._panels(cell, rows), self._fraction(cell, arr[off]))[0]
+                _panels(cell, self._nodes[rows], self._cells[1]),
+                self._fraction(cell, arr[off]))
         if not scalar:
             return out
         return float(out[0]) if out.ndim == 1 else tuple(out[:, 0].tolist())
@@ -998,23 +1018,14 @@ class ManifoldModel:
         if np.max(ras, initial=r_b) > r_b:
             raise RangeError(f"rises need r_a <= r_b, got "
                              f"{float(np.max(ras))!r} > {r_b!r}")
-        knots = self.knots
-        last = self._inc.shape[1] - 1
-        cb = min(int(np.searchsorted(knots, r_b, side="right")) - 1, last)
-        ca = np.minimum(np.searchsorted(knots, ras, side="right") - 1, last)
-        cells = np.append(ca, cb)
+        ends = np.append(ras, r_b)
+        cells = np.minimum(self.knots.searchsorted(ends, side="right") - 1,
+                           self._inc.shape[1] - 1)
         part = self._panel_partials(
-            self._panels(cells, slice(None)),
-            self._fraction(cells, np.append(ras, r_b)))[0]
-        head, part = part[:, -1:], part[:, :-1]
-        same = ca == cb
-        # between[:, c]: the increments of the cells c + 1 .. cb - 1
-        between = np.zeros((2, cb + 1))
-        if cb > 1:
-            between[:, :cb - 1] = np.cumsum(self._inc[:, cb - 1:0:-1],
-                                            axis=1)[:, ::-1]
-        return np.where(same, head - part,
-                        self._inc[:, ca] - part + between[:, ca] + head)
+            _panels(cells, self._nodes, self._cells[1]),
+            self._fraction(cells, ends))
+        return _rises(self._inc, cells[:-1], cells[-1], part[:, :-1],
+                      part[:, -1:])
 
     @property
     def s_cap(self) -> float:
@@ -1048,11 +1059,11 @@ class ManifoldModel:
             f = (target - base) / (table[cell + 1] - base)
             f_min, f_max = np.zeros(f.size), np.ones(f.size)
             # each point stays in its cell, so its panel is read once
-            panels = self._panels(cell, 1)
+            panels = _panels(cell, self._nodes[1], self._cells[1])
             tol = np.spacing(target)
             active = np.ones(f.size, dtype=bool)
             for _ in range(80):
-                part, slope = self._panel_partials(panels, f)
+                part, slope = self._panel_partials(panels, f, slope=True)
                 g = base + part - target
                 active &= ~(np.abs(g) <= tol)
                 if not np.any(active):
@@ -1071,91 +1082,74 @@ class ManifoldModel:
             out[off] = np.clip(r, knots[cell], knots[cell + 1])
         return float(out[0]) if scalar else out
 
-    # -- integrals over radial ranges -----------------------------------------
-
-    def _range_integrals(self, fvec: Callable, ranges) -> np.ndarray:
-        """Integrals of fvec over each [r_a, r_b] of ranges, split at the knots.
-
-        One pass over the cells of every range, each range its own tolerance
-        group, so each value equals its range integrated alone; an empty
-        range gives 0.  Returns a (rows, ranges) array: one row for a plain
-        fvec, k for an fvec returning a (k, n) stack.
-        """
-        knots = self.knots
-        edges = []
-        for r_a, r_b in ranges:
-            (r_a, r_b), _ = self._radii([r_a, r_b])
-            edges.append(np.concatenate(
-                [[r_a], knots[(knots > r_a) & (knots < r_b)], [r_b]])
-                if r_b > r_a else np.zeros(1))
-        sizes = [e.size - 1 for e in edges]
-        a = np.concatenate([e[:-1] for e in edges])
-        b = np.concatenate([e[1:] for e in edges])
-        # with no cells, fvec on no radii still gives the stack's shape
-        vals = self._integrate_cells(
-            fvec, a, b, np.repeat(np.arange(len(edges)), sizes)) \
-            if a.size else fvec(a)
-        ends = np.cumsum([0] + sizes)
-        return np.array([[np.sum(row[lo:hi]) for lo, hi in zip(ends, ends[1:])]
-                         for row in np.atleast_2d(vals)])
-
-    def _shell_density(self, r, s_prime):
-        """omega r^(m-1) s'(r): the shell volume per unit radius."""
-        return self.omega * r ** (self.dimension - 1) * s_prime
-
-    def _excess_density(self, t, f_prime, cap):
-        """F'(t) omega (cap - t^m) / m: graph_excess by Fubini, cap = r_b^m."""
-        m = self.dimension
-        return f_prime * self.omega * (cap - t**m) / m
+    # -- volumes over radial ranges -------------------------------------------
 
     def shell_volume(self, r_a: float, r_b: float) -> float:
-        """Riemannian volume of the shell between the spheres at r_a, r_b."""
+        """Riemannian volume of the shell between the spheres at r_a, r_b,
+        read off the table (see _window_volumes)."""
         if r_b < r_a:
             raise RangeError("shell_volume needs r_a <= r_b")
-        return float(self._range_integrals(
-            lambda r: self._shell_density(r, self._s_prime(r)),
-            [(r_a, r_b)])[0, 0])
+        return self._window_volumes(r_a, r_a, r_b)[0]
 
     def graph_excess(self, r_a: float, r_b: float) -> float:
-        """Integral of (F(r) - F(r_a)) over the annulus [r_a, r_b].
-
-        Evaluated as a single pass via Fubini:
-        int F'(t) omega (r_b^m - t^m)/m dt.
-        """
+        """Integral of (F(r) - F(r_a)) over the annulus [r_a, r_b]: by
+        Fubini, that of F'(t) omega (r_b^m - t^m) / m over [r_a, r_b], read
+        off the table (see _window_volumes)."""
         if r_b < r_a:
             raise RangeError("graph_excess needs r_a <= r_b")
-        cap = r_b**self.dimension
-        return float(self._range_integrals(
-            lambda t: self._excess_density(t, self._f_prime(t), cap),
-            [(r_a, r_b)])[0, 0])
+        return self._window_volumes(r_a, r_a, r_b)[1]
 
     def _window_volumes(self, r_deep: float, r_a: float,
                         r_b: float) -> Tuple[float, float, float, float, float]:
         """shell_volume(r_a, r_b), graph_excess(r_a, r_b),
         shell_volume(r_deep, r_a), and the rise F(r_b) - F(r_a) and strip
-        length s(r_b) - s(r_a) as the integrals of F' and s' over [r_a, r_b],
-        from one pass.  Each equals its range integrated alone
-        (_range_integrals) bit for bit.
+        length s(r_b) - s(r_a), r_deep <= r_a <= r_b, read off the table.
 
-        One _slopes evaluation feeds every row; the deep range is its own
-        tolerance group.  The rows over [r_a, r_b] alone read 0 on the deep
-        range's nodes, which lie below r_a, and accept every deep cell at
-        once instead of holding it in bisection.
-        """
-        cap = r_b**self.dimension
-
-        def densities(r):
-            fp, sp = self._slopes(r)
-            below = r < r_a
-            return np.stack([
-                self._shell_density(r, sp),
-                np.where(below, 0.0, self._excess_density(r, fp, cap)),
-                np.where(below, 0.0, fp), np.where(below, 0.0, sp)])
-
-        (shell, deep), (excess, _), (rise, _), (strip, _) = \
-            self._range_integrals(densities, [(r_a, r_b), (r_deep, r_a)])
-        return (float(shell), float(excess), float(deep), float(rise),
-                float(strip))
+        The shell weighs s' by omega r^(m-1), the graph excess F' by
+        omega (r_b^m - r^m) / m, at each cell's 21 nodes and 2 ends, radii
+        from one _chart_r call.  Whole cells read the K21 sums of the
+        weighted values (F' and s' their increments), the cells of the three
+        radii the partials of their 23, summed as _F_and_s_rises sums: each
+        value is its own query's, bit for bit, and as accurate as the table.
+        A weighted cell that reads a non-finite value raises QuadratureError
+        naming the volume and the cell."""
+        m = self.dimension
+        ends = self._radii([r_deep, r_a, r_b])[0]
+        tip = np.minimum(self.knots.searchsorted(ends, side="right") - 1,
+                         self._inc.shape[1] - 1)
+        cells = slice(tip[0], tip[2] + 1)
+        x0, width, q = (v[cells] for v in self._cells)
+        r = self._chart_r(x0[:, None] + width[:, None] * (_TABLE_X + 1.0)
+                          / 2.0, q)[0]
+        power = r ** (m - 1)
+        weight = self.omega * np.stack([power, (ends[2] ** m - power * r) / m])
+        # the shell on s', the graph excess on F'
+        y = weight * self._nodes[::-1, cells]
+        half = 0.5 * np.abs(width)
+        k21 = (y[..., :_START] * _K21_W).sum(axis=-1) * half
+        # the build held (F', s') to its acceptance rule, and K21, exact to
+        # degree 31, integrates a weight of low degree in r times their
+        # interpolant as well: only a weight that overflows is left to refuse
+        bad = ~np.isfinite(k21)
+        at = tip - tip[0]  # the deep shell alone reads the cells below at[1]
+        bad[1, :at[1]] = False
+        if bad.any():
+            k, i = _first_cell(bad)
+            what = ("graph excess" if k else "deep shell" if i < at[1]
+                    else "window shell")
+            raise QuadratureError(
+                f"{what}: table cell r in [{float(self.knots[tip[0] + i])!r}, "
+                f"{float(self.knots[tip[0] + i + 1])!r}] reads a weighted "
+                f"integral of {float(k21[k, i])!r}")
+        # rows: the shell, the graph excess, F', s'
+        rows = np.concatenate([y, self._nodes[:, cells]])
+        whole = np.concatenate([k21, self._inc[:, cells]])
+        part = self._panel_partials(_panels(at, rows, width),
+                                    self._fraction(tip, ends))
+        shell, excess, rise, strip = _rises(whole, at[1], at[2], part[:, 1],
+                                            part[:, 2]).tolist()
+        deep = _rises(whole[0], at[0], at[1], part[0, 0], part[0, 1])
+        return shell, excess, float(deep), rise, strip
 
     def sup_grad(self, r_a, r_b: float):
         """Largest F' at the model's knots inside [r_a, r_b] and at both ends.

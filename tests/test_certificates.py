@@ -22,6 +22,7 @@ from massflat.embedding import (budget_embedding_constants,
                                 embedding_constant_bound, q_slope)
 from massflat.errors import CertificateError, DomainError
 from massflat.geometry import ManifoldModel, tubular_window
+from massflat.ghdist import best_gh_bound, gh_bound
 from massflat.profiles import (
     ConstantPiece,
     HawkingProfile,
@@ -33,7 +34,7 @@ from massflat.profiles import (
     unit_sphere_area,
 )
 from test_acceptance import LATTICE_AREAS, LATTICE_EPSILONS, LATTICE_WIDTHS
-from util import count_panels
+from util import count_panels, window_volumes
 
 
 def _cut_oracle(epsilon, D, alpha0, m):
@@ -137,15 +138,14 @@ _VOLUME_WINDOWS = {
     "deep-from-r-min": (schwarzschild(3, 5e-20), 12.0, 4.0 * math.pi, 1.5,
                         0.5, "deep"),
 }
-# most quadrature passes a window's volume pass may take
-_VOLUME_PASSES = {"deep-from-r-min": 2}
 
 
 @pytest.mark.parametrize("name", sorted(_VOLUME_WINDOWS))
-def test_one_volume_pass_equals_each_volume_alone(name, monkeypatch):
+def test_one_volume_read_equals_each_volume_alone(name, monkeypatch):
     # the shell, the graph excess, the deep shell and the rise of F and s
-    # over [r_eps, r_plus] share one pass, each range its own tolerance
-    # group: every integral reads what it reads alone
+    # over [r_eps, r_plus] come from one read of the table, with no
+    # quadrature (one pass before): every volume reads what its own query
+    # reads, and the rise and the strip what the GH bounds read
     profile, r_cap, alpha0, D, epsilon, variant = _VOLUME_WINDOWS[name]
     model = ManifoldModel(profile, r_cap)
     cert = flat_certificate(model, alpha0, D, epsilon)
@@ -154,21 +154,21 @@ def test_one_volume_pass_equals_each_volume_alone(name, monkeypatch):
     panels = count_panels(monkeypatch)
     shell, excess, deep, rise, strip = model._window_volumes(r_minus, r_eps,
                                                              r_plus)
-    assert panels.passes <= _VOLUME_PASSES.get(name, math.inf)
     assert shell == model.shell_volume(r_eps, r_plus)
     assert cert.vol_B2 == cert.S_M * shell
     assert excess == model.graph_excess(r_eps, r_plus) == cert.vol_B1
     assert deep == model.shell_volume(r_minus, r_eps) == cert.vol_A1
     assert (deep > 0.0) == (variant == "deep")
-    ranges = model._range_integrals(model._slopes, [(r_eps, r_plus)])
-    assert (rise, strip) == tuple(ranges[:, 0])
+    rises = model._F_and_s_rises([r_eps], r_plus)
+    assert (rise, strip) == tuple(rises[:, 0])
+    assert panels.passes == 0
 
 
 @pytest.mark.parametrize("name", sorted(_VOLUME_WINDOWS))
 def test_certificate_constants_equal_embedding_constant_bound(name):
-    # the certificate reads the rise of F and the strip length from its
-    # volume pass, embedding_constant_bound from range integrals over the
-    # same cells: the constants agree bit for bit
+    # the certificate reads the rise of F and the strip length with its
+    # volumes, embedding_constant_bound from the table's rises: the
+    # constants agree bit for bit
     profile, r_cap, alpha0, D, epsilon, _ = _VOLUME_WINDOWS[name]
     model = ManifoldModel(profile, r_cap)
     cert = flat_certificate(model, alpha0, D, epsilon)
@@ -189,16 +189,40 @@ _SWEEP_R_CAP = 4.0 * (math.sqrt(_SWEEP_ALPHA0 / (4.0 * math.pi)) + 0.05)
 ], ids=["schwarzschild", "deep-well-sweep"])
 def test_flat_certificate_quadrature_passes(profile, r_cap, alpha0, D,
                                             epsilon, monkeypatch):
-    # the window reads and inverts the table's panels, with no quadrature,
-    # and one pass serves every volume and the embedding constants' ends
-    # (the window's Newton steps took passes of their own before, and 8, 7,
-    # then 5 passes before that)
+    # after the build nothing a certificate or a GH bound reads runs
+    # quadrature: the window reads and inverts the table's panels, and the
+    # volumes and the embedding constants read the table too (one volume
+    # pass before, and 8, 7, then 5 passes before that)
     model = ManifoldModel(profile, r_cap)
     panels = count_panels(monkeypatch)
-    tubular_window(model, alpha0, D)
+    window = tubular_window(model, alpha0, D)
+    cert = flat_certificate(model, alpha0, D, epsilon)
+    model.shell_volume(cert.r_eps, cert.r_plus)
+    model.graph_excess(cert.r_eps, cert.r_plus)
+    embedding_constant_bound(model, cert.r_eps, cert.r_plus)
+    gh_bound(model, window, cert.r_eps)
+    best_gh_bound(model, window)
     assert panels.passes == 0
-    flat_certificate(model, alpha0, D, epsilon)
-    assert panels.passes == 1
+
+
+def test_volumes_of_certify_deep_wells_hold_the_table_budget():
+    # a deep well of certify's budgets (delta 1.3e-21): the table's scale,
+    # set by F' and s' in the well, allows each weighted cell a gap of
+    # 1e-16 times that scale, and the graph excess and the rise of F,
+    # 2.7e-8 and 3.1e-4 here, read within 1e-13 of per-range adaptive
+    # quadrature (2e-13 relative; 4.6e-21 and 1.8e-23 apart when measured)
+    epsilon, D, alpha0 = (0.5653324448117859, 1.9676918059954878,
+                          49.209255686490046)
+    delta = delta_budget(epsilon, D, alpha0, 3).delta
+    model = ManifoldModel(deep_well(3, 0.9 * delta, alpha0, 10.0),
+                          4.0 * (sphere_radius(alpha0, 3) + D))
+    cert = flat_certificate(model, alpha0, D, epsilon)
+    _, excess, _, rise, _ = window_volumes(model, cert.r_minus, cert.r_eps,
+                                           cert.r_plus)
+    consts = embedding_constant_bound(model, cert.r_eps, cert.r_plus)
+    for got, want in ((cert.vol_B1, excess), (consts.delta_F, rise)):
+        assert abs(got - want) <= 1e-13
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_certificate_volume_bounds_dominate_measured():

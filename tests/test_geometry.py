@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from scipy.integrate import quad
 from scipy.stats import qmc
 
 from massflat import geometry
+from massflat.certificates import flat_certificate
 from massflat.embedding import tube_distance
 from massflat.errors import (DomainError, QuadratureError, RangeError,
                              WindowOverflowError)
@@ -35,7 +35,8 @@ from massflat.profiles import (
     unit_sphere_area,
     validate,
 )
-from util import count_panels, random_spline_profile, two_run_integrate_cells
+from util import (count_panels, random_spline_profile,
+                  two_run_integrate_cells, window_volumes)
 
 
 def _schwarzschild_model(mass=0.1, r_cap=12.0):
@@ -409,15 +410,13 @@ def test_panel_partials_integrate_polynomials_exactly():
     assert t[start] == 0.0 and np.isfinite(geometry._TO_CHEBYSHEV).all()
     # p = p0 + c f + f^k, one cell each, read at fractions f
     cases = [(k, p0, 1.0 - p0) for k in range(23) for p0 in (0.0, 1.0)]
-    cells = SimpleNamespace(
-        _nodes=np.array([[p0 + c * t + t**k for k, p0, c in cases]]),
-        _cells=(None, np.ones(len(cases)), None))
+    nodes = np.array([p0 + c * t + t**k for k, p0, c in cases])
     f = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12, 1.0],
                         np.linspace(0.01, 0.99, 9), geometry._CHEB_F])
     cell = np.repeat(np.arange(len(cases)), f.size)
     f = np.tile(f, len(cases))
     got, slope = ManifoldModel._panel_partials(
-        ManifoldModel._panels(cells, cell, 0), f)
+        geometry._panels(cell, nodes, np.ones(len(cases))), f, slope=True)
     k, p0, c = np.array(cases)[cell].T
     want = p0 * f + c * f**2 / 2.0 + f ** (k + 1) / (k + 1)
     assert np.all(np.abs(got - want) <= 4e-15 * want), np.max(
@@ -612,12 +611,12 @@ _SINGULAR_MODELS = ("deep-well", "deep-well-small", "schwarzschild",
 @pytest.mark.parametrize("name", _SINGULAR_MODELS)
 def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
     # the cells under u = sqrt(r - r_min) share one _adaptive_cells run with
-    # the rest, in tolerance groups of their own: the table pass and the
-    # window volumes equal the split into two runs bit for bit, in one run
-    # each, which bisects as deep as the deeper of the two.  The split's
-    # second run gives the deep wells' ride cells their ride chart too.
-    # Reads that straddle _sub_edge run no quadrature at all: they read the
-    # table's panels.
+    # the rest, in tolerance groups of their own: the table pass equals the
+    # split into two runs bit for bit, in one run, which bisects as deep as
+    # the deeper of the two.  The split's second run gives the deep wells'
+    # ride cells their ride chart too.  Reads that straddle _sub_edge run no
+    # quadrature at all: they read the table's panels, and so do the window
+    # volumes.
     model = _BATCH_MODELS[name]()
     assert model._singular
     ride = name.startswith("deep-well")
@@ -647,12 +646,12 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
         # (test_one_pass_over_both_slopes_equals_each_alone)
         "tables": lambda: np.cumsum(model._integrate_cells(
             model._slopes, knots[:-1], knots[1:]), axis=1),
-        "volumes": lambda: model._window_volumes(model.r_min, r_a, r_b),
     }
     integrate = ManifoldModel._integrate_cells
     panels = count_panels(monkeypatch)
     model.s(rs), model.F(rs), model._F_and_s(rs)
     model.r_of_s(rng.uniform(0.0, model.s_cap, 30))
+    model._window_volumes(model.r_min, r_a, r_b)
     assert panels.passes == 0
     for what, query in queries.items():
         monkeypatch.setattr(ManifoldModel, "_integrate_cells",
@@ -665,6 +664,85 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
         start = len(panels.runs)
         np.testing.assert_array_equal(query(), reference, what)
         assert panels.runs[start:] == [max(split)], what
+
+
+# _BATCH_MODELS and 4-D and 5-D deep wells, with and without a boundary
+_VOLUME_MODELS = {
+    **_BATCH_MODELS,
+    **{f"deep-well-{m}d{tag}": (
+        lambda m=m, wb=wb: ManifoldModel(deep_well(
+            m, 1e-4, unit_sphere_area(m), 3.0, with_boundary=wb), 8.0))
+       for m in (4, 5) for tag, wb in (("", True), ("-no-boundary", False))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VOLUME_MODELS))
+def test_window_volumes_agree_with_range_quadrature(name):
+    # the window shell, the graph excess, the deep shell, the rise and the
+    # strip read off the table agree with per-range adaptive quadrature of
+    # their densities to 1e-13 (3e-14 at most when measured): on windows
+    # from r_min, through boundary and ride charts, and on random ones
+    model = _VOLUME_MODELS[name]()
+    rng = np.random.default_rng(3)
+    windows = [np.sort(rng.uniform(model.r_min, model.r_cap, 3))
+               for _ in range(3)]
+    windows.append([model.r_min, *windows[0][1:]])
+    for ends in windows:
+        np.testing.assert_allclose(model._window_volumes(*ends),
+                                   window_volumes(model, *ends), rtol=1e-13,
+                                   atol=0.0, err_msg=str(ends))
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_sweep_window_volumes_agree_with_range_quadrature(delta):
+    # the README deep-well sweep's certificate windows, and its GH windows
+    # from the boundary sphere up to r0 and on to r_plus
+    alpha0, D = math.pi / 100, 0.05
+    profile = deep_well(3, delta, alpha0, 10.0)
+    r0 = sphere_radius(alpha0, 3)
+    model = ManifoldModel(profile, 4.0 * (r0 + D))
+    cert = flat_certificate(model, alpha0, D, 0.02)
+    d_gh = 1.05 * float(model.s(r0))
+    model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh), check=False)
+    gh = tubular_window(model_gh, alpha0, d_gh)
+    for m, ends in ((model, (cert.r_minus, cert.r_eps, cert.r_plus)),
+                    (model_gh, (gh.r_minus, r0, gh.r_plus))):
+        np.testing.assert_allclose(m._window_volumes(*ends),
+                                   window_volumes(m, *ends), rtol=1e-13,
+                                   atol=0.0, err_msg=str(ends))
+
+
+@pytest.mark.parametrize("mass", [0.05, 1e-6])
+def test_window_volumes_against_mpmath(mass):
+    # the README certificate window of 3-D Schwarzschild, its deep shell
+    # from the horizon, where s' carries (r - r_min)^(-1/2) under the
+    # boundary chart: shell_volume, graph_excess and the deep shell agree
+    # with 40-digit integrals of their closed-form densities to 1e-13
+    mpmath = pytest.importorskip("mpmath")
+    model = _schwarzschild_model(mass, 8.0)
+    window = tubular_window(model, 4.0 * math.pi, 0.5)
+    r_a, r_b = window.r_minus, window.r_plus
+    shell, excess, deep = model._window_volumes(model.r_min, r_a, r_b)[:3]
+    assert shell == model.shell_volume(r_a, r_b)
+    assert excess == model.graph_excess(r_a, r_b)
+    assert deep == model.shell_volume(model.r_min, r_a)
+    with mpmath.workdps(40):
+        two_m, a, b = (mpmath.mpf(x) for x in (model.r_min, r_a, r_b))
+        omega = 4 * mpmath.pi
+
+        def shell_density(r):
+            return omega * r * r * mpmath.sqrt(r / (r - two_m))
+
+        def excess_density(r):
+            return omega * (b**3 - r**3) / 3 * mpmath.sqrt(two_m / (r - two_m))
+
+        # the deep range spans five decades at mass 1e-6
+        cuts = [two_m * (a / two_m) ** (mpmath.mpf(j) / 24) for j in range(25)]
+        cuts[-1] = a
+        for got, want in ((shell, mpmath.quad(shell_density, [a, b])),
+                          (excess, mpmath.quad(excess_density, [a, b])),
+                          (deep, mpmath.quad(shell_density, cuts))):
+            assert abs(mpmath.mpf(got) - want) <= 1e-13 * want, (got, want)
 
 
 class _BumpedModel(ManifoldModel):
@@ -880,6 +958,42 @@ def test_quadrature_errors_name_radii():
                                   str(exc.value)).groups())
     assert lo == pytest.approx(model.r_min, rel=1e-14)
     assert hi == pytest.approx(knots[1], rel=1e-14)
+
+
+def test_quadrature_errors_name_their_integral(monkeypatch):
+    # a QuadratureError says which integral failed: the table, a leg's
+    # length or angle, or the window shell, graph excess or deep shell
+    # that a certificate reads off the table
+    knots = _schwarzschild_model(0.05, 8.0).knots
+    bad = 0.5 * (knots[20] + knots[21])
+
+    class Holed(ManifoldModel):
+        def _slopes(self, r):
+            return np.where(np.abs(r - bad) < 1e-3, np.nan, super()._slopes(r))
+
+    with pytest.raises(QuadratureError,
+                       match=r"^table: non-finite integrand on r in \["):
+        Holed(schwarzschild(3, 0.05), 8.0)
+    model = _schwarzschild_model(0.05, 8.0)
+    monkeypatch.setattr(model, "_s_prime", lambda r: np.full(r.shape, np.nan))
+    for angle, label in ((False, "leg length"), (True, "leg angle")):
+        with pytest.raises(QuadratureError, match=rf"^{label}: non-finite"):
+            model._leg_integrals(np.array([1.0]), np.array([2.0]),
+                                 np.array([0.5]), angle, np.zeros(1, int))
+    # a table value that reads inf at one node of one cell (F' or s')
+    r_deep, r_a, r_b = 0.3, 1.0, 2.0
+    for row, r, label in ((1, 1.5, "window shell"), (0, 1.5, "graph excess"),
+                          (1, 0.5, "deep shell")):
+        model = _schwarzschild_model(0.05, 8.0)
+        c = int(np.searchsorted(model.knots, r)) - 1
+        nodes = model._nodes.copy()
+        nodes[row, c, 15] = np.inf
+        monkeypatch.setattr(model, "_nodes", nodes)
+        with pytest.raises(QuadratureError, match=re.escape(
+                f"{label}: table cell r in [{float(model.knots[c])!r}, "
+                f"{float(model.knots[c + 1])!r}] reads a weighted integral "
+                "of inf")):
+            model._window_volumes(r_deep, r_a, r_b)
 
 
 def test_unconverged_geodesic_leg_names_radii():

@@ -16,6 +16,7 @@ from massflat.ghdist import (_best_and_segment_bounds, _cut_candidates,
                              best_gh_bound, gh_bound, segment_limit_bound)
 from massflat.profiles import deep_well, flat, schwarzschild
 from massflat.sweeps import run_sweep
+from util import range_integrals
 
 
 def test_gh_bound_flat_is_zero():
@@ -108,16 +109,18 @@ def test_segment_limit_default_and_explicit_cut():
     r_def = math.sqrt(2.0 * 0.05 * window.r0)
     assert r_def < window.r_minus
     # the rise and the strip come from the table (ManifoldModel.
-    # _F_and_s_rises), within 1e-12 of embedding_constant_bound's
-    # quadrature over the same range
+    # _F_and_s_rises), as embedding_constant_bound reads them, within 1e-12
+    # of quadrature over the same range
     rise, strip = model._F_and_s_rises([r_def], window.r_plus)[:, 0]
     consts = _measured_constants(model, r_def, window.r_plus, rise, strip)
     reach = consts.delta_F + consts.S_M
     assert out.rho == max(reach, math.pi * r_def)
     assert out.rho_prime == max(r_def, reach)
-    quadrature = embedding_constant_bound(model, r_def, window.r_plus)
-    assert reach == pytest.approx(quadrature.delta_F + quadrature.S_M,
-                                  rel=1e-12, abs=0.0)
+    assert consts == embedding_constant_bound(model, r_def, window.r_plus)
+    np.testing.assert_allclose(
+        (rise, strip), range_integrals(model, model._slopes,
+                                       [(r_def, window.r_plus)])[:, 0],
+        rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("call", [best_gh_bound, segment_limit_bound])
@@ -150,8 +153,9 @@ def test_one_embedding_constant_pass_per_bound(call, monkeypatch):
 def test_gh_rise_keeps_its_digits_where_F_is_large(epsilon, D, alpha0):
     # the rise of F over [r_eps, r_plus] is summed from the table's
     # increments, not taken as F(r_plus) - F(r_eps): it agrees with
-    # embedding_constant_bound's quadrature over the range to 1e-12 (the
-    # difference of reads was 3.1e-5 off on the last point)
+    # quadrature over the range to 1e-12 (the difference of reads was
+    # 3.1e-5 off on the last point), and embedding_constant_bound reads it
+    # too
     delta = delta_budget(epsilon, D, alpha0, 3).delta
     r0 = math.sqrt(alpha0 / (4.0 * math.pi))
     model = ManifoldModel(deep_well(3, 0.9 * delta, alpha0, 10.0),
@@ -161,8 +165,10 @@ def test_gh_rise_keeps_its_digits_where_F_is_large(epsilon, D, alpha0):
     out = gh_bound(model, window, r_eps)
     consts = embedding_constant_bound(model, r_eps, window.r_plus)
     assert float(model.F(r_eps)) > 1e9 * out.hausdorff_ambient
-    assert out.hausdorff_ambient == pytest.approx(consts.delta_F, rel=1e-12,
-                                                  abs=0.0)
+    assert out.hausdorff_ambient == consts.delta_F
+    (rise,), = range_integrals(model, model._f_prime,
+                               [(r_eps, window.r_plus)])
+    assert out.hausdorff_ambient == pytest.approx(rise, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])

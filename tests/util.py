@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: random admissible profiles, counts
 of the quadrature's work and of the piece evaluations, and the plain forms
 the optimized code must reproduce: the two-run split of
-ManifoldModel._integrate_cells and the summed wall gap of a constant piece
-on the wall."""
+ManifoldModel._integrate_cells, adaptive quadrature over radial ranges,
+and the summed wall gap of a constant piece on the wall."""
 
 from __future__ import annotations
 
@@ -182,6 +182,53 @@ def two_run_integrate_cells(model, fvec: Callable, a, b,
     out[..., ~sub] = _integrate_cells(model, fvec, a[~sub], b[~sub],
                                       group[~sub])
     return out
+
+
+def range_integrals(model, fvec: Callable, ranges) -> np.ndarray:
+    """Adaptive quadrature of fvec over each [r_a, r_b] of ranges, split at
+    the model's knots: the reference for the integrals the model reads off
+    its table.
+
+    One ManifoldModel._integrate_cells pass over the cells of every range,
+    each range its own tolerance group, so each value equals its range
+    integrated alone; an empty range gives 0.  Returns a (rows, ranges)
+    array: one row for a plain fvec, k for an fvec returning a (k, n) stack.
+    """
+    knots = model.knots
+    edges = []
+    for r_a, r_b in ranges:
+        (r_a, r_b), _ = model._radii([r_a, r_b])
+        edges.append(np.concatenate(
+            [[r_a], knots[(knots > r_a) & (knots < r_b)], [r_b]])
+            if r_b > r_a else np.zeros(1))
+    sizes = [e.size - 1 for e in edges]
+    a = np.concatenate([e[:-1] for e in edges])
+    b = np.concatenate([e[1:] for e in edges])
+    # with no cells, fvec on no radii still gives the stack's shape
+    vals = _integrate_cells(
+        model, fvec, a, b, np.repeat(np.arange(len(edges)), sizes)) \
+        if a.size else fvec(a)
+    ends = np.cumsum([0] + sizes)
+    return np.array([[np.sum(row[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+                     for row in np.atleast_2d(vals)])
+
+
+def window_volumes(model, r_deep: float, r_a: float, r_b: float) -> tuple:
+    """ManifoldModel._window_volumes by range_integrals: the shell and the
+    graph excess over [r_a, r_b], the shell over [r_deep, r_a], and the
+    integrals of F' and s' over [r_a, r_b]."""
+    m, omega = model.dimension, model.omega
+
+    def shell(r):
+        return omega * r ** (m - 1) * model._s_prime(r)
+
+    def excess(r):
+        return omega * (r_b ** m - r ** m) * model._f_prime(r) / m
+
+    (window, deep), = range_integrals(model, shell, [(r_a, r_b), (r_deep, r_a)])
+    (graph,), = range_integrals(model, excess, [(r_a, r_b)])
+    (rise,), (strip,) = range_integrals(model, model._slopes, [(r_a, r_b)])
+    return window, graph, deep, rise, strip
 
 
 def summed_wall_gap(piece, r, dimension):
