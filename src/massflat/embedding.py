@@ -13,7 +13,8 @@ The tube r >= r_in of a reconstruction is the warped product
 ds^2 + r(s)^2 dtheta^2, whose geodesics keep Clairaut's constant
 c = r^2 dtheta/dt (do Carmo, Differential Geometry of Curves and Surfaces,
 sec. 4-4).  tube_distance shoots on c, adding up the swept angle of each
-path from its outward legs, which the model integrates.
+path from its legs, which the model integrates; a cheap Gauss estimate of
+that angle picks the shots.
 metric_embedding_check compares these distances with the ambient product's
 on seeded pairs of nodes of an (s, theta) lattice over the window.
 """
@@ -43,6 +44,10 @@ _TWO_PI = 2.0 * math.pi
 # target (radians)
 _ANGLE_TOL = 1e-10
 _MAX_SHOTS = 100
+# steps of the estimate alone before the first shot, and the relative
+# offset of the probe that gives its slope (see _shoot)
+_PREDICTOR_STEPS = 4
+_PROBE = 2.0**-20
 # a sampled distance is exact to this times the window's outer arclength
 _CHECK_REL = 1e-9
 
@@ -181,21 +186,41 @@ def annulus_distance(r_in, r1, theta1, r2, theta2):
     return float(out[0]) if scalar else out
 
 
+def _legs(r1, r2, c, turning):
+    """The legs of the geodesics with Clairaut constants c from radius r1 to
+    r2 >= r1, as (path, lo, hi, times): r1 -> r2 for each path, and c -> r1,
+    counted twice, for each ``turning`` path (the path runs down to its
+    turning point c and back out past r1, and both integrands are even
+    about c)."""
+    t = np.nonzero(turning)[0]
+    return (np.concatenate([np.arange(r1.size), t]),
+            np.concatenate([r1, c[t]]), np.concatenate([r2, r1[t]]),
+            np.repeat([1.0, 2.0], [r1.size, t.size]))
+
+
 def _path_integrals(model, r1, r2, c, turning, length: bool):
     """Swept angle, or length, of the geodesics with Clairaut constants c
-    from radius r1 to radius r2 >= r1: the sum of the outward legs c -> r1
-    and c -> r2 where ``turning`` (both integrands are even about the
-    turning point), else r1 -> r2 (see ManifoldModel._leg_integrals).  A
-    path spiralling into a minimal boundary sphere has a leg of +inf.  The
-    legs of a path share its tolerance group, so its value does not depend
-    on the batch.
+    from radius r1 to radius r2 >= r1: A(r1, r2) + 2 A(c, r1) where
+    ``turning``, else A(r1, r2), with A the leg integral of
+    ManifoldModel._leg_integrals.  That equals A(c, r1) + A(c, r2), and
+    leaves the long leg out of the turning point's reach, where its cells
+    bisect.  A path spiralling into a minimal boundary sphere has a leg of
+    +inf.  The legs of a path share its tolerance group, so its value does
+    not depend on the batch.
     """
-    t = np.nonzero(turning)[0]
-    path = np.concatenate([np.arange(r1.size), t])
-    lo = np.concatenate([np.where(turning, c, r1), c[t]])
-    hi = np.concatenate([np.where(turning, r1, r2), r2[t]])
+    path, lo, hi, times = _legs(r1, r2, c, turning)
     legs = model._leg_integrals(lo, hi, c[path], not length, path)
-    return np.bincount(path, legs, minlength=r1.size)
+    return np.bincount(path, times * legs, minlength=r1.size)
+
+
+def _predicted_angles(model, r1, r2, c, turning):
+    """A cheap estimate of the swept angle of _path_integrals, from the
+    Gauss estimates of its legs (ManifoldModel._leg_estimates).  Each
+    path's value depends only on that path.  It steers _shoot, which never
+    returns it."""
+    path, lo, hi, times = _legs(r1, r2, c, turning)
+    legs = model._leg_estimates(lo, hi, c[path])
+    return np.bincount(path, times * legs, minlength=r1.size)
 
 
 def tube_distance(model, r_in: float, r1, theta1, r2, theta2):
@@ -208,14 +233,15 @@ def tube_distance(model, r_in: float, r1, theta1, r2, theta2):
     the segment passes at distance c from the origin, and the geodesic
     turns (at radius c) where the segment's closest point lies between its
     ends.  u = 0 is radial, and u_max grazes the inner circle (c = r_in).
-    Since s' >= 1 the swept angle Theta(u) >= u, so u = phi brackets the
-    root of Theta(u) = phi from above; bracketed Anderson-Bjorck regula
-    falsi solves it to _ANGLE_TOL, and the distance is L + c (phi - Theta),
-    exact to first order in the residual because dL/dTheta = c along the
-    family.  When phi >= Theta(u_max) the shortest path hugs the inner
-    circle: L(u_max) + r_in (phi - Theta(u_max)).  On a minimal boundary
-    sphere Theta(u_max) is infinite and no path hugs.  Equal angles, or a
-    point at the origin, give |s(r2) - s(r1)|.
+    Since s' >= 1 the swept angle Theta(u) >= u, so min(phi, u_max)
+    brackets the root of Theta(u) = phi from above.  _shoot solves it to
+    _ANGLE_TOL by a predictor-corrector on a cheap Gauss estimate of Theta,
+    every kept Theta a full adaptive one, and the distance is
+    L + c (phi - Theta), exact to first order in the residual because
+    dL/dTheta = c along the family.  When phi >= Theta(u_max) the shortest
+    path hugs the inner circle: L(u_max) + r_in (phi - Theta(u_max)).  On a
+    minimal boundary sphere Theta(u_max) is infinite and no path hugs.
+    Equal angles, or a point at the origin, give |s(r2) - s(r1)|.
 
     Theta is taken to increase with u, as it does on flat, conical, round
     and negatively curved tubes.  Polar inputs broadcast as in
@@ -244,7 +270,25 @@ def tube_distance(model, r_in: float, r1, theta1, r2, theta2):
 
 
 def _shoot(model, r_in, r1, r2, phi):
-    """Distances for r1 <= r2 and folded angles phi > 0 (see tube_distance)."""
+    """Distances for r1 <= r2 and folded angles phi > 0 (see tube_distance).
+
+    A shot takes Theta(u) from the adaptive leg integrals (_path_integrals);
+    the cheap estimate P(u) of _predicted_angles only picks the shots.
+    Paths with phi >= u_max shoot u_max first, which tells the paths that
+    hug from the rest and gives the defect d = Theta - P at u_max, kept
+    where phi - d > 0; d = 0 on the other paths.  _PREDICTOR_STEPS
+    steps on P alone from min(phi, u_max), a ratio step
+    u <- u (phi - d) / P(u) and then secant steps, pick the first shot of
+    the others and the second of those.  After the first shot, and after
+    each that cut |Theta - phi| tenfold, the next solves
+    P(u) + (Theta - P)(u_k) = phi by one secant step on P from the shot
+    u_k, through u_k (1 - _PROBE).  The bracket of the root is kept all
+    along, and the Anderson-Bjorck regula falsi step on it is taken where
+    that step leaves it, is not finite, or follows a shot that did not cut
+    |Theta - phi| tenfold, and the bracket's midpoint where that step
+    fails too.  Shooting stops at |Theta - phi| <= _ANGLE_TOL, or on a
+    bracket a few ulps wide.  Every step depends on its own path alone.
+    """
     n = phi.size
     # the straight line between the points, in the plane, sweeps u and
     # passes at distance c from the origin; u_max grazes the inner circle
@@ -261,42 +305,71 @@ def _shoot(model, r_in, r1, r2, phi):
         c = np.minimum(np.where(turning, np.maximum(c, r_in), c), ra)
         return np.where(u >= u_max[sel], r_in, c), turning
 
-    def integrals(sel, u, length=False):
-        c, turning = clairaut(sel, u)
-        return _path_integrals(model, r1[sel], r2[sel], c, turning, length)
-
     # Theta(u_max) >= u_max, so only phi >= u_max may hug; the boundary
     # circle of a singular model is a closed geodesic, which paths from it
     # or around it approach by spiralling, and Theta(u_max) reads +inf
     theta_max = np.full(n, np.inf)
     check = phi >= u_max
     if np.any(check):
-        theta_max[check] = integrals(check, u_max[check])
+        theta_max[check] = _path_integrals(
+            model, r1[check], r2[check], *clairaut(check, u_max[check]),
+            False)
     u, theta = u_max.copy(), theta_max.copy()
-    lo, g_lo = np.zeros(n), -phi
-    hi, g_hi = u_max.copy(), theta_max - phi
-    # the first shot is u = phi: an upper bracket, since s' >= 1 gives
-    # Theta(u) >= u, and close to the root where s' is close to 1
-    x = np.where(phi < u_max, phi, np.nan)
-    side = np.zeros(n)
     active = phi < theta_max
+    # the bracket, with Anderson-Bjorck's side of the last shot: Theta(0)
+    # = 0, and Theta(u) >= u puts the root at or below phi; g_hi = +inf
+    # stands for a positive value not shot
+    lo, g_lo = np.zeros(n), -phi
+    hi, g_hi = np.minimum(phi, u_max), theta_max - phi
+    side = np.zeros(n)
+    # |g| of the last shot, +inf before the first
+    g_last = np.abs(g_hi)
+
+    def bracketed(k, step):
+        """step where it is finite and strictly inside the path's bracket,
+        else the bracket's regula falsi step, else its midpoint."""
+        a, b, ga, gb = lo[k], hi[k], g_lo[k], g_hi[k]
+        with np.errstate(invalid="ignore", over="ignore"):
+            rf = (a * gb - b * ga) / (gb - ga)
+        rf = np.where(np.isfinite(rf) & (a < rf) & (rf < b), rf,
+                      0.5 * (a + b))
+        return np.where(np.isfinite(step) & (a < step) & (step < b), step, rf)
+
+    x = np.full(n, np.nan)
+    k = np.nonzero(active)[0]
+    if k.size:
+        xk, target = hi[k], phi[k]
+        for step in range(_PREDICTOR_STEPS):
+            p = _predicted_angles(model, r1[k], r2[k], *clairaut(k, xk))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                if step == 0:
+                    fixed = target - (theta_max[k] - p)
+                    target = np.where(fixed > 0.0, fixed, target)
+                nxt = xk * target / p
+                if step:
+                    sec = xk - (p - target) * (xk - u_p) / (p - p_p)
+                    nxt = np.where(np.isfinite(sec) & (sec > 0.0), sec, nxt)
+            u_p, p_p = xk, p
+            xk = np.where(np.isfinite(nxt) & (nxt > 0.0),
+                          np.minimum(nxt, hi[k]), xk)
+        # the first shot lies inside the bracket: one ulp below hi = phi,
+        # never shot, where the steps reached it, and on the regula falsi
+        # step where they reached u_max, shot already
+        x[k] = bracketed(k, np.where(check[k] | (xk < hi[k]), xk,
+                                     np.nextafter(hi[k], 0.0)))
     for _ in range(_MAX_SHOTS):
         k = np.nonzero(active)[0]
         if k.size == 0:
             break
-        a, b, ga, gb = lo[k], hi[k], g_lo[k], g_hi[k]
-        with np.errstate(invalid="ignore", over="ignore"):
-            guess = np.where(np.isnan(x[k]), (a * gb - b * ga) / (gb - ga),
-                             x[k])
-        xk = np.where(np.isfinite(guess) & (a < guess) & (guess < b), guess,
-                      0.5 * (a + b))
-        x[k] = np.nan
-        th = integrals(k, xk)
+        xk = x[k]
+        c, turning = clairaut(k, xk)
+        th = _path_integrals(model, r1[k], r2[k], c, turning, False)
         g = th - phi[k]
         # the distance is read from the last shot with a finite angle
         fin = np.isfinite(th)
         u[k[fin]], theta[k[fin]] = xk[fin], th[fin]
         # Anderson-Bjorck: an end kept twice in a row has its value scaled
+        a, b, ga, gb = lo[k], hi[k], g_lo[k], g_hi[k]
         up = g > 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
             m_hi = 1.0 - g / gb
@@ -311,15 +384,33 @@ def _shoot(model, r_in, r1, r2, phi):
         done = (np.abs(g) <= _ANGLE_TOL) | (hi[k] - lo[k]
                                             <= 4.0 * np.spacing(xk))
         active[k[done]] = False
+        go = ~done
+        k, xk, g, c, turning = k[go], xk[go], g[go], c[go], turning[go]
+        if k.size == 0:
+            continue
+        # the corrected step where the shot cut |g| tenfold, with P's slope
+        # from P at xk and at a probe just below it (their difference is
+        # exact)
+        fresh = np.abs(g) <= 0.1 * g_last[k]
+        g_last[k] = np.abs(g)
+        j, xj = k[fresh], xk[fresh]
+        probe = xj * (1.0 - _PROBE)
+        p = _predicted_angles(model, r1[j].repeat(2), r2[j].repeat(2), *(
+            np.stack(v, axis=1).ravel() for v in zip(
+                (c[fresh], turning[fresh]), clairaut(j, probe))))
+        cor = np.full(k.size, np.nan)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            cor[fresh] = xj - g[fresh] * (xj - probe) / (p[0::2] - p[1::2])
+        x[k] = bracketed(k, cor)
     else:
         j = int(np.nonzero(active)[0][0])
         raise QuadratureError(
             f"geodesic shooting from r={float(r1[j])!r} to "
             f"r={float(r2[j])!r} over angle {float(phi[j])!r} did not "
             f"converge in {_MAX_SHOTS} steps")
-    every = np.ones(n, dtype=bool)
-    return (integrals(every, u, length=True)
-            + clairaut(every, u)[0] * (phi - theta))
+    c, turning = clairaut(np.ones(n, dtype=bool), u)
+    return (_path_integrals(model, r1, r2, c, turning, True)
+            + c * (phi - theta))
 
 
 def _pow2_at_least(x: float) -> int:

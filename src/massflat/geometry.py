@@ -36,12 +36,15 @@ knots graded geometrically towards that root, each cell as wide as it lies
 from the root (the deep well's tail).  So the deep wells' table cells
 converge on their first panel too.  The charts are rows of a table:
 _chart_x maps radii to a row's coordinate and _chart_r maps nodes back, for
-the integration and the reads alike.  A geodesic leg with Clairaut
-constant c (see embedding.tube_distance) runs in v = sqrt(r^2 - c^2) for
-its length and alpha = arctan(v / c), or -arctan(c / v) past pi/4, for its
-angle, in charts of its own at the boundary and on a cell that ends on a
-ride knot; its cells end at the model's cuts (see _leg_integrals), not at
-the knots that ride spans and wall roots add.
+the integration and the reads alike; _chart_jacobians scales the
+integrand.  A geodesic leg with Clairaut constant c (see
+embedding.tube_distance) runs in v = sqrt(r^2 - c^2) for its length and
+alpha = arctan(v / c), or -arctan(c / v) past pi/4, for its angle, in
+charts of its own at the boundary and on a cell that ends on a ride knot;
+_leg_radius maps its plain nodes back to r by a tangent and square roots
+alone, and _leg_estimates reads a cheap 5-point Gauss estimate of a leg's
+angle in that chart.  Its cells end at the model's cuts (see
+_leg_integrals), not at the knots that ride spans and wall roots add.
 
 The table and the geodesic legs integrate through
 ManifoldModel._integrate_cells, which runs vectorized 21-point
@@ -121,6 +124,14 @@ _GL_X = np.concatenate([-_G10_X[::-1], _G10_X, -_KR_X[::-1], [0.0], _KR_X])
 _K21_W = np.concatenate([_G10_KW[::-1], _G10_KW, _KR_KW[::-1],
                          [_K21_CENTRE_W], _KR_KW])
 _G10_W = np.concatenate([_G10_GW[::-1], _G10_GW])
+# the 5-point Gauss-Legendre rule on [-1, 1], exact to degree 9, rounded
+# from its closed form: nodes 0 and +-sqrt(5 -+ 2 sqrt(10/7)) / 3, weights
+# 128/225 and (322 +- 13 sqrt(70)) / 900 (see ManifoldModel._leg_estimates)
+_GAUSS5_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+_GAUSS5_W = np.array([0.23692688505618908, 0.47862867049936647,
+                      0.5688888888888889, 0.47862867049936647,
+                      0.23692688505618908])
 # A table cell keeps its integrand at its 21 nodes and at both chart ends,
 # _TABLE_X on [-1, 1]; their interpolant p has degree 22.  In the fraction
 # f of the cell from its start, the integral of p from the start is
@@ -237,7 +248,10 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     list receives level 0 as (a, b, param, node values, accepted): the
     cells' ends and param rows, the (k, cells, 23) block of f at their 21
     nodes and their two ends, which f then evaluates in the same calls, and
-    the mask of the cells every row accepts on their first panel.
+    the mask of the cells every row accepts on their first panel.  Such a
+    run stops after level 0 and returns its K21 values, accepted or not:
+    its caller, the table build, halves the cells it did not accept and
+    runs again.
 
     An f returning a (k, n) stack integrates k integrands at once and gives
     a (k, cells) result.  Each row has its own group scales and acceptance
@@ -305,9 +319,10 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
             if leaves is not None:
                 leaves.append((a, b, p, np.concatenate(blocks, axis=-2),
                                ok.all(axis=0)))
-            if ok.all():
-                # every row accepts every cell at level 0: summing into
-                # zeros would give k21 + 0.0, which turns -0.0 into 0.0
+            if ok.all() or leaves is not None:
+                # every row accepts every cell at level 0, or a table pass
+                # ends there: summing into zeros would give k21 + 0.0,
+                # which turns -0.0 into 0.0
                 return k21 + 0.0 if stacked else k21[0] + 0.0
             # per-row accumulators, indexed flat: ufunc.at is much slower
             # with a tuple of index arrays
@@ -646,7 +661,7 @@ class ManifoldModel:
                     f"{depth} halvings")
             mid = 0.5 * (lo + hi)[~accepted, None]
             knots = np.unique(np.append(
-                knots, self._chart_r(mid, q[~accepted])[0][:, 0]))
+                knots, self._chart_r(mid, q[~accepted])[:, 0]))
         self.knots = knots
         self._inc = inc
         self._Fs_knots = np.stack([np.concatenate([[0.0], np.cumsum(row)])
@@ -730,19 +745,87 @@ class ManifoldModel:
 
     def _leg_radius(self, x, cs, angle: bool) -> np.ndarray:
         """r at nodes x of plain geodesic-leg cells with signed Clairaut
-        constants cs (see _integrate_cells)."""
+        constants cs (see _integrate_cells), without a sine or a hypot: on
+        an angle row r = |c| sqrt(1 + t^2) / max(t, [row is alpha]), t =
+        |tan x|, which is c / cos(alpha) on an alpha row (where t <= 1) and
+        c / sin(beta) on a -beta row; on a v row r = sqrt(v^2 + c^2),
+        scaled by the larger of the two so that neither square under- or
+        overflows."""
+        c = np.abs(cs)
         # a node the chart's round trip puts below r_min reads r_min, as
         # the profile's range check would clip it
-        if not angle:
-            return np.maximum(np.hypot(x, cs), self.r_min)
-        # one sine per node, cos(alpha) = sin(alpha + pi/2) to 3.2e-16
-        return np.maximum(cs / np.sin(x + (cs > 0.0) * (0.5 * np.pi)),
-                          self.r_min)
+        if angle:
+            t = np.abs(np.tan(x))
+            r = c * np.sqrt(1.0 + t * t) / np.maximum(t, cs > 0.0)
+            return np.maximum(r, self.r_min)
+        big = np.maximum(x, c)
+        with np.errstate(invalid="ignore"):  # 0/0 where x = c = 0
+            r = np.minimum(x, c) / big
+        r *= r
+        r += 1.0
+        np.sqrt(r, out=r)
+        r *= big
+        # fmax reads r_min where x = c = 0 left NaN
+        return np.fmax(r, self.r_min, out=r)
 
-    def _chart_r(self, x, q, angle: bool = False):
+    @staticmethod
+    def _angle_signs(c, b) -> np.ndarray:
+        """The signed Clairaut constants of plain angle-leg cells ending at
+        b: -c where the cell's far end has alpha > pi/4, so that it runs
+        under -beta (see _integrate_cells), else c."""
+        return np.where((c > 0.0) & (b * b > 2.0 * c * c), -c, c)
+
+    def _leg_estimates(self, lo, hi, c) -> np.ndarray:
+        """A cheap estimate of _leg_integrals' swept angles: the 5-point
+        Gauss rule on each whole leg in its plain angle chart, with neither
+        cuts nor the charts of the boundary and the rides, and no error
+        estimate.  Each leg's value depends on that leg alone."""
+        out = np.zeros(lo.size)
+        live = lo < hi
+        lo, hi, c = lo[live], hi[live], c[live]
+        q = np.zeros((lo.size, 4))
+        q[:, 3] = self._angle_signs(c, hi)
+        x_lo, x_hi = self._chart_x(lo, q, True), self._chart_x(hi, q, True)
+        half = 0.5 * (x_hi - x_lo)
+        x = (0.5 * (x_lo + x_hi))[:, None] + half[:, None] * _GAUSS5_X
+        sp = self._s_prime(self._leg_radius(x, q[:, 3:], True).ravel())
+        # row-wise sums, which round alike in any batch; a leg with c = 0 has
+        # no width, and reads NaN where s' is infinite at r_min
+        with np.errstate(invalid="ignore"):
+            out[live] = half * (sp.reshape(x.shape) * _GAUSS5_W).sum(axis=1)
+        return out
+
+    def _chart_r(self, x, q, angle: bool = False) -> np.ndarray:
         """The node map of _chart_x: the radii at a (cells, nodes) block x,
-        one q row per cell, and the (rows, Jacobian) of each chart that
-        scales the integrand there: the boundary's, the ride's."""
+        one q row per cell."""
+        r_min, k = self.r_min, self.dimension - 2
+        leg = q.shape[1] > 3
+        bnd, on = q[:, 0] != 0.0, q[:, 1] != 0.0
+        if leg:
+            r = np.empty_like(x)
+            plain = ~(bnd | on)
+            r[plain] = self._leg_radius(x[plain], q[plain, 3:], angle)
+        else:
+            r = x.copy()
+        if bnd.any():
+            # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back
+            # to r_min where the integrand diverges, so the radius is
+            # floored one step above r_min and _chart_jacobians re-derives
+            # the offset from it; fvec(r) * sqrt(r - r_min) stays bounded
+            # as r -> r_min.
+            xb, cb = x[bnd], q[bnd, -1:]
+            r[bnd] = np.maximum(np.maximum(cb, r_min) + np.abs(cb - r_min)
+                                * np.sinh(xb) ** 2 if leg
+                                else r_min + xb * xb,
+                                np.nextafter(r_min, np.inf))
+        if on.any():
+            r[on] = (q[on, 2:3] + q[on, 1:2] * np.sinh(x[on])) ** (1.0 / k)
+        return r
+
+    def _chart_jacobians(self, x, r, q, angle: bool = False) -> list:
+        """The (rows, Jacobian) of each chart that scales the integrand at a
+        (cells, nodes) block x with radii r = _chart_r(x, q, angle): the
+        boundary's, the ride's."""
         r_min, k = self.r_min, self.dimension - 2
         leg = q.shape[1] > 3
         bnd, on = q[:, 0] != 0.0, q[:, 1] != 0.0
@@ -752,52 +835,36 @@ class ManifoldModel:
             return r / np.sqrt(r + c) * (c / (r * r) if angle else 1.0)
 
         scaled = []
-        if leg:
-            r = np.empty_like(x)
-            plain = ~(bnd | on)
-            r[plain] = self._leg_radius(x[plain], q[plain, 3:], angle)
-        else:
-            r = x.copy()
         if bnd.any():
-            # For u below sqrt(ulp(r_min)) the sum r_min + u*u rounds back
-            # to r_min where the integrand diverges, so the offset is
-            # re-derived from the rounded radius (floored one step above
-            # r_min); fvec(r) * sqrt(r - r_min) stays bounded as r -> r_min.
-            xb, cb = x[bnd], q[bnd, -1:]
-            r[bnd] = np.maximum(np.maximum(cb, r_min) + np.abs(cb - r_min)
-                                * np.sinh(xb) ** 2 if leg
-                                else r_min + xb * xb,
-                                np.nextafter(r_min, np.inf))
             # Scaling by 2 is exact, so fvec(r) * (2 sqrt(r - r_min))
             # rounds as fvec(r) * 2.0 * sqrt(r - r_min) does.
             jac = 2.0 * np.sqrt(r[bnd] - r_min)
             if leg:
-                jac *= dx_dr(r[bnd], cb)
+                jac *= dx_dr(r[bnd], q[bnd, -1:])
             scaled.append((bnd, jac))
         if on.any():
             u_k, w = q[on, 2:3], q[on, 1:2]
-            d = w * np.sinh(x[on])
-            r[on] = (u_k + d) ** (1.0 / k)
             # the offset from the rounded radius, as the gap reads it
             u = r[on] ** float(k)
             jac = np.hypot(w, u - u_k) * r[on] / (k * u)
             if leg:
                 jac *= dx_dr(r[on], q[on, 3:])
                 # r - c from the offset d, whose digits r has rounded off
+                d = w * np.sinh(x[on])
                 r_k = u_k ** (1.0 / k)
                 jac /= np.sqrt(r_k - q[on, 3:]
                                + r_k * np.expm1(np.log1p(d / u_k) / k))
             scaled.append((on, jac))
-        return r, scaled
+        return scaled
 
     def _chart_values(self, fvec: Callable, x, q, angle: bool = False):
         """The integrand of fvec in the charts of the q rows at a (cells,
         nodes) block x: fvec at the radii there, times each chart's
         Jacobian, in the block's shape (with a leading axis for a stack)."""
-        r, scaled = self._chart_r(x, q, angle)
+        r = self._chart_r(x, q, angle)
         y = fvec(r.reshape(-1))
         y = y.reshape(y.shape[:-1] + r.shape)
-        for mask, jac in scaled:
+        for mask, jac in self._chart_jacobians(x, r, q, angle):
             y[..., mask, :] *= jac
         return y
 
@@ -810,16 +877,17 @@ class ManifoldModel:
         One _adaptive_cells run over every cell, each in its kind's
         coordinate chosen by a ``param`` row, so one fvec call takes the nodes
         of all kinds.  fvec takes a 1-D array of radii.  The param rows form
-        a table of charts: _chart_x maps radii to a row's coordinate, and
+        a table of charts: _chart_x maps radii to a row's coordinate,
         _chart_r maps a (cells, 21) block of nodes back to radii and
-        Jacobians, transforming only the rows of cells whose coordinate is
-        not r: boundary cells, below _sub_edge, under u, r = r_min + u^2, in
-        group labels offset past the others' to keep the tolerance scales of
-        a run of their own; ride cells, which end on a ride knot u_k (see
-        CubicSplinePiece) on the side where the gap rises, or, off a leg,
-        lie in its span (see _build_tables), under u = u_k +- w sinh(t)
-        with u = r^(m-2); and the cells of geodesic legs.  A batch of cells that all run in r needs no chart, and its
-        ``leaves`` (see _adaptive_cells) carry no param rows.
+        _chart_jacobians gives the charts' Jacobians there, transforming
+        only the rows of cells whose coordinate is not r: boundary cells,
+        below _sub_edge, under u, r = r_min + u^2, in group labels offset
+        past the others' to keep the tolerance scales of a run of their
+        own; ride cells, which end on a ride knot u_k (see CubicSplinePiece)
+        on the side where the gap rises, or, off a leg, lie in its span (see
+        _build_tables), under u = u_k +- w sinh(t) with u = r^(m-2); and the
+        cells of geodesic legs.  A batch of cells that all run in r needs no
+        chart, and its ``leaves`` (see _adaptive_cells) carry no param rows.
 
         An array ``c`` of Clairaut constants puts the cells on geodesic legs
         (see _leg_integrals): fvec, one row, is integrated over
@@ -875,9 +943,8 @@ class ManifoldModel:
                 (c, c), (sub, sub), (sw, np.zeros(n)), (u_k, np.zeros(n)),
                 (group, group)))
             # c, signed negative on the plain cells under -beta
-            cols = [sub, sw, u_k,
-                    np.where(angle & (c > 0.0) & (b * b > 2.0 * c * c) & ~sub
-                             & (sw == 0.0), -c, c)]
+            cols = [sub, sw, u_k, np.where(angle & ~sub & (sw == 0.0),
+                                           self._angle_signs(c, b), c)]
         # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c])
         q = np.column_stack(cols)
         ride = sw != 0.0
@@ -891,10 +958,10 @@ class ManifoldModel:
             return self._chart_values(fvec, x, q, angle)
 
         def span(i, x_lo, x_hi):  # an interval of cell i's chart, in radii
-            # the Jacobians, unused, may divide by 0 at a cell end
+            # a chart end may sit where its map is singular
             with np.errstate(all="ignore"):
                 r = self._chart_r(np.array([[x_lo, x_hi]]), q[i:i + 1],
-                                  angle)[0]
+                                  angle)
             r = np.clip(r, a[i], b[i])
             return f"r in [{float(r.min())!r}, {float(r.max())!r}]"
 
@@ -1078,7 +1145,7 @@ class ManifoldModel:
                 step = np.where(newton, step, 0.5 * (f_min + f_max))
                 active &= step != f
                 f = np.where(active, step, f)
-            r = self._chart_r((x0 + f * width)[:, None], q)[0][:, 0]
+            r = self._chart_r((x0 + f * width)[:, None], q)[:, 0]
             out[off] = np.clip(r, knots[cell], knots[cell + 1])
         return float(out[0]) if scalar else out
 
@@ -1120,7 +1187,7 @@ class ManifoldModel:
         cells = slice(tip[0], tip[2] + 1)
         x0, width, q = (v[cells] for v in self._cells)
         r = self._chart_r(x0[:, None] + width[:, None] * (_TABLE_X + 1.0)
-                          / 2.0, q)[0]
+                          / 2.0, q)
         power = r ** (m - 1)
         weight = self.omega * np.stack([power, (ends[2] ** m - power * r) / m])
         # the shell on s', the graph excess on F'

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from massflat import geometry
+from massflat import embedding, geometry
 from massflat.embedding import (_path_integrals, annulus_distance,
                                 metric_embedding_check, tube_distance)
 from massflat.errors import DomainError, RangeError
@@ -16,7 +16,8 @@ from massflat.geometry import ManifoldModel, tubular_window
 from massflat.profiles import (ConstantPiece, HawkingProfile, PowerLawPiece,
                                deep_well, flat, schwarzschild)
 
-from util import count_panels, range_integrals
+from util import (count_panels, count_piece_evaluations, exact_arclength,
+                  range_integrals)
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,6 +146,137 @@ def test_paths_with_small_clairaut_constants_match_the_radial_integral(u):
         assert abs(got - want) <= 1e-13 * want, length
 
 
+def _clairaut_leg(mpmath, s_prime, c, a, b, angle):
+    """The leg from radius a to b of the geodesic with Clairaut constant
+    c <= a, to 40 digits: s'(r) times r / sqrt(r^2 - c^2) (its length) or
+    c / (r sqrt(r^2 - c^2)) (its angle), integrated over
+    v = sqrt(r^2 - c^2), which absorbs the kernel's 1/sqrt(r - c)."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+
+        def f(v):
+            r = mpmath.sqrt(c * c + v * v)
+            return s_prime(r) * (c / (r * r) if angle else 1)
+
+        return mpmath.quad(f, [mpmath.sqrt(mpmath.mpf(x) ** 2 - c * c)
+                               for x in (a, b)])
+
+
+def _well_core(profile):
+    return next(p for p in profile.pieces
+                if p.kind == "cubic-spline" and p.gap_space)
+
+
+@pytest.mark.parametrize("name", ["schwarzschild", "deep-well-tail",
+                                  "deep-well-descent"])
+def test_turning_paths_against_mpmath(name):
+    # a turning path sums 2 A(c, r1) + A(r1, r2) over its legs; its length
+    # and swept angle hold 1e-13 relative against 40-digit integrals of the
+    # Clairaut kernel.  On Schwarzschild the paths turn below the boundary
+    # chart's edge, next to the horizon, at r1 and far out; on the deep
+    # well in the tail, whose length cells end at its graded knots, and in
+    # the descent into the ride knot r_w0.
+    mpmath = pytest.importorskip("mpmath")
+    if name == "schwarzschild":
+        model = ManifoldModel(schwarzschild(3, 0.1), 8.0)
+        assert model._sub_edge > 0.205
+        paths = [(0.205, 0.3, 2.0), (0.25, 0.25 * (1.0 + 1e-9), 7.5),
+                 (1.0, 1.0, 3.0), (2.0, 4.0, 5.0)]
+        two_m = 2 * mpmath.mpf(0.1)
+    else:
+        profile = deep_well(3, 1e-5, math.pi / 100, 10.0)
+        model = ManifoldModel(profile, 40.0)
+        tail = profile.pieces[-1]
+        r_p, r_w0 = _well_core(profile).knots[:2]
+        paths = ([(1.13e-5, 1.2e-5, 3e-5), (1.3e-5, 2e-5, 1e-4)]
+                 if name == "deep-well-tail" else
+                 [(3.5e-6, 0.5 * (3.5e-6 + r_w0), r_w0),
+                  (r_p, 3.5e-6, r_w0)])
+        two_m = 2 * mpmath.mpf(tail.value)
+    c, r1, r2 = (np.array(v) for v in zip(*paths))
+    turning = np.ones(c.size, dtype=bool)
+    for angle in (False, True):
+        got = _path_integrals(model, r1, r2, c, turning, not angle)
+
+        def leg(c, a, b):
+            if name == "deep-well-descent":
+                return exact_arclength(mpmath, _well_core(model.profile), 0,
+                                       a, b, c, angle)
+            return _clairaut_leg(
+                mpmath, lambda r: mpmath.sqrt(r / (r - two_m)), c, a, b,
+                angle)
+
+        for j, (cj, a, b) in enumerate(paths):
+            exact = 2 * leg(cj, cj, a) + (leg(cj, a, b) if b > a else 0)
+            assert abs(mpmath.mpf(got[j]) - exact) <= 1e-13 * exact, \
+                (paths[j], angle)
+
+
+def test_leg_radius_within_4_ulps_of_mpmath():
+    # the plain leg charts map nodes back to r without a sine or a hypot:
+    # alpha = arctan(v / c) up to pi/4, -beta = -arctan(c / v) past it, and
+    # v = sqrt(r^2 - c^2), with c / r from 1 down to 1e-9 and nodes next to
+    # the turning point r = c
+    mpmath = pytest.importorskip("mpmath")
+    model = ManifoldModel(flat(3), 4.0)  # r_min = 0 clips nothing
+    rng = np.random.default_rng(17)
+    n = 400
+    c = 10.0 ** rng.uniform(-3.0, 1.0, (n, 1))
+    near = 10.0 ** rng.uniform(-12.0, -1.0, n)  # from the turning point
+    alpha = np.concatenate([near[:n // 2], rng.uniform(0.0, math.pi / 4,
+                                                       n // 2)])
+    beta = np.concatenate([math.pi / 2 - near[:n // 2],
+                           np.arctan(10.0 ** rng.uniform(-9.0, 0.0, n // 2))])
+    v = c[:, 0] * 10.0 ** np.concatenate([rng.uniform(-12.0, -1.0, n // 2),
+                                          rng.uniform(-1.0, 9.0, n // 2)])
+    nodes = np.stack([alpha, -beta, v], axis=1)
+    got = np.stack([model._leg_radius(nodes[:, :1], c, True)[:, 0],
+                    model._leg_radius(nodes[:, 1:2], -c, True)[:, 0],
+                    model._leg_radius(nodes[:, 2:], c, False)[:, 0]], axis=1)
+    with mpmath.workdps(40):
+        for i in range(n):
+            ci = mpmath.mpf(c[i, 0])
+            x = [mpmath.mpf(float(e)) for e in nodes[i]]
+            exact = (ci / mpmath.cos(x[0]), ci / mpmath.sin(-x[1]),
+                     mpmath.sqrt(x[2] ** 2 + ci * ci))
+            for j in range(3):
+                err = abs(mpmath.mpf(got[i, j]) - exact[j])
+                assert err <= 4.0 * np.spacing(float(exact[j])), (i, j)
+
+
+@pytest.mark.parametrize("profile, r_in, r_hi", [
+    (lambda: schwarzschild(3, 0.1), 0.2, 2.0),
+    (lambda: schwarzschild(3, 0.1), 0.5, 2.0),
+    (lambda: deep_well(3, 1e-5, math.pi / 100, 10.0), 3.0128e-6, 1.6875e-5),
+    (lambda: deep_well(3, 1e-5, math.pi / 100, 10.0), 2e-5, 1e-3),
+], ids=["horizon", "schwarzschild", "deep-well-core", "deep-well-tail"])
+def test_each_path_ends_on_a_shot_within_the_angle_tolerance(
+        profile, r_in, r_hi, monkeypatch):
+    # the predictor only steers: the swept angle at each path's final u,
+    # integrated again, lies within 1e-10 of phi, or below phi where the
+    # path hugs the inner circle (c = r_in)
+    model = ManifoldModel(profile(), 40.0)
+    r1, t1, r2, t2 = _random_pairs(8, r_in, r_hi, 60)
+    r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
+    phi = _folded(t1, t2)
+    finals = []
+    shots = embedding._path_integrals
+
+    def kept(model, r1, r2, c, turning, length):
+        if length:
+            finals.append((c, turning))
+        return shots(model, r1, r2, c, turning, length)
+
+    monkeypatch.setattr(embedding, "_path_integrals", kept)
+    embedding._shoot(model, r_in, r1, r2, phi)
+    (c, turning), = finals
+    theta = shots(model, r1, r2, c, turning, False)
+    hug = c == r_in
+    assert np.all(np.abs(theta - phi)[~hug] <= 1e-10)
+    assert np.all(theta[hug] <= phi[hug] + 1e-10)
+    assert np.count_nonzero(~hug) >= 30
+
+
 def test_deep_well_tube_check_takes_few_quadrature_nodes(monkeypatch):
     # a tube of the delta = 1e-5 well that reaches through the core: its
     # legs run under the model's ride substitution beside the ride knots,
@@ -160,23 +292,33 @@ def test_deep_well_tube_check_takes_few_quadrature_nodes(monkeypatch):
     # the lengths' cells also end at the tail's graded knots beside the
     # release end r_t: the last length run bisected 24 levels towards the
     # near-root of the tail's gap at 2 delta' when legs ended only at cuts
-    # (48 passes in all), it now takes 3 (29 in all)
+    # (48 passes in all), it now takes 2.  The predictor-corrector shoots
+    # 80 times after 18 hugging checks, in 16 passes and 25,473 nodes in
+    # all; regula falsi from u = phi shot 108 times (19 passes, 28,791)
     assert max(panels.runs) <= 4
     assert panels.passes <= 30
 
 
 def test_tube_check_quadrature_work(monkeypatch):
-    # the oracle's integrals on a Schwarzschild tube.  Gauged by K21
-    # against G10, the final length run bisects 818 of its 3,554 level-0
-    # cells once (377,580 nodes in all); a 16-point rule gauged by an
-    # 8-point one bisected 1,600 of them, some twice (485,808 nodes)
+    # the oracle's integrals on a Schwarzschild tube.  After the hugging
+    # check of 848 paths the Gauss predictor picks first shots that mostly
+    # land within the angle tolerance: 1,428 paths shoot 1,742 times.  A
+    # turning path sums 2 A(c, r1) + A(r1, r2), and the final length run
+    # bisects 394 of its 3,514 level-0 cells once.  In all 178,143 nodes in
+    # 5 passes, and 230,726 profile-evaluated radii, the predictor's
+    # included.  Shooting from u = phi by regula falsi alone (6,335 shots),
+    # with legs A(c, r1) + A(c, r2), took 368,886 nodes in 9 passes and
+    # 368,909 radii
     model = ManifoldModel(schwarzschild(3, 0.1), 8.0)
     window = tubular_window(model, 4.0 * math.pi, 0.5)
     panels = count_panels(monkeypatch)
+    radii = count_piece_evaluations(monkeypatch).radii
     rep = metric_embedding_check(model, window, mesh_h=0.02, seed=1)
     assert rep["violations"] == 0
     assert max(panels.runs) <= 2
-    assert panels.nodes <= 400_000
+    assert panels.passes <= 7
+    assert panels.nodes <= 260_000
+    assert sum(radii.values()) <= 310_000
 
 
 def test_deep_well_tube_check_default_allowance_finds_no_violation():

@@ -35,7 +35,7 @@ from massflat.profiles import (
     unit_sphere_area,
     validate,
 )
-from util import (count_panels, random_spline_profile,
+from util import (count_panels, exact_arclength, random_spline_profile,
                   two_run_integrate_cells, window_volumes)
 
 
@@ -844,6 +844,19 @@ def test_every_table_cell_is_one_accepted_panel(name, monkeypatch):
     np.testing.assert_array_equal(inc, model._inc)
 
 
+def test_a_bisecting_build_makes_one_pass_per_round(monkeypatch):
+    # a table pass that does not accept every knot cell stops after its
+    # first panels, since the build halves those cells and runs again: the
+    # 5-D spline halves a cell in 2 rounds and builds in 3 passes of 209,
+    # 210 and 211 cells (6 when each round ran its bisection out), and its
+    # increments are one plain pass over its final knots, bit for bit
+    panels = count_panels(monkeypatch)
+    model = _seed_12_spline(5)
+    assert panels.runs == [1, 1, 1], panels.runs
+    np.testing.assert_array_equal(model._inc, model._integrate_cells(
+        model._slopes, model.knots[:-1], model.knots[1:]))
+
+
 def test_a_non_finite_value_at_a_table_cell_end_is_refused():
     # no K21 node sees a cell's chart ends, so their values are checked at
     # build: an integrand infinite at one knot alone fails the build
@@ -1056,71 +1069,6 @@ def test_deep_well_batch_across_the_core_equals_the_per_point_loop():
         model.s(rs), np.array([model.s(float(r)) for r in rs]))
 
 
-def _exact_arclength(mpmath, piece, i, a, b, c=0.0, angle=False):
-    """s(b) - s(a) to 40 digits for a < b in segment i of a gap-space piece
-    whose segment ends in a ride knot; with a Clairaut constant c > 0
-    (c <= a), the length of the geodesic leg with constant c from a to b
-    instead, or with ``angle`` the angle it sweeps.
-
-    It integrates s' = sqrt(u / g(u)) dr over u = r^k, from the u of a to
-    the u of b as the piece forms them, with g the exact Hermite cubic of
-    the segment, times dx/dr on a leg: r / sqrt(r^2 - c^2), or
-    c / (r sqrt(r^2 - c^2)) for the angle.  The peak of 1/sqrt(g) at the
-    ride knot u_k is smoothed for mpmath.quad by u = u_k +- w sinh(v), with
-    w from the cubic.  On a leg the half of [a, b] away from the knot runs
-    in v = sqrt(r^2 - c^2) instead, which absorbs the leg's 1/sqrt(r - c).
-    """
-    mpf = mpmath.mpf
-    k = int(piece.power)
-    with mpmath.workdps(40):
-        u_lo, u_hi = (mpf(x) for x in piece._u_knots[i:i + 2])
-        h = u_hi - u_lo
-        v0, v1 = (mpf(x) for x in piece.values[i:i + 2])
-        s0, s1 = (mpf(s) / (k * mpf(x) ** (k - 1)) for x, s in
-                  zip(piece.knots[i:i + 2], piece.slopes[i:i + 2]))
-
-        def g(u):
-            t = (u - u_lo) / h
-            return ((2 * t**3 - 3 * t**2 + 1) * v0 + (t**3 - 2 * t**2 + t) * h
-                    * s0 + (3 * t**2 - 2 * t**3) * v1 + (t**3 - t**2) * h * s1)
-
-        if s1 == 0:
-            u_k, side, A = u_hi, -1, (3 * (v0 - v1) + h * s0) / h**2
-        else:
-            u_k, side, A = u_lo, 1, (3 * (v1 - v0) - h * s1) / h**2
-        w = mpmath.sqrt(g(u_k) / A)
-        c = mpf(c)
-
-        def dx(r):  # dx/dr along the leg
-            if c == 0:
-                return 1
-            return (c if angle else r * r) / (r * mpmath.sqrt(r * r - c * c))
-
-        def f(v):
-            u = u_k + side * w * mpmath.sinh(v)
-            r = u ** (mpf(1) / k)
-            return (mpmath.sqrt(u / g(u)) * r / (k * u) * w * mpmath.cosh(v)
-                    * dx(r))
-
-        us = [mpf(float(u)) for u in np.array([a, b]) ** piece.power]
-        far = 0.0
-        if c > 0:
-            far_end = 0 if side < 0 else 1
-            mid = np.float64(0.5 * (a + b)) ** piece.power
-            u_far, us[far_end] = us[far_end], mpf(float(mid))
-
-            def in_v(v):
-                r = mpmath.sqrt(c * c + v * v)
-                return mpmath.sqrt(r**k / g(r**k)) * (c / (r * r) if angle
-                                                     else 1)
-
-            far = mpmath.quad(in_v, sorted(
-                mpmath.sqrt(u ** (mpf(2) / k) - c * c)
-                for u in (u_far, us[far_end])))
-        ends = [mpmath.asinh(side * (u - u_k) / w) for u in us]
-        return far + abs(mpmath.quad(f, sorted(ends)))
-
-
 _RIDE_WELLS = {"3d-1e-2": (3, 1e-2), "3d-1e-4": (3, 1e-4),
                "3d-1e-6": (3, 1e-6), "4d-1e-4": (4, 1e-4)}
 
@@ -1142,7 +1090,7 @@ def test_ride_cells_against_mpmath(name):
     cells = [(0, r_p, r_w0), (2, r_r, r_t)] + [
         (0, r_w0 * (1.0 - 10.0**-j), r_w0) for j in (4, 6, 9, 12)]
     for i, a, b in cells:
-        exact = _exact_arclength(mpmath, core, i, a, b)
+        exact = exact_arclength(mpmath, core, i, a, b)
         cell = model._integrate_cells(model.s_prime, [a], [b])[0]
         assert abs(mpmath.mpf(cell) - exact) <= 1e-14 * exact, (a, b)
         s_a, s_b = model.s(a), model.s(b)
@@ -1167,7 +1115,7 @@ def test_legs_into_a_descent_ride_knot_against_mpmath(grazing):
         for angle in (False, True):
             got = model._leg_integrals(np.array([lo]), np.array([r_w0]),
                                        np.array([c]), angle, np.zeros(1, int))
-            exact = _exact_arclength(mpmath, core, 0, lo, r_w0, c, angle)
+            exact = exact_arclength(mpmath, core, 0, lo, r_w0, c, angle)
             assert abs(mpmath.mpf(got[0]) - exact) <= 1e-13 * exact, (c, angle)
 
 

@@ -2,7 +2,8 @@
 of the quadrature's work and of the piece evaluations, and the plain forms
 the optimized code must reproduce: the two-run split of
 ManifoldModel._integrate_cells, adaptive quadrature over radial ranges,
-and the summed wall gap of a constant piece on the wall."""
+the summed wall gap of a constant piece on the wall, and 40-digit
+arclengths and geodesic legs next to a ride knot."""
 
 from __future__ import annotations
 
@@ -238,3 +239,68 @@ def summed_wall_gap(piece, r, dimension):
     r = np.asarray(r, dtype=float)
     poly = sum(r**j * piece.r_lo ** (k - 1 - j) for j in range(k))
     return (r - piece.r_lo) * poly
+
+
+def exact_arclength(mpmath, piece, i, a, b, c=0.0, angle=False):
+    """s(b) - s(a) to 40 digits for a < b in segment i of a gap-space piece
+    whose segment ends in a ride knot; with a Clairaut constant c > 0
+    (c <= a), the length of the geodesic leg with constant c from a to b
+    instead, or with ``angle`` the angle it sweeps.
+
+    It integrates s' = sqrt(u / g(u)) dr over u = r^k, from the u of a to
+    the u of b as the piece forms them, with g the exact Hermite cubic of
+    the segment, times dx/dr on a leg: r / sqrt(r^2 - c^2), or
+    c / (r sqrt(r^2 - c^2)) for the angle.  The peak of 1/sqrt(g) at the
+    ride knot u_k is smoothed for mpmath.quad by u = u_k +- w sinh(v), with
+    w from the cubic.  On a leg the half of [a, b] away from the knot runs
+    in v = sqrt(r^2 - c^2) instead, which absorbs the leg's 1/sqrt(r - c).
+    """
+    mpf = mpmath.mpf
+    k = int(piece.power)
+    with mpmath.workdps(40):
+        u_lo, u_hi = (mpf(x) for x in piece._u_knots[i:i + 2])
+        h = u_hi - u_lo
+        v0, v1 = (mpf(x) for x in piece.values[i:i + 2])
+        s0, s1 = (mpf(s) / (k * mpf(x) ** (k - 1)) for x, s in
+                  zip(piece.knots[i:i + 2], piece.slopes[i:i + 2]))
+
+        def g(u):
+            t = (u - u_lo) / h
+            return ((2 * t**3 - 3 * t**2 + 1) * v0 + (t**3 - 2 * t**2 + t) * h
+                    * s0 + (3 * t**2 - 2 * t**3) * v1 + (t**3 - t**2) * h * s1)
+
+        if s1 == 0:
+            u_k, side, A = u_hi, -1, (3 * (v0 - v1) + h * s0) / h**2
+        else:
+            u_k, side, A = u_lo, 1, (3 * (v1 - v0) - h * s1) / h**2
+        w = mpmath.sqrt(g(u_k) / A)
+        c = mpf(c)
+
+        def dx(r):  # dx/dr along the leg
+            if c == 0:
+                return 1
+            return (c if angle else r * r) / (r * mpmath.sqrt(r * r - c * c))
+
+        def f(v):
+            u = u_k + side * w * mpmath.sinh(v)
+            r = u ** (mpf(1) / k)
+            return (mpmath.sqrt(u / g(u)) * r / (k * u) * w * mpmath.cosh(v)
+                    * dx(r))
+
+        us = [mpf(float(u)) for u in np.array([a, b]) ** piece.power]
+        far = 0.0
+        if c > 0:
+            far_end = 0 if side < 0 else 1
+            mid = np.float64(0.5 * (a + b)) ** piece.power
+            u_far, us[far_end] = us[far_end], mpf(float(mid))
+
+            def in_v(v):
+                r = mpmath.sqrt(c * c + v * v)
+                return mpmath.sqrt(r**k / g(r**k)) * (c / (r * r) if angle
+                                                     else 1)
+
+            far = mpmath.quad(in_v, sorted(
+                mpmath.sqrt(u ** (mpf(2) / k) - c * c)
+                for u in (u_far, us[far_end])))
+        ends = [mpmath.asinh(side * (u - u_k) / w) for u in us]
+        return far + abs(mpmath.quad(f, sorted(ends)))
