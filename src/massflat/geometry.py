@@ -7,9 +7,9 @@ as a graph over Euclidean space: the graph function F satisfies
 
 and the radial arclength is s'(r) = sqrt(r^(m-2) / (r^(m-2) - 2 m_H(r))).
 The model tabulates F and s over a knot set aligned with the profile
-pieces, and every table cell is a knot cell that the table pass accepts on
-its first panel: a pass that bisects a cell halves it at the midpoint of
-its chart and runs again.  Each cell keeps its chart and the integrand at
+pieces, and every table cell is a knot cell that a table round accepts on
+its first panel: a round that does not accept a cell halves it at the
+midpoint of its chart and runs again.  Each cell keeps its chart and the integrand at
 its 21 nodes and both chart ends, which the build checks are finite.  A
 read off the knots adds to the table the integral of the cell's
 interpolant through those 23 values from the cell's start, and r_of_s
@@ -46,25 +46,26 @@ alone, and _leg_estimates reads a cheap 5-point Gauss estimate of a leg's
 angle in that chart.  Its cells end at the model's cuts (see
 _leg_integrals), not at the knots that ride spans and wall roots add.
 
-The table and the geodesic legs integrate through
-ManifoldModel._integrate_cells, which runs vectorized 21-point
-Gauss-Kronrod panels (QUADPACK's QK21: the value is the Kronrod rule K21,
-the error gauge its gap to the 10-point Gauss rule G10 on 10 of the same
-nodes) and bisects the panels that miss the tolerance, breadth-first: each
-level holds the left halves, then the right halves, of the cells the level
-above did not accept, and each cell sums its accepted panels in level
-order.  The integrand sees cells, not loose nodes: it is called as f(x, p)
-on a (cells, 21) block of nodes with one param row p per cell, in calls of
-at most _BLOCK nodes of whole cells, and the chart function of
-_integrate_cells maps only the rows of boundary, ride and leg cells to
-radii.  An integrand may return a stack of rows; each row keeps its own
-acceptance and equals the row integrated alone, so one pass over (F', s')
-builds both tables.  A panel whose value is not finite, one still
-unconverged after 50 bisections, or a batch whose pending cells (over all
-rows) bisection would grow by more than 200,000 raises QuadratureError,
-which names the integral (the table, a leg's length or angle) and the
-failing interval in radii.  A model whose r^(m-2) or wall gap overflows at
-r_cap is refused before any quadrature runs.
+The geodesic legs integrate through ManifoldModel._integrate_cells, which
+runs vectorized 21-point Gauss-Kronrod panels (QUADPACK's QK21: the value
+is the Kronrod rule K21, the error gauge its gap to the 10-point Gauss rule
+G10 on 10 of the same nodes) and bisects the panels that miss the
+tolerance, breadth-first: each level holds the left halves, then the right
+halves, of the cells the level above did not accept, and each cell sums its
+accepted panels in level order.  The table build runs the first level of
+that rule on its knot cells, in the same charts (see _chart_rows), one
+_panel_integrals pass per round over a (F', s') integrand that returns a
+stack of two rows, each with its own acceptance, and halves what a round
+does not accept itself.  The integrand sees cells, not loose nodes: it is
+called as f(x, p) on a (cells, 21) block of nodes with one param row p per
+cell, in calls of at most _BLOCK nodes of whole cells, and the chart
+function maps only the rows of boundary, ride and leg cells to radii.  A
+panel whose value is not finite, a leg cell still unconverged after 50
+bisections, a batch whose pending cells bisection would grow by more than
+200,000, or a table cell still halving after 50 rounds raises
+QuadratureError, which names the integral (the table, a leg's length or
+angle) and the failing interval in radii.  A model whose r^(m-2) or wall
+gap overflows at r_cap is refused before any quadrature runs.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
 
 def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
                     group=None, param=None, span=None,
-                    leaves=None, label=None) -> np.ndarray:
+                    label=None) -> np.ndarray:
     """Adaptive panel integration of f over each cell, returned per cell.
 
     Bisection runs breadth-first, one _panel_integrals pass per level.
@@ -244,22 +245,8 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     ``param`` (one row per cell) is passed to f as f(x, p) (see
     _panel_integrals), and the halves of a bisected cell inherit it.
     Errors name the ``label`` and an interval [lo, hi] of cell i's
-    coordinate as ``span(i, lo, hi)``, by default "[lo, hi]".  A ``leaves``
-    list receives level 0 as (a, b, param, node values, accepted): the
-    cells' ends and param rows, the (k, cells, 23) block of f at their 21
-    nodes and their two ends, which f then evaluates in the same calls, and
-    the mask of the cells every row accepts on their first panel.  Such a
-    run stops after level 0 and returns its K21 values, accepted or not:
-    its caller, the table build, halves the cells it did not accept and
-    runs again.
-
-    An f returning a (k, n) stack integrates k integrands at once and gives
-    a (k, cells) result.  Each row has its own group scales and acceptance
-    and stops collecting a cell once it accepts it; a cell stays pending
-    while any row still needs it.  A row's live cells are thus an in-order
-    subsequence of every level, and its values equal those of the row
-    integrated alone, bit for bit.  The bisection cap counts the union of
-    pending cells.
+    coordinate as ``span(i, lo, hi)``, by default "[lo, hi]".  f returns
+    one row: the integrand's values in the block's shape.
 
     f must be smooth on each cell.  A jump between a cell end and the
     outermost node is invisible to both rules, so the gap reads 0 and the
@@ -277,80 +264,51 @@ def _adaptive_cells(f: Callable, a_arr, b_arr, rel: float,
     what = "" if label is None else f"{label}: "
     idx = np.arange(a.size)
     p = None if param is None else np.asarray(param, dtype=float)
-    g = f
-    if leaves is not None:
-        blocks = []
-
-        def g(x, *q):  # level 0 also at both ends of each cell, in one call
-            done = sum(y.shape[-2] for y in blocks)
-            cells = slice(done, done + x.shape[0])
-            y = f(np.concatenate([x, a[cells, None], b[cells, None]], axis=1),
-                  *q)
-            blocks.append(y)
-            return y[..., :-2]
     # every level halves all pending cells, so they share one depth
     for depth in range(_MAX_DEPTH + 1):
-        k21, err = _panel_integrals(g if depth == 0 else f, a, b, p)
-        stacked = k21.ndim == 2
-        k21, err = np.atleast_2d(k21), np.atleast_2d(err)
-        n_rows = k21.shape[0]
-        if depth == 0:
-            live = np.ones(k21.shape, dtype=bool)
+        k21, err = _panel_integrals(f, a, b, p)
         # the nodes are interior, so halving a panel cannot make a
         # non-finite integrand finite: fail on the first one.  err =
         # |k21 - g10| is finite only where k21 is.
-        bad = live & ~np.isfinite(err)
+        bad = ~np.isfinite(err)
         if bad.any():
-            j, c = _first_cell(bad)
+            c = int(np.argmax(bad))
             raise QuadratureError(
                 f"{what}non-finite integrand on {span(idx[c], a[c], b[c])} "
-                f"(panel value {float(k21[j, c])!r}, error estimate "
-                f"{float(err[j, c])!r})")
+                f"(panel value {float(k21[c])!r}, error estimate "
+                f"{float(err[c])!r})")
         if depth == 0:
-            n_groups = int(labels.max()) + 1
-            top = np.zeros(n_rows * n_groups)
-            np.maximum.at(top, (n_groups * np.arange(n_rows)[:, None]
-                                + labels).ravel(), np.abs(k21).ravel())
-            scale = np.maximum(top, _TINY).reshape(n_rows, n_groups)[:, labels]
-        ok = err <= rel * (np.abs(k21) + 1e-4 * scale[:, idx])
+            top = np.zeros(int(labels.max()) + 1)
+            np.maximum.at(top, labels, np.abs(k21))
+            scale = np.maximum(top, _TINY)[labels]
+        ok = err <= rel * (np.abs(k21) + 1e-4 * scale[idx])
         # cells narrower than a few ulps cannot be split further
         ok |= (b - a) <= 4e-16 * np.maximum(np.abs(a), np.abs(b))
         if depth == 0:
-            if leaves is not None:
-                leaves.append((a, b, p, np.concatenate(blocks, axis=-2),
-                               ok.all(axis=0)))
-            if ok.all() or leaves is not None:
-                # every row accepts every cell at level 0, or a table pass
-                # ends there: summing into zeros would give k21 + 0.0,
-                # which turns -0.0 into 0.0
-                return k21 + 0.0 if stacked else k21[0] + 0.0
-            # per-row accumulators, indexed flat: ufunc.at is much slower
-            # with a tuple of index arrays
-            out = np.zeros(n_rows * a0.size)
-            base = a0.size * np.arange(n_rows)[:, None]
-        ok &= live
-        np.add.at(out, (base + idx)[ok], k21[ok])
-        live &= ~ok
-        pending = live.any(axis=0)
+            if ok.all():
+                # summing into zeros would give k21 + 0.0, which turns
+                # -0.0 into 0.0
+                return k21 + 0.0
+            out = np.zeros(a0.size)
+        np.add.at(out, idx[ok], k21[ok])
+        pending = ~ok
         if not pending.any():
-            out = out.reshape(n_rows, a0.size)
-            return out if stacked else out[0]
+            return out
         n_next = 2 * int(np.count_nonzero(pending))
         if depth == _MAX_DEPTH or n_next > a0.size + _MAX_EXTRA_CELLS:
-            j, c = _first_cell(live)
+            c = int(np.argmax(pending))
             i = idx[c]
             raise QuadratureError(
                 f"{what}adaptive quadrature did not converge on "
                 f"{span(i, a0[i], b0[i])} within {depth} bisections (piece "
                 f"{span(i, a[c], b[c])}, error estimate "
-                f"{float(err[j, c])!r}; {n_next} cells would be pending)")
+                f"{float(err[c])!r}; {n_next} cells would be pending)")
         a2, b2 = a[pending], b[pending]
         mid = 0.5 * (a2 + b2)
         idx2 = idx[pending]
         a = np.concatenate([a2, mid])
         b = np.concatenate([mid, b2])
         idx = np.concatenate([idx2, idx2])
-        live = np.concatenate([live[:, pending], live[:, pending]], axis=1)
         if p is not None:
             p = np.concatenate([p[pending], p[pending]])
 
@@ -640,17 +598,42 @@ class ManifoldModel:
         # every integral's cells end at these radii
         cuts = np.unique(np.append(breaks, self._sub_edge))
         self._cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
-        # One pass builds both tables, each row its own tolerance group,
-        # scaled by its largest increment.  A pass that bisects a knot cell
-        # halves it at the midpoint of its chart, which both halves keep,
-        # and runs again.
+        # One round builds both tables: one pass of panels over (F', s') on
+        # the knot cells in their charts, at each cell's 21 nodes and both
+        # chart ends, the level 0 of _adaptive_cells.  Each row keeps its
+        # own tolerance groups, the boundary cells' apart, scaled by their
+        # largest increment.  A round that does not accept a knot cell on
+        # its first panel halves it at the midpoint of its chart, which
+        # both halves keep, and runs again.
         for depth in range(_MAX_DEPTH + 1):
-            leaves = []
-            inc = self._integrate_cells(self._slopes, knots[:-1], knots[1:],
-                                        leaves=leaves, label="table")
-            lo, hi, q, y, accepted = leaves[0]
-            if q is None:
-                q = np.zeros((lo.size, 3))
+            _, _, _, q, lo, hi = self._chart_rows(knots[:-1], knots[1:])
+            blocks = []
+
+            def with_ends(x, p):  # the ends ride in p, after the q row
+                y = self._chart_values(
+                    self._slopes, np.concatenate([x, p[:, 3:]], axis=1),
+                    p[:, :3])
+                blocks.append(y)
+                return y[..., :-2]
+
+            inc, err = _panel_integrals(with_ends, lo, hi,
+                                        np.column_stack([q, lo, hi]))
+            bad = ~np.isfinite(err)
+            if bad.any():
+                j, c = _first_cell(bad)
+                raise QuadratureError(
+                    f"table: non-finite integrand on r in "
+                    f"[{float(knots[c])!r}, {float(knots[c + 1])!r}] (panel "
+                    f"value {float(inc[j, c])!r}, error estimate "
+                    f"{float(err[j, c])!r})")
+            scale = np.empty_like(inc)
+            for part in (q[:, 0] == 0.0, q[:, 0] != 0.0):
+                scale[:, part] = np.abs(inc[:, part]).max(
+                    axis=1, initial=_TINY, keepdims=True)
+            ok = err <= _QUAD_REL * (np.abs(inc) + 1e-4 * scale)
+            # cells narrower than a few ulps cannot be split further
+            ok |= (hi - lo) <= 4e-16 * np.maximum(np.abs(lo), np.abs(hi))
+            accepted = ok.all(axis=0)
             if accepted.all():
                 break
             c = int(np.argmin(accepted))
@@ -662,6 +645,9 @@ class ManifoldModel:
             mid = 0.5 * (lo + hi)[~accepted, None]
             knots = np.unique(np.append(
                 knots, self._chart_r(mid, q[~accepted])[:, 0]))
+        # -0.0 reads 0.0, as in a sum of accepted panels from zero
+        inc = inc + 0.0
+        y = np.concatenate(blocks, axis=-2)
         self.knots = knots
         self._inc = inc
         self._Fs_knots = np.stack([np.concatenate([[0.0], np.cumsum(row)])
@@ -868,48 +854,14 @@ class ManifoldModel:
             y[..., mask, :] *= jac
         return y
 
-    def _integrate_cells(self, fvec: Callable, a, b, group=None, c=None,
-                         angle: bool = False, label=None,
-                         leaves=None) -> np.ndarray:
-        """Integrals of fvec over cells [a_i, b_i], each inside one knot
-        interval, or below _sub_edge.
-
-        One _adaptive_cells run over every cell, each in its kind's
-        coordinate chosen by a ``param`` row, so one fvec call takes the nodes
-        of all kinds.  fvec takes a 1-D array of radii.  The param rows form
-        a table of charts: _chart_x maps radii to a row's coordinate,
-        _chart_r maps a (cells, 21) block of nodes back to radii and
-        _chart_jacobians gives the charts' Jacobians there, transforming
-        only the rows of cells whose coordinate is not r: boundary cells,
-        below _sub_edge, under u, r = r_min + u^2, in group labels offset
-        past the others' to keep the tolerance scales of a run of their
-        own; ride cells, which end on a ride knot u_k (see CubicSplinePiece)
-        on the side where the gap rises, or, off a leg, lie in its span (see
-        _build_tables), under u = u_k +- w sinh(t) with u = r^(m-2); and the
-        cells of geodesic legs.  A batch of cells that all run in r needs no
-        chart, and its ``leaves`` (see _adaptive_cells) carry no param rows.
-
-        An array ``c`` of Clairaut constants puts the cells on geodesic legs
-        (see _leg_integrals): fvec, one row, is integrated over
-        x = v = sqrt(r^2 - c^2), or with ``angle`` alpha = arctan(v / c), or
-        -beta = -arctan(c / v) where the far end has alpha > pi/4, as
-        c / cos(alpha) resolves r only to about 2.2e-16 r / c there.  Boundary
-        cells with c != r_min run under r = max(c, r_min) + |c - r_min|
-        sinh(u)^2; a ride cell's Jacobian gains dx/dr, and one that also
-        carries the leg's (r - c)^(-1/2) end is split at its midpoint, the
-        half at the knot riding, the other in x.
-
-        A QuadratureError names the integral's ``label`` and radii: the
-        chart maps the failing interval back to r.  A query with a
-        ``group`` label of its own (see _adaptive_cells) gets the same
-        value whatever else is in its batch.  An fvec returning a (k, n)
-        stack gives (k, cells) integrals, each row equal to its integrand's
-        alone.
-        """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+    def _chart_rows(self, a, b, c=None, angle: bool = False):
+        """The chart of each cell [a_i, b_i] (see _integrate_cells), as
+        (owner, a, b, q, lo, hi): its q row and its chart ends lo < hi.  On
+        a leg, given by its Clairaut constants c, a ride cell that also
+        carries the leg's (r - c)^(-1/2) end is split at its midpoint and
+        the half away from the knot appended, which runs in x; owner maps
+        each cell to its input cell, and a and b are the cells' radii."""
         n, leg = a.size, c is not None
-        group = np.zeros(n, dtype=np.intp) if group is None else group
         sub = b <= self._sub_edge
         if leg:
             sub &= c != self.r_min
@@ -925,36 +877,71 @@ class ManifoldModel:
                 on |= (min(knot, edge) <= a) & (b <= max(knot, edge))
             on &= ~sub
             sw[on], u_k[on] = side * w, knot ** float(self.dimension - 2)
-
-        def nodewise(r):  # fvec at a block of radii, in the block's shape
-            y = fvec(r.reshape(-1))
-            return y.reshape(y.shape[:-1] + r.shape)
-
-        if not (leg or sub.any() or sw.any()):
-            # every cell runs in r: no chart
-            return _adaptive_cells(nodewise, a, b, _QUAD_REL, group,
-                                   leaves=leaves, label=label)
         cols = [sub, sw, u_k]
+        owner = np.arange(n)
         if leg:
             split = np.nonzero((sw < 0.0) & (a - c < b - a))[0]
             a, b = np.append(a, a[split]), np.append(b, 0.5 * (a + b)[split])
             a[split] = b[n:]
-            c, sub, sw, u_k, group = (np.append(x, y[split]) for x, y in (
-                (c, c), (sub, sub), (sw, np.zeros(n)), (u_k, np.zeros(n)),
-                (group, group)))
+            owner = np.append(owner, split)
+            c, sub = c[owner], sub[owner]
+            sw, u_k = (np.append(x, np.zeros(split.size)) for x in (sw, u_k))
             # c, signed negative on the plain cells under -beta
             cols = [sub, sw, u_k, np.where(angle & ~sub & (sw == 0.0),
                                            self._angle_signs(c, b), c)]
         # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c])
         q = np.column_stack(cols)
-        ride = sw != 0.0
         lo, hi = self._chart_x(a, q, angle), self._chart_x(b, q, angle)
         lo[sw < 0.0], hi[sw < 0.0] = hi[sw < 0.0], lo[sw < 0.0]
-        special = sub.any() or ride.any()
+        return owner, a, b, q, lo, hi
+
+    def _integrate_cells(self, fvec: Callable, a, b, group=None, c=None,
+                         angle: bool = False, label=None) -> np.ndarray:
+        """Integrals of fvec over cells [a_i, b_i], each inside one knot
+        interval, or below _sub_edge.
+
+        One _adaptive_cells run over every cell, each in its kind's
+        coordinate chosen by a ``param`` row (see _chart_rows), so one fvec
+        call takes the nodes of all kinds.  fvec takes a 1-D array of radii
+        and returns one row.  The param rows form a table of charts:
+        _chart_x maps radii to a row's coordinate, _chart_r maps a (cells,
+        21) block of nodes back to radii and _chart_jacobians gives the
+        charts' Jacobians there, transforming only the rows of cells whose
+        coordinate is not r: boundary cells, below _sub_edge, under u,
+        r = r_min + u^2, in group labels offset past the others' to keep the
+        tolerance scales of a run of their own; ride cells, which end on a
+        ride knot u_k (see CubicSplinePiece) on the side where the gap
+        rises, or, off a leg, lie in its span (see _build_tables), under
+        u = u_k +- w sinh(t) with u = r^(m-2); and the cells of geodesic
+        legs.
+
+        An array ``c`` of Clairaut constants puts the cells on geodesic legs
+        (see _leg_integrals): fvec is integrated over
+        x = v = sqrt(r^2 - c^2), or with ``angle`` alpha = arctan(v / c), or
+        -beta = -arctan(c / v) where the far end has alpha > pi/4, as
+        c / cos(alpha) resolves r only to about 2.2e-16 r / c there.  Boundary
+        cells with c != r_min run under r = max(c, r_min) + |c - r_min|
+        sinh(u)^2; a ride cell's Jacobian gains dx/dr, and one that also
+        carries the leg's (r - c)^(-1/2) end is split at its midpoint, the
+        half at the knot riding, the other in x.
+
+        A QuadratureError names the integral's ``label`` and radii: the
+        chart maps the failing interval back to r.  A query with a
+        ``group`` label of its own (see _adaptive_cells) gets the same
+        value whatever else is in its batch.
+        """
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        n, leg = a.size, c is not None
+        group = np.zeros(n, dtype=np.intp) if group is None else group
+        owner, a, b, q, lo, hi = self._chart_rows(a, b, c, angle)
+        group, sub = group[owner], q[:, 0] != 0.0
+        plain = leg and not (q[:, :2] != 0.0).any()
 
         def g(x, q):
-            if not special:  # plain leg charts only
-                return nodewise(self._leg_radius(x, q[:, 3:], angle))
+            if plain:  # plain leg charts only
+                r = self._leg_radius(x, q[:, 3:], angle)
+                return fvec(r.reshape(-1)).reshape(r.shape)
             return self._chart_values(fvec, x, q, angle)
 
         def span(i, x_lo, x_hi):  # an interval of cell i's chart, in radii
@@ -969,11 +956,9 @@ class ManifoldModel:
         # in runs of their own
         if sub.any():
             group = np.where(sub, group + (int(group.max()) + 1), group)
-        y = _adaptive_cells(g, lo, hi, _QUAD_REL, group, q, span, leaves,
-                            label)
-        if leg:
-            y[split] += y[n:]
-        return y[..., :n]
+        y = _adaptive_cells(g, lo, hi, _QUAD_REL, group, q, span, label)
+        y[owner[n:]] += y[n:]  # a split leg cell sums its halves
+        return y[:n]
 
     def _leg_integrals(self, lo, hi, c, angle: bool, group) -> np.ndarray:
         """Lengths, or with ``angle`` swept angles, of the geodesic legs with
@@ -1036,27 +1021,25 @@ class ManifoldModel:
         return ((value, width * (start + f * (2.0 * rf + f * drf))) if slope
                 else value)
 
-    def _cumulative_at(self, r, rows):
-        """Rows of the (F, s) table at each radius in r, in the same shape.
+    def _cumulative_at(self, r, row: int):
+        """Row ``row`` of the (F, s) table at each radius in r, in the same
+        shape.
 
         A knot reads the table; any other radius adds the panel
         partial (see _panel_partials) from the start of its table cell.  No
-        quadrature runs, and each radius reads the same in any batch.  A
-        scalar r gives a float for one row, a tuple for both.
+        quadrature runs, and each radius reads the same in any batch.
         """
         arr, scalar = self._radii(r)
         knots = self.knots
         i = knots.searchsorted(arr)
-        out = self._Fs_knots[rows][..., i]
+        out = self._Fs_knots[row, i]
         off = knots[i] != arr
         if off.any():
             cell = i[off] - 1
-            out[..., off] = self._Fs_knots[rows][..., cell] + self._panel_partials(
-                _panels(cell, self._nodes[rows], self._cells[1]),
+            out[off] = self._Fs_knots[row, cell] + self._panel_partials(
+                _panels(cell, self._nodes[row], self._cells[1]),
                 self._fraction(cell, arr[off]))
-        if not scalar:
-            return out
-        return float(out[0]) if out.ndim == 1 else tuple(out[:, 0].tolist())
+        return float(out[0]) if scalar else out
 
     def F(self, r):
         """Graph height F(r), normalized to F(r_min) = 0."""
@@ -1065,14 +1048,6 @@ class ManifoldModel:
     def s(self, r):
         """Radial arclength from the inner boundary to the sphere at r."""
         return self._cumulative_at(r, 1)
-
-    def _F_and_s(self, r):
-        """F(r) and s(r) from one read of the table.
-
-        Rows of a (2, n) array, or two floats for a scalar r; each row is
-        bit-equal to F or s queried alone.
-        """
-        return self._cumulative_at(r, slice(None))
 
     def _F_and_s_rises(self, r_a, r_b: float) -> np.ndarray:
         """F(r_b) - F(r_a) and s(r_b) - s(r_a) for each r_a <= r_b, the

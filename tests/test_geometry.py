@@ -36,7 +36,7 @@ from massflat.profiles import (
     validate,
 )
 from util import (count_panels, exact_arclength, random_spline_profile,
-                  two_run_integrate_cells, window_volumes)
+                  rows_of, two_run_integrate_cells, window_volumes)
 
 
 def _schwarzschild_model(mass=0.1, r_cap=12.0):
@@ -514,23 +514,22 @@ def test_batched_queries_equal_the_per_point_loop(name):
 
 @pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
 def test_stacked_F_and_s_read_equals_each_alone(name):
-    # one pass over (F', s') with a tolerance group per radius: each row is
-    # the query made alone, at knots, off them and for a scalar radius
+    # the rises of F and s read both rows of the table at once: each
+    # rise in a batch is the rise read alone, from r_min, knots and radii
+    # off them, up to r_b inside a cell and up to r_cap
     model = _BATCH_MODELS[name]()
     rng = np.random.default_rng(12)
-    rs = np.concatenate([
-        [model.r_min], model.knots[::4], [model.r_cap],
+    ras = np.concatenate([
+        [model.r_min], model.knots[::4],
         rng.uniform(model.r_min, model.r_cap, 60),
         model.r_min + (model.knots[3] - model.r_min) * rng.random(20)])
-    both = model._F_and_s(rs)
-    assert both.shape == (2, rs.size)
-    np.testing.assert_array_equal(both[0], model.F(rs))
-    np.testing.assert_array_equal(both[1], model.s(rs))
-    for r in (model.r_min, float(model.knots[2]), float(rs[-1]),
-              float(rs[-30])):
-        f, s = model._F_and_s(r)
-        assert type(f) is float and type(s) is float
-        assert (f, s) == (model.F(r), model.s(r))
+    for r_b in (model.r_cap, float(np.median(ras))):
+        below = ras[ras <= r_b]
+        both = model._F_and_s_rises(below, r_b)
+        assert both.shape == (2, below.size)
+        for k, r_a in enumerate(below):
+            np.testing.assert_array_equal(
+                both[:, k], model._F_and_s_rises([r_a], r_b)[:, 0])
 
 
 @pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
@@ -591,16 +590,15 @@ _SLOPE_MODELS = {**{f"batch-{k}": v for k, v in _BATCH_MODELS.items()},
 
 @pytest.mark.parametrize("name", sorted(_SLOPE_MODELS))
 def test_one_pass_over_both_slopes_equals_each_alone(name):
-    # the stacked integrand keeps each row's own acceptance, so F' and s'
-    # integrated together read what each reads alone, singular models too
+    # the table round over the stacked (F', s') keeps each row's own
+    # acceptance, so each row of the table reads what its slope reads
+    # integrated alone over the same cells, singular models too
     model = _SLOPE_MODELS[name]()
     a, b = model.knots[:-1], model.knots[1:]
-    both = model._integrate_cells(model._slopes, a, b)
-    assert both.shape == (2, a.size)
-    for row, alone in zip(both, (model.f_prime, model.s_prime)):
+    for row, alone in zip(model._inc, (model.f_prime, model.s_prime)):
         np.testing.assert_array_equal(row, model._integrate_cells(alone, a, b))
     np.testing.assert_array_equal(model._Fs_knots[:, 1:],
-                                  np.cumsum(both, axis=1))
+                                  np.cumsum(model._inc, axis=1))
 
 
 # the _BATCH_MODELS whose profile starts on a minimal boundary sphere
@@ -642,14 +640,15 @@ def test_one_run_per_integral_equals_the_two_run_split(name, monkeypatch):
     queries = {
         "groups": lambda: model._integrate_cells(
             swing_and_cliff, knots[e - 1:e + 1], knots[e:e + 2]),
-        # the table pass, summed into the tables at the knots
+        # the table round's rows, summed into the tables at the knots
         # (test_one_pass_over_both_slopes_equals_each_alone)
-        "tables": lambda: np.cumsum(model._integrate_cells(
-            model._slopes, knots[:-1], knots[1:]), axis=1),
+        **{f"table {k}": (lambda f=f: np.cumsum(model._integrate_cells(
+            f, knots[:-1], knots[1:])))
+           for k, f in enumerate(rows_of(model._slopes))},
     }
     integrate = ManifoldModel._integrate_cells
     panels = count_panels(monkeypatch)
-    model.s(rs), model.F(rs), model._F_and_s(rs)
+    model.s(rs), model.F(rs)
     model.r_of_s(rng.uniform(0.0, model.s_cap, 30))
     model._window_volumes(model.r_min, r_a, r_b)
     assert panels.passes == 0
@@ -795,10 +794,11 @@ def test_panel_reads_agree_with_quadrature_from_the_cell_start(name):
     back = width[cell] < 0.0  # the chart starts at the knot above
     a = np.where(back, r, knots[k - 1])
     b = np.where(back, knots[k], r)
-    part = model._integrate_cells(model._slopes, a, b, np.arange(r.size))
+    part = np.array([model._integrate_cells(f, a, b, np.arange(r.size))
+                     for f in rows_of(model._slopes)])
     want = np.where(back, model._Fs_knots[:, k] - part,
                     model._Fs_knots[:, k - 1] + part)
-    err = np.abs(model._F_and_s(r) - want)
+    err = np.abs(np.array([model.F(r), model.s(r)]) - want)
     assert np.all(err <= 1e-13 * np.abs(want)
                   + 4.0 * model._slopes(r) * np.spacing(r)), err.max()
 
@@ -821,40 +821,43 @@ _TABLE_MODELS = {**_PANEL_MODELS, **_HALVED_MODELS}
 
 @pytest.mark.parametrize("name", sorted(_TABLE_MODELS))
 def test_every_table_cell_is_one_accepted_panel(name, monkeypatch):
-    # every table cell is a knot cell that the table pass accepts on its
-    # first panel: integrated again in their charts, the cells converge on
-    # one pass, with the increments the table keeps bit for bit, and F and
-    # s run on from cell to cell exactly.  The panel models, deep wells
-    # included, build in one pass; the halved models split the cells the
-    # pass bisects at the midpoints of their charts and build in 2 to 4.
+    # every table cell is a knot cell that the table round accepts on its
+    # first panel: integrated again in their charts, one row at a time, the
+    # cells converge on one pass, with the increments the table keeps bit
+    # for bit, and F and s run on from cell to cell exactly.  The panel
+    # models, deep wells included, build in one round; the halved models
+    # split the cells a round does not accept at the midpoints of their
+    # charts and build in 2 to 4.
     panels = count_panels(monkeypatch)
     model = _TABLE_MODELS[name]()
-    assert (1 < len(panels.runs) <= 4) == (name in _HALVED_MODELS), \
-        panels.runs
+    assert (1 < panels.passes <= 4) == (name in _HALVED_MODELS), \
+        panels.cells
     assert np.all(np.diff(model.knots) > 0.0)
     np.testing.assert_array_equal(model._Fs_knots[:, 1:],
                                   np.cumsum(model._inc, axis=1))
     x0, width, q = model._cells
-    start = panels.passes
-    inc = _adaptive_cells(
-        lambda x, p: model._chart_values(model._slopes, x, p),
-        np.minimum(x0, x0 + width), np.maximum(x0, x0 + width),
-        geometry._QUAD_REL, (q[:, 0] != 0.0).astype(np.intp), q)
-    assert panels.passes == start + 1
-    np.testing.assert_array_equal(inc, model._inc)
+    for row, f in zip(model._inc, rows_of(model._slopes)):
+        start = panels.passes
+        inc = _adaptive_cells(
+            lambda x, p: model._chart_values(f, x, p),
+            np.minimum(x0, x0 + width), np.maximum(x0, x0 + width),
+            geometry._QUAD_REL, (q[:, 0] != 0.0).astype(np.intp), q)
+        assert panels.passes == start + 1
+        np.testing.assert_array_equal(inc, row)
 
 
-def test_a_bisecting_build_makes_one_pass_per_round(monkeypatch):
-    # a table pass that does not accept every knot cell stops after its
-    # first panels, since the build halves those cells and runs again: the
-    # 5-D spline halves a cell in 2 rounds and builds in 3 passes of 209,
-    # 210 and 211 cells (6 when each round ran its bisection out), and its
-    # increments are one plain pass over its final knots, bit for bit
+def test_count_panels_books_a_build_to_no_run(monkeypatch):
+    # a leg integration, then a model build: the leg's passes belong to its
+    # _adaptive_cells run, the build's rounds to none
+    model = _schwarzschild_model(0.1, 8.0)
     panels = count_panels(monkeypatch)
-    model = _seed_12_spline(5)
-    assert panels.runs == [1, 1, 1], panels.runs
-    np.testing.assert_array_equal(model._inc, model._integrate_cells(
-        model._slopes, model.knots[:-1], model.knots[1:]))
+    model._leg_integrals(np.array([0.3]), np.array([6.0]), np.array([0.25]),
+                         False, np.zeros(1, int))
+    k = panels.passes
+    assert k > 1 and panels.runs == [k]
+    _seed_12_spline(5)
+    assert panels.runs == [k]
+    assert panels.passes == k + 3
 
 
 def test_a_non_finite_value_at_a_table_cell_end_is_refused():
@@ -875,23 +878,17 @@ def test_a_non_finite_value_at_a_table_cell_end_is_refused():
 
 
 def test_a_table_still_bisecting_at_the_cap_names_its_cell(monkeypatch):
-    # a table pass that keeps bisecting is refused after _MAX_DEPTH
-    # halvings, naming in radii the first cell it would halve again
+    # a table that keeps halving is refused after _MAX_DEPTH halvings,
+    # naming in radii the first cell it would halve again: under a negative
+    # relative target no round accepts a cell whole
     profile = stripes((1.0, 2.0, 3.0, 4.0), 0.1)
     lo, hi = ManifoldModel(profile, 8.0).knots[:2].tolist()
-
-    class Stuck(ManifoldModel):
-        def _integrate_cells(self, *args, leaves=None, **kwargs):
-            out = super()._integrate_cells(*args, leaves=leaves, **kwargs)
-            if leaves:  # no cell is ever accepted whole
-                leaves[0] = leaves[0][:4] + (np.zeros_like(leaves[0][4]),)
-            return out
-
     monkeypatch.setattr(geometry, "_MAX_DEPTH", 3)
+    monkeypatch.setattr(geometry, "_QUAD_REL", -1.0)
     with pytest.raises(QuadratureError, match=re.escape(
             f"table cell r in [{lo!r}, {lo + (hi - lo) / 8.0!r}] still "
             "bisects after 3 halvings")):
-        Stuck(profile, 8.0)
+        ManifoldModel(profile, 8.0)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -1123,7 +1120,8 @@ def test_block_splitting_does_not_change_bits():
     # a batch spanning several integrand calls, or filling exactly one, or
     # one cell more, equals its cells integrated a few at a time, with and
     # without param; every cell is its own tolerance group, so only the
-    # split differs
+    # split differs.  A stacked pass of panels, as a table round makes,
+    # gives each row's panels alone, in any split.
     per_call = geometry._BLOCK // geometry._GL_X.size
 
     def peak(x):  # only the cells near 0.3 need bisection
@@ -1141,7 +1139,7 @@ def test_block_splitting_does_not_change_bits():
         c = np.linspace(1.0, 3.0, n)
         whole = _adaptive_cells(peak, a, b, 1e-12, np.arange(n))
         whole_p = _adaptive_cells(wave, a, b, 1e-12, np.arange(n), c)
-        rows = _adaptive_cells(stacked, a, b, 1e-12, np.arange(n))
+        rows = np.array(geometry._panel_integrals(stacked, a, b))
         chunks = [slice(i, i + 7) for i in range(0, n, 7)]
         np.testing.assert_array_equal(whole, np.concatenate([
             _adaptive_cells(peak, a[k], b[k], 1e-12, np.arange(a[k].size))
@@ -1150,11 +1148,14 @@ def test_block_splitting_does_not_change_bits():
             _adaptive_cells(wave, a[k], b[k], 1e-12, np.arange(a[k].size),
                             c[k])
             for k in chunks]))
-        # a row that accepts every cell on the first pass still equals
-        # itself alone while the other row bisects
-        np.testing.assert_array_equal(rows[0], whole)
-        np.testing.assert_array_equal(rows[1], _adaptive_cells(
-            lambda x: np.sin(3.0 * x), a, b, 1e-12, np.arange(n)))
+        # (value, gap) per row: each row's panels alone, and a few cells at
+        # a time
+        for j, f in enumerate((peak, lambda x: np.sin(3.0 * x))):
+            np.testing.assert_array_equal(
+                rows[:, j], geometry._panel_integrals(f, a, b))
+        np.testing.assert_array_equal(rows, np.concatenate([
+            geometry._panel_integrals(stacked, a[k], b[k]) for k in chunks],
+            axis=-1))
 
 
 @pytest.mark.parametrize("name", sorted(_KNOT_MODELS))

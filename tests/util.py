@@ -1,9 +1,9 @@
 """Shared helpers for the test suite: random admissible profiles, counts
-of the quadrature's work and of the piece evaluations, and the plain forms
-the optimized code must reproduce: the two-run split of
-ManifoldModel._integrate_cells, adaptive quadrature over radial ranges,
-the summed wall gap of a constant piece on the wall, and 40-digit
-arclengths and geodesic legs next to a ride knot."""
+of the quadrature's work and of the piece evaluations, the rows of a
+stacked integrand, and the plain forms the optimized code must reproduce:
+the two-run split of ManifoldModel._integrate_cells, adaptive quadrature
+over radial ranges, the summed wall gap of a constant piece on the wall,
+and 40-digit arclengths and geodesic legs next to a ride knot."""
 
 from __future__ import annotations
 
@@ -80,6 +80,7 @@ class PanelCounts:
     cells: List[int] = field(default_factory=list)  # the cells of each pass
     runs: List[int] = field(default_factory=list)  # the passes of each run
     inside: bool = False  # true while a pass runs
+    running: bool = False  # true while a run runs
 
     @property
     def passes(self) -> int:
@@ -92,13 +93,14 @@ class PanelCounts:
 
 def count_panels(monkeypatch) -> PanelCounts:
     """Count every geometry._panel_integrals pass, and every
-    geometry._adaptive_cells run, made from now on."""
+    geometry._adaptive_cells run, made from now on.  A pass belongs to the
+    run it is made in; a table build's passes belong to none."""
     counts = PanelCounts()
     panel, adaptive = geometry._panel_integrals, geometry._adaptive_cells
 
     def counted(f, a, b, param=None):
         counts.cells.append(a.size)
-        if counts.runs:
+        if counts.running:
             counts.runs[-1] += 1
         counts.inside = True
         try:
@@ -108,7 +110,11 @@ def count_panels(monkeypatch) -> PanelCounts:
 
     def counted_run(*args, **kwargs):
         counts.runs.append(0)
-        return adaptive(*args, **kwargs)
+        counts.running = True
+        try:
+            return adaptive(*args, **kwargs)
+        finally:
+            counts.running = False
 
     monkeypatch.setattr(geometry, "_panel_integrals", counted)
     monkeypatch.setattr(geometry, "_adaptive_cells", counted_run)
@@ -139,6 +145,17 @@ def count_piece_evaluations(monkeypatch) -> PieceEvaluations:
     return counts
 
 
+def rows_of(fvec: Callable) -> list:
+    """The rows of an integrand of radii, each a plain integrand: fvec
+    itself, or the k rows of an fvec returning a (k, n) stack, such as
+    ManifoldModel._slopes.  A row integrated alone gives the bits it gives
+    in a stacked pass (see geometry._panel_integrals)."""
+    k = np.shape(fvec(np.zeros(0)))[:-1]
+    if not k:
+        return [fvec]
+    return [lambda r, j=j: fvec(r)[j] for j in range(k[0])]
+
+
 # the model's own integration, kept before a test patches it
 _integrate_cells = geometry.ManifoldModel._integrate_cells
 
@@ -153,8 +170,7 @@ def two_run_integrate_cells(model, fvec: Callable, a, b,
     of their own through the model's integration, which gives the cells
     beside a ride knot their ride chart.  A query with a ``group`` label of
     its own (see _adaptive_cells) gets the same value whatever else is in
-    its batch.  An fvec returning a (k, n) stack gives (k, cells)
-    integrals, each row equal to its integrand's alone.
+    its batch.
     """
     _adaptive_cells = geometry._adaptive_cells
     a = np.asarray(a, dtype=float)
@@ -178,10 +194,9 @@ def two_run_integrate_cells(model, fvec: Callable, a, b,
                             np.sqrt(b[sub] - r_min), _QUAD_REL, group[sub])
     if np.all(sub):
         return inner
-    out = np.empty(inner.shape[:-1] + a.shape)
-    out[..., sub] = inner
-    out[..., ~sub] = _integrate_cells(model, fvec, a[~sub], b[~sub],
-                                      group[~sub])
+    out = np.empty(a.shape)
+    out[sub] = inner
+    out[~sub] = _integrate_cells(model, fvec, a[~sub], b[~sub], group[~sub])
     return out
 
 
@@ -190,10 +205,11 @@ def range_integrals(model, fvec: Callable, ranges) -> np.ndarray:
     the model's knots: the reference for the integrals the model reads off
     its table.
 
-    One ManifoldModel._integrate_cells pass over the cells of every range,
-    each range its own tolerance group, so each value equals its range
-    integrated alone; an empty range gives 0.  Returns a (rows, ranges)
-    array: one row for a plain fvec, k for an fvec returning a (k, n) stack.
+    One ManifoldModel._integrate_cells pass per row of fvec (see rows_of)
+    over the cells of every range, each range its own tolerance group, so
+    each value equals its range integrated alone; an empty range gives 0.
+    Returns a (rows, ranges) array: one row for a plain fvec, k for an fvec
+    returning a (k, n) stack.
     """
     knots = model.knots
     edges = []
@@ -205,13 +221,11 @@ def range_integrals(model, fvec: Callable, ranges) -> np.ndarray:
     sizes = [e.size - 1 for e in edges]
     a = np.concatenate([e[:-1] for e in edges])
     b = np.concatenate([e[1:] for e in edges])
-    # with no cells, fvec on no radii still gives the stack's shape
-    vals = _integrate_cells(
-        model, fvec, a, b, np.repeat(np.arange(len(edges)), sizes)) \
-        if a.size else fvec(a)
+    group = np.repeat(np.arange(len(edges)), sizes)
     ends = np.cumsum([0] + sizes)
     return np.array([[np.sum(row[lo:hi]) for lo, hi in zip(ends, ends[1:])]
-                     for row in np.atleast_2d(vals)])
+                     for row in (_integrate_cells(model, f, a, b, group)
+                                 for f in rows_of(fvec))])
 
 
 def window_volumes(model, r_deep: float, r_a: float, r_b: float) -> tuple:
