@@ -58,8 +58,10 @@ _panel_integrals pass per round over a (F', s') integrand that returns a
 stack of two rows, each with its own acceptance, and halves what a round
 does not accept itself.  The integrand sees cells, not loose nodes: it is
 called as f(x, p) on a (cells, 21) block of nodes with one param row p per
-cell, in calls of at most _BLOCK nodes of whole cells, and the chart
-function maps only the rows of boundary, ride and leg cells to radii.  A
+cell, in calls of whole cells, as many per pass as whole blocks of _BLOCK
+nodes the pass fills and at least one, so that a table round, whose radii
+run in piece order, is one call; and the chart function maps only the rows
+of boundary, ride and leg cells to radii.  A
 panel whose value is not finite, a leg cell still unconverged after 50
 bisections, a batch whose pending cells bisection would grow by more than
 200,000, or a table cell still halving after 50 rounds raises
@@ -177,9 +179,11 @@ _TO_CHEBYSHEV = _to_chebyshev()
 _AT_ONE = _CHEB_W / (1.0 - _CHEB_F)
 _WHOLE = _AT_ONE / _AT_ONE.sum() @ _TO_CHEBYSHEV
 _WHOLE[_START] += 1.0 - _WHOLE.sum()
-# most nodes per integrand call.  Larger calls ran slower per node: their
-# temporaries outgrow the allocator's reuse and fault in fresh pages (a
-# 2,048-path tube_distance batch took over twice the page faults at 16,384)
+# the nodes a pass holds per integrand call: a pass takes one call per
+# whole block it fills, at least one, so a call holds at most 2 _BLOCK
+# nodes.  Larger calls ran slower per node: their temporaries outgrow the
+# allocator's reuse and fault in fresh pages (a 2,048-path tube_distance
+# batch took over twice the page faults at 16,384 nodes a call)
 _BLOCK = 4096
 _MAX_DEPTH = 50
 # cells bisection may add to a batch before it gives up
@@ -201,20 +205,23 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
     11 further K21 nodes of one cell (_GL_X), and returns values of the
     block's shape, or a (k, cells, 21) stack of k integrands, which gives
     (k, cells) results.  K21 is exact for polynomials of degree 31, G10 for
-    degree 19.  The cells go to f in blocks of at most _BLOCK nodes, so the
-    temporaries of a pass stay cache-sized however many cells it holds.
-    With a per-cell ``param``, f is called as f(x, p), p holding one row of
-    param per row of x.
+    degree 19.  The pass goes to f in as many calls as whole blocks of
+    _BLOCK nodes it fills, at least one, its cells shared out evenly: a call
+    takes at most 2 _BLOCK nodes, so the temporaries of a pass stay
+    cache-sized however many cells it holds, and a pass of fewer than 2
+    _BLOCK nodes is one call: a table round of up to 390 cells.  With a
+    per-cell ``param``, f is called as f(x, p), p holding one row of param
+    per row of x.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    step = _BLOCK // _GL_X.size
+    calls = max(a.size * _GL_X.size // _BLOCK, 1) if a.size else 0
     # a non-finite integrand is reported by the caller as a QuadratureError.
     # Row-wise sums, not a matrix product: BLAS rounds a row differently
     # depending on how many rows share the call.
     k21 = err = None
-    for start in range(0, a.size, step):
-        cells = slice(start, start + step)
+    for j in range(calls):
+        cells = slice(j * a.size // calls, (j + 1) * a.size // calls)
         x = mid[cells, None] + half[cells, None] * _GL_X
         y = f(x) if param is None else f(x, param[cells])
         if k21 is None:
@@ -322,12 +329,31 @@ _SQUARES = {n: np.linspace(0.0, 1.0, n) ** 2 for n in (33, 49)}
 def _graded(a: float, b: float) -> np.ndarray:
     """Knots graded towards the start of a piece [a, b]: 33 geometric ones
     on a piece spanning more than a factor 6 in r, 33 quadratic ones on a
-    piece from r = 0, none otherwise."""
+    piece from r = 0, none otherwise.  The geometric knots are
+    np.geomspace(a, b, 33) formed as it forms them, without its wrappers:
+    10 to the 33 even steps from log10 a to log10 b, both ends exact."""
     if a > 0 and b / a > 6.0:
-        return np.geomspace(a, b, 33)
+        # the same ufuncs on the same operands as np.geomspace, so the same
+        # bits: log10 of each end alone, and the power of a scalar base
+        lo, hi = np.log10(np.float64(a)), np.log10(np.float64(b))
+        y = _STEPS[:33] * ((hi - lo) / 32) + lo
+        y[-1] = hi
+        x = np.power(10.0, y)
+        x[0], x[-1] = a, b
+        return x
     if a == 0.0:
         return b * _SQUARES[33]
     return np.zeros(0)
+
+
+def _unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D float array free of NaN and of -0.0, without its
+    wrappers: x sorted, each value once."""
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def _doubling(origin: float, step: float, end: float) -> list:
@@ -410,11 +436,12 @@ class ManifoldModel:
         m = profile.dimension
         # the integrands read r^(m-2), largest at r_cap, and the wall gap:
         # a double that overflows there would surface as a QuadratureError.
-        # One profile evaluation gives the gaps at r_cap and at r_min.
+        # One profile evaluation gives the gaps at r_min and at r_cap, in
+        # piece order.
         with np.errstate(over="ignore", invalid="ignore"):
             xi_cap = float(np.float64(r_cap) ** (m - 2))
-            gap_cap, gap0 = profile._mass_and_gap(
-                np.array([r_cap, profile.r_min]))[1].tolist()
+            gap0, gap_cap = profile._mass_and_gap(
+                np.array([profile.r_min, r_cap]))[1].tolist()
         for name, value in (("r^(m-2)", xi_cap), ("the wall gap", gap_cap)):
             if not math.isfinite(value):
                 raise DomainError(
@@ -551,7 +578,7 @@ class ManifoldModel:
             if isinstance(piece, CubicSplinePiece):
                 breaks += [x for x in piece.knots if a < x < b]
                 rides += [e for e in piece.ride_knots if a < e[0] < b]
-        knots = np.unique(np.concatenate(pts + [breaks]))
+        knots = _unique(np.concatenate(pts + [breaks]))
         knots = knots[(knots >= self.r_min) & (knots <= self.r_cap)]
         # A constant piece whose wall gap r^k - 2 m has its root rho nearer
         # the piece's start than the first cell is wide bisects that cell
@@ -585,7 +612,7 @@ class ManifoldModel:
             graded.append((u_k + side * w * np.sinh(t)) ** (1.0 / k))
             self._ride.append((knot, side, w, edge))
         if graded:
-            knots = np.unique(np.concatenate([knots] + graded))
+            knots = _unique(np.concatenate([knots] + graded))
         # below this edge a singular model integrates under u = sqrt(r - r_min):
         # the end of the last cell of the first piece that lies nearer r_min
         # than its width.  The (r - r_min)^(-1/2) of the integrands converges
@@ -596,7 +623,7 @@ class ManifoldModel:
                 knots[knots <= min(x for x in breaks if x > self.r_min)],
                 self.r_min)
         # every integral's cells end at these radii
-        cuts = np.unique(np.append(breaks, self._sub_edge))
+        cuts = _unique(np.append(breaks, self._sub_edge))
         self._cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
         # One round builds both tables: one pass of panels over (F', s') on
         # the knot cells in their charts, at each cell's 21 nodes and both
@@ -618,19 +645,24 @@ class ManifoldModel:
 
             inc, err = _panel_integrals(with_ends, lo, hi,
                                         np.column_stack([q, lo, hi]))
-            bad = ~np.isfinite(err)
-            if bad.any():
-                j, c = _first_cell(bad)
+            if not np.isfinite(err).all():
+                j, c = _first_cell(~np.isfinite(err))
                 raise QuadratureError(
                     f"table: non-finite integrand on r in "
                     f"[{float(knots[c])!r}, {float(knots[c + 1])!r}] (panel "
                     f"value {float(inc[j, c])!r}, error estimate "
                     f"{float(err[j, c])!r})")
-            scale = np.empty_like(inc)
-            for part in (q[:, 0] == 0.0, q[:, 0] != 0.0):
-                scale[:, part] = np.abs(inc[:, part]).max(
-                    axis=1, initial=_TINY, keepdims=True)
-            ok = err <= _QUAD_REL * (np.abs(inc) + 1e-4 * scale)
+            size = np.abs(inc)
+            if self._singular:
+                scale = np.empty_like(inc)
+                for part in (q[:, 0] == 0.0, q[:, 0] != 0.0):
+                    scale[:, part] = size[:, part].max(
+                        axis=1, initial=_TINY, keepdims=True)
+            else:  # no boundary cells
+                scale = size.max(axis=1, initial=_TINY, keepdims=True)
+            ok = err <= _QUAD_REL * (size + 1e-4 * scale)
+            if ok.all():
+                break
             # cells narrower than a few ulps cannot be split further
             ok |= (hi - lo) <= 4e-16 * np.maximum(np.abs(lo), np.abs(hi))
             accepted = ok.all(axis=0)
@@ -643,15 +675,15 @@ class ManifoldModel:
                     f"{float(knots[c + 1])!r}] still bisects after "
                     f"{depth} halvings")
             mid = 0.5 * (lo + hi)[~accepted, None]
-            knots = np.unique(np.append(
+            knots = _unique(np.append(
                 knots, self._chart_r(mid, q[~accepted])[:, 0]))
         # -0.0 reads 0.0, as in a sum of accepted panels from zero
         inc = inc + 0.0
-        y = np.concatenate(blocks, axis=-2)
+        y = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
         self.knots = knots
         self._inc = inc
-        self._Fs_knots = np.stack([np.concatenate([[0.0], np.cumsum(row)])
-                                   for row in inc])
+        self._Fs_knots = np.zeros((inc.shape[0], knots.size))
+        np.cumsum(inc, axis=1, out=self._Fs_knots[:, 1:])
         # Each table cell keeps its chart and the integrand at its nodes and
         # both chart ends, which give its integral from its start (see
         # _TO_CHEBYSHEV), in a frame that starts at its smaller radius: a
@@ -697,7 +729,7 @@ class ManifoldModel:
             a < e[0] < b for e in piece.ride_knots) for piece, a, b in inside]
         beside = [_graded(*inside[j][1:]) for k, ride in enumerate(rides)
                   if ride for j in (k - 1, k + 1) if 0 <= j < len(inside)]
-        cuts = np.unique(np.concatenate([self._cuts] + beside))
+        cuts = _unique(np.concatenate([self._cuts] + beside))
         return cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
 
     # -- the integration primitive ---------------------------------------------

@@ -239,10 +239,11 @@ class CubicSplinePiece(ProfilePiece):
             raise DomainError("spline piece needs at least two knots")
         if values.shape != knots.shape or slopes.shape != knots.shape:
             raise DomainError("knots, values and slopes must have equal length")
-        if not np.all(np.diff(knots) > 0):
+        if not (knots[1:] > knots[:-1]).all():
             raise DomainError("spline knots must be strictly increasing")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))
-                and np.all(np.isfinite(slopes))):
+        # increasing knots are finite where both ends are
+        if not (math.isfinite(knots[0]) and math.isfinite(knots[-1])
+                and np.isfinite(values).all() and np.isfinite(slopes).all()):
             raise DomainError("spline data must be finite")
         power = float(power)
         if not (power >= 1.0 and math.isfinite(power)):
@@ -263,27 +264,35 @@ class CubicSplinePiece(ProfilePiece):
             dudr[0] = math.inf
         us = slopes / dudr
         # per interval: its ends and width in u, then the Bezier control
-        # points of the value and of h times its u-derivative
-        h = uk[1:] - uk[:-1]
+        # points of the value and of h times its u-derivative, rows filled
+        # in place
+        n = knots.size - 1
+        self._value_table = vt = np.empty((7, n))
+        self._slope_table = st = np.empty((6, n))
+        vt[0], vt[1] = uk[:-1], uk[1:]
+        h = np.subtract(uk[1:], uk[:-1], out=vt[2])
         v0, v1, s0, s1 = values[:-1], values[1:], us[:-1], us[1:]
-        self._value_table = np.stack([
-            uk[:-1], uk[1:], h, v0, v0 + h * s0 / 3.0, v1 - h * s1 / 3.0, v1])
-        self._slope_table = np.stack([
-            uk[:-1], uk[1:], h, h * s0, 3.0 * (v1 - v0) - h * (s0 + s1),
-            h * s1])
+        vt[3], vt[4], vt[5], vt[6] = v0, v0 + h * s0 / 3.0, v1 - h * s1 / 3.0, v1
+        st[:3] = vt[:3]
+        np.multiply(h, s0, out=st[3])
+        st[4] = 3.0 * (v1 - v0) - h * (s0 + s1)
+        np.multiply(h, s1, out=st[5])
         ride = []
-        for i in range(1, knots.size - 1) if self.gap_space else ():
-            if us[i] != 0.0 or not values[i] > 0.0:
-                continue
-            # each neighbour segment's quadratic coefficient in d = |u - u_k|
-            # from its width, far value and far slope along d
-            for side, width, far, slope in (
-                    (-1, h[i - 1], values[i - 1], -us[i - 1]),
-                    (1, h[i], values[i + 1], us[i + 1])):
-                A = (3.0 * (far - values[i]) - width * slope) / width**2
-                if A > 0.0:
-                    ride.append((float(knots[i]), side,
-                                 math.sqrt(values[i] / A)))
+        if self.gap_space:
+            # Python floats: the same IEEE operations as numpy scalars
+            r, v, s, w = knots.tolist(), values.tolist(), us.tolist(), h.tolist()
+            for i in range(1, n):
+                if s[i] != 0.0 or not v[i] > 0.0:
+                    continue
+                # each neighbour segment's quadratic coefficient in
+                # d = |u - u_k| from its width, far value and far slope
+                # along d
+                for side, width, far, slope in (
+                        (-1, w[i - 1], v[i - 1], -s[i - 1]),
+                        (1, w[i], v[i + 1], s[i + 1])):
+                    A = (3.0 * (far - v[i]) - width * slope) / width**2
+                    if A > 0.0:
+                        ride.append((r[i], side, math.sqrt(v[i] / A)))
         self.ride_knots = tuple(ride)
 
     def _interval(self, r, table):
@@ -506,22 +515,36 @@ class HawkingProfile:
         ``evaluate(piece, radii)`` returns a tuple of ``rows`` arrays; the
         result is the tuple of those rows over all of arr.  A radius below
         the first piece reads that piece.
+
+        Each piece reads one contiguous slice of the radii.  Radii that
+        arrive grouped by piece, as a table round's do (its cells run in
+        order and every piece end is a knot), are read in place; others are
+        first put in piece order by a stable sort, and their rows scattered
+        back.  A value depends on its radius alone, so both read the same.
         """
         starts = self._starts[1:]
         first = np.searchsorted(starts, arr.min(initial=math.inf), side="right")
-        if first == np.searchsorted(starts, arr.max(initial=-math.inf),
-                                    side="right"):
-            # one piece holds every radius: no masks, gathers or scatters
+        last = np.searchsorted(starts, arr.max(initial=-math.inf), side="right")
+        if first == last:
+            # one piece holds every radius: no slices, gathers or scatters
             return tuple(evaluate(self.pieces[first], arr))
-        out = np.empty((rows,) + arr.shape)
-        idx = np.searchsorted(starts, arr, side="right")
-        for k, piece in enumerate(self.pieces):
-            sel = idx == k
-            if np.any(sel):
-                # row by row: a masked write into a 2-D array is slower
-                for row, v in zip(out, evaluate(piece, arr[sel])):
-                    row[sel] = v
-        return tuple(out)
+        flat = arr.reshape(-1)
+        idx = starts.searchsorted(flat, side="right")
+        order = None
+        if (idx[1:] < idx[:-1]).any():
+            order = idx.argsort(kind="stable")
+            idx, flat = idx[order], flat[order]
+        out = np.empty((rows, flat.size))
+        lo = 0
+        ends = idx.searchsorted(np.arange(first, last + 1), side="right")
+        for piece, hi in zip(self.pieces[first:], ends.tolist()):
+            if hi > lo:
+                for row, v in zip(out, evaluate(piece, flat[lo:hi])):
+                    row[lo:hi] = v
+            lo = hi
+        if order is not None:
+            out[:, order] = out.copy()
+        return tuple(out.reshape((rows,) + arr.shape))
 
     def _checked(self, r, evaluate):
         """evaluate(radii) on r after the range check; floats for a scalar r."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import re
 import warnings
 
@@ -1043,14 +1044,14 @@ def test_deep_well_build_evaluates_the_profile_once_per_call(monkeypatch):
     # the integrands read the profile through its unchecked evaluator
     monkeypatch.setattr(HawkingProfile, "_mass_and_gap", counted_mass_and_gap)
     ManifoldModel(deep_well(3, 1e-6, math.pi / 100, 10.0), 0.4)
-    per_call = geometry._BLOCK // geometry._GL_X.size
-    # one call per block of the one level, 276 cells in two blocks.  With
-    # one ride cell per knot the pass took two levels (three calls), and
-    # bisecting towards the peaks in r made 24 levels
-    assert len(evaluations) == 2
-    assert len(evaluations) == sum(-(-n // per_call) for n in panels.cells)
-    # every call after the first of each integration fits in one block
-    assert len(evaluations) <= panels.passes + 2
+    # one round, and one call for its 276 cells: a pass takes as many calls
+    # as whole blocks of _BLOCK nodes it fills, and 276 cells fill one.  In
+    # calls of at most _BLOCK nodes the round took two; with one ride cell
+    # per knot the build took two levels (three calls), and bisecting
+    # towards the peaks in r made 24 levels
+    assert panels.cells == [276]
+    assert 276 * geometry._GL_X.size // geometry._BLOCK == 1
+    assert len(evaluations) == 1
 
 
 def test_deep_well_batch_across_the_core_equals_the_per_point_loop():
@@ -1117,11 +1118,12 @@ def test_legs_into_a_descent_ride_knot_against_mpmath(grazing):
 
 
 def test_block_splitting_does_not_change_bits():
-    # a batch spanning several integrand calls, or filling exactly one, or
-    # one cell more, equals its cells integrated a few at a time, with and
-    # without param; every cell is its own tolerance group, so only the
-    # split differs.  A stacked pass of panels, as a table round makes,
-    # gives each row's panels alone, in any split.
+    # a batch spanning several integrand calls, or the most cells one call
+    # takes (fewer than 2 _BLOCK nodes), or one cell more, in two calls,
+    # equals its cells integrated a few at a time, with and without param;
+    # every cell is its own tolerance group, so only the split differs.  A
+    # stacked pass of panels, as a table round makes, gives each row's
+    # panels alone, in any split.
     per_call = geometry._BLOCK // geometry._GL_X.size
 
     def peak(x):  # only the cells near 0.3 need bisection
@@ -1133,7 +1135,7 @@ def test_block_splitting_does_not_change_bits():
     def stacked(x):
         return np.stack([peak(x), np.sin(3.0 * x)])
 
-    for n in (3 * per_call + 5, per_call, per_call + 1):
+    for n in (3 * per_call + 5, 2 * per_call, 2 * per_call + 1):
         edges = np.linspace(0.0, 2.0, n + 1)
         a, b = edges[:-1], edges[1:]
         c = np.linspace(1.0, 3.0, n)
@@ -1156,6 +1158,49 @@ def test_block_splitting_does_not_change_bits():
         np.testing.assert_array_equal(rows, np.concatenate([
             geometry._panel_integrals(stacked, a[k], b[k]) for k in chunks],
             axis=-1))
+
+
+_TABLE_ATTRS = ("knots", "_inc", "_Fs_knots", "_nodes", "_cells", "_ride",
+                "_sub_edge", "_cuts")
+
+
+@pytest.mark.parametrize("name", ["deep-well-rides", "schwarzschild-tiny",
+                                  "spline-seed-12-m4", "stripes-bumped"])
+def test_table_rounds_in_calls_of_7_cells_build_the_same_bits(name,
+                                                              monkeypatch):
+    # a table round takes its cells in one integrand call; split into
+    # calls of at most 7 cells it builds every table byte for byte alike:
+    # the ride and boundary charts, and the rounds that halve cells
+    built = _TABLE_MODELS[name]()
+    calls = []
+    slopes = ManifoldModel._slopes
+
+    def counted_slopes(self, r):
+        calls.append(r.size)
+        return slopes(self, r)
+
+    panels = count_panels(monkeypatch)
+    monkeypatch.setattr(ManifoldModel, "_slopes", counted_slopes)
+    monkeypatch.setattr(geometry, "_BLOCK", 7 * geometry._GL_X.size)
+    split = _TABLE_MODELS[name]()
+    assert len(calls) == sum(max(n // 7, 1) for n in panels.cells)
+    assert len(calls) > 3 * panels.passes
+    for attr in _TABLE_ATTRS:
+        assert pickle.dumps(getattr(split, attr)) == pickle.dumps(
+            getattr(built, attr)), attr
+
+
+def test_graded_knots_are_numpy_geomspace():
+    # the closed form of a piece's geometric knots gives np.geomspace's
+    # bits, ends included, on pieces spanning a factor 6 to 1e12 in r
+    rng = np.random.default_rng(29)
+    a = 10.0 ** rng.uniform(-12.0, 6.0, 10000)
+    b = a * 10.0 ** rng.uniform(math.log10(6.0), 12.0, a.size)
+    b[:3] = a[:3] * np.array([6.0 * (1.0 + 1e-15), 1e12, 7.0])
+    for lo, hi in zip(a.tolist(), b.tolist()):
+        assert hi / lo > 6.0
+        want = np.geomspace(lo, hi, 33)
+        assert geometry._graded(lo, hi).tobytes() == want.tobytes(), (lo, hi)
 
 
 @pytest.mark.parametrize("name", sorted(_KNOT_MODELS))

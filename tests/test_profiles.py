@@ -782,7 +782,8 @@ def test_dispatch_reads_the_piece_that_starts_at_each_joint(name):
 @pytest.mark.parametrize("name", ["stripes", "deep-well", "spline"])
 def test_single_piece_batches_equal_the_masked_path(name):
     # a batch inside one piece is evaluated directly; a batch across pieces
-    # goes through the per-piece masks.  Both read the same bits.
+    # is put in piece order and each piece reads its slice.  Both read the
+    # same bits as each piece's own radii picked out by a mask.
     p = {"stripes": lambda: stripes((1.0, 2.0, 3.0, 4.0), 0.1),
          "deep-well": _PIECE_KIND_PROFILES["deep-well"],
          "spline": lambda: random_spline_profile(
@@ -805,6 +806,69 @@ def test_single_piece_batches_equal_the_masked_path(name):
         pair, slope = p.mass_and_gap(r), p.mass_prime(r)
         assert all(type(v) is float for v in pair + (slope,))
         assert pair + (slope,) == (mh[i], gap[i], mp[i])
+
+
+_GROUPED_PROFILES = {
+    "deep-well-3d": (lambda: deep_well(3, 1e-6, math.pi / 100, 10.0), 0.4),
+    "deep-well-4d": (lambda: deep_well(4, 1e-4, 2.0 * math.pi**2, 3.0), 2.0),
+    "deep-well-5d": (lambda: deep_well(5, 1e-3, 4.0, 3.0,
+                                       with_boundary=False), 3.0),
+    "stripes": (lambda: stripes((1.0, 2.0, 3.0, 4.0), 0.1), 8.0),
+    "spline": (lambda: random_spline_profile(np.random.default_rng(3), 4),
+               8.0),
+}
+
+
+def _masked_reads(p, rs):
+    """m_H, the gap and m_H' at rs, each piece given its radii by a mask."""
+    k = np.searchsorted(p._starts[1:], rs, side="right")
+    out = np.empty((3, rs.size))
+    for j, piece in enumerate(p.pieces):
+        sel = k == j
+        if sel.any():
+            out[:2, sel] = piece.mass_and_gap(rs[sel], p.dimension)
+            out[2, sel] = piece.mass_prime(rs[sel])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_GROUPED_PROFILES))
+def test_dispatch_on_grouped_radii_equals_the_radii_shuffled(name,
+                                                             monkeypatch):
+    # a table round's radii arrive grouped by piece, and each piece reads
+    # its slice of them in place; shuffled, they are put in piece order
+    # first.  Either reads each radius as a mask picking out its piece's
+    # radii does, and so do piece starts and their neighbours among them.
+    build, r_cap = _GROUPED_PROFILES[name]
+    p = build()
+    blocks = []
+    mass_and_gap = HawkingProfile._mass_and_gap
+
+    def kept(self, r):
+        blocks.append(r.copy())
+        return mass_and_gap(self, r)
+
+    monkeypatch.setattr(HawkingProfile, "_mass_and_gap", kept)
+    ManifoldModel(p, r_cap)
+    monkeypatch.undo()
+    # the round's one call; the check at r_cap reads two radii
+    block = max(blocks, key=len)
+    starts = p._starts[1:]
+    k = np.searchsorted(starts, block, side="right")
+    assert np.all(np.diff(k) >= 0) and k[-1] > k[0]
+    edges = np.concatenate([starts, np.nextafter(starts, 0.0),
+                            np.nextafter(starts, np.inf)])
+    rng = np.random.default_rng(17)
+    for rs in (block, np.sort(np.concatenate([block, edges]))):
+        want = _masked_reads(p, rs)
+        got = np.stack(p._mass_and_gap(rs) + p._mass_prime(rs))
+        assert got.tobytes() == want.tobytes()
+        order = rng.permutation(rs.size)
+        shuffled = np.stack(p._mass_and_gap(rs[order])
+                            + p._mass_prime(rs[order]))
+        assert shuffled.tobytes() == want[:, order].tobytes()
+        if rs.size % 2 == 0:
+            square = np.stack(p.mass_and_gap(rs[order].reshape(2, -1)))
+            assert square.tobytes() == want[:2, order].tobytes()
 
 
 def test_dispatch_reads_the_first_piece_below_its_start():
