@@ -588,7 +588,7 @@ class ManifoldModel:
         graded = []
         for piece, a in constant:
             rho = (2.0 * piece.value) ** (1.0 / k)
-            first = knots[np.searchsorted(knots, a, side="right")]
+            first = knots[knots.searchsorted(a, side="right")]
             if rho < a and a - rho < first - a:
                 graded.append(_doubling(rho, a - rho, first))
         # A ride knot's chart runs across its span: the cells on its rising

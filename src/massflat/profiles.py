@@ -303,7 +303,7 @@ class CubicSplinePiece(ProfilePiece):
         keep only the absolute accuracy of t."""
         u = r**self.power
         # the interval index, clamped to the end intervals without a clip
-        i = np.searchsorted(self._u_knots[1:-1], u, side="right")
+        i = self._u_knots[1:-1].searchsorted(u, side="right")
         rows = table.take(i, axis=1)
         u_lo, u_hi, h = rows[0], rows[1], rows[2]
         rows[0] = (u - u_lo) / h
@@ -523,8 +523,8 @@ class HawkingProfile:
         back.  A value depends on its radius alone, so both read the same.
         """
         starts = self._starts[1:]
-        first = np.searchsorted(starts, arr.min(initial=math.inf), side="right")
-        last = np.searchsorted(starts, arr.max(initial=-math.inf), side="right")
+        first = starts.searchsorted(arr.min(initial=math.inf), side="right")
+        last = starts.searchsorted(arr.max(initial=-math.inf), side="right")
         if first == last:
             # one piece holds every radius: no slices, gathers or scatters
             return tuple(evaluate(self.pieces[first], arr))
@@ -532,7 +532,8 @@ class HawkingProfile:
         idx = starts.searchsorted(flat, side="right")
         order = None
         if (idx[1:] < idx[:-1]).any():
-            order = idx.argsort(kind="stable")
+            # a stable sort of the narrowest integers runs as a radix sort
+            order = idx.astype(np.min_scalar_type(last)).argsort(kind="stable")
             idx, flat = idx[order], flat[order]
         out = np.empty((rows, flat.size))
         lo = 0
@@ -543,7 +544,10 @@ class HawkingProfile:
                     row[lo:hi] = v
             lo = hi
         if order is not None:
-            out[:, order] = out.copy()
+            # row by row: a scatter into a 2-D array is slower
+            rows_in_order, out = out, np.empty_like(out)
+            for row, v in zip(out, rows_in_order):
+                row[order] = v
         return tuple(out.reshape((rows,) + arr.shape))
 
     def _checked(self, r, evaluate):
