@@ -59,12 +59,12 @@ stack of two rows, each with its own acceptance, and halves what a round
 does not accept itself.  The integrand sees cells, not loose nodes: it is
 called as f(x, p) on a (cells, 21) block of nodes with one param row p per
 cell, in calls of whole cells, as many per pass as whole blocks of _BLOCK
-nodes the pass fills and at least one, so that a table round, whose radii
-run in piece order, is one call; and the chart function maps only the rows
-of boundary, ride and leg cells to radii.  A
-panel whose value is not finite, a leg cell still unconverged after 50
-bisections, a batch whose pending cells bisection would grow by more than
-200,000, or a table cell still halving after 50 rounds raises
+nodes the pass fills and at least one, so that a table round of up to 390
+cells is one call, its radii in piece order (see HawkingProfile._dispatch);
+and the chart function maps only the rows of boundary, ride and leg cells
+to radii.  A panel whose value is not finite, a leg cell still unconverged
+after 50 bisections, a batch whose pending cells bisection would grow by
+more than 200,000, or a table cell still halving after 50 rounds raises
 QuadratureError, which names the integral (the table, a leg's length or
 angle) and the failing interval in radii.  A model whose r^(m-2) or wall
 gap overflows at r_cap is refused before any quadrature runs.
@@ -356,6 +356,11 @@ def _unique(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
+def _within(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The slice of a sorted array x that lies in [lo, hi]."""
+    return x[x.searchsorted(lo):x.searchsorted(hi, side="right")]
+
+
 def _doubling(origin: float, step: float, end: float) -> list:
     """origin + step 2^j for j = 0, 1, ... strictly short of end: points
     graded geometrically away from origin, each cell between two of them as
@@ -579,7 +584,7 @@ class ManifoldModel:
                 breaks += [x for x in piece.knots if a < x < b]
                 rides += [e for e in piece.ride_knots if a < e[0] < b]
         knots = _unique(np.concatenate(pts + [breaks]))
-        knots = knots[(knots >= self.r_min) & (knots <= self.r_cap)]
+        knots = _within(knots, self.r_min, self.r_cap)
         # A constant piece whose wall gap r^k - 2 m has its root rho nearer
         # the piece's start than the first cell is wide bisects that cell
         # towards rho, as the singularity on a boundary sphere would: it
@@ -604,7 +609,7 @@ class ManifoldModel:
         for knot, side, w in rides:
             lo, hi = ((knot, min(x for x in breaks if x > knot)) if side > 0
                       else (max(x for x in breaks if x < knot), knot))
-            grid = knots[(knots >= lo) & (knots <= hi)]
+            grid = _within(knots, lo, hi)
             edge = float(_near_edge(grid if side > 0 else grid[::-1], knot))
             u_k = knot ** float(k)
             t = _doubling(math.asinh(abs(edge ** float(k) - u_k) / w),
@@ -620,11 +625,13 @@ class ManifoldModel:
         self._sub_edge = -math.inf
         if self._singular:
             self._sub_edge = _near_edge(
-                knots[knots <= min(x for x in breaks if x > self.r_min)],
+                _within(knots, self.r_min,
+                        min(x for x in breaks if x > self.r_min)),
                 self.r_min)
         # every integral's cells end at these radii
         cuts = _unique(np.append(breaks, self._sub_edge))
-        self._cuts = cuts[(cuts > self.r_min) & (cuts < self.r_cap)]
+        self._cuts = cuts[cuts.searchsorted(self.r_min, side="right"):
+                          cuts.searchsorted(self.r_cap)]
         # One round builds both tables: one pass of panels over (F', s') on
         # the knot cells in their charts, at each cell's 21 nodes and both
         # chart ends, the level 0 of _adaptive_cells.  Each row keeps its
@@ -924,7 +931,9 @@ class ManifoldModel:
         # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c])
         q = np.column_stack(cols)
         lo, hi = self._chart_x(a, q, angle), self._chart_x(b, q, angle)
-        lo[sw < 0.0], hi[sw < 0.0] = hi[sw < 0.0], lo[sw < 0.0]
+        dec = sw < 0.0
+        if dec.any():
+            lo[dec], hi[dec] = hi[dec], lo[dec]
         return owner, a, b, q, lo, hi
 
     def _integrate_cells(self, fvec: Callable, a, b, group=None, c=None,

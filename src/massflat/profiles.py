@@ -272,7 +272,8 @@ class CubicSplinePiece(ProfilePiece):
         vt[0], vt[1] = uk[:-1], uk[1:]
         h = np.subtract(uk[1:], uk[:-1], out=vt[2])
         v0, v1, s0, s1 = values[:-1], values[1:], us[:-1], us[1:]
-        vt[3], vt[4], vt[5], vt[6] = v0, v0 + h * s0 / 3.0, v1 - h * s1 / 3.0, v1
+        vt[3], vt[6] = v0, v1
+        vt[4], vt[5] = v0 + h * s0 / 3.0, v1 - h * s1 / 3.0
         st[:3] = vt[:3]
         np.multiply(h, s0, out=st[3])
         st[4] = 3.0 * (v1 - v0) - h * (s0 + s1)
@@ -280,7 +281,8 @@ class CubicSplinePiece(ProfilePiece):
         ride = []
         if self.gap_space:
             # Python floats: the same IEEE operations as numpy scalars
-            r, v, s, w = knots.tolist(), values.tolist(), us.tolist(), h.tolist()
+            r, v, s = knots.tolist(), values.tolist(), us.tolist()
+            w = h.tolist()
             for i in range(1, n):
                 if s[i] != 0.0 or not v[i] > 0.0:
                     continue

@@ -214,6 +214,13 @@ def test_cubic_spline_rejects_bad_data():
         CubicSplinePiece([1.0, 2.0], [0.1, np.inf], [0.0, 0.0])
     with pytest.raises(DomainError):
         CubicSplinePiece([1.0, 2.0], [0.1, 0.2], [0.0, 0.0], power=0.5)
+    # knots are finite where increasing knots end finite
+    for knots, slopes, what in (([1.0, math.inf], [0.0, 0.0], "finite"),
+                                ([1.0, 2.0], [0.0, -math.inf], "finite"),
+                                ([math.nan, 2.0], [0.0, 0.0], "increasing"),
+                                ([1.0, 3.0, 2.0], [0.0] * 3, "increasing")):
+        with pytest.raises(DomainError, match=what):
+            CubicSplinePiece(knots, [0.1] * len(knots), slopes)
 
 
 def test_spline_knot_at_the_origin_needs_zero_slope_only_above_power_one():
