@@ -581,7 +581,7 @@ class ManifoldModel:
             elif isinstance(piece, ConstantPiece):
                 constant.append((piece, a))
             if isinstance(piece, CubicSplinePiece):
-                breaks += [x for x in piece.knots if a < x < b]
+                breaks += [x for x in piece.knots.tolist() if a < x < b]
                 rides += [e for e in piece.ride_knots if a < e[0] < b]
         knots = _unique(np.concatenate(pts + [breaks]))
         knots = _within(knots, self.r_min, self.r_cap)
@@ -629,9 +629,8 @@ class ManifoldModel:
                         min(x for x in breaks if x > self.r_min)),
                 self.r_min)
         # every integral's cells end at these radii
-        cuts = _unique(np.append(breaks, self._sub_edge))
-        self._cuts = cuts[cuts.searchsorted(self.r_min, side="right"):
-                          cuts.searchsorted(self.r_cap)]
+        self._cuts = np.array(sorted({x for x in breaks + [self._sub_edge]
+                                      if self.r_min < x < self.r_cap}))
         # One round builds both tables: one pass of panels over (F', s') on
         # the knot cells in their charts, at each cell's 21 nodes and both
         # chart ends, the level 0 of _adaptive_cells.  Each row keeps its
