@@ -215,7 +215,7 @@ def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray, param=None):
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    calls = max(a.size * _GL_X.size // _BLOCK, 1) if a.size else 0
+    calls = max(a.size * _GL_X.size // _BLOCK, 1)
     # a non-finite integrand is reported by the caller as a QuadratureError.
     # Row-wise sums, not a matrix product: BLAS rounds a row differently
     # depending on how many rows share the call.
