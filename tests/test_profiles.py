@@ -873,9 +873,9 @@ def test_dispatch_on_grouped_radii_equals_the_radii_shuffled(name,
         shuffled = np.stack(p._mass_and_gap(rs[order])
                             + p._mass_prime(rs[order]))
         assert shuffled.tobytes() == want[:, order].tobytes()
-        if rs.size % 2 == 0:
-            square = np.stack(p.mass_and_gap(rs[order].reshape(2, -1)))
-            assert square.tobytes() == want[:2, order].tobytes()
+        column = np.stack(p.mass_and_gap(rs[order][:, None]))
+        assert column.shape == (2, rs.size, 1)
+        assert column.tobytes() == want[:2, order].tobytes()
 
 
 def test_dispatch_reads_the_first_piece_below_its_start():
