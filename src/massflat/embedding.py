@@ -33,7 +33,6 @@ __all__ = [
     "q_slope",
     "EmbeddingConstants",
     "embedding_constant_bound",
-    "budget_embedding_constants",
     "annulus_distance",
     "tube_distance",
     "metric_embedding_check",
@@ -124,22 +123,9 @@ def _measured_fields(model, r_a: np.ndarray, r_b: float, rise: np.ndarray,
             "diam_M_bound": diam_M, "sup_grad": sup_grad, "delta_F": rise}
 
 
-def budget_embedding_constants(D: float, r0: float,
-                               Q: float) -> EmbeddingConstants:
-    """Distortion constants from the slope budget Q alone."""
-    D, r0 = positive(D, "D"), positive(r0, "r0")
-    if not Q >= 0:
-        raise DomainError(f"budget constants need Q >= 0, got {Q}")
-    diam_W, C, S = _budget_distortion(D, r0, Q)
-    delta_f = 2.0 * D * Q
-    diam_M = diam_W * math.sqrt(1.0 + Q * Q) + delta_f
-    return EmbeddingConstants(
-        C_M_bound=C, S_M=S, diam_W_bound=diam_W, diam_M_bound=diam_M,
-        sup_grad=Q, delta_F=delta_f, mode="budget")
-
-
 def _budget_distortion(D: float, r0: float, Q: float):
-    """(diam_W, C, S) of budget_embedding_constants, unchecked."""
+    """(diam_W, C, S) from the slope budget Q alone, unchecked: the annulus
+    diameter 2 D + pi r0 and its C and S."""
     diam_W = 2.0 * D + math.pi * r0
     C = 2.0 * diam_W * Q
     return diam_W, C, math.sqrt(C * (diam_W + C))

@@ -26,15 +26,16 @@ knot cell converges on its first panel; and beside a ride knot of a
 gap-space spline, where the gap is g0 + A (u - u_k)^2 + O((u - u_k)^3) in
 u = r^(m-2) with g0 tiny (the deep well's wall) and the integrands peak as
 1/sqrt(gap), w = sqrt(g0 / A) wide in u and far narrower than a cell,
-u = u_k +- w sinh(t).  A radial cell takes that chart across the knot's
-span: the cells on the side where the gap rises, as far as the last one
-that lies nearer the knot than its width, as at a boundary sphere.  The
-span takes knots at t_e - 4 * 2^j, graded towards its far end t_e, where
-the cubic term of the gap bends the integrand.  A constant piece that
-starts nearer the root of its wall gap than its first cell is wide takes
-knots graded geometrically towards that root, each cell as wide as it lies
-from the root (the deep well's tail).  So the deep wells' table cells
-converge on their first panel too.  The charts are rows of a table:
+u = u_k + w sinh(t), t < 0 left of the knot.  A radial cell takes that
+chart across the knot's span: the cells on the side where the gap rises,
+as far as the last one that lies nearer the knot than its width, as at a
+boundary sphere.  The span takes knots 4 * 2^j in from its far end t_e,
+where the cubic term of the gap bends the integrand.  A constant piece
+that starts nearer the root of its wall gap than its first cell is wide
+takes knots graded geometrically towards that root, each cell as wide as
+it lies from the root (the deep well's tail).  So the deep wells' table
+cells converge on their first panel too.  The charts, each increasing
+with r, are rows of a table:
 _chart_x maps radii to a row's coordinate and _chart_r maps nodes back, for
 the integration and the reads alike; _chart_jacobians scales the
 integrand.  A geodesic leg with Clairaut constant c (see
@@ -145,8 +146,6 @@ _GAUSS5_W = np.array([0.23692688505618908, 0.47862867049936647,
 # relative accuracy next to the start, also where p(0) = 0.
 _TABLE_X = np.append(_GL_X, [-1.0, 1.0])
 _START = _GL_X.size
-# the permutation that mirrors the nodes, x -> -x
-_MIRROR = np.array([np.flatnonzero(_TABLE_X == -x)[0] for x in _TABLE_X])
 _CHEB_F = (1.0 - np.cos(np.pi * (np.arange(22) + 0.5) / 22)) / 2.0
 _CHEB_W = (-1.0) ** np.arange(22) * np.sin(np.pi * (np.arange(22) + 0.5) / 22)
 
@@ -190,7 +189,7 @@ _MAX_DEPTH = 50
 _MAX_EXTRA_CELLS = 200000
 # relative target of the quadrature panels
 _QUAD_REL = 1e-12
-# the first step of a ride span's knots in t = asinh(|u - u_k| / w), back
+# the first step of a ride span's knots in t = asinh((u - u_k) / w), back
 # from the span's far end (see ManifoldModel._build_tables).  On the 3-, 4-
 # and 5-D deep wells from delta 1e-2 to 1e-30 every ride cell then held a
 # K21-G10 gap of at most 4.7e-16 of its value; 3.2e-14 at a first step of
@@ -396,7 +395,7 @@ def _panels(cell, nodes, width):
         values[..., part, :] = (
             ((nodes[..., part, :] - start[..., part, None])[..., None, :]
              * _TO_CHEBYSHEV).sum(axis=-1))
-    return start[..., at], values[..., at, :], np.abs(width[cell])
+    return start[..., at], values[..., at, :], width[cell]
 
 
 def _rises(whole, ca, cb, head, tail):
@@ -600,11 +599,11 @@ class ManifoldModel:
         # side, up to the next break, as far as the last one that lies
         # nearer the knot than its width.  The 1/sqrt(gap) peak there reads
         # like the singularity on a boundary sphere, and converges on one
-        # panel in r only from about a width away.  In t = asinh(|u - u_k|
+        # panel in r only from about a width away.  In t = asinh((u - u_k)
         # / w) the integrand is flat near the knot and bends where the
         # cubic term of the gap takes over, past the span's far end t_e:
-        # the span takes knots at t_e - _RIDE_STEP 2^j, each cell as wide
-        # as it lies from t_e.  _ride keeps (knot, side, w, span's far end).
+        # the span takes knots _RIDE_STEP 2^j in from t_e, each cell as
+        # wide as it lies from t_e.  _ride keeps (knot, side, w, far end).
         self._ride = []
         for knot, side, w in rides:
             lo, hi = ((knot, min(x for x in breaks if x > knot)) if side > 0
@@ -612,9 +611,9 @@ class ManifoldModel:
             grid = _within(knots, lo, hi)
             edge = float(_near_edge(grid if side > 0 else grid[::-1], knot))
             u_k = knot ** float(k)
-            t = _doubling(math.asinh(abs(edge ** float(k) - u_k) / w),
-                          -_RIDE_STEP, 0.0)
-            graded.append((u_k + side * w * np.sinh(t)) ** (1.0 / k))
+            t = _doubling(math.asinh((edge ** float(k) - u_k) / w),
+                          -side * _RIDE_STEP, 0.0)
+            graded.append((u_k + w * np.sinh(t)) ** (1.0 / k))
             self._ride.append((knot, side, w, edge))
         if graded:
             knots = _unique(np.concatenate([knots] + graded))
@@ -659,13 +658,10 @@ class ManifoldModel:
                     f"value {float(inc[j, c])!r}, error estimate "
                     f"{float(err[j, c])!r})")
             size = np.abs(inc)
-            if self._singular:
-                scale = np.empty_like(inc)
-                for part in (q[:, 0] == 0.0, q[:, 0] != 0.0):
-                    scale[:, part] = size[:, part].max(
-                        axis=1, initial=_TINY, keepdims=True)
-            else:  # no boundary cells
-                scale = size.max(axis=1, initial=_TINY, keepdims=True)
+            scale = np.empty_like(inc)
+            for part in (q[:, 0] == 0.0, q[:, 0] != 0.0):
+                scale[:, part] = size[:, part].max(
+                    axis=1, initial=_TINY, keepdims=True)
             ok = err <= _QUAD_REL * (size + 1e-4 * scale)
             if ok.all():
                 break
@@ -690,25 +686,18 @@ class ManifoldModel:
         self._inc = inc
         self._Fs_knots = np.zeros((inc.shape[0], knots.size))
         np.cumsum(inc, axis=1, out=self._Fs_knots[:, 1:])
-        # Each table cell keeps its chart and the integrand at its nodes and
-        # both chart ends, which give its integral from its start (see
-        # _TO_CHEBYSHEV), in a frame that starts at its smaller radius: a
-        # ride chart left of its knot runs against r, and its values are
-        # mirrored.
-        dec = q[:, 1] < 0.0
-        if dec.any():
-            y[:, dec] = y[:, dec][..., _MIRROR]
+        # Each cell keeps its chart and the integrand at its nodes and both
+        # chart ends, which give its integral from its start (_TO_CHEBYSHEV)
         self._nodes = y
-        # chart coordinate at the start, signed chart width, chart row
-        self._cells = (np.where(dec, hi, lo), np.where(dec, lo - hi, hi - lo),
-                       q)
+        # chart coordinate at the start, chart width, chart row
+        self._cells = (lo, hi - lo, q)
         # Each cell's panel integrates to P(1) times its width, which is its
         # K21 value in exact arithmetic: a non-finite value at a chart end,
         # which no K21 node sees, or a map that rounds badly fails the
         # pass's acceptance rule here.  No value is kept, so a matrix
         # product, whose rounding depends on the batch, may form P(1).
         with np.errstate(invalid="ignore", over="ignore"):
-            whole = (y @ _WHOLE) * np.abs(self._cells[1])
+            whole = (y @ _WHOLE) * self._cells[1]
             size = np.abs(inc)
             bad = ~(np.abs(whole - inc) <= _QUAD_REL * (
                 size + 1e-4 * size.max(axis=1, keepdims=True)))
@@ -743,10 +732,10 @@ class ManifoldModel:
     def _chart_x(self, r, q, angle: bool = False) -> np.ndarray:
         """The chart coordinate of radii r, each in the chart of its q row
         (see _integrate_cells): r on plain radial cells, u = sqrt(r - r_min)
-        on boundary cells, t = asinh(|r^(m-2) - u_k| / w) on ride cells,
+        on boundary cells, t = asinh((r^(m-2) - u_k) / w) on ride cells,
         and on geodesic legs, whose rows carry a fourth column, the signed
-        Clairaut constant, their leg coordinates.  A ride chart runs from
-        t = 0 at its knot, so it decreases in r left of the knot."""
+        Clairaut constant, their leg coordinates.  Every chart increases
+        with r; a ride chart is 0 at its knot."""
         r_min = self.r_min
         bnd, sw = q[:, 0] != 0.0, q[:, 1]
         if q.shape[1] > 3:
@@ -763,8 +752,8 @@ class ManifoldModel:
                 x[bnd] = np.sqrt(r[bnd] - r_min)
         on = sw != 0.0
         if on.any():
-            x[on] = np.arcsinh(np.abs(r[on] ** float(self.dimension - 2)
-                                      - q[on, 2]) / np.abs(sw[on]))
+            x[on] = np.arcsinh((r[on] ** float(self.dimension - 2)
+                                - q[on, 2]) / np.abs(sw[on]))
         return x
 
     def _leg_radius(self, x, cs, angle: bool) -> np.ndarray:
@@ -843,7 +832,8 @@ class ManifoldModel:
                                 else r_min + xb * xb,
                                 np.nextafter(r_min, np.inf))
         if on.any():
-            r[on] = (q[on, 2:3] + q[on, 1:2] * np.sinh(x[on])) ** (1.0 / k)
+            w = np.abs(q[on, 1:2])
+            r[on] = (q[on, 2:3] + w * np.sinh(x[on])) ** (1.0 / k)
         return r
 
     def _chart_jacobians(self, x, r, q, angle: bool = False) -> list:
@@ -867,7 +857,7 @@ class ManifoldModel:
                 jac *= dx_dr(r[bnd], q[bnd, -1:])
             scaled.append((bnd, jac))
         if on.any():
-            u_k, w = q[on, 2:3], q[on, 1:2]
+            u_k, w = q[on, 2:3], np.abs(q[on, 1:2])
             # the offset from the rounded radius, as the gap reads it
             u = r[on] ** float(k)
             jac = np.hypot(w, u - u_k) * r[on] / (k * u)
@@ -894,11 +884,11 @@ class ManifoldModel:
 
     def _chart_rows(self, a, b, c=None, angle: bool = False):
         """The chart of each cell [a_i, b_i] (see _integrate_cells), as
-        (owner, a, b, q, lo, hi): its q row and its chart ends lo < hi.  On
-        a leg, given by its Clairaut constants c, a ride cell that also
-        carries the leg's (r - c)^(-1/2) end is split at its midpoint and
-        the half away from the knot appended, which runs in x; owner maps
-        each cell to its input cell, and a and b are the cells' radii."""
+        (owner, a, b, q, lo, hi): its q row and the chart's values lo < hi
+        at a and b, as every chart increases with r.  On a leg (Clairaut
+        constants c), a ride cell that also carries the leg's (r - c)^(-1/2)
+        end is split at its midpoint and the half away from the knot
+        appended, which runs in x; owner maps cells to input cells."""
         n, leg = a.size, c is not None
         sub = b <= self._sub_edge
         if leg:
@@ -907,7 +897,7 @@ class ManifoldModel:
         # it, and u at the knot, formed as the spline evaluator forms u from
         # r: on a cell that ends on the knot, and on a radial cell inside
         # the knot's span; the cell runs over t in [asinh(d_a / w),
-        # asinh(d_b / w)], d the distance from the knot in u
+        # asinh(d_b / w)], d = u - u_k the offset from the knot in u
         sw, u_k = np.zeros(n), np.zeros(n)
         for knot, side, w, edge in self._ride:
             on = (b if side < 0 else a) == knot
@@ -930,9 +920,6 @@ class ManifoldModel:
         # q rows: (1.0 on boundary cells, signed w on ride cells, u_k[, c])
         q = np.column_stack(cols)
         lo, hi = self._chart_x(a, q, angle), self._chart_x(b, q, angle)
-        dec = sw < 0.0
-        if dec.any():
-            lo[dec], hi[dec] = hi[dec], lo[dec]
         return owner, a, b, q, lo, hi
 
     def _integrate_cells(self, fvec: Callable, a, b, group=None, c=None,
@@ -952,8 +939,8 @@ class ManifoldModel:
         tolerance scales of a run of their own; ride cells, which end on a
         ride knot u_k (see CubicSplinePiece) on the side where the gap
         rises, or, off a leg, lie in its span (see _build_tables), under
-        u = u_k +- w sinh(t) with u = r^(m-2); and the cells of geodesic
-        legs.
+        u = u_k + w sinh(t) with u = r^(m-2), t negative left of the knot;
+        and the cells of geodesic legs.
 
         An array ``c`` of Clairaut constants puts the cells on geodesic legs
         (see _leg_integrals): fvec is integrated over
@@ -1207,7 +1194,7 @@ class ManifoldModel:
         weight = self.omega * np.stack([power, (ends[2] ** m - power * r) / m])
         # the shell on s', the graph excess on F'
         y = weight * self._nodes[::-1, cells]
-        half = 0.5 * np.abs(width)
+        half = 0.5 * width
         k21 = (y[..., :_START] * _K21_W).sum(axis=-1) * half
         # the build held (F', s') to its acceptance rule, and K21, exact to
         # degree 31, integrates a weight of low degree in r times their
@@ -1260,27 +1247,20 @@ class ManifoldModel:
 
     @cached_property
     def r_disk(self) -> float:
-        """Largest radius below which the reconstruction is exactly flat.
+        """Largest radius through which the reconstruction is exactly flat,
+        m_H = 0: r_min when m_H(r_min) > 0, +inf when m_H vanishes through
+        r_cap.
 
-        F' below 1e-12 counts as flat; returns r_min when the profile is
-        curved from the start and +inf when it is flat through r_cap.
+        m_H is nondecreasing, and on every piece kind it turns positive
+        right after the last radius where it vanishes, unless it vanishes on
+        that whole piece or spline segment.  That radius is a piece end or a
+        spline knot, so a knot of the table: the one before the first knot
+        with m_H > 0.
         """
-        thr = 1e-12
-        vals = self.f_prime(self.knots)
-        above = vals >= thr
-        if not np.any(above):
+        curved = self.profile._mass_and_gap(self.knots)[0] > 0.0
+        if not curved.any():
             return math.inf
-        if above[0]:
-            return self.r_min
-        k = int(np.argmax(above))
-        lo, hi = self.knots[k - 1], self.knots[k]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(self.f_prime(mid)) < thr:
-                lo = mid
-            else:
-                hi = mid
-        return float(0.5 * (lo + hi))
+        return float(self.knots[max(int(np.argmax(curved)) - 1, 0)])
 
     def quantities(self, r) -> dict:
         """Pointwise invariants of the reconstruction at radii r > r_min.

@@ -9,8 +9,9 @@ the bound never drops below it: flat-distance certificates can shrink while
 these bounds stay pinned at the depth, which is the point of the contrast.
 The radii rho, rho_prime play the same game against the space with an
 interval glued on.  One batched pass, _gh_terms, computes every field of a
-bound over an array of cuts; gh_bound, best_gh_bound and segment_limit_bound
-each read rows of it, and a sweep row reads the last two from one batch.
+bound over an array of cuts; gh_bound reads a row of it, and best_gh_bound
+and segment_limit_bound read rows of one batch of candidate cuts and the
+segment cut, which a sweep row reads once for both.
 """
 
 from __future__ import annotations
@@ -105,26 +106,17 @@ def _cut_candidates(model: ManifoldModel,
 def best_gh_bound(model: ManifoldModel, window: TubularWindow) -> GHBound:
     """Smallest gh_bound over a geometric grid of candidate cut radii.
 
-    Every candidate is scored in one batched pass, and the first smallest
-    total is that pass's row: a cut's row does not depend on the batch, so
-    it equals gh_bound at that cut.
+    Every candidate is scored in one batched pass (see
+    _best_and_segment_bounds), and the first smallest total is that pass's
+    row: a cut's row does not depend on the batch, so it equals gh_bound at
+    that cut.
     """
-    terms = _gh_terms(model, window, _cut_candidates(model, window))
-    return _row(terms, int(np.argmin(terms["total"])))
+    return _best_and_segment_bounds(model, window)[0]
 
 
 class SegmentBound(NamedTuple):
     rho: float
     rho_prime: float
-
-
-def _segment_cut(model: ManifoldModel, window: TubularWindow) -> float:
-    """The cut of segment_limit_bound: the geometric mean of 2 m_ADM and
-    r0^(m-2), taken in r^(m-2), kept in [r_min, r0)."""
-    m = model.dimension
-    xi_eps = math.sqrt(2.0 * model.adm_mass * window.r0 ** (m - 2))
-    return min(max(xi_eps ** (1.0 / (m - 2)), model.r_min),
-               window.r0 * (1.0 - 1e-9))
 
 
 def segment_limit_bound(model: ManifoldModel,
@@ -136,17 +128,19 @@ def segment_limit_bound(model: ManifoldModel,
     well and below the window.  It can lie below r_minus, where the rest of
     a GHBound bounds nothing, so only the two radii are returned.
     """
-    terms = _gh_terms(model, window, np.array([_segment_cut(model, window)]))
-    return SegmentBound(float(terms["rho"][0]), float(terms["rho_prime"][0]))
+    return _best_and_segment_bounds(model, window)[1]
 
 
 def _best_and_segment_bounds(model: ManifoldModel, window: TubularWindow):
     """best_gh_bound and segment_limit_bound from one _gh_terms batch: the
-    candidate cuts, then the segment cut, which the argmin leaves out.  A
-    cut's row does not depend on the batch, so each equals its own call."""
-    cuts = np.append(_cut_candidates(model, window),
-                     _segment_cut(model, window))
-    terms = _gh_terms(model, window, cuts)
+    candidate cuts, then the segment cut, kept in [r_min, r0), which the
+    argmin leaves out."""
+    m = model.dimension
+    xi_eps = math.sqrt(2.0 * model.adm_mass * window.r0 ** (m - 2))
+    cut = max(min(xi_eps ** (1.0 / (m - 2)), window.r0 * (1.0 - 1e-9)),
+              model.r_min)
+    terms = _gh_terms(model, window,
+                      np.append(_cut_candidates(model, window), cut))
     return (_row(terms, int(np.argmin(terms["total"][:-1]))),
             SegmentBound(float(terms["rho"][-1]),
                          float(terms["rho_prime"][-1])))

@@ -18,8 +18,7 @@ from massflat.certificates import (
     switch_bounds,
     well_cut,
 )
-from massflat.embedding import (budget_embedding_constants,
-                                embedding_constant_bound, q_slope)
+from massflat.embedding import embedding_constant_bound, q_slope
 from massflat.errors import CertificateError, DomainError
 from massflat.geometry import ManifoldModel, tubular_window
 from massflat.ghdist import best_gh_bound, gh_bound
@@ -353,7 +352,9 @@ def _reference_budget_conditions(delta, epsilon, D, r0, r_eps_prime, m):
             "threshold": xi_cap}]
     if 2.0 * delta < r_eps_prime ** (m - 2):
         q = q_slope(delta, r_eps_prime, m)
-        s = budget_embedding_constants(D, r0, q).S_M
+        diam_w = 2.0 * D + math.pi * r0
+        c = 2.0 * diam_w * q
+        s = math.sqrt(c * (diam_w + c))
     else:
         q = math.inf
         s = math.inf

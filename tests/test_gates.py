@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from massflat.certificates import delta_budget, flat_certificate, well_cut
-from massflat.embedding import (budget_embedding_constants,
-                                metric_embedding_check, tube_distance)
+from massflat.embedding import metric_embedding_check, tube_distance
 from massflat.errors import DomainError, RangeError, checked_range, positive
 from massflat.geometry import ManifoldModel, tubular_window, window_bracket
 from massflat.profiles import deep_well_parameters, schwarzschild, stripes
@@ -99,7 +98,6 @@ def test_every_positive_parameter_rejects_infinity():
                  lambda: well_cut(0.5, inf, 1.0, 3),
                  lambda: delta_budget(0.5, inf, 1.0, 3),
                  lambda: deep_well_parameters(3, 0.02, 1.0, inf),
-                 lambda: budget_embedding_constants(0.5, inf, 0.1),
                  lambda: metric_embedding_check(model, window, inf, 0)):
         with pytest.raises(DomainError, match="must be finite and positive"):
             call()

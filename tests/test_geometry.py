@@ -294,19 +294,24 @@ def test_quantities_range_check():
 
 
 def test_r_disk_flat_schwarzschild_and_spline():
+    # r_disk is the knot where m_H stops vanishing: +inf on a flat model,
+    # r_min where m_H(r_min) > 0, 0.0 under a head that is curved from the
+    # origin on (stripes' power law), and exactly the first knot of the
+    # spline after a zero head
     assert ManifoldModel(flat(3), 8.0).r_disk == math.inf
     model = _schwarzschild_model()
-    assert model.r_disk == pytest.approx(model.r_min, abs=1e-9)
-    # boundaryless spline with a zero head is flat out to the first knot
+    assert model.r_disk == model.r_min == 0.2
+    assert ManifoldModel(stripes((1.0, 2.0), 0.05), 4.0).r_disk == 0.0
     rng = np.random.default_rng(41)
-    while True:
-        p = random_spline_profile(rng, 3)
-        if p.r_min == 0.0:
-            break
-    model = ManifoldModel(p, float(p.pieces[1].knots[-1] + 3.0))
-    r1 = float(p.pieces[1].knots[0])
-    assert model.r_disk <= r1 * (1.0 + 1e-6)
-    assert model.F(0.9 * r1) == 0.0
+    for m in (3, 4, 5):
+        while True:
+            p = random_spline_profile(rng, m)
+            if p.r_min == 0.0:
+                break
+        model = ManifoldModel(p, float(p.pieces[1].knots[-1] + 3.0))
+        r1 = float(p.pieces[1].knots[0])
+        assert model.r_disk == r1
+        assert model.F(r1) == 0.0 < model.F(np.nextafter(r1, 1.0))
 
 
 def test_sup_grad_matches_knot_scan():
@@ -771,15 +776,14 @@ _PANEL_MODELS = {
 def test_panel_reads_agree_with_quadrature_from_the_cell_start(name):
     # F and s off the table's knots read the table plus the panel partial of
     # their table cell; they agree with adaptive quadrature from the start
-    # of the chart of their cell (the ride knot, on a ride cell left of
-    # it) to 1e-13, in every table cell: boundary charts on
+    # of their cell to 1e-13, in every table cell: boundary charts on
     # schwarzschild-tiny, both ride charts on deep-well-rides, the cells
     # the table pass halved on stripes-bumped.  The quadrature's own nodes
     # round to ulps of r, which moves it by up to a few slope * ulp(r)
     # where a read lies next to a cell start.
     model = _PANEL_MODELS[name]()
     knots = model.knots
-    width, q = model._cells[1:]
+    q = model._cells[2]
     if name == "deep-well-rides":
         assert (q[:, 1] < 0.0).any() and (q[:, 1] > 0.0).any()
     if name == "schwarzschild-tiny":
@@ -792,13 +796,10 @@ def test_panel_reads_agree_with_quadrature_from_the_cell_start(name):
     r = np.minimum(knots[cell] + fractions * (knots[cell + 1] - knots[cell]),
                    knots[cell + 1])
     k = np.minimum(np.searchsorted(knots, r, side="right"), knots.size - 1)
-    back = width[cell] < 0.0  # the chart starts at the knot above
-    a = np.where(back, r, knots[k - 1])
-    b = np.where(back, knots[k], r)
-    part = np.array([model._integrate_cells(f, a, b, np.arange(r.size))
+    part = np.array([model._integrate_cells(f, knots[k - 1], r,
+                                            np.arange(r.size))
                      for f in rows_of(model._slopes)])
-    want = np.where(back, model._Fs_knots[:, k] - part,
-                    model._Fs_knots[:, k - 1] + part)
+    want = model._Fs_knots[:, k - 1] + part
     err = np.abs(np.array([model.F(r), model.s(r)]) - want)
     assert np.all(err <= 1e-13 * np.abs(want)
                   + 4.0 * model._slopes(r) * np.spacing(r)), err.max()
@@ -840,11 +841,55 @@ def test_every_table_cell_is_one_accepted_panel(name, monkeypatch):
     for row, f in zip(model._inc, rows_of(model._slopes)):
         start = panels.passes
         inc = _adaptive_cells(
-            lambda x, p: model._chart_values(f, x, p),
-            np.minimum(x0, x0 + width), np.maximum(x0, x0 + width),
+            lambda x, p: model._chart_values(f, x, p), x0, x0 + width,
             geometry._QUAD_REL, (q[:, 0] != 0.0).astype(np.intp), q)
         assert panels.passes == start + 1
         np.testing.assert_array_equal(inc, row)
+
+
+# the README deep wells: the sweep's certificate models, the Python API
+# example's, and the core of the deep-well tube that CI samples
+_CHART_MODELS = {
+    **_TABLE_MODELS,
+    **{f"readme-sweep-{delta:g}": (lambda delta=delta: ManifoldModel(
+        deep_well(3, delta, 0.0314159265358979, 10.0), 0.4))
+       for delta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)},
+    "readme-api": lambda: ManifoldModel(
+        deep_well(3, 1e-4, 4.0 * math.pi, 10.0), 8.0),
+    "readme-core": lambda: ManifoldModel(
+        deep_well(3, 1e-5, 0.031415926535897934, 10.0), 40.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHART_MODELS))
+def test_every_chart_increases_with_r(name):
+    # every chart, a ride chart left of its knot too, maps a cell's smaller
+    # radius to its start: table cells and the leg cells of lengths and
+    # angles run from lo < hi, the table keeps positive widths, and each
+    # cell's increment is the K21 sum of the values it keeps, bit for bit
+    model = _CHART_MODELS[name]()
+    knots = model.knots
+    x0, width, q = model._cells
+    lo, hi = model._chart_rows(knots[:-1], knots[1:])[4:]
+    assert np.all(lo < hi) and np.all(width > 0.0)
+    np.testing.assert_array_equal(x0, lo)
+    np.testing.assert_array_equal(
+        model._inc,
+        (model._nodes[..., :21] * geometry._K21_W).sum(-1) * width / 2)
+    # leg cells between the cuts, and from inside the first one (in the
+    # boundary chart on a singular model), turning at their start, near
+    # it, halfway down to r_min, and far below
+    for cuts in (model._cuts, model._length_cuts):
+        a = np.concatenate([[model.r_min], cuts])
+        b = np.append(cuts, model.r_cap)
+        a, b = np.append(a, 0.5 * (a[0] + b[0])), np.append(b, b[0])
+        for frac in (1.0, 1.0 - 1e-6, 0.5, 1e-3):
+            c = np.maximum(a * frac, model.r_min)
+            keep = c > 0.0  # an angle chart with c = 0 is constant
+            for angle in (False, True):
+                lo, hi = model._chart_rows(a[keep], b[keep], c[keep],
+                                           angle)[4:]
+                assert np.all(lo < hi), (frac, angle)
 
 
 def test_count_panels_books_a_build_to_no_run(monkeypatch):

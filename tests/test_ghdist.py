@@ -123,6 +123,17 @@ def test_segment_limit_default_and_explicit_cut():
         rtol=1e-12, atol=0.0)
 
 
+def test_segment_cut_stays_at_or_above_r_min():
+    # a window centred within 1e-9 of the horizon leaves no room in
+    # [r_min, r0 (1 - 1e-9)): the segment cut reads r_min, where F' is
+    # infinite, so both bounds read +inf and neither refuses the window
+    model = ManifoldModel(schwarzschild(3, 0.1), 8.0)
+    window = tubular_window(model, 4.0 * math.pi * 0.2**2 * (1 + 1e-10), 0.5)
+    assert window.r0 * (1.0 - 1e-9) < model.r_min
+    assert best_gh_bound(model, window).total == math.inf
+    assert segment_limit_bound(model, window) == (math.inf, math.inf)
+
+
 @pytest.mark.parametrize("call", [best_gh_bound, segment_limit_bound])
 def test_one_embedding_constant_pass_per_bound(call, monkeypatch):
     # the rise of F and the strip over [cut, r_plus], and s at every cut
@@ -175,7 +186,7 @@ def test_gh_rise_keeps_its_digits_where_F_is_large(epsilon, D, alpha0):
 def test_sweep_reads_both_bounds_from_one_batch(delta, monkeypatch):
     # a sweep row scores the best-cut candidates and the segment cut in one
     # _gh_terms batch, the segment cut left out of the argmin; every row
-    # equals its call alone, bit for bit
+    # equals its cut scored alone, bit for bit
     alpha0, D = math.pi / 100, 0.05
     r0 = math.sqrt(alpha0 / (4.0 * math.pi))
     profile = deep_well(3, delta, alpha0, 10.0)
@@ -183,8 +194,10 @@ def test_sweep_reads_both_bounds_from_one_batch(delta, monkeypatch):
     model = ManifoldModel(profile, 4.0 * (r0 + 1.05 * s0), check=False)
     window = tubular_window(model, alpha0, 1.05 * s0)
     gh, seg = _best_and_segment_bounds(model, window)
-    assert gh == best_gh_bound(model, window)
-    assert seg == segment_limit_bound(model, window)
+    assert gh == gh_bound(model, window, gh.r_eps)
+    cut = max(math.sqrt(2.0 * model.adm_mass * window.r0), model.r_min)
+    alone = ghdist._gh_terms(model, window, np.array([cut]))
+    assert seg == (alone["rho"][0], alone["rho_prime"][0])
     batches = []
     terms = ghdist._gh_terms
 
