@@ -250,76 +250,75 @@ def _budget_thresholds(epsilon: float, r0: float, r_eps_prime: float,
             epsilon / 12.0, epsilon / 12.0)
 
 
-def _budget_lhs(delta: float, D: float, r0: float, r_eps_prime: float,
+def _budget_lhs(delta: float, q: float, s: float, D: float, r0: float,
                 m: int) -> tuple:
-    """The left-hand sides of the six budget conditions at delta."""
+    """The six budget conditions' left-hand sides at delta, its slope bound q
+    and distortion s.  Past the first, each is a constant times q, s or s q,
+    so at q = s = 1 they are the conditions' coefficients."""
     omega = unit_sphere_area(m)
-    if 2.0 * delta < r_eps_prime ** (m - 2):
-        q = q_slope(delta, r_eps_prime, m)
-        s = _budget_distortion(D, r0, q)[2]
-    else:
-        q = math.inf
-        s = math.inf
     ring0 = omega * r0 ** (m - 1)
     ring1 = omega * (r0 + D) ** (m - 1)
     return (2.0 * delta, D * q * ring0, 4.0 * D * D * ring1 * q,
             s * 2.0 * D * ring1 * q, s * ring1, ring1 * q)
 
 
-def _budget_feasible(delta: float, D: float, r0: float, r_eps_prime: float,
-                     m: int, thresholds: tuple) -> bool:
-    """Whether every budget condition holds at delta."""
-    return all(lhs < threshold for lhs, threshold in
-               zip(_budget_lhs(delta, D, r0, r_eps_prime, m), thresholds))
-
-
 def _budget_conditions(delta: float, epsilon: float, D: float, r0: float,
                        r_eps_prime: float, m: int) -> List[dict]:
+    q = s = math.inf
+    if 2.0 * delta < r_eps_prime ** (m - 2):
+        q = q_slope(delta, r_eps_prime, m)
+        s = _budget_distortion(D, r0, q)[2]
     return [{"condition": name, "lhs": lhs, "threshold": threshold,
              "ok": bool(lhs < threshold)}
             for name, lhs, threshold in zip(
                 _BUDGET_CONDITIONS,
-                _budget_lhs(delta, D, r0, r_eps_prime, m),
+                _budget_lhs(delta, q, s, D, r0, m),
                 _budget_thresholds(epsilon, r0, r_eps_prime, m))]
+
+
+def _budget_slopes(thresholds: tuple, D: float, r0: float, m: int) -> tuple:
+    """The largest slope bound q that each of conditions 2-6 allows.
+
+    2, 3 and 6 are linear in q.  By _budget_distortion s^2 = 2 diam_W^2 q
+    (1 + 2 q), so 5 reads q (1 + 2 q) < u5^2 / 2, solved by the root that
+    does not cancel, and 4 reads q^3 (1 + 2 q) < t4, solved by Newton's
+    method from the upper bound min(t4^(1/3), (t4/2)^(1/4)): the left side
+    is convex and increasing, so q falls until a step no longer lowers it.
+    """
+    _, k2, k3, k4, k5, k6 = _budget_lhs(0.0, 1.0, 1.0, D, r0, m)
+    diam_w = _budget_distortion(D, r0, 0.0)[0]
+    # each threshold over its coefficient; one that underflows bounds nothing
+    q2, q3, u4, u5, q6 = (t / k if k > 0.0 else math.inf for t, k in zip(
+        thresholds[1:], (k2, k3, k4 * diam_w, k5 * diam_w, k6)))
+    t4 = 0.5 * u4 * u4
+    q4 = min(t4 ** (1.0 / 3.0), (0.5 * t4) ** 0.25)
+    while q4 > 0.0:
+        q = q4 - (q4 * (1.0 + 2.0 * q4) - t4 / (q4 * q4)) / (3.0 + 8.0 * q4)
+        if not q < q4:
+            break
+        q4 = q
+    q5 = u5 * u5 / (1.0 + math.hypot(1.0, 2.0 * u5))
+    return q2, q3, q4, q5, q6
 
 
 def delta_budget(epsilon: float, D: float, alpha0: float,
                  m: int) -> DeltaBudget:
-    """Largest-practical mass budget for the (epsilon, D, alpha0) target.
-
-    All condition left-hand sides increase with delta, so the feasible set is
-    an interval (0, delta*); a log-space bisection locates delta* to 1e-9
-    relative and 0.9 delta* is returned.
-    """
+    """Largest-practical mass budget for the (epsilon, D, alpha0) target:
+    0.9 delta*, where delta* is condition 1's cap or, if smaller, the delta
+    at which q_slope reaches the least of _budget_slopes.  CertificateError
+    where that underflows."""
     cut = well_cut(epsilon, D, alpha0, m)  # checks the parameters
     r0 = sphere_radius(alpha0, m)
     thresholds = _budget_thresholds(epsilon, r0, cut.r_eps_prime, m)
-
-    def feasible(delta: float) -> bool:
-        return _budget_feasible(delta, D, r0, cut.r_eps_prime, m, thresholds)
-
-    hi = (1.0 - 1e-9) * 0.5 * min(cut.r_eps_prime ** (m - 2),
-                                  (r0 / 2.0) ** (m - 2))
-    if feasible(hi):
-        delta_star = hi
-    else:
-        t_hi = math.log(hi)
-        t_lo = t_hi - 250.0
-        for _ in range(8):
-            if feasible(math.exp(t_lo)):
-                break
-            t_lo -= 250.0
-        else:
-            raise CertificateError(
-                "no feasible delta found; parameters out of range")
-        while t_hi - t_lo > 1e-9:
-            t_mid = 0.5 * (t_lo + t_hi)
-            if feasible(math.exp(t_mid)):
-                t_lo = t_mid
-            else:
-                t_hi = t_mid
-        delta_star = math.exp(t_lo)
-    delta = 0.9 * delta_star
+    # from q = 1e5 on, q^2 / (1 + q^2) > 1 - 1e-9 puts the root past the cap:
+    # q stops there, keeping q^2 finite and passing over an infinite u5's nan
+    q = min(1e5, *_budget_slopes(thresholds, D, r0, m))
+    xi = cut.r_eps_prime ** (m - 2)
+    delta = 0.9 * min(xi * q * q / (2.0 * (1.0 + q * q)),
+                      (1.0 - 1e-9) * 0.5 * thresholds[0])
+    if not delta > 0.0:
+        raise CertificateError(f"the mass budget underflows at epsilon="
+                               f"{epsilon!r}, D={D!r}, alpha0={alpha0!r}")
     slack = _budget_conditions(delta, epsilon, D, r0, cut.r_eps_prime, m)
     return DeltaBudget(epsilon=epsilon, D=D, alpha0=alpha0, m=m,
                        r_eps_prime=cut.r_eps_prime, alpha_eps=cut.alpha_eps,

@@ -11,7 +11,7 @@ import pytest
 from massflat.certificates import (
     DeltaBudget,
     _budget_conditions,
-    _budget_feasible,
+    _budget_slopes,
     _budget_thresholds,
     delta_budget,
     flat_certificate,
@@ -376,7 +376,8 @@ def _reference_budget_conditions(delta, epsilon, D, r0, r_eps_prime, m):
 
 
 def _reference_delta_budget(epsilon, D, alpha0, m):
-    """delta_budget bisecting over the dicts of each step's conditions."""
+    """The budget by log-space bisection over the dicts of each step's
+    conditions: the reference for the closed-form inversion."""
     cut = well_cut(epsilon, D, alpha0, m)
     r0 = sphere_radius(alpha0, m)
 
@@ -413,27 +414,21 @@ def _reference_delta_budget(epsilon, D, alpha0, m):
                        delta=delta, slack=slack)
 
 
-@pytest.mark.parametrize("m", [3, 4])
-def test_budget_bisection_reads_the_budget_conditions(m):
-    # the bisection's predicate reads the six left-hand sides without
-    # building the slack dicts.  Around the feasible edge it agrees with
-    # the dicts, which equal those built formula by formula; with the other
-    # thresholds lifted it is each condition alone, so it reads all six.
-    # The budget equals the bisection over the dicts, bit for bit.
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_budget_inversion_matches_the_bisection(m):
+    # the closed-form budget is the bisection over the dicts to its 1e-9
+    # stopping width, and the slack dicts equal those built formula by
+    # formula, around the budget and on to where q = inf
     for epsilon in LATTICE_EPSILONS:
         for D in LATTICE_WIDTHS:
             for alpha0 in LATTICE_AREAS:
                 budget = delta_budget(epsilon, D, alpha0, m)
-                # repr: every float to the last bit, the sign of a zero too
-                assert repr(budget) == repr(
-                    _reference_delta_budget(epsilon, D, alpha0, m))
+                reference = _reference_delta_budget(epsilon, D, alpha0, m)
+                assert budget.delta == pytest.approx(reference.delta,
+                                                     rel=1e-9, abs=0.0)
+                assert all(entry["ok"] for entry in budget.slack)
                 r0 = sphere_radius(alpha0, m)
                 r_eps = budget.r_eps_prime
-                thresholds = _budget_thresholds(epsilon, r0, r_eps, m)
-                alone = [tuple(t if j == c else math.inf
-                               for j, t in enumerate(thresholds))
-                         for c in range(6)]
-                # 200 deltas around the edge, then on to where q = inf
                 edge = budget.delta / 0.9
                 deltas = np.concatenate([
                     np.geomspace(edge / 4.0, 4.0 * edge, 200),
@@ -441,11 +436,93 @@ def test_budget_bisection_reads_the_budget_conditions(m):
                 feasible = []
                 for d in deltas.tolist():
                     conds = _budget_conditions(d, epsilon, D, r0, r_eps, m)
+                    # repr: every float to the last bit, the sign of a zero
                     assert repr(conds) == repr(_reference_budget_conditions(
                         d, epsilon, D, r0, r_eps, m))
-                    feasible.append(_budget_feasible(d, D, r0, r_eps, m,
-                                                     thresholds))
-                    assert feasible[-1] == all(e["ok"] for e in conds)
-                    assert [_budget_feasible(d, D, r0, r_eps, m, only)
-                            for only in alone] == [e["ok"] for e in conds]
+                    feasible.append(all(e["ok"] for e in conds))
                 assert feasible[0] and not feasible[-1]
+
+
+def _lhs_at_slope(q, D, r0, m):
+    """Conditions 2-6's left-hand sides at slope bound q, from scratch."""
+    omega = unit_sphere_area(m)
+    diam_w = 2.0 * D + math.pi * r0
+    c = 2.0 * diam_w * q
+    s = math.sqrt(c * (diam_w + c))
+    ring0 = omega * r0 ** (m - 1)
+    ring1 = omega * (r0 + D) ** (m - 1)
+    return (D * q * ring0, 4.0 * D * D * ring1 * q, s * 2.0 * D * ring1 * q,
+            s * ring1, ring1 * q)
+
+
+# (epsilon, D, alpha0, m) and the condition that sets the budget there
+_BINDING = [
+    ((1.0, 0.08, 0.003, 5), 1),
+    ((0.5, 0.5, 4.0 * math.pi, 3), 5),  # the README input
+    ((0.034, 0.026, 1.4e-4, 3), 6),
+    # t5 = 4.4e-21: the textbook root (-1 + sqrt(1 + 8 t5)) / 4 rounds to 0
+    ((1e-3, 1e-3, 1e4, 3), 5),
+]
+
+
+@pytest.mark.parametrize("point, binding", _BINDING,
+                         ids=[str(p) for p, _ in _BINDING])
+def test_budget_sits_at_the_root_of_its_binding_condition(point, binding):
+    # at delta / 0.9 the binding condition reads its threshold and the
+    # others stay below theirs; condition 1 binds at the cap itself
+    epsilon, D, alpha0, m = point
+    budget = delta_budget(*point)
+    r0 = sphere_radius(alpha0, m)
+    conds = _budget_conditions(budget.delta / 0.9, epsilon, D, r0,
+                               budget.r_eps_prime, m)
+    for k, entry in enumerate(conds, start=1):
+        if k != binding:
+            assert entry["lhs"] < entry["threshold"], k
+        elif k == 1:
+            assert budget.delta / 0.9 == pytest.approx(
+                (1.0 - 1e-9) * 0.5 * entry["threshold"], rel=1e-15)
+        else:
+            assert entry["lhs"] == pytest.approx(entry["threshold"],
+                                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("point", [p for p, _ in _BINDING],
+                         ids=[str(p) for p, _ in _BINDING])
+def test_each_budget_slope_is_its_condition_root(point):
+    # at the slope bound each of conditions 2-6 allows, that condition's
+    # left-hand side reads its threshold, whichever condition binds
+    epsilon, D, alpha0, m = point
+    r0 = sphere_radius(alpha0, m)
+    thresholds = _budget_thresholds(epsilon, r0,
+                                    well_cut(*point).r_eps_prime, m)
+    slopes = _budget_slopes(thresholds, D, r0, m)
+    assert all(q > 0.0 for q in slopes)
+    for k, q in enumerate(slopes):
+        assert _lhs_at_slope(q, D, r0, m)[k] == pytest.approx(
+            thresholds[k + 1], rel=1e-12), k + 2
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 1e-200])
+def test_budget_that_underflows_raises(epsilon):
+    # at 1e-300 the well cut underflows to alpha_eps = 0; at 1e-200 the
+    # slope bound does, and with it delta
+    with pytest.raises(CertificateError,
+                       match=rf"underflows at epsilon={epsilon!r}, D=1, "
+                             r"alpha0=1$"):
+        delta_budget(epsilon, 1, 1, 3)
+
+
+@pytest.mark.parametrize("point", [
+    (0.5, 1e-150, 1e-30, 3),    # 4 D^2 ring1 underflows to 0
+    (1e100, 1e-30, 1e-60, 3),   # q*^2 overflows
+    (1.0, 1e-250, 1e-220, 3),   # ring1 diam_W underflows: u5 = inf
+])
+def test_budget_at_the_ends_of_the_double_range_is_the_cap(point):
+    # where a coefficient underflows or a slope bound's square overflows,
+    # the slopes lie far past the cap's, and the budget is the cap, as the
+    # bisection finds it
+    budget = delta_budget(*point)
+    assert budget.delta == _reference_delta_budget(*point).delta
+    assert budget.delta == 0.9 * ((1.0 - 1e-9) * 0.5
+                                  * budget.slack[0]["threshold"])
+    assert all(entry["ok"] for entry in budget.slack)

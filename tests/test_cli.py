@@ -172,6 +172,16 @@ def test_delta_rejects_bad_epsilon(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("epsilon", ["1e-300", "1e-200"])
+def test_delta_that_underflows_exits_1(epsilon, capsys):
+    code, out, err = run(
+        capsys, "delta", "--epsilon", epsilon, "--D", "1", "--alpha0", "1")
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: the mass budget underflows at epsilon={epsilon}, "
+                   f"D=1.0, alpha0=1.0\n")
+
+
 _NON_POSITIVE = [
     ("delta", "--epsilon", "inf", "--D", "0.5", "--alpha0", "1.0"),
     ("delta", "--epsilon", "0.5", "--D", "inf", "--alpha0", "1.0"),
