@@ -33,6 +33,14 @@ __all__ = [
 ]
 
 
+def _power(x: float, p: float) -> float:
+    """x ** p, or +inf where that overflows the double range."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 class WellCut(NamedTuple):
     alpha_eps: float
     r_eps_prime: float
@@ -42,7 +50,8 @@ def well_cut(epsilon: float, D: float, alpha0: float, m: int) -> WellCut:
     """Cut area small enough that everything below it is negligible.
 
     alpha_eps = min(eps/(16 D), (omega eps / 8)^(m/(m-1)), alpha0), and
-    r_eps_prime is the Euclidean radius of a sphere with that area.
+    r_eps_prime is the Euclidean radius of a sphere with that area.  The
+    middle term reads +inf where it overflows, as alpha0 then binds.
     """
     epsilon = positive(epsilon, "epsilon")
     D = positive(D, "D")
@@ -50,7 +59,7 @@ def well_cut(epsilon: float, D: float, alpha0: float, m: int) -> WellCut:
     m = _dimension(m)
     omega = unit_sphere_area(m)
     alpha_eps = min(epsilon / (16.0 * D),
-                    (omega * epsilon / 8.0) ** (m / (m - 1.0)),
+                    _power(omega * epsilon / 8.0, m / (m - 1.0)),
                     alpha0)
     r_eps_prime = sphere_radius(alpha_eps, m)
     return WellCut(alpha_eps=alpha_eps, r_eps_prime=r_eps_prime)
@@ -254,10 +263,11 @@ def _budget_lhs(delta: float, q: float, s: float, D: float, r0: float,
                 m: int) -> tuple:
     """The six budget conditions' left-hand sides at delta, its slope bound q
     and distortion s.  Past the first, each is a constant times q, s or s q,
-    so at q = s = 1 they are the conditions' coefficients."""
+    so at q = s = 1 they are the conditions' coefficients.  A ring area
+    that overflows reads +inf, whose coefficients bound q to 0."""
     omega = unit_sphere_area(m)
-    ring0 = omega * r0 ** (m - 1)
-    ring1 = omega * (r0 + D) ** (m - 1)
+    ring0 = omega * _power(r0, m - 1)
+    ring1 = omega * _power(r0 + D, m - 1)
     return (2.0 * delta, D * q * ring0, 4.0 * D * D * ring1 * q,
             s * 2.0 * D * ring1 * q, s * ring1, ring1 * q)
 

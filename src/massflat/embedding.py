@@ -192,11 +192,25 @@ def _path_integrals(model, r1, r2, c, turning, length: bool):
     leaves the long leg out of the turning point's reach, where its cells
     bisect.  A path spiralling into a minimal boundary sphere has a leg of
     +inf.  The legs of a path share its tolerance group, so its value does
-    not depend on the batch.
+    not depend on the batch.  _shoot sums the paths that graze the inner
+    circle (c = r_in) as A(r_in, r1) + A(r_in, r2) instead, from legs
+    shared by the batch (_grazing_legs).
     """
     path, lo, hi, times = _legs(r1, r2, c, turning)
     legs = model._leg_integrals(lo, hi, c[path], not length, path)
     return np.bincount(path, times * legs, minlength=r1.size)
+
+
+def _grazing_legs(r_in, r1, r2):
+    """The legs of the paths from r1 to r2 >= r1 that graze the inner circle
+    (c = r_in), as (lo, hi, c, index): A(r_in, r), one leg per distinct
+    radius r of the paths, and index[0], index[1] the legs of each path's
+    r1 and r2.  A grazing path sums its legs, r1's first.  Each leg is its
+    own tolerance group, so its value depends only on r_in and r, and a
+    path's only on its radii."""
+    hi, index = np.unique(np.concatenate([r1, r2]), return_inverse=True)
+    lo = np.full(hi.size, r_in)
+    return lo, hi, lo, index.reshape(2, r1.size)
 
 
 def _predicted_angles(model, r1, r2, c, turning):
@@ -225,7 +239,9 @@ def tube_distance(model, r_in: float, r1, theta1, r2, theta2):
     every kept Theta a full adaptive one, and the distance is
     L + c (phi - Theta), exact to first order in the residual because
     dL/dTheta = c along the family.  When phi >= Theta(u_max) the shortest
-    path hugs the inner circle: L(u_max) + r_in (phi - Theta(u_max)).  On a
+    path hugs the inner circle: L(u_max) + r_in (phi - Theta(u_max)).  A
+    grazing path's Theta(u_max) and L(u_max) sum one leg A(r_in, r) per
+    end, shared by every grazing path of the batch with that radius.  On a
     minimal boundary sphere Theta(u_max) is infinite and no path hugs.
     Equal angles, or a point at the origin, give |s(r2) - s(r1)|.
 
@@ -260,8 +276,9 @@ def _shoot(model, r_in, r1, r2, phi):
 
     A shot takes Theta(u) from the adaptive leg integrals (_path_integrals);
     the cheap estimate P(u) of _predicted_angles only picks the shots.
-    Paths with phi >= u_max shoot u_max first, which tells the paths that
-    hug from the rest and gives the defect d = Theta - P at u_max, kept
+    Paths with phi >= u_max shoot u_max first, from one grazing leg per
+    distinct radius (_grazing_legs), which tells the paths that hug from
+    the rest and gives the defect d = Theta - P at u_max, kept
     where phi - d > 0; d = 0 on the other paths.  _PREDICTOR_STEPS
     steps on P alone from min(phi, u_max), a ratio step
     u <- u (phi - d) / P(u) and then secant steps, pick the first shot of
@@ -274,6 +291,8 @@ def _shoot(model, r_in, r1, r2, phi):
     |Theta - phi| tenfold, and the bracket's midpoint where that step
     fails too.  Shooting stops at |Theta - phi| <= _ANGLE_TOL, or on a
     bracket a few ulps wide.  Every step depends on its own path alone.
+    The lengths take one run: the legs of each path that shot, and the
+    grazing legs of the paths left at u_max.
     """
     n = phi.size
     # the straight line between the points, in the plane, sweeps u and
@@ -297,9 +316,9 @@ def _shoot(model, r_in, r1, r2, phi):
     theta_max = np.full(n, np.inf)
     check = phi >= u_max
     if np.any(check):
-        theta_max[check] = _path_integrals(
-            model, r1[check], r2[check], *clairaut(check, u_max[check]),
-            False)
+        lo, hi, c, (i1, i2) = _grazing_legs(r_in, r1[check], r2[check])
+        legs = model._leg_integrals(lo, hi, c, True, np.arange(hi.size))
+        theta_max[check] = legs[i1] + legs[i2]
     u, theta = u_max.copy(), theta_max.copy()
     active = phi < theta_max
     # the bracket, with Anderson-Bjorck's side of the last shot: Theta(0)
@@ -394,9 +413,23 @@ def _shoot(model, r_in, r1, r2, phi):
             f"geodesic shooting from r={float(r1[j])!r} to "
             f"r={float(r2[j])!r} over angle {float(phi[j])!r} did not "
             f"converge in {_MAX_SHOTS} steps")
-    c, turning = clairaut(np.ones(n, dtype=bool), u)
-    return (_path_integrals(model, r1, r2, c, turning, True)
-            + c * (phi - theta))
+    # one length run: each other path's legs in its own group, then the
+    # grazing paths' shared legs in groups past theirs
+    graze = u >= u_max
+    k = np.nonzero(~graze)[0]
+    c, turning = clairaut(k, u[k])
+    path, lo, hi, times = _legs(r1[k], r2[k], c, turning)
+    g_lo, g_hi, g_c, index = _grazing_legs(r_in, r1[graze], r2[graze])
+    legs = model._leg_integrals(
+        np.concatenate([lo, g_lo]), np.concatenate([hi, g_hi]),
+        np.concatenate([c[path], g_c]), False,
+        np.concatenate([k[path], n + np.arange(g_hi.size)]))
+    out = np.empty(n)
+    out[k] = (np.bincount(path, times * legs[:path.size], minlength=k.size)
+              + c * (phi[k] - theta[k]))
+    legs = legs[path.size:][index]
+    out[graze] = legs[0] + legs[1] + r_in * (phi[graze] - theta[graze])
+    return out
 
 
 def _pow2_at_least(x: float) -> int:

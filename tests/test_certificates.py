@@ -512,6 +512,23 @@ def test_budget_that_underflows_raises(epsilon):
         delta_budget(epsilon, 1, 1, 3)
 
 
+def test_budget_past_the_top_of_the_double_range():
+    # (omega eps / 8)^(3/2) overflows at eps = 1e300: the well cut's middle
+    # term reads +inf and alpha0 binds, and the budget is the cap
+    assert well_cut(1e300, 1, 1, 3).alpha_eps == 1.0
+    budget = delta_budget(1e300, 1, 1, 3)
+    assert budget.alpha_eps == 1.0
+    assert budget.delta == 0.9 * ((1.0 - 1e-9) * 0.5
+                                  * budget.slack[0]["threshold"])
+    assert all(entry["ok"] for entry in budget.slack)
+    # (r0 + D)^2 overflows at D = 1e200: the ring's coefficients bound the
+    # slope to 0, and the budget underflows
+    with pytest.raises(CertificateError,
+                       match=r"underflows at epsilon=1, D=1e\+200, "
+                             r"alpha0=1$"):
+        delta_budget(1, 1e200, 1, 3)
+
+
 @pytest.mark.parametrize("point", [
     (0.5, 1e-150, 1e-30, 3),    # 4 D^2 ring1 underflows to 0
     (1e100, 1e-30, 1e-60, 3),   # q*^2 overflows

@@ -182,6 +182,23 @@ def test_delta_that_underflows_exits_1(epsilon, capsys):
                    f"D=1.0, alpha0=1.0\n")
 
 
+def test_delta_past_the_top_of_the_double_range(capsys):
+    # the well cut's overflowing term gives way to alpha0: a budget
+    code, out, err = run(
+        capsys, "delta", "--epsilon", "1e300", "--D", "1", "--alpha0", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["alpha_eps"] == 1.0
+    assert all(entry["ok"] for entry in doc["slack"])
+    # an overflowing ring area: one error line, no traceback
+    code, out, err = run(
+        capsys, "delta", "--epsilon", "1", "--D", "1e200", "--alpha0", "1")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the mass budget underflows at epsilon=1.0, "
+                   "D=1e+200, alpha0=1.0\n")
+
+
 _NON_POSITIVE = [
     ("delta", "--epsilon", "inf", "--D", "0.5", "--alpha0", "1.0"),
     ("delta", "--epsilon", "0.5", "--D", "inf", "--alpha0", "1.0"),

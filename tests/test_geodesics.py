@@ -260,17 +260,24 @@ def test_each_path_ends_on_a_shot_within_the_angle_tolerance(
     r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
     phi = _folded(t1, t2)
     finals = []
-    shots = embedding._path_integrals
+    integrals = model._leg_integrals
 
-    def kept(model, r1, r2, c, turning, length):
-        if length:
-            finals.append((c, turning))
-        return shots(model, r1, r2, c, turning, length)
+    def kept(lo, hi, c, angle, group):
+        if not angle:
+            finals.append((c, group))
+        return integrals(lo, hi, c, angle, group)
 
-    monkeypatch.setattr(embedding, "_path_integrals", kept)
+    monkeypatch.setattr(model, "_leg_integrals", kept)
     embedding._shoot(model, r_in, r1, r2, phi)
-    (c, turning), = finals
-    theta = shots(model, r1, r2, c, turning, False)
+    # the length run labels each path's own legs with the path, one leg or
+    # two where it turns; a grazing path has no leg of its own
+    (c_leg, group), = finals
+    own = group < phi.size
+    c = np.full(phi.size, r_in)
+    c[group[own]] = c_leg[own]
+    n_legs = np.bincount(group[own], minlength=phi.size)
+    turning = np.where(n_legs > 0, n_legs == 2, r1 > r_in)
+    theta = _path_integrals(model, r1, r2, c, turning, False)
     hug = c == r_in
     assert np.all(np.abs(theta - phi)[~hug] <= 1e-10)
     assert np.all(theta[hug] <= phi[hug] + 1e-10)
@@ -293,22 +300,27 @@ def test_deep_well_tube_check_takes_few_quadrature_nodes(monkeypatch):
     # release end r_t: the last length run bisected 24 levels towards the
     # near-root of the tail's gap at 2 delta' when legs ended only at cuts
     # (48 passes in all), it now takes 2.  The predictor-corrector shoots
-    # 80 times after 18 hugging checks, in 16 passes and 25,473 nodes in
-    # all; regula falsi from u = phi shot 108 times (19 passes, 28,791)
+    # 80 times after 18 hugging checks, in 16 passes and 25,095 nodes in
+    # all (25,473 with two legs per grazing path); regula falsi from
+    # u = phi shot 108 times (19 passes, 28,791)
     assert max(panels.runs) <= 4
     assert panels.passes <= 30
 
 
 def test_tube_check_quadrature_work(monkeypatch):
-    # the oracle's integrals on a Schwarzschild tube.  After the hugging
-    # check of 848 paths the Gauss predictor picks first shots that mostly
-    # land within the angle tolerance: 1,428 paths shoot 1,742 times.  A
-    # turning path sums 2 A(c, r1) + A(r1, r2), and the final length run
-    # bisects 394 of its 3,514 level-0 cells once.  In all 178,143 nodes in
-    # 5 passes, and 230,726 profile-evaluated radii, the predictor's
-    # included.  Shooting from u = phi by regula falsi alone (6,335 shots),
-    # with legs A(c, r1) + A(c, r2), took 368,886 nodes in 9 passes and
-    # 368,909 radii
+    # the oracle's integrals on a Schwarzschild tube.  The hugging check of
+    # 848 paths integrates one grazing leg A(r_in, r) per distinct radius:
+    # 48 legs in 47 cells, where two legs per path took 1,662 cells.  The
+    # Gauss predictor then picks first shots that mostly land within the
+    # angle tolerance: 1,428 paths shoot 1,742 times.  A turning path sums
+    # 2 A(c, r1) + A(r1, r2); the 616 that hug read the shared legs, folded
+    # into the final length run, which bisects 186 of its 2,359 level-0
+    # cells once (3,514 and 394 with two legs per hugging path).  In all
+    # 115,605 nodes in 5 passes, and 168,188 profile-evaluated radii, the
+    # predictor's included; 178,143 nodes and 230,726 radii with two legs
+    # per grazing path.  Shooting from u = phi by regula falsi alone (6,335
+    # shots), with legs A(c, r1) + A(c, r2), took 368,886 nodes in 9 passes
+    # and 368,909 radii
     model = ManifoldModel(schwarzschild(3, 0.1), 8.0)
     window = tubular_window(model, 4.0 * math.pi, 0.5)
     panels = count_panels(monkeypatch)
@@ -316,9 +328,9 @@ def test_tube_check_quadrature_work(monkeypatch):
     rep = metric_embedding_check(model, window, mesh_h=0.02, seed=1)
     assert rep["violations"] == 0
     assert max(panels.runs) <= 2
-    assert panels.passes <= 7
-    assert panels.nodes <= 260_000
-    assert sum(radii.values()) <= 310_000
+    assert panels.passes <= 5
+    assert panels.nodes <= 125_000
+    assert sum(radii.values()) <= 180_000
 
 
 def test_deep_well_tube_check_default_allowance_finds_no_violation():
@@ -352,6 +364,60 @@ def test_batches_spanning_several_integrand_calls_match_each_pair():
     batch = tube_distance(model, 0.5, r1, t1, r2, t2)
     alone = [tube_distance(model, 0.5, *args) for args in zip(r1, t1, r2, t2)]
     assert batch.tolist() == alone
+
+
+@pytest.mark.parametrize("r_in, scales", [
+    (0.5, (1.0, 1.1, 1.6, 3.5)),
+    (None, (1.1, 1.6, 3.5)),
+], ids=["schwarzschild", "horizon"])
+def test_grazing_legs_shared_across_a_lattice_batch_match_each_pair(
+        r_in, scales):
+    # every source against every target, as metric_embedding_check pairs
+    # them, on a few lattice rows: the paths grazing the inner circle share
+    # one leg A(r_in, r) per distinct radius, each its own tolerance group,
+    # so the batch gives each pair's distance alone, bit for bit.  On the
+    # horizon (r_in = r_min) the grazing legs spiral and no path hugs
+    model = ManifoldModel(schwarzschild(3, 0.1), 8.0)
+    r_in = model.r_min if r_in is None else r_in
+    rng = np.random.default_rng(4)
+    rows = r_in * np.array(scales)
+    rs, rt = rng.choice(rows, 12), rng.choice(rows, 16)
+    ts, tt = (TWO_PI / 64) * rng.integers(0, 64, 12), \
+        (TWO_PI / 64) * rng.integers(0, 64, 16)
+    grid = tube_distance(model, r_in, rs[:, None], ts[:, None],
+                         rt[None, :], tt[None, :])
+    alone = [[tube_distance(model, r_in, a, ta, b, tb)
+              for b, tb in zip(rt, tt)] for a, ta in zip(rs, ts)]
+    assert np.all(np.isfinite(grid))
+    assert grid.tolist() == alone
+
+    r1 = np.minimum(rs[:, None], rt[None, :]).ravel()
+    r2 = np.maximum(rs[:, None], rt[None, :]).ravel()
+    phi = _folded(ts[:, None], tt[None, :]).ravel()
+    n = phi.size
+
+    def grazing_path(angle):
+        # the per-path form: A(r1, r2) + 2 A(r_in, r1), the legs of a path
+        # in its own tolerance group
+        legs = model._leg_integrals(
+            np.concatenate([r1, np.full(n, r_in)]), np.concatenate([r2, r1]),
+            np.full(2 * n, r_in), angle, np.tile(np.arange(n), 2))
+        return legs[:n] + 2.0 * legs[n:]
+
+    theta = grazing_path(True)
+    lo, hi, c, index = embedding._grazing_legs(r_in, r1, r2)
+    shared = model._leg_integrals(lo, hi, c, True, np.arange(hi.size))
+    assert hi.size == rows.size
+    np.testing.assert_allclose(shared[index[0]] + shared[index[1]], theta,
+                               rtol=1e-14, atol=0.0)
+    hug = phi > theta + 1e-9
+    if r_in == model.r_min:
+        assert np.all(np.isinf(shared)) and not hug.any()
+        return
+    assert np.count_nonzero(hug) >= 40
+    want = grazing_path(False) + r_in * (phi - theta)
+    np.testing.assert_allclose(grid.ravel()[hug], want[hug], rtol=1e-14,
+                               atol=0.0)
 
 
 def test_horizon_circle_is_a_shortest_path():
