@@ -96,7 +96,7 @@ def _cmd_describe(args) -> int:
         "valid": report.ok,
     }
     if args.r_cap is not None and report.ok:
-        model = ManifoldModel(profile, args.r_cap, check=False)
+        model = ManifoldModel(profile, args.r_cap)
         data["model"] = {
             "r_cap": model.r_cap,
             "s_cap": model.s_cap,

@@ -278,12 +278,10 @@ def _shoot(model, r_in, r1, r2, phi):
     the cheap estimate P(u) of _predicted_angles only picks the shots.
     Paths with phi >= u_max shoot u_max first, from one grazing leg per
     distinct radius (_grazing_legs), which tells the paths that hug from
-    the rest and gives the defect d = Theta - P at u_max, kept
-    where phi - d > 0; d = 0 on the other paths.  _PREDICTOR_STEPS
-    steps on P alone from min(phi, u_max), a ratio step
-    u <- u (phi - d) / P(u) and then secant steps, pick the first shot of
-    the others and the second of those.  After the first shot, and after
-    each that cut |Theta - phi| tenfold, the next solves
+    the rest.  _PREDICTOR_STEPS steps on P alone from min(phi, u_max), a
+    ratio step u <- u phi / P(u) and then secant steps, pick the first
+    shot of the others and the second of those.  After the first shot,
+    and after each that cut |Theta - phi| tenfold, the next solves
     P(u) + (Theta - P)(u_k) = phi by one secant step on P from the shot
     u_k, through u_k (1 - _PROBE).  The bracket of the root is kept all
     along, and the Anderson-Bjorck regula falsi step on it is taken where
@@ -314,11 +312,11 @@ def _shoot(model, r_in, r1, r2, phi):
     # circle of a singular model is a closed geodesic, which paths from it
     # or around it approach by spiralling, and Theta(u_max) reads +inf
     theta_max = np.full(n, np.inf)
-    check = phi >= u_max
-    if np.any(check):
-        lo, hi, c, (i1, i2) = _grazing_legs(r_in, r1[check], r2[check])
+    may_hug = phi >= u_max
+    if np.any(may_hug):
+        lo, hi, c, (i1, i2) = _grazing_legs(r_in, r1[may_hug], r2[may_hug])
         legs = model._leg_integrals(lo, hi, c, True, np.arange(hi.size))
-        theta_max[check] = legs[i1] + legs[i2]
+        theta_max[may_hug] = legs[i1] + legs[i2]
     u, theta = u_max.copy(), theta_max.copy()
     active = phi < theta_max
     # the bracket, with Anderson-Bjorck's side of the last shot: Theta(0)
@@ -347,9 +345,6 @@ def _shoot(model, r_in, r1, r2, phi):
         for step in range(_PREDICTOR_STEPS):
             p = _predicted_angles(model, r1[k], r2[k], *clairaut(k, xk))
             with np.errstate(invalid="ignore", divide="ignore"):
-                if step == 0:
-                    fixed = target - (theta_max[k] - p)
-                    target = np.where(fixed > 0.0, fixed, target)
                 nxt = xk * target / p
                 if step:
                     sec = xk - (p - target) * (xk - u_p) / (p - p_p)
@@ -360,7 +355,7 @@ def _shoot(model, r_in, r1, r2, phi):
         # the first shot lies inside the bracket: one ulp below hi = phi,
         # never shot, where the steps reached it, and on the regula falsi
         # step where they reached u_max, shot already
-        x[k] = bracketed(k, np.where(check[k] | (xk < hi[k]), xk,
+        x[k] = bracketed(k, np.where(may_hug[k] | (xk < hi[k]), xk,
                                      np.nextafter(hi[k], 0.0)))
     for _ in range(_MAX_SHOTS):
         k = np.nonzero(active)[0]

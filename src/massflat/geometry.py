@@ -326,16 +326,19 @@ _SQUARES = {n: np.linspace(0.0, 1.0, n) ** 2 for n in (33, 49)}
 
 
 def _graded(a: float, b: float) -> np.ndarray:
-    """Knots graded towards the start of a piece [a, b]: 33 geometric ones
-    on a piece spanning more than a factor 6 in r, 33 quadratic ones on a
-    piece from r = 0, none otherwise.  The geometric knots are
-    np.geomspace(a, b, 33) formed as it forms them, without its wrappers:
-    10 to the 33 even steps from log10 a to log10 b, both ends exact."""
+    """Knots graded towards the start of a piece [a, b]: geometric ones, in
+    n >= 32 steps of at most a factor 6, on a piece spanning more than a
+    factor 6 in r, 33 quadratic ones on a piece from r = 0, none otherwise.
+    The geometric knots are np.geomspace(a, b, n + 1) formed as it forms
+    them, without its wrappers: 10 to the n + 1 even steps from log10 a to
+    log10 b, both ends exact."""
     if a > 0 and b / a > 6.0:
         # the same ufuncs on the same operands as np.geomspace, so the same
         # bits: log10 of each end alone, and the power of a scalar base
         lo, hi = np.log10(np.float64(a)), np.log10(np.float64(b))
-        y = _STEPS[:33] * ((hi - lo) / 32) + lo
+        # a table round accepts a cell under its 1e-4 floor however wide
+        n = max(32, math.ceil((hi - lo) / math.log10(6.0)))
+        y = np.arange(n + 1.0) * ((hi - lo) / n) + lo
         y[-1] = hi
         x = np.power(10.0, y)
         x[0], x[-1] = a, b
@@ -430,40 +433,36 @@ def euclidean_annulus_volume(dimension: int, r_a: float, r_b: float) -> float:
 
 
 class ManifoldModel:
-    """Tabulated reconstruction of a profile, truncated at r_cap."""
+    """Tabulated reconstruction of an admissible profile, truncated at r_cap:
+    construction validates it (see validate) or raises InvalidProfileError."""
 
-    def __init__(self, profile: HawkingProfile, r_cap: float,
-                 check: bool = True):
+    def __init__(self, profile: HawkingProfile, r_cap: float):
         if not (math.isfinite(r_cap) and r_cap > 0 and r_cap > 2.0 * profile.r_min):
             raise DomainError(
                 f"r_cap must be finite, positive and above 2 r_min, got {r_cap}")
         m = profile.dimension
         # the integrands read r^(m-2), largest at r_cap, and the wall gap:
-        # a double that overflows there would surface as a QuadratureError.
-        # One profile evaluation gives the gaps at r_min and at r_cap, in
-        # piece order.
+        # a double that overflows there would surface as a QuadratureError
         with np.errstate(over="ignore", invalid="ignore"):
             xi_cap = float(np.float64(r_cap) ** (m - 2))
-            gap0, gap_cap = profile._mass_and_gap(
-                np.array([profile.r_min, r_cap]))[1].tolist()
+            gap_cap = profile._mass_and_gap(np.array([r_cap], float))[1].item()
         for name, value in (("r^(m-2)", xi_cap), ("the wall gap", gap_cap)):
             if not math.isfinite(value):
                 raise DomainError(
                     f"{name} is not a finite double at r_cap = {r_cap!r} in "
                     f"dimension {m} (it reads {value!r}); lower r_cap")
-        if check:
-            report = validate(profile)
-            if not report.ok:
-                raise InvalidProfileError(
-                    "profile failed validation:\n" + str(report))
+        report = validate(profile)
+        if not report.ok:
+            raise InvalidProfileError(
+                "profile failed validation:\n" + str(report))
         self._profile = profile
         self.r_cap = float(r_cap)
         self.dimension = profile.dimension
         self.r_min = profile.r_min
         self.adm_mass = profile.adm_mass
         self.omega = unit_sphere_area(profile.dimension)
-        self._singular = (profile.r_min > 0
-                          and gap0 <= 1e-9 * profile.r_min ** (self.dimension - 2))
+        # a valid profile meets the horizon identity at any r_min > 0
+        self._singular = profile.r_min > 0
         self._build_tables()
 
     @property
@@ -1313,10 +1312,8 @@ def window_bracket(model: ManifoldModel, alpha0: float,
     """Radius r0 of the alpha0 sphere and a radius bracket around its window.
 
     Arclength dominates radius (s' >= 1), so the tubular window of half-width
-    D lies within (max(r_min, r0 - D), min(r0 + D, r_cap)].  Returns
-    (r0, r_lo, r_hi) after checking the window's preconditions; no quadrature
-    runs, so the bracket is safe to inspect on a profile that is not
-    admissible.
+    D lies within (max(r_min, r0 - D), min(r0 + D, r_cap)] = (r_lo, r_hi].
+    Returns (r0, r_lo, r_hi) after checking the window's preconditions.
     """
     r0 = sphere_radius(positive(alpha0, "alpha0"), model.dimension)
     D = positive(D, "D")

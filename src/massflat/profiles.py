@@ -509,6 +509,10 @@ class HawkingProfile:
     def _starts(self) -> np.ndarray:
         return np.array([p.r_lo for p in self.pieces])
 
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return _validation_report(self)  # validate's memo: a profile is frozen
+
     def _dispatch(self, arr: np.ndarray, rows: int, evaluate):
         """Evaluate at each radius of a 1-D float array by the piece holding
         it, with no range check: the public methods check their radii, and
@@ -727,9 +731,13 @@ def _cell_issues(piece: ProfilePiece, profile: HawkingProfile, x, mh, gap):
 
 
 def validate(profile: HawkingProfile) -> ValidationReport:
-    """Check admissibility of a profile; returns a report of all violations.
+    """Check admissibility of a profile; returns a report of all violations,
+    computed on the profile's first call and the same object on later ones."""
+    return profile._report
 
-    Every piece is read once at its own points (see _own_points), which
+
+def _validation_report(profile: HawkingProfile) -> ValidationReport:
+    """Every piece is read once at its own points (see _own_points), which
     serve the boundary identities, the joints and the monotone rule; the
     wall and exceeds-adm rules bound the piece on cells in closed form
     (see _cell_issues).  A non-finite value is reported, not warned of.

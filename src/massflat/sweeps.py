@@ -63,7 +63,7 @@ def _sweep_row(family: str, value, dimension: int, alpha0: float, D: float,
         s0 = float(model.s(r0))
 
         d_gh = 1.05 * s0
-        model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh), check=False)
+        model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh))
         window_gh = tubular_window(model_gh, alpha0, d_gh)
         gh, seg = _best_and_segment_bounds(model_gh, window_gh)
 

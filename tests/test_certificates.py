@@ -113,6 +113,17 @@ def test_certificate_totals_are_consistent():
         "vol_B1", "vol_B2"))
 
 
+@pytest.mark.parametrize("r_cap", [1e40, 1e150, 1e300])
+def test_certificate_total_holds_at_a_far_cap(r_cap):
+    # a piece many decades wide takes knots at most a factor 6 apart, so
+    # the cells near the window stay as narrow as under a near cap; with
+    # 33 knots the total read 529.7 at 1e150 and -3.9e6 at 1e300
+    profile = schwarzschild(3, 0.1)
+    near, far = (flat_certificate(ManifoldModel(profile, cap), 4.0 * math.pi,
+                                  0.5, 0.5) for cap in (8.0, r_cap))
+    assert far.total == pytest.approx(near.total, rel=1e-12, abs=0.0)
+
+
 def test_certificate_deep_variant_cuts_inside_window():
     model = ManifoldModel(deep_well(3, 0.02, 4.0 * math.pi, 1.0), 8.0)
     cert = flat_certificate(model, 4.0 * math.pi, 2.0, 0.5)

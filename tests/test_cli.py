@@ -356,6 +356,30 @@ def test_sweep_json_and_failed_rows(capsys):
     assert rows[1]["status"].startswith("error:")
 
 
+def test_a_far_cap_gives_finite_real_totals(tmp_path, capsys):
+    # with 33 knots on the tail piece a cap of 1e300 gave a negative total,
+    # whose quartic root made total_scalable complex
+    path = tmp_path / "sch.json"
+    write_profile(schwarzschild(3, 0.1), path)
+    window = ("--alpha0", str(4.0 * math.pi), "--D", "0.5",
+              "--epsilon", "0.5")
+    totals = []
+    for cap in ((), ("--r-cap", "1e300")):
+        code, out, err = run(capsys, "certificate", str(path), *window, *cap)
+        assert code == 0, err
+        totals.append(json.loads(out)["total"])
+    assert totals[1] == pytest.approx(totals[0], rel=1e-12, abs=0.0)
+    code, out, err = run(capsys, "sweep", "--family", "schwarzschild",
+                         "--values", "0.1", *window, "--r-cap", "1e300",
+                         "--format", "json")
+    assert code == 0, err
+    (row,) = json.loads(out)
+    assert row["status"] == "ok"
+    for key in ("total", "total_scalable"):
+        assert isinstance(row[key], float) and math.isfinite(row[key]), key
+        assert row[key] > 0.0, key
+
+
 def test_example_families_roundtrip(capsys):
     for family, extra in (("flat", ()),
                           ("schwarzschild", ("--mass", "0.2")),

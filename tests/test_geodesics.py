@@ -13,8 +13,9 @@ from massflat.embedding import (_path_integrals, annulus_distance,
                                 metric_embedding_check, tube_distance)
 from massflat.errors import DomainError, RangeError
 from massflat.geometry import ManifoldModel, tubular_window
-from massflat.profiles import (ConstantPiece, HawkingProfile, PowerLawPiece,
-                               deep_well, flat, schwarzschild)
+from massflat.profiles import (ConstantPiece, CubicSplinePiece,
+                               HawkingProfile, PowerLawPiece, deep_well, flat,
+                               schwarzschild)
 
 from util import (count_panels, count_piece_evaluations, exact_arclength,
                   range_integrals)
@@ -51,12 +52,15 @@ def test_flat_tube_matches_annulus_distance():
 
 def test_cone_matches_the_unrolled_annulus():
     # m_H = k r makes s' = 1 / sqrt(1 - 2k) constant: the cone r = a s,
-    # which unrolls onto a plane sector with angles scaled by a
+    # which unrolls onto a plane sector with angles scaled by a.  Past
+    # r_cap a C1 spline bends it into the constant tail
     k = 0.3
     a = math.sqrt(1.0 - 2.0 * k)
     cone = HawkingProfile(3, 0.0, (PowerLawPiece(0.0, 3.0, k, 1.0),
-                                   ConstantPiece(3.0, math.inf, 3.0 * k)))
-    model = ManifoldModel(cone, 2.9, check=False)
+                                   CubicSplinePiece([3.0, 4.0], [0.9, 1.05],
+                                                    [0.3, 0.0]),
+                                   ConstantPiece(4.0, math.inf, 1.05)))
+    model = ManifoldModel(cone, 2.9)
     r_in = 0.4
     r1, t1, r2, t2 = _random_pairs(5, r_in, 2.8, 300)
     got = tube_distance(model, r_in, r1, t1, r2, t2)
@@ -66,11 +70,16 @@ def test_cone_matches_the_unrolled_annulus():
 
 def test_lower_hemisphere_matches_spherical_trigonometry():
     # m_H = r^3 / 2 makes s' = 1 / sqrt(1 - r^2): the unit sphere around a
-    # pole, r = sin s; the inner circle sits at colatitude s_in
+    # pole, r = sin s; the inner circle sits at colatitude s_in.  Past
+    # r_cap a C1 spline bends it into the constant tail
+    v0, s0 = 0.5 * 0.95**3, 1.5 * 0.95**2
     cap = HawkingProfile(3, 0.0, (PowerLawPiece(0.0, 0.95, 0.5, 3.0),
-                                  ConstantPiece(0.95, math.inf,
-                                                0.5 * 0.95**3)))
-    model = ManifoldModel(cap, 0.94, check=False)
+                                  CubicSplinePiece([0.95, 1.0],
+                                                   [v0, v0 + 0.025 * s0],
+                                                   [s0, 0.0]),
+                                  ConstantPiece(1.0, math.inf,
+                                                v0 + 0.025 * s0)))
+    model = ManifoldModel(cap, 0.94)
     r_in = 0.3
     s_in = math.asin(r_in)
     r1, t1, r2, t2 = _random_pairs(6, r_in, 0.94, 300)

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import qmc
 
-from massflat import geometry
+from massflat import geometry, profiles
 from massflat.certificates import flat_certificate
 from massflat.embedding import tube_distance
 from massflat.errors import (DomainError, QuadratureError, RangeError,
@@ -36,6 +36,7 @@ from massflat.profiles import (
     unit_sphere_area,
     validate,
 )
+from massflat.sweeps import run_sweep
 from util import (count_panels, exact_arclength, random_spline_profile,
                   rows_of, two_run_integrate_cells, window_volumes)
 
@@ -150,7 +151,7 @@ def test_sweep_windows_end_on_a_root_of_s(delta):
     r0 = sphere_radius(alpha0, 3)
     model = ManifoldModel(profile, 4.0 * (r0 + D))
     d_gh = 1.05 * float(model.s(r0))
-    model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh), check=False)
+    model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh))
     for m, half_width in ((model, D), (model_gh, d_gh)):
         w = tubular_window(m, alpha0, half_width)
         assert w.clamped == (m is model_gh) and w.s_plus < m.s_cap
@@ -378,12 +379,48 @@ def test_deep_well_depth_exceeds_requested():
         assert float(model.s(1.0)) >= depth
 
 
-def test_validate_runs_inside_model_build():
+def _count_validations(monkeypatch):
+    """The profiles each model build validates, and the pieces whose cells
+    validate bounds, from now on."""
+    reads, cells = [], []
+    cell_issues = profiles._cell_issues
+
+    def read(profile):
+        reads.append(profile)
+        return validate(profile)
+
+    def bound(piece, *args):
+        cells.append(piece)
+        return cell_issues(piece, *args)
+
+    monkeypatch.setattr(geometry, "validate", read)
+    monkeypatch.setattr(profiles, "_cell_issues", bound)
+    return reads, cells
+
+
+def test_validate_runs_inside_model_build(monkeypatch):
+    # every build validates its profile; the check itself runs once per
+    # profile object, and later builds read its report
     rng = np.random.default_rng(8)
     p = random_spline_profile(rng, 4)
+    reads, cells = _count_validations(monkeypatch)
     assert validate(p).ok
-    model = ManifoldModel(p, float(p.pieces[1].knots[-1] + 2.0), check=False)
-    assert model.dimension == 4
+    for extra in (2.0, 5.0):
+        model = ManifoldModel(p, float(p.pieces[1].knots[-1] + extra))
+        assert model.dimension == 4
+    assert len(reads) == 2 and reads[0] is reads[1] is p
+    assert cells == list(p.pieces)
+
+
+def test_a_sweep_row_validates_its_profile_once(monkeypatch):
+    # both models of a row, the certificate's and the GH bound's, are
+    # validated models, and the check runs for the first alone
+    reads, cells = _count_validations(monkeypatch)
+    (row,) = run_sweep("deep-well", [1e-3], alpha0=math.pi / 100, D=0.05,
+                       epsilon=0.02)
+    assert row["status"] == "ok"
+    assert len(reads) == 2 and reads[0] is reads[1]
+    assert cells == list(reads[0].pieces)
 
 
 def test_kronrod_rule_constants():
@@ -708,7 +745,7 @@ def test_sweep_window_volumes_agree_with_range_quadrature(delta):
     model = ManifoldModel(profile, 4.0 * (r0 + D))
     cert = flat_certificate(model, alpha0, D, 0.02)
     d_gh = 1.05 * float(model.s(r0))
-    model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh), check=False)
+    model_gh = ManifoldModel(profile, 4.0 * (r0 + d_gh))
     gh = tubular_window(model_gh, alpha0, d_gh)
     for m, ends in ((model, (cert.r_minus, cert.r_eps, cert.r_plus)),
                     (model_gh, (gh.r_minus, r0, gh.r_plus))):

@@ -191,7 +191,7 @@ def test_sweep_reads_both_bounds_from_one_batch(delta, monkeypatch):
     r0 = math.sqrt(alpha0 / (4.0 * math.pi))
     profile = deep_well(3, delta, alpha0, 10.0)
     s0 = float(ManifoldModel(profile, 4.0 * (r0 + D)).s(r0))
-    model = ManifoldModel(profile, 4.0 * (r0 + 1.05 * s0), check=False)
+    model = ManifoldModel(profile, 4.0 * (r0 + 1.05 * s0))
     window = tubular_window(model, alpha0, 1.05 * s0)
     gh, seg = _best_and_segment_bounds(model, window)
     assert gh == gh_bound(model, window, gh.r_eps)

@@ -484,6 +484,11 @@ _CERTIFY_FAMILIES = {
 }
 
 
+def test_validate_returns_one_report_per_profile():
+    p = random_spline_profile(np.random.default_rng(8), 4)
+    assert validate(p) is validate(p)
+
+
 @pytest.mark.parametrize("name", sorted(_CERTIFY_FAMILIES))
 def test_validate_reads_pieces_at_their_own_points(name, monkeypatch):
     # one read per piece at its ends, knots, slope vertices and joints,
@@ -857,7 +862,7 @@ def test_dispatch_on_grouped_radii_equals_the_radii_shuffled(name,
     monkeypatch.setattr(HawkingProfile, "_mass_and_gap", kept)
     ManifoldModel(p, r_cap)
     monkeypatch.undo()
-    # the round's one call; the check at r_cap reads two radii
+    # the round's one call; the check at r_cap reads one radius
     block = max(blocks, key=len)
     starts = p._starts[1:]
     k = np.searchsorted(starts, block, side="right")
